@@ -19,17 +19,16 @@ from .errors import (ConfigError, DomainViolationError, HammersteinError,
                      InvalidSpecError, NonConvergenceError,
                      NumericalBreakdownError, SpecRejectedError)
 from .kernels import (BaseKernel, ConditionReport, KernelSpec, ModulationSet,
-                      check_kernel_conditions, eval_base_kernel, eval_kernel,
-                      gamma_profile, kernel_matrix, lambda_star_excess_integral,
-                      row_mass_at)
+                      check_kernel_conditions, eval_kernel, gamma_profile,
+                      kernel_matrix, lambda_star_excess_integral, row_mass_at)
 from .nemytsky import (NemytskyConditionReport, NemytskyReport, NemytskySpec,
                        check_nemytsky_conditions, eval_G0, eval_G1,
                        solve_nemytsky)
 from .nonlinearity import (GConditionReport, NonlinearitySpec,
                            check_G_conditions, eval_G, eval_Q, find_eta,
                            power_linear_scaling_ratio)
-from .picard import (OperatorMatrix, SolveReport, apply_hammerstein,
-                     assemble_operator, estimate_sigma0, evaluate_profile,
-                     fixed_point_iterate, rate_envelope, solve_picard,
-                     verify_rate_bound)
+from .picard import (Discretisation, OperatorMatrix, SolveReport,
+                     apply_hammerstein, assemble_operator, discretise,
+                     estimate_sigma0, evaluate_profile, fixed_point_iterate,
+                     rate_envelope, solve_picard, verify_rate_bound)
 from .quadrature import GAUSS, TRAPEZOID, HalfLineGrid, build_grid, integrate, refine

@@ -11,8 +11,11 @@ certificates, then writes
   config and seed (timestamps go to a sidecar);
 * ``run_meta.txt``  timestamp and wall time, kept out of the report.
 
-Exit codes: 0 all enabled certificates passed; 2 config error; 3 condition
-checks failed (report still written); 4 non-convergence.
+Exit codes: 0 all enabled certificates passed; 1 a certificate failed
+(report still written); 2 config error; 3 condition checks failed (report
+still written); 4 non-convergence; 5 numerical failure (an iterate left its
+domain, a theorem-level inequality broke beyond noise, or a solve report
+contradicted itself).
 """
 
 from __future__ import annotations
@@ -32,16 +35,21 @@ from .analysis import (CertificateBundle, asymptote_certificate,
                        excess_integral_certificate, jensen_certificate,
                        tail_integral_certificate, uniqueness_probe)
 from .config import RunConfig, load_config
-from .errors import ConfigError, HammersteinError, NonConvergenceError
-from .kernels import check_kernel_conditions, gamma_profile
+from .errors import (ConfigError, DomainViolationError, HammersteinError,
+                     InconsistentReportError, NonConvergenceError,
+                     NumericalBreakdownError)
 from .nemytsky import check_nemytsky_conditions, solve_nemytsky
 from .nonlinearity import check_G_conditions
-from .picard import SolveReport, assemble_operator, rate_envelope, solve_picard
+from .picard import SolveReport, discretise, rate_envelope, solve_picard
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONDITIONS = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_NUMERICAL = 5
+
+NUMERICAL_ERRORS = (NumericalBreakdownError, DomainViolationError,
+                    InconsistentReportError)
 
 
 def _plain(obj):
@@ -108,9 +116,9 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
         "config": config.echo,
     }
 
-    kernel_report = check_kernel_conditions(config.kernel, config.grid,
-                                            probe_count=config.probe_count,
-                                            tol=config.check_tol)
+    disc = discretise(config.kernel, config.grid,
+                      probe_count=config.probe_count, tol=config.check_tol)
+    kernel_report = disc.report
     g_report = check_G_conditions(config.nonlinearity)
     payload["conditions"] = {
         "kernel": {**_plain(kernel_report), "passed": kernel_report.passed},
@@ -121,7 +129,8 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
     nem_spec = None
     if mode == "solve-nemytsky":
         nem_spec = config.nemytsky_spec()
-        nem_conditions = check_nemytsky_conditions(nem_spec, config.grid)
+        nem_conditions = check_nemytsky_conditions(nem_spec, config.grid,
+                                                   gamma=disc.gamma)
         payload["conditions"]["nemytsky"] = {**_plain(nem_conditions),
                                              "passed": nem_conditions.passed}
         conditions_passed = conditions_passed and nem_conditions.passed
@@ -138,8 +147,7 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
     if mode == "check" or not conditions_passed:
         return finish(EXIT_OK if conditions_passed else EXIT_CONDITIONS)
 
-    operator = assemble_operator(config.kernel, config.grid, report=kernel_report)
-    gamma = gamma_profile(config.kernel, config.grid)
+    operator, gamma = disc.operator, disc.gamma
     rate_exp = config.nonlinearity.rate_exponent
     try:
         solve = solve_picard(operator, config.nonlinearity,
@@ -254,9 +262,6 @@ def main(argv=None) -> int:
                          help="directory for report/profile artifacts")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override certificates.seed")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="accepted for interface compatibility; results "
-                              "are deterministic regardless")
         return cmd
 
     add_run_command("check", "run condition checks only")
@@ -273,7 +278,9 @@ def main(argv=None) -> int:
         return run(args.config, args.out_dir, mode=args.command, seed=args.seed)
     except HammersteinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE if isinstance(exc, NonConvergenceError) else EXIT_CONFIG
+        if isinstance(exc, NonConvergenceError):
+            return EXIT_NO_CONVERGENCE
+        return EXIT_NUMERICAL if isinstance(exc, NUMERICAL_ERRORS) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

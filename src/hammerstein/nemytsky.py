@@ -146,13 +146,19 @@ class NemytskyConditionReport:
 
 
 def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid,
-                              n_u: int = 33, tol: float = 1e-12) -> NemytskyConditionReport:
+                              n_u: int = 33, tol: float = 1e-12, *,
+                              gamma: np.ndarray | None = None) -> NemytskyConditionReport:
     """Verify the crossing, monotonicity, envelope and coefficient conditions
-    on every grid node against a u-lattice of ``n_u`` points."""
+    on every grid node against a u-lattice of ``n_u`` points.
+
+    ``gamma`` is the kernel's raw mass defect at the nodes; pass the one a
+    discretisation already holds to skip evaluating the kernel again.
+    """
     if n_u < 3:
         raise ValueError("n_u must be at least 3")
     eta = spec.base_G.eta
-    gamma = gamma_profile(spec.kernel, grid)
+    if gamma is None:
+        gamma = gamma_profile(spec.kernel, grid)
     nodes = grid.nodes
     u = np.linspace(0.0, eta, n_u)
 
@@ -244,7 +250,7 @@ def solve_nemytsky(spec: NemytskySpec, grid: HalfLineGrid, fstar,
         # mirroring the operator's own tail closure
         g1 = eval_G1(spec, nodes, cur)
         return (eval_G0(spec, gamma, cur)
-                + (operator.entries * g1[None, :]).sum(axis=1)
+                + operator.entries @ g1
                 + g1[-1] * operator.tail_mass)
 
     for _ in range(max_iter):

@@ -25,7 +25,7 @@ from .errors import (DomainViolationError, InconsistentReportError,
                      NonConvergenceError, NumericalBreakdownError,
                      SpecRejectedError)
 from .kernels import (POSITIVITY_FLOOR, ConditionReport, KernelSpec,
-                      check_kernel_conditions, eval_kernel, kernel_matrix,
+                      apply_kernel, condition_report, kernel_matrix,
                       tail_row_mass)
 from .nonlinearity import NonlinearitySpec, eval_G
 from .quadrature import HalfLineGrid
@@ -48,8 +48,9 @@ class OperatorMatrix:
     applications close the half-line integral there with the last node's
     integrand value (profiles are flat past x_max to the kernel-tail scale).
     ``row_mass`` is the full half-line row mass, equal to 1 - gamma at the
-    nodes, accumulated with the same fixed pairwise reduction the
-    matrix-vector products use.
+    nodes.  Its quadrature part is ``entries @ ones``: the same BLAS
+    matrix-vector product that applies the operator, so the ceiling maps to
+    eta times ``row_mass`` bit for bit.
     """
 
     entries: np.ndarray
@@ -68,31 +69,70 @@ class OperatorMatrix:
         return int(self.row_mass.size)
 
 
+@dataclass(frozen=True)
+class Discretisation:
+    """One kernel evaluation on one grid and everything built from it.
+
+    ``gamma`` is the raw mass defect 1 - (K @ w + tail) at the nodes, the
+    same values the condition checks read.  ``operator`` is None when the
+    report fails.
+    """
+
+    report: ConditionReport
+    gamma: np.ndarray
+    operator: OperatorMatrix | None
+
+
+def discretise(spec: KernelSpec, grid: HalfLineGrid, *, probe_count: int = 32,
+               tol: float = 1e-9) -> Discretisation:
+    """Evaluate K once on the grid: condition report, raw gamma and operator.
+
+    The operator is assembled only when the report passes, in the storage of
+    K itself, so one N x N matrix is alive at a time.
+    """
+    k = kernel_matrix(spec, grid)
+    tail = tail_row_mass(spec, grid, grid.nodes)
+    masses = k @ grid.weights + tail
+    report = condition_report(spec, grid, k, masses, probe_count, tol)
+    operator = _operator_from_kernel(spec, grid, k, tail) if report.passed else None
+    return Discretisation(report=report, gamma=1.0 - masses, operator=operator)
+
+
 def assemble_operator(spec: KernelSpec, grid: HalfLineGrid, *,
                       report: ConditionReport | None = None,
                       probe_count: int = 32, tol: float = 1e-9) -> OperatorMatrix:
     """Assemble the operator after the kernel passes its condition checks.
 
-    A failing report rejects the spec; pass a precomputed ``report`` to skip
-    re-running the checks.
+    A failing report rejects the spec.  Without a ``report`` the checks run on
+    the kernel evaluation the operator is built from.
     """
     if report is None:
-        report = check_kernel_conditions(spec, grid, probe_count, tol)
+        disc = discretise(spec, grid, probe_count=probe_count, tol=tol)
+        if disc.operator is not None:
+            return disc.operator
+        report = disc.report
     if not report.passed:
         raise SpecRejectedError(
             "kernel spec failed its condition checks; not assembling", report)
-    entries = np.maximum(kernel_matrix(spec, grid) * grid.weights[None, :],
-                         POSITIVITY_FLOOR)
+    return _operator_from_kernel(spec, grid, kernel_matrix(spec, grid),
+                                 tail_row_mass(spec, grid, grid.nodes))
+
+
+def _operator_from_kernel(spec: KernelSpec, grid: HalfLineGrid, k: np.ndarray,
+                          tail: np.ndarray) -> OperatorMatrix:
+    """Weight K in place into A = max(K * w, floor) and close the rows with the tail."""
+    entries = np.multiply(k, grid.weights, out=k)
+    np.maximum(entries, POSITIVITY_FLOOR, out=entries)
     cap = 1.0 - MASS_MARGIN
-    quad_mass = entries.sum(axis=1)
+    ones = np.ones(grid.size)
+    quad_mass = entries @ ones
     over = quad_mass > cap
     if over.any():
         # rows whose true mass defect sits below double resolution; scale by
         # ~1e-14 so the projected system keeps a representable gap under eta
         entries[over] *= (cap / quad_mass[over])[:, None]
-        quad_mass = entries.sum(axis=1)
-    tail = np.clip(tail_row_mass(spec, grid, grid.nodes), 0.0,
-                   np.maximum(cap - quad_mass, 0.0))
+        quad_mass = entries @ ones
+    tail = np.clip(tail, 0.0, np.maximum(cap - quad_mass, 0.0))
     return OperatorMatrix(entries=entries, tail_mass=tail,
                           row_mass=quad_mass + tail,
                           grid=grid, kernel=spec)
@@ -105,7 +145,8 @@ def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
     (profiles are flat to the kernel-tail scale out there), so the ceiling
     maps to eta times the full row mass and zero stays a fixed point.  G is
     monotone, hence the closed map keeps the monotone and squeeze machinery
-    verbatim.
+    verbatim.  The product is one BLAS matrix-vector product; its result does
+    not depend on the BLAS thread count.
     """
     f = np.asarray(f, dtype=float)
     eta = G.eta
@@ -113,8 +154,7 @@ def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
         raise DomainViolationError(
             f"iterate leaves [0, {eta}]: min={f.min()!r}, max={f.max()!r}")
     g = eval_G(G, np.clip(f, 0.0, eta))
-    # pairwise reduction along rows: deterministic for a fixed shape
-    return (A.entries * g[None, :]).sum(axis=1) + g[-1] * A.tail_mass
+    return A.entries @ g + g[-1] * A.tail_mass
 
 
 @dataclass
@@ -265,6 +305,5 @@ def evaluate_profile(spec: KernelSpec, grid: HalfLineGrid, G: NonlinearitySpec,
     solution anywhere, which is how profiles from different grids are compared.
     """
     g = eval_G(G, np.clip(np.asarray(profile, dtype=float), 0.0, G.eta))
-    x = np.asarray(x, dtype=float)
-    k = eval_kernel(spec, x[..., None], grid.nodes)
-    return (k * (grid.weights * g)).sum(axis=-1) + g[-1] * tail_row_mass(spec, grid, x)
+    return (apply_kernel(spec, x, grid.nodes, grid.weights * g)
+            + g[-1] * tail_row_mass(spec, grid, x))

@@ -1,10 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import hammerstein
+import hammerstein.cli
 from hammerstein.cli import emit_convergence_table, main, run
+from hammerstein.errors import (DomainViolationError, InconsistentReportError,
+                                NumericalBreakdownError)
 from hammerstein.picard import SolveReport
 
 BASE_CONFIG = """\
@@ -162,6 +170,38 @@ def test_reports_byte_identical_for_same_seed(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out-dir", str(out2), "--seed", "3"]) == 0
     assert (out1 / "report.yaml").read_bytes() == (out2 / "report.yaml").read_bytes()
     assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
+
+
+def test_reports_independent_of_blas_threads(tmp_path):
+    # each child sets its BLAS thread count before numpy loads
+    cfg = write_config(tmp_path)
+    src = str(Path(hammerstein.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hammerstein.cli", "solve-nemytsky",
+             "--config", str(cfg), "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("report.yaml", "profile.csv")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("error", [NumericalBreakdownError, DomainViolationError,
+                                   InconsistentReportError])
+def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(hammerstein.cli, "solve_picard", broken)
+    cfg = write_config(tmp_path)
+    code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code == 5
+    assert "injected" in capsys.readouterr().err
 
 
 def test_config_echo_round_trips(tmp_path):

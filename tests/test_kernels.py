@@ -5,9 +5,10 @@ import pytest
 from scipy import special
 
 import hammerstein as hs
-from hammerstein.kernels import (BaseKernel, ConditionReport, KernelSpec,
-                                 ModulationSet, check_kernel_conditions,
-                                 eval_base_kernel, eval_kernel, gamma_profile,
+from hammerstein.kernels import (BLOCK_ENTRIES, BaseKernel, ConditionReport,
+                                 KernelSpec, ModulationSet,
+                                 check_kernel_conditions, eval_kernel,
+                                 gamma_profile, kernel_matrix,
                                  lambda_star_excess_integral, row_mass_at,
                                  tail_row_mass)
 
@@ -19,24 +20,24 @@ SQRT_PI = math.sqrt(math.pi)
 # --- base kernels ---------------------------------------------------------
 
 def test_gaussian_at_zero():
-    assert eval_base_kernel(BaseKernel(), 0.0) == pytest.approx(1.0 / SQRT_PI, abs=1e-15)
+    assert BaseKernel().eval(0.0) == pytest.approx(1.0 / SQRT_PI, abs=1e-15)
 
 
 def test_gaussian_even():
     base = BaseKernel()
-    assert eval_base_kernel(base, 2.0) == eval_base_kernel(base, -2.0)
+    assert base.eval(2.0) == base.eval(-2.0)
     x = np.linspace(0.0, 30.0, 301)
     assert np.array_equal(base.eval(x), base.eval(-x))
 
 
 def test_gaussian_positive_despite_underflow():
-    assert eval_base_kernel(BaseKernel(), 40.0) > 0.0
+    assert BaseKernel().eval(40.0) > 0.0
 
 
 def test_mixture_single_atom():
     # normalisation 2c/s = 1 forces c = 1/2 for s = 1
     base = BaseKernel(variant="exp-mixture", atoms=((0.5, 1.0),))
-    assert eval_base_kernel(base, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert base.eval(0.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_mixture_two_atoms_tail():
@@ -142,6 +143,17 @@ def test_family_b_positive_even_near_unit_delta():
     x = np.linspace(0.0, 40.0, 60)
     k = eval_kernel(spec, x[:, None], x[None, :])
     assert np.all(k > 0.0)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_blocked_kernel_matrix_equals_one_shot(small_grid, family):
+    n = small_grid.size
+    rows = BLOCK_ENTRIES // n
+    assert rows < n and n % rows != 0     # several blocks, the last one partial
+    spec = make_kernel(family)
+    nodes = small_grid.nodes
+    one_shot = eval_kernel(spec, nodes[:, None], nodes[None, :])
+    assert np.array_equal(kernel_matrix(spec, small_grid), one_shot)
 
 
 def test_negative_arguments_rejected():

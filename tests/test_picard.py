@@ -10,7 +10,7 @@ from hammerstein.errors import (DomainViolationError, InconsistentReportError,
                                 NonConvergenceError, NumericalBreakdownError,
                                 SpecRejectedError)
 from hammerstein.picard import (SolveReport, apply_hammerstein,
-                                assemble_operator, estimate_sigma0,
+                                assemble_operator, discretise, estimate_sigma0,
                                 evaluate_profile, fixed_point_iterate,
                                 rate_envelope, solve_picard, verify_rate_bound)
 
@@ -58,7 +58,38 @@ def test_failing_spec_rejected():
     assert err.value.report is not None and not err.value.report.passed
 
 
+def test_discretise_matches_separate_steps(small_grid):
+    spec = make_kernel("B")
+    disc = discretise(spec, small_grid)
+    report = hs.check_kernel_conditions(spec, small_grid)
+    assert disc.report == report
+    A = assemble_operator(spec, small_grid, report=report)
+    for name in ("entries", "tail_mass", "row_mass"):
+        assert np.array_equal(getattr(disc.operator, name), getattr(A, name))
+    gamma = hs.gamma_profile(spec, small_grid)
+    assert np.abs(disc.gamma - gamma).max() <= small_grid.size * np.finfo(float).eps
+
+
+def test_discretise_skips_assembly_on_failed_checks():
+    coarse = hs.build_grid(40.0, 20, hs.TRAPEZOID)
+    disc = discretise(make_kernel("B", delta=0.999999), coarse)
+    assert not disc.report.passed and disc.operator is None
+
+
 # --- applications -------------------------------------------------------------
+
+def test_blas_application_matches_broadcast_sum(small_ci):
+    # the pairwise row sums the operator used before BLAS, kept as the reference;
+    # both sides sum N terms of one row, so they agree to N * eps * row mass
+    A, G = small_ci["A"], small_ci["G"]
+    bound = A.size * np.finfo(float).eps * A.row_mass.max() * G.eta
+    rng = np.random.default_rng(5)
+    for f in [np.full(A.size, G.eta), small_ci["solve"].profile,
+              *rng.uniform(0.0, G.eta, (3, A.size))]:
+        g = hs.eval_G(G, f)
+        reference = (A.entries * g[None, :]).sum(axis=1) + g[-1] * A.tail_mass
+        assert np.abs(apply_hammerstein(A, G, f) - reference).max() <= bound
+
 
 def test_ceiling_maps_to_row_mass_exactly(small_ci):
     A, G = small_ci["A"], small_ci["G"]
