@@ -11,9 +11,10 @@ solve path and reports whether the bound holds:
 * Jensen margin: row-wise convexity of the inverse nonlinearity under the
   operator's positive weights;
 * asymptote: the profile's gap to eta at the last node;
-* uniqueness probe: perturbed restarts of the iteration must all return to
-  the same profile (a heuristic check -- the underlying uniqueness argument
-  is non-constructive).
+* uniqueness probe: perturbed restarts of the iteration on the solve's own
+  operator must all return to the same profile (a heuristic check -- the
+  underlying uniqueness argument is non-constructive).  The probe evaluates
+  no kernel; convergence under grid refinement is a separate question.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HammersteinError, HypothesisNotMetError
+from .errors import HypothesisNotMetError
 from .kernels import ConditionReport
 from .nonlinearity import NonlinearitySpec, eval_G, eval_Q
-from .picard import (OperatorMatrix, assemble_operator, evaluate_profile,
-                     fixed_point_iterate, solve_picard)
-from .quadrature import HalfLineGrid, integrate, refine
+from .picard import OperatorMatrix, fixed_point_iterate
+from .quadrature import HalfLineGrid, integrate
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,11 @@ def asymptote_certificate(fstar, gamma, eta: float) -> AsymptoteCertificate:
 
 @dataclass(frozen=True)
 class UniquenessProbeReport:
-    """Restart deviations; ``max_dev`` gates the verdict, the refined-grid
-    rerun is informational (it carries the discretisation difference)."""
+    """Sup-norm deviation of each perturbed restart from f*; ``max_dev``, the
+    largest finite one, gates the verdict."""
 
     max_dev: float
     deviations: list[float]
-    refined_dev: float
     inconclusive: bool
     passed: bool
 
@@ -146,9 +145,8 @@ def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
 
     Each trial restarts from clip(f* + positive bump, 0, eta) on the
     operator's own grid with a per-trial generator spawned from ``seed``; the
-    probe passes iff every deviation stays within 10 * tol.  One extra
-    restart from the ceiling on a panel-doubled grid is extended back to the
-    coarse nodes and reported as ``refined_dev``.  A restart that fails to
+    probe passes iff every deviation stays within 10 * tol.  Only the
+    operator is applied; no kernel is evaluated.  A restart that fails to
     converge marks the probe inconclusive rather than failing it.
     """
     fstar = np.asarray(fstar, dtype=float)
@@ -172,22 +170,10 @@ def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
             continue
         deviations.append(float(np.abs(profile - fstar).max()))
 
-    fine_grid = refine(A.grid)
-    fine_A = assemble_operator(A.kernel, fine_grid)   # checks on the same evaluation
-    try:
-        fine_solve = solve_picard(fine_A, G, tol=tol, max_iter=max_iter)
-        extended = evaluate_profile(A.kernel, fine_grid, G, fine_solve.profile,
-                                    A.grid.nodes)
-        refined_dev = float(np.abs(extended - fstar).max())
-    except HammersteinError:
-        inconclusive = True
-        refined_dev = math.nan
-
     finite = [d for d in deviations if not math.isnan(d)]
     max_dev = max(finite) if finite else math.nan
     passed = bool(not inconclusive and finite and max_dev <= 10.0 * tol)
     return UniquenessProbeReport(max_dev=max_dev, deviations=deviations,
-                                 refined_dev=refined_dev,
                                  inconclusive=inconclusive, passed=passed)
 
 

@@ -41,7 +41,7 @@ from .errors import (ConfigError, DomainViolationError, HammersteinError,
                      NumericalBreakdownError, SpecRejectedError)
 from .nemytsky import check_nemytsky_conditions, solve_nemytsky
 from .nonlinearity import check_G_conditions
-from .picard import SolveReport, discretise, rate_envelope, solve_picard
+from .picard import discretise, rate_envelope, solve_picard
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,17 +73,16 @@ def _plain(obj):
     return repr(obj)
 
 
-def emit_convergence_table(report: SolveReport, rate_exponent: float) -> str:
+def emit_convergence_table(sup_diffs, envelope) -> str:
     """Delimited table of measured differences against the geometric envelope.
 
-    Columns: n, sup_diff, envelope, ratio -- one row per recorded difference
-    past the start step (the envelope starts at n = 1).  Header only when
+    Columns: n, sup_diff, envelope, ratio -- one row per ``envelope[n - 1]``,
+    the bound on ``sup_diffs[n]`` past the start step.  Header only when
     there is no history to show.
     """
     lines = ["n sup_diff envelope ratio"]
-    envelope = rate_envelope(report, rate_exponent)
     for n, env in enumerate(envelope, start=1):
-        diff = report.sup_diffs[n]
+        diff = sup_diffs[n]
         ratio = diff / env if env > 0.0 else math.nan
         lines.append(f"{n} {diff:.17g} {env:.17g} {ratio:.17g}")
     return "\n".join(lines) + "\n"
@@ -161,18 +160,16 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
         solve = solve_picard(operator, config.nonlinearity,
                              tol=config.tol, max_iter=config.max_iter)
     except NonConvergenceError as exc:
-        partial = {**_plain(exc.report), "rate_exponent": rate_exp}
-        partial.pop("profile", None)
-        payload["solve"] = partial
-        payload["status"]["converged"] = False
-        return finish(EXIT_NO_CONVERGENCE)
-
+        solve = exc.report      # the partial report is written all the same
     payload["solve"] = {
         **_plain(solve),
         "rate_exponent": rate_exp,
         "envelope": [None] + _plain(rate_envelope(solve, rate_exp)),
     }
     payload["solve"].pop("profile", None)  # profiles live in profile.csv
+    if not solve.converged:
+        payload["status"]["converged"] = False
+        return finish(EXIT_NO_CONVERGENCE)
 
     nem_report = None
     if nem_spec is not None:
@@ -240,18 +237,9 @@ def _table_command(report_path: Path) -> int:
     if not solve:
         print("report has no solve section", file=sys.stderr)
         return EXIT_CONFIG
-    report = SolveReport(
-        iterations=solve["iterations"],
-        sup_diffs=[float(d) for d in solve["sup_diffs"]],
-        sigma0=float(solve["sigma0"]),
-        rate_bound_ok=bool(solve["rate_bound_ok"]),
-        monotone_ok=bool(solve["monotone_ok"]),
-        residual_inf=float(solve["residual_inf"]),
-        profile=np.empty(0),
-        eta=float(solve["eta"]),
-        converged=bool(solve.get("converged", True)),
-    )
-    sys.stdout.write(emit_convergence_table(report, float(solve["rate_exponent"])))
+    sys.stdout.write(emit_convergence_table(
+        [float(d) for d in solve["sup_diffs"]],
+        [float(e) for e in solve["envelope"][1:]]))
     return EXIT_OK
 
 

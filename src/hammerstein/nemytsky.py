@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, NumericalBreakdownError
-from .kernels import ConditionReport, KernelSpec, gamma_profile
+from .kernels import KernelSpec, gamma_profile
 from .nonlinearity import NonlinearitySpec, eval_G
-from .picard import OperatorMatrix, assemble_operator
+from .picard import OperatorMatrix, iterate
 from .quadrature import HalfLineGrid
 
 POINTWISE_FAMILIES = ("saturating", "saturating-quadratic")
@@ -216,34 +216,27 @@ class NemytskyReport:
 
 def solve_nemytsky(spec: NemytskySpec, grid: HalfLineGrid, fstar,
                    tol: float = 1e-10, max_iter: int = 5000, *,
-                   operator: OperatorMatrix | None = None,
-                   condition_report: ConditionReport | None = None) -> NemytskyReport:
+                   operator: OperatorMatrix) -> NemytskyReport:
     """Iterate Phi_{n+1} = G0(x, Phi_n) + A G1(t, Phi_n) from Phi_0 = xi * gamma.
 
     ``fstar`` must be a converged ceiling-iteration profile for the same
-    kernel, nonlinearity and grid; it provides the upper envelope.  Pointwise
-    increase and the envelope are asserted at every step (1e-12 flags,
-    1e-9 aborts).  The final profile is checked against the two-sided
-    sandwich at 1e-10.
+    kernel, nonlinearity and grid, and ``operator`` the one it was solved
+    with; ``fstar`` provides the upper envelope.  Pointwise increase and the
+    envelope are asserted at every step (1e-12 flags, 1e-9 aborts).  The
+    final profile is checked against the two-sided sandwich at 1e-10.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     fstar = np.asarray(fstar, dtype=float)
     if fstar.shape != grid.nodes.shape:
         raise ValueError("fstar must hold one value per grid node")
-    if operator is None:
-        operator = assemble_operator(spec.kernel, grid, report=condition_report)
     eta = spec.base_G.eta
     gamma = 1.0 - operator.row_mass
     lower = spec.xi * gamma
     upper = eta - fstar
 
     nodes = grid.nodes
-    phi = lower.copy()
-    sup_diffs: list[float] = []
-    increase_ok = True
     envelope_ok = True
-    converged = False
 
     def step(cur: np.ndarray) -> np.ndarray:
         # integral term closed past x_max with the last node's integrand value,
@@ -253,25 +246,18 @@ def solve_nemytsky(spec: NemytskySpec, grid: HalfLineGrid, fstar,
                 + operator.entries @ g1
                 + g1[-1] * operator.tail_mass)
 
-    for _ in range(max_iter):
-        nxt = step(phi)
-        drop = float((phi - nxt).max())
-        if drop > 1e-9:
-            raise NumericalBreakdownError(f"iterate decreased pointwise by {drop:.3e}")
-        if drop > 1e-12:
-            increase_ok = False
+    def checked_step(cur: np.ndarray) -> np.ndarray:
+        nonlocal envelope_ok
+        nxt = step(cur)
         over = float((nxt - upper).max())
         if over > 1e-9:
             raise NumericalBreakdownError(f"iterate crossed the upper envelope by {over:.3e}")
         if over > 1e-12:
             envelope_ok = False
-        sup = float(np.abs(nxt - phi).max())
-        sup_diffs.append(sup)
-        phi = nxt
-        if sup <= tol:
-            converged = True
-            break
+        return nxt
 
+    phi, sup_diffs, increase_ok, converged = iterate(
+        checked_step, lower, direction=1, tol=tol, max_iter=max_iter)
     residual_inf = float(np.abs(phi - step(phi)).max())
     sandwich_ok = bool((phi - lower).min() >= -1e-10 and (upper - phi).min() >= -1e-10)
     report = NemytskyReport(

@@ -115,21 +115,20 @@ def assemble_operator(spec: KernelSpec, grid: HalfLineGrid, *,
                       probe_count: int = 32, tol: float = 1e-9) -> OperatorMatrix:
     """Assemble the operator after the kernel passes its condition checks.
 
-    A failing report rejects the spec, and so does a corrected diagonal that
-    is not positive.  Without a ``report`` the checks run on the kernel
-    evaluation the operator is built from.
+    A failing ``report`` rejects the spec before the kernel is evaluated, a
+    passing one sets ``tol``.  The checks rerun on the kernel evaluation the
+    operator is built from (:func:`discretise`); a failure there rejects too.
     """
-    if report is None:
-        disc = discretise(spec, grid, probe_count=probe_count, tol=tol)
-        if disc.operator is not None:
-            return disc.operator
-        report = disc.report
-    if not report.passed:
+    if report is not None:
+        if not report.passed:
+            raise SpecRejectedError(
+                "kernel spec failed its condition checks; not assembling", report)
+        tol = report.tol
+    disc = discretise(spec, grid, probe_count=probe_count, tol=tol)
+    if disc.operator is None:
         raise SpecRejectedError(
-            "kernel spec failed its condition checks; not assembling", report)
-    return _operator_from_kernel(spec, grid, kernel_matrix(spec, grid),
-                                 tail_row_mass(spec, grid, grid.nodes),
-                                 cusp_correction(spec, grid, grid.nodes), report)
+            "kernel spec failed its condition checks; not assembling", disc.report)
+    return disc.operator
 
 
 def _operator_from_kernel(spec: KernelSpec, grid: HalfLineGrid, k: np.ndarray,
@@ -250,42 +249,57 @@ def verify_rate_bound(report: SolveReport, rate_exponent: float) -> bool:
         for n in range(1, len(diffs)))
 
 
+def iterate(step, start: np.ndarray, *, direction: int, tol: float,
+            max_iter: int) -> tuple[np.ndarray, list[float], bool, bool]:
+    """Apply ``step`` from ``start`` until a sup-norm difference reaches ``tol``.
+
+    Direction -1 (+1) asserts pointwise decrease (increase), a theorem, not a
+    heuristic: drift the wrong way past 1e-12 clears ``monotone_ok``, past
+    1e-9 raises.  Direction 0 checks nothing.  Returns (last iterate,
+    sup differences, monotone_ok, converged).
+    """
+    cur = start
+    sup_diffs: list[float] = []
+    monotone_ok = True
+    for _ in range(max_iter):
+        nxt = step(cur)
+        diff = nxt - cur
+        if direction:
+            wrong = -float((direction * diff).min())
+            if wrong > 1e-9:
+                moved = "increased" if direction < 0 else "decreased"
+                raise NumericalBreakdownError(
+                    f"iterate {moved} pointwise by {wrong:.3e}")
+            if wrong > 1e-12:
+                monotone_ok = False
+        sup = float(np.abs(diff).max())
+        sup_diffs.append(sup)
+        cur = nxt
+        if sup <= tol:
+            return cur, sup_diffs, monotone_ok, True
+    return cur, sup_diffs, monotone_ok, False
+
+
 def solve_picard(A: OperatorMatrix, G: NonlinearitySpec, tol: float = 1e-10,
                  max_iter: int = 500) -> SolveReport:
     """Iterate from the ceiling f_0 = eta until successive sup differences reach tol.
 
-    Monotone decrease is asserted at every step: drift past 1e-12 clears
-    ``monotone_ok``, drift past 1e-9 aborts (the decrease is a theorem, not a
-    heuristic).  On convergence the report carries the measured sigma0, the
-    fixed-point residual from one extra operator application, and the
-    envelope verdict.  Hitting ``max_iter`` raises with the partial report
-    attached.
+    Monotone decrease is asserted at every step (see :func:`iterate`).  On
+    convergence the report carries the measured sigma0, the fixed-point
+    residual from one extra operator application, and the envelope verdict.
+    Hitting ``max_iter`` raises with the partial report attached.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     eta = G.eta
-    f = np.full(A.size, eta)
-    iterates: list[np.ndarray] = [f]
-    sup_diffs: list[float] = []
-    monotone_ok = True
-    converged = False
-    for _ in range(max_iter):
-        nxt = apply_hammerstein(A, G, f)
-        drop = f - nxt
-        rise = -float(drop.min())
-        if rise > 1e-9:
-            raise NumericalBreakdownError(
-                f"iterate increased pointwise by {rise:.3e}")
-        if rise > 1e-12:
-            monotone_ok = False
-        sup = float(np.abs(drop).max())
-        sup_diffs.append(sup)
-        iterates.append(nxt)
-        f = nxt
-        if sup <= tol:
-            converged = True
-            break
+    iterates: list[np.ndarray] = [np.full(A.size, eta)]
 
+    def step(f: np.ndarray) -> np.ndarray:
+        iterates.append(apply_hammerstein(A, G, f))
+        return iterates[-1]
+
+    f, sup_diffs, monotone_ok, converged = iterate(
+        step, iterates[0], direction=-1, tol=tol, max_iter=max_iter)
     sigma0 = (estimate_sigma0(iterates[1], iterates[2])
               if len(iterates) >= 3 else 1.0)
     residual_inf = float(np.abs(f - apply_hammerstein(A, G, f)).max())
@@ -315,14 +329,11 @@ def fixed_point_iterate(A: OperatorMatrix, G: NonlinearitySpec, f0, tol: float,
     Used by restart probes; monotonicity is not expected and not enforced.
     Returns (profile, iterations, converged).
     """
-    f = np.clip(np.asarray(f0, dtype=float), 0.0, G.eta)
-    for k in range(max_iter):
-        nxt = apply_hammerstein(A, G, f)
-        sup = float(np.abs(f - nxt).max())
-        f = nxt
-        if sup <= tol:
-            return f, k + 1, True
-    return f, max_iter, False
+    start = np.clip(np.asarray(f0, dtype=float), 0.0, G.eta)
+    f, sup_diffs, _, converged = iterate(
+        lambda g: apply_hammerstein(A, G, g), start, direction=0, tol=tol,
+        max_iter=max_iter)
+    return f, len(sup_diffs), converged
 
 
 def evaluate_profile(spec: KernelSpec, grid: HalfLineGrid, G: NonlinearitySpec,
@@ -331,6 +342,9 @@ def evaluate_profile(spec: KernelSpec, grid: HalfLineGrid, G: NonlinearitySpec,
 
     f(x) = sum_j w_j K(x, t_j) G(f_j) plus the tail-closure term evaluates the
     solution anywhere, which is how profiles from different grids are compared.
+    The sum gets no split panel, so for an ``exp-mixture`` base kernel,
+    whose K0(x - t) has a cusp at t = x, the extension off the grid is only
+    second order in the panel width.
     """
     g = eval_G(G, np.clip(np.asarray(profile, dtype=float), 0.0, G.eta))
     return (apply_kernel(spec, x, grid.nodes, grid.weights * g)

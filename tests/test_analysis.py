@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import hammerstein as hs
-from hammerstein.analysis import (CertificateBundle, asymptote_certificate,
+import hammerstein.kernels
+from hammerstein.analysis import (CertificateBundle, UniquenessProbeReport,
+                                  asymptote_certificate,
                                   excess_integral_certificate,
                                   jensen_certificate,
                                   tail_integral_certificate, uniqueness_probe)
@@ -146,7 +149,19 @@ def test_probe_perturbed_restarts(small_ci):
     assert probe.passed and not probe.inconclusive
     assert probe.max_dev <= 1e-9
     assert len(probe.deviations) == 3
-    assert math.isfinite(probe.refined_dev)
+    # restarts only: no refined-grid rerun is reported
+    assert "refined_dev" not in {f.name for f in dataclasses.fields(UniquenessProbeReport)}
+
+
+def test_probe_evaluates_no_kernel(small_ci, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the uniqueness probe evaluated the kernel")
+
+    monkeypatch.setattr(hammerstein.kernels, "eval_kernel", refuse)
+    probe = uniqueness_probe(small_ci["A"], small_ci["G"],
+                             small_ci["solve"].profile, perturbation_scale=0.1,
+                             trials=2, seed=4, tol=1e-10)
+    assert probe.passed and not probe.inconclusive
 
 
 def test_probe_deterministic_under_seed(small_ci):

@@ -13,9 +13,10 @@ import hammerstein.cli
 import hammerstein.kernels
 import hammerstein.picard
 from hammerstein.cli import emit_convergence_table, main, run
+from hammerstein.config import load_config
 from hammerstein.errors import (DomainViolationError, InconsistentReportError,
                                 NumericalBreakdownError)
-from hammerstein.picard import SolveReport
+from hammerstein.picard import SolveReport, discretise, rate_envelope, solve_picard
 
 BASE_CONFIG = """\
 kernel:
@@ -265,17 +266,63 @@ def test_table_subcommand(tmp_path, capsys):
     assert ratios and all(r <= 1.0 for r in ratios)
 
 
+def test_table_round_trips_through_report(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["table", "--report", str(out / "report.yaml")]) == 0
+    config = load_config(cfg)
+    solve = solve_picard(discretise(config.kernel, config.grid).operator,
+                         config.nonlinearity, tol=config.tol, max_iter=config.max_iter)
+    expected = emit_convergence_table(
+        solve.sup_diffs, rate_envelope(solve, config.nonlinearity.rate_exponent))
+    assert capsys.readouterr().out == expected
+
+
+def test_table_on_non_converged_report(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("max_iter: 300", "max_iter: 3"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 4
+    capsys.readouterr()
+    assert main(["table", "--report", str(out / "report.yaml")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n sup_diff envelope ratio" and len(lines) == 3
+
+
+def test_solve_evaluates_the_kernel_once(tmp_path, monkeypatch):
+    # the uniqueness probe is on (BASE_CONFIG keeps its default)
+    original = hammerstein.kernels.kernel_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("hammerstein")
+                and getattr(module, "kernel_matrix", None) is original):
+            monkeypatch.setattr(module, "kernel_matrix", counted)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["certificates"]["uniqueness"]["passed"] is True
+    assert len(calls) == 1
+
+
 def test_convergence_table_degenerate_and_empty():
     flat = SolveReport(iterations=3, sup_diffs=[0.3, 0.0, 0.0], sigma0=1.0,
                        rate_bound_ok=True, monotone_ok=True, residual_inf=0.0,
                        profile=np.ones(2), eta=1.0)
-    table = emit_convergence_table(flat, 0.5)
+    table = emit_convergence_table(flat.sup_diffs, rate_envelope(flat, 0.5))
     rows = table.strip().splitlines()
     assert [row.split()[2] for row in rows[1:]] == ["0", "0"]
     empty = SolveReport(iterations=0, sup_diffs=[], sigma0=1.0,
                         rate_bound_ok=True, monotone_ok=True, residual_inf=0.0,
                         profile=np.ones(2), eta=1.0)
-    assert emit_convergence_table(empty, 0.5).strip() == "n sup_diff envelope ratio"
+    assert (emit_convergence_table(empty.sup_diffs, rate_envelope(empty, 0.5)).strip()
+            == "n sup_diff envelope ratio")
 
 
 def test_run_entry_point(tmp_path):

@@ -13,7 +13,7 @@ import hammerstein.picard
 from hammerstein.kernels import cusp_correction, kernel_matrix
 from hammerstein.picard import (SolveReport, apply_hammerstein,
                                 assemble_operator, discretise, estimate_sigma0,
-                                evaluate_profile, fixed_point_iterate,
+                                evaluate_profile, fixed_point_iterate, iterate,
                                 rate_envelope, solve_picard, verify_rate_bound)
 
 from conftest import MIXTURE_ATOMS, make_G, make_kernel
@@ -278,6 +278,30 @@ def test_squeeze_inequalities(small_ci):
         floor = solve.sigma0 ** (a ** (n - 1)) * f_n
         assert float((f_next - floor).min()) >= -1e-12
         assert float((f_n - f_next).min()) >= -1e-12
+
+
+@pytest.mark.parametrize("direction", [-1, 0, 1])
+def test_iterate_flags_and_aborts_drift(direction):
+    # one step against the direction (either way for 0), then a fixed point
+    against = -(direction or 1)
+
+    def drifting(drift):
+        moves = iter([against * drift, 0.0])
+        return lambda cur: cur + next(moves)
+
+    last, sup_diffs, monotone_ok, converged = iterate(
+        drifting(1e-11), np.zeros(3), direction=direction, tol=1e-12, max_iter=5)
+    assert converged and sup_diffs == [1e-11, 0.0]
+    assert np.array_equal(last, np.full(3, against * 1e-11))
+    assert monotone_ok is (direction == 0)
+    if direction:
+        with pytest.raises(NumericalBreakdownError):
+            iterate(drifting(1e-8), np.zeros(3), direction=direction, tol=1e-12,
+                    max_iter=5)
+    else:
+        _, _, monotone_ok, converged = iterate(
+            drifting(1e-8), np.zeros(3), direction=0, tol=1e-12, max_iter=5)
+        assert monotone_ok and converged
 
 
 def test_fixed_point_iterate_from_solution(small_ci):
