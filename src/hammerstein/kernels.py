@@ -14,6 +14,12 @@ strictly positive, symmetric, have row mass at most 1 approaching 1 at
 infinity, and are dominated by ``lam_star(t) * kstar(x - t)``.  The checks in
 :func:`check_kernel_conditions` certify those facts numerically on a probe
 lattice and compute the integral constants used by the analysis certificates.
+
+Each family is a diagonal scaling of ``K0(x - t)`` and ``K0(x + t)``, so on
+the equal panels of a quadrature grid its Nystrom matrix is block-Toeplitz
+plus block-Hankel.  :func:`structured_kernel` keeps it as the real-FFT
+spectra of those blocks (O(N) memory) and applies it in O(N log N);
+:func:`kernel_matrix`, the dense N x N form, is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .quadrature import GAUSS, HalfLineGrid, build_grid, integrate
 
@@ -87,7 +92,7 @@ class BaseKernel:
     def tail_mass(self, x: float) -> float:
         """Closed form of the tail integral of the base kernel from x to infinity (x >= 0)."""
         if self.variant == "gaussian":
-            return 0.5 * float(special.erfc(float(x)))
+            return 0.5 * math.erfc(float(x))
         return math.fsum((c / s) * math.exp(-float(x) * s) for c, s in self.atoms)
 
     @property
@@ -219,7 +224,11 @@ def _row_blocks(n_rows: int, n_cols: int):
 
 
 def kernel_matrix(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
-    """Dense K(x_i, t_j) over the grid nodes, filled one row block at a time."""
+    """Dense K(x_i, t_j) over the grid nodes, filled one row block at a time.
+
+    The program itself never builds it (see :func:`structured_kernel`); it
+    is the dense oracle the structured products are tested against.
+    """
     nodes = grid.nodes
     k = np.empty((nodes.size, nodes.size))
     for rows in _row_blocks(nodes.size, nodes.size):
@@ -241,6 +250,120 @@ def apply_kernel(spec: KernelSpec, x, nodes: np.ndarray, v: np.ndarray) -> np.nd
     return out.reshape(x.shape)
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 5-smooth integer >= n; pocketfft is fastest on those lengths."""
+    size = max(n, 1)
+    while True:
+        rest = size
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return size
+        size += 1
+
+
+@dataclass(frozen=True)
+class StructuredKernel:
+    """The weighted Nystrom matrix w_j K(x_i, t_j) of an equal-panel grid, in O(N).
+
+    Node i = P p + k (panel P, point k of p; the trapezoid rule is one point
+    per panel) sits at x_i = h P + c_k, so K0(x_i - t_j) = T_kl[P - Q] and
+    K0(x_i + t_j) = H_kl[P + Q]: p^2 Toeplitz and p^2 Hankel blocks of side
+    m = N / p, each fixed by 2m - 1 values of K0.  Every family is
+
+        sum_r diag(left[r]) (T + image * H) diag(right[r]),
+
+    with the quadrature weights folded into ``right``.  ``spectra[k, l]``
+    holds the real FFT of the circulant embedding of T_kl and
+    ``spectra[k, p + l]`` the image weight times that of the zero-padded
+    H_kl; a family without an image term has only the first p columns.
+    ``kernel @ v`` takes one batch of forward real FFTs, a p x 2p
+    contraction per frequency (a Hankel block acts through the conjugate
+    spectrum of v) and one batch of inverse FFTs: O(N log N) time, and no
+    BLAS call, so no dependence on the BLAS thread count.
+
+    ``positive`` is the positivity verdict: every K(x_i, t_j) bounded below
+    from the floored K0 tables and the modulation factors.
+    """
+
+    spectra: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    fft_size: int
+    positive: bool
+
+    def __post_init__(self) -> None:
+        for array in (self.spectra, self.left, self.right):
+            array.setflags(write=False)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes one product reads: the spectra and the scalings."""
+        return self.spectra.nbytes + self.left.nbytes + self.right.nbytes
+
+    def __matmul__(self, v) -> np.ndarray:
+        terms, p = self.left.shape[0], self.spectra.shape[0]
+        # (terms, p, m): the scaled v, one row per Gauss point, panels along the last axis
+        u = (self.right * v).reshape(terms, -1, p).transpose(0, 2, 1)
+        u_hat = np.fft.rfft(u, n=self.fft_size, axis=-1)
+        if self.spectra.shape[1] > p:
+            u_hat = np.concatenate([u_hat, u_hat.conj()], axis=1)
+        y_hat = np.einsum("kjf,rjf->rkf", self.spectra, u_hat)
+        y = np.fft.irfft(y_hat, n=self.fft_size, axis=-1)[..., :u.shape[-1]]
+        return (self.left * y.transpose(0, 2, 1).reshape(terms, -1)).sum(axis=0)
+
+
+def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
+    """The grid's weighted Nystrom matrix from K0 at its Toeplitz and Hankel arguments.
+
+    K0 is evaluated at the 2 (2m - 1) p^2 distinct arguments only, never on
+    the N x N node pairs.  The grid must have the equal panels of
+    ``build_grid``.
+    """
+    p = grid.points_per_panel or 1
+    n = grid.size
+    m = n // p
+    h = grid.x_max / grid.n_panels
+    offsets = grid.nodes[:p]
+    lattice = h * np.arange(m)[:, None] + offsets[None, :]
+    if m * p != n or np.abs(lattice.ravel() - grid.nodes).max() > 1e-12 * grid.x_max:
+        raise ValueError("structured_kernel needs the equal-panel grid of build_grid")
+    lag = np.arange(2 * m - 1)
+    toeplitz = spec.base.eval(h * (lag - (m - 1))
+                              + (offsets[:, None] - offsets[None, :])[..., None])
+    size = _fft_size(2 * m - 1)
+    embedded = np.zeros((p, p, size))
+    embedded[..., :m] = toeplitz[..., m - 1:]
+    embedded[..., size - m + 1:] = toeplitz[..., :m - 1]
+    spectra = [np.fft.rfft(embedded, axis=-1)]
+
+    w = grid.weights
+    if spec.family == "C":
+        image = spec.epsilon
+        lam = spec.modulation.lam(grid.nodes)
+        left, right = (0.5 * lam, np.full(n, 0.5)), (w, lam * w)
+        modulation_floor = float(lam.min())
+    else:
+        image = 0.0 if spec.family == "A" else -spec.delta
+        gap = spec.modulation.lam_gap(grid.nodes)
+        left, right = (np.ones(n), -gap), (w, gap * w)
+        modulation_floor = 1.0 - float(gap.max()) ** 2      # mu = 1 - gap(x) gap(t)
+
+    combined = toeplitz
+    if image:
+        hankel = spec.base.eval(h * lag + (offsets[:, None] + offsets[None, :])[..., None])
+        spectra.append(image * np.fft.rfft(hankel, n=size, axis=-1))
+        # the node pairs with P - Q = d have s = P + Q >= |d|, so the image
+        # term of T_kl[d] + image * H_kl[s] is bounded by its extreme over s >= |d|
+        accumulate = np.maximum if image < 0.0 else np.minimum
+        extreme = accumulate.accumulate(hankel[..., ::-1], axis=-1)[..., ::-1]
+        combined = toeplitz + image * extreme[..., np.abs(lag - (m - 1))]
+    positive = bool(combined.min() > 0.0 and modulation_floor > 0.0)
+    return StructuredKernel(spectra=np.concatenate(spectra, axis=1), left=np.stack(left),
+                            right=np.stack(right), fft_size=size, positive=positive)
+
+
 def _tail_quadrature(base: BaseKernel, x_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights covering [x_max, x_max + pad] where the kernel tail lives."""
     rate = base.min_decay_rate()
@@ -257,9 +380,7 @@ def tail_row_mass(spec: KernelSpec, grid: HalfLineGrid, x):
     fake a mass defect of order 1/2 there.
     """
     t, v = _tail_quadrature(spec.base, grid.x_max)
-    x = np.asarray(x, dtype=float)
-    k = eval_kernel(spec, x[..., None], t)
-    return (k * v).sum(axis=-1)
+    return apply_kernel(spec, x, t, v)
 
 
 def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
@@ -298,27 +419,36 @@ def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
 
 
 def row_mass_at(spec: KernelSpec, grid: HalfLineGrid, x):
-    """Half-line row mass at x: quadrature over the grid plus the tail beyond x_max.
+    """Half-line row mass at any points x: quadrature over the grid plus the tail.
 
-    For a cusped base kernel on a Gauss grid the panel that holds x is
-    integrated split at t = x (:func:`cusp_correction`); this is the one row
-    mass the condition checks, gamma and the operator read.
+    One kernel row per point, evaluated in row blocks.  For a cusped base
+    kernel on a Gauss grid the panel that holds x is integrated split at
+    t = x (:func:`cusp_correction`).  At the grid nodes themselves
+    :func:`gamma_profile` and the checks read the same mass from the
+    structured kernel instead.
     """
     mass = apply_kernel(spec, x, grid.nodes, grid.weights) + tail_row_mass(spec, grid, x)
     correction = cusp_correction(spec, grid, x)
     return mass if correction is None else mass + correction
 
 
+def _node_masses(spec: KernelSpec, grid: HalfLineGrid,
+                 kernel: StructuredKernel) -> np.ndarray:
+    """Raw half-line row masses at the nodes: kernel @ ones, tail, cusp correction."""
+    masses = kernel @ np.ones(grid.size) + tail_row_mass(spec, grid, grid.nodes)
+    correction = cusp_correction(spec, grid, grid.nodes)
+    return masses if correction is None else masses + correction
+
+
 def gamma_profile(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
     """Mass defect gamma(x_i) = 1 - row mass at every grid node.
 
-    The quadrature part is one BLAS matrix-vector product per row block,
-    K(x_i, .) @ w, plus the split-panel correction of :func:`row_mass_at`
-    for a cusped base kernel; it agrees with the gamma of
-    ``picard.discretise`` to rounding and does not depend on the BLAS thread
-    count.
+    The quadrature part is one product of the structured kernel with the
+    ones vector, plus the tail and, for a cusped base kernel, the
+    split-panel correction of :func:`row_mass_at`; it equals the gamma of
+    ``picard.discretise`` and does not depend on the BLAS thread count.
     """
-    return 1.0 - row_mass_at(spec, grid, grid.nodes)
+    return 1.0 - _node_masses(spec, grid, structured_kernel(spec, grid))
 
 
 @dataclass(frozen=True)
@@ -396,23 +526,22 @@ def check_kernel_conditions(spec: KernelSpec, grid: HalfLineGrid,
     axis.  Domination skips probes with t = 0 where the envelope profile is
     singular.  The report carries verdicts; callers decide what to do.
     """
-    k = kernel_matrix(spec, grid)
-    masses = k @ grid.weights + tail_row_mass(spec, grid, grid.nodes)
-    correction = cusp_correction(spec, grid, grid.nodes)
-    if correction is not None:
-        masses += correction
-    return condition_report(spec, grid, k, masses, probe_count, tol)
+    kernel = structured_kernel(spec, grid)
+    return condition_report(spec, grid, kernel, _node_masses(spec, grid, kernel),
+                            probe_count, tol)
 
 
-def condition_report(spec: KernelSpec, grid: HalfLineGrid, k: np.ndarray,
+def condition_report(spec: KernelSpec, grid: HalfLineGrid, kernel: StructuredKernel,
                      masses: np.ndarray, probe_count: int = 32,
                      tol: float = 1e-9) -> ConditionReport:
-    """The checks of :func:`check_kernel_conditions` on a kernel already evaluated.
+    """The checks of :func:`check_kernel_conditions` on a kernel already built.
 
-    ``k`` is ``kernel_matrix(spec, grid)`` and ``masses`` the raw half-line
-    row masses ``k @ grid.weights`` plus the tail past x_max, plus the
-    split-panel :func:`cusp_correction` when the base kernel has a cusp;
-    neither is modified.
+    ``kernel`` is ``structured_kernel(spec, grid)`` and ``masses`` the raw
+    half-line row masses ``kernel @ ones`` plus the tail past x_max, plus
+    the split-panel :func:`cusp_correction` when the base kernel has a cusp;
+    neither is modified.  Positivity is the structured kernel's bound over
+    every node pair; symmetry and domination are evaluated on the probe
+    lattice.
     """
     if probe_count < 2:
         raise ValueError(f"probe_count must be at least 2, got {probe_count!r}")
@@ -420,22 +549,21 @@ def condition_report(spec: KernelSpec, grid: HalfLineGrid, k: np.ndarray,
 
     n = grid.size
     idx = np.unique(np.linspace(0, n - 1, min(probe_count, n)).round().astype(int))
-    sub = k[np.ix_(idx, idx)]
-    positivity_ok = bool(k.min() > 0.0)
+    probe_x = grid.nodes[idx]
+    sub = eval_kernel(spec, probe_x[:, None], probe_x[None, :])
     symmetry_residual = float(np.abs(sub - sub.T).max())
 
-    probe_x = grid.nodes[idx]
-    probe_t = probe_x[probe_x > 0.0]
+    inner = probe_x > 0.0
+    probe_t = probe_x[inner]
     envelope = (spec.modulation.lam_star(probe_t)[None, :]
                 * spec.eval_kstar(probe_x[:, None] - probe_t[None, :]))
-    domination_margin = float(
-        (envelope - eval_kernel(spec, probe_x[:, None], probe_t[None, :])).min())
+    domination_margin = float((envelope - sub[:, inner]).min())
 
     half_mass, half_moment = _base_half_line_moments(spec.base)
     scale = spec.kstar_scale()
 
     return ConditionReport(
-        positivity_ok=positivity_ok,
+        positivity_ok=kernel.positive,
         sup_row_mass=float(masses.max()),
         gamma_min=float(gamma.min()),
         gamma_max=float(gamma.max()),

@@ -243,7 +243,7 @@ def solve_nemytsky(spec: NemytskySpec, grid: HalfLineGrid, fstar,
         # mirroring the operator's own tail closure
         g1 = eval_G1(spec, nodes, cur)
         return (eval_G0(spec, gamma, cur)
-                + operator.entries @ g1
+                + operator @ g1
                 + g1[-1] * operator.tail_mass)
 
     def checked_step(cur: np.ndarray) -> np.ndarray:

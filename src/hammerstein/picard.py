@@ -12,6 +12,11 @@ minimum of the ratio of the second to the first iterate.  Because the
 discrete system inherits positivity, monotonicity, concavity and the scaling
 bound verbatim, the envelope is certified with the sigma0 measured on the
 grid itself.
+
+The operator is never held as an N x N matrix: the weighted kernel is the
+block-Toeplitz plus block-Hankel ``kernels.StructuredKernel``, applied with
+real FFTs in O(N log N) time and O(N) memory; the cusp correction and the
+over-cap rescale stay diagonal.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from .errors import (DomainViolationError, InconsistentReportError,
                      NonConvergenceError, NumericalBreakdownError,
                      SpecRejectedError)
 from .kernels import (POSITIVITY_FLOOR, ConditionReport, KernelSpec,
-                      apply_kernel, condition_report, cusp_correction,
-                      kernel_matrix, tail_row_mass)
+                      StructuredKernel, apply_kernel, condition_report,
+                      cusp_correction, eval_kernel, structured_kernel,
+                      tail_row_mass)
 from .nonlinearity import NonlinearitySpec, eval_G
 from .quadrature import HalfLineGrid
 
@@ -40,40 +46,49 @@ MASS_MARGIN = 1e-14
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense Nystrom operator A[i, j] = w_j * K(x_i, t_j), all entries positive.
+    """Nystrom operator A = diag(row_scale) (W + diag(diagonal)), applied as ``A @ v``.
 
-    The kernel itself is symmetric, so the weighted entries satisfy
-    A[i, j] * w_i == A[j, i] * w_j up to rounding; the matrix is not.
+    ``entries`` is the weighted kernel W[i, j] = w_j * K(x_i, t_j) as a
+    :class:`kernels.StructuredKernel`: block-Toeplitz and block-Hankel
+    spectra, O(N) memory and one O(N log N) FFT product per application.
+    No N x N matrix exists.  The kernel is symmetric, so the weighted
+    operator satisfies w_i A[i, j] == w_j A[j, i] up to rounding.
+
+    ``diagonal`` is the split-panel correction of ``kernels.cusp_correction``
+    (the checked mass minus the Nystrom row sum) for a cusped base kernel,
+    zeros otherwise, so ``A @ ones + tail_mass`` is the checked row mass.
+    The corrected diagonal w_i K(x_i, x_i) + diagonal_i must stay positive;
+    an operator whose diagonal does not is refused, never floored.
+    ``row_scale`` is 1 except on rows whose quadrature mass exceeded
+    1 - MASS_MARGIN, which are scaled down to it.
+
     ``tail_mass`` holds the kernel mass past the truncation point per row;
     applications close the half-line integral there with the last node's
     integrand value (profiles are flat past x_max to the kernel-tail scale).
     ``row_mass`` is the full half-line row mass, equal to 1 - gamma at the
-    nodes.  Its quadrature part is ``entries @ ones``: the same BLAS
-    matrix-vector product that applies the operator, so the ceiling maps to
-    eta times ``row_mass`` bit for bit.
-
-    For a cusped base kernel the split-panel correction of
-    ``kernels.cusp_correction`` (the checked mass minus the Nystrom row sum)
-    is added to the diagonal, so ``entries @ ones + tail_mass`` is the
-    checked row mass.  Only the diagonal moves, so the weight symmetry
-    holds as before; the corrected diagonal must stay positive, and an
-    operator whose diagonal does not is refused, never floored.
+    nodes.  Its quadrature part is ``A @ ones``: the same product that
+    applies the operator, so the ceiling maps to eta times ``row_mass`` bit
+    for bit.
     """
 
-    entries: np.ndarray
+    entries: StructuredKernel
+    diagonal: np.ndarray
+    row_scale: np.ndarray
     tail_mass: np.ndarray
     row_mass: np.ndarray
     grid: HalfLineGrid
     kernel: KernelSpec
 
     def __post_init__(self) -> None:
-        self.entries.setflags(write=False)
-        self.tail_mass.setflags(write=False)
-        self.row_mass.setflags(write=False)
+        for array in (self.diagonal, self.row_scale, self.tail_mass, self.row_mass):
+            array.setflags(write=False)
 
     @property
     def size(self) -> int:
         return int(self.row_mass.size)
+
+    def __matmul__(self, v) -> np.ndarray:
+        return self.row_scale * (self.entries @ v + self.diagonal * v)
 
 
 @dataclass(frozen=True)
@@ -94,18 +109,19 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid, *, probe_count: int = 32,
                tol: float = 1e-9) -> Discretisation:
     """Evaluate K once on the grid: condition report, raw gamma and operator.
 
-    The operator is assembled only when the report passes, in the storage of
-    K itself, so one N x N matrix is alive at a time.  An operator whose
-    corrected diagonal is not positive raises :class:`SpecRejectedError`.
+    The operator is assembled only when the report passes.  The kernel is
+    the structured one, so no N x N kernel is evaluated or stored.  An
+    operator whose corrected diagonal is not positive raises
+    :class:`SpecRejectedError`.
     """
-    k = kernel_matrix(spec, grid)
+    kernel = structured_kernel(spec, grid)
     tail = tail_row_mass(spec, grid, grid.nodes)
     correction = cusp_correction(spec, grid, grid.nodes)
-    masses = k @ grid.weights + tail
+    masses = kernel @ np.ones(grid.size) + tail
     if correction is not None:
         masses += correction
-    report = condition_report(spec, grid, k, masses, probe_count, tol)
-    operator = (_operator_from_kernel(spec, grid, k, tail, correction, report)
+    report = condition_report(spec, grid, kernel, masses, probe_count, tol)
+    operator = (_operator_from_kernel(spec, grid, kernel, tail, correction, report)
                 if report.passed else None)
     return Discretisation(report=report, gamma=1.0 - masses, operator=operator)
 
@@ -131,37 +147,39 @@ def assemble_operator(spec: KernelSpec, grid: HalfLineGrid, *,
     return disc.operator
 
 
-def _operator_from_kernel(spec: KernelSpec, grid: HalfLineGrid, k: np.ndarray,
-                          tail: np.ndarray, correction: np.ndarray | None,
+def _operator_from_kernel(spec: KernelSpec, grid: HalfLineGrid,
+                          kernel: StructuredKernel, tail: np.ndarray,
+                          correction: np.ndarray | None,
                           report: ConditionReport) -> OperatorMatrix:
-    """Weight K in place into A = max(K * w, floor) and close the rows with the tail.
+    """Close the structured kernel into the operator: diagonal, rescale, tail.
 
-    A cusp ``correction`` goes onto the diagonal before the over-cap rescale;
-    a diagonal entry it leaves at or below 0 rejects the operator.
+    A cusp ``correction`` goes onto the diagonal before the over-cap
+    rescale; a diagonal entry max(w_i K(x_i, x_i), floor) + correction_i at
+    or below 0 rejects the operator.
     """
-    entries = np.multiply(k, grid.weights, out=k)
-    np.maximum(entries, POSITIVITY_FLOOR, out=entries)
-    if correction is not None:
-        diag = np.arange(grid.size)
-        entries[diag, diag] += correction
-        worst = int(entries[diag, diag].argmin())
-        if not entries[worst, worst] > 0.0:
+    n = grid.size
+    if correction is None:
+        diagonal = np.zeros(n)
+    else:
+        diagonal = correction
+        own = np.maximum(grid.weights * eval_kernel(spec, grid.nodes, grid.nodes),
+                         POSITIVITY_FLOOR) + correction
+        worst = int(own.argmin())
+        if not own[worst] > 0.0:
             raise SpecRejectedError(
                 f"cusp-corrected operator diagonal A[{worst}, {worst}] = "
-                f"{float(entries[worst, worst])!r} at x = {float(grid.nodes[worst])!r} "
+                f"{float(own[worst])!r} at x = {float(grid.nodes[worst])!r} "
                 "is not positive; refine the grid", report)
     cap = 1.0 - MASS_MARGIN
-    ones = np.ones(grid.size)
-    quad_mass = entries @ ones
-    over = quad_mass > cap
-    if over.any():
-        # rows whose true mass defect sits below double resolution; scale by
-        # ~1e-14 so the projected system keeps a representable gap under eta
-        entries[over] *= (cap / quad_mass[over])[:, None]
-        quad_mass = entries @ ones
+    # diag(row_scale) (kernel @ ones + diagonal), as OperatorMatrix.__matmul__ forms it
+    raw_mass = kernel @ np.ones(n) + diagonal
+    # rows whose true mass defect sits below double resolution; scale by
+    # ~1e-14 so the projected system keeps a representable gap under eta
+    row_scale = np.where(raw_mass > cap, cap / raw_mass, 1.0)
+    quad_mass = row_scale * raw_mass
     tail = np.clip(tail, 0.0, np.maximum(cap - quad_mass, 0.0))
-    return OperatorMatrix(entries=entries, tail_mass=tail,
-                          row_mass=quad_mass + tail,
+    return OperatorMatrix(entries=kernel, diagonal=diagonal, row_scale=row_scale,
+                          tail_mass=tail, row_mass=quad_mass + tail,
                           grid=grid, kernel=spec)
 
 
@@ -172,8 +190,8 @@ def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
     (profiles are flat to the kernel-tail scale out there), so the ceiling
     maps to eta times the full row mass and zero stays a fixed point.  G is
     monotone, hence the closed map keeps the monotone and squeeze machinery
-    verbatim.  The product is one BLAS matrix-vector product; its result does
-    not depend on the BLAS thread count.
+    verbatim.  The product is one structured FFT application (``A @ g``); its
+    result does not depend on the BLAS thread count.
     """
     f = np.asarray(f, dtype=float)
     eta = G.eta
@@ -181,7 +199,7 @@ def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
         raise DomainViolationError(
             f"iterate leaves [0, {eta}]: min={f.min()!r}, max={f.max()!r}")
     g = eval_G(G, np.clip(f, 0.0, eta))
-    return A.entries @ g + g[-1] * A.tail_mass
+    return A @ g + g[-1] * A.tail_mass
 
 
 @dataclass

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hammerstein as hs
+from hammerstein.kernels import kernel_matrix
 
 # catalog defaults: delta = epsilon = d_star = l = 0.5; alpha = 0.5;
 # alpha_star = 0.5 (II); alpha_tilde = 0.25, alpha_star = 0.75 (III)
@@ -25,6 +26,14 @@ def make_kernel(family, d_star=0.5, l=0.5, lambda_form="exp-gap", base=None, **o
         modulation=hs.ModulationSet(lambda_form=lambda_form, d_star=d_star, l=l),
         **params,
     )
+
+
+def dense_operator(A):
+    """Dense oracle of a structured operator: kernel_matrix * w, plus the
+    cusp correction on the diagonal, then the over-cap row rescale."""
+    dense = kernel_matrix(A.kernel, A.grid) * A.grid.weights
+    dense[np.diag_indices(A.size)] += A.diagonal
+    return A.row_scale[:, None] * dense
 
 
 def make_G(family):

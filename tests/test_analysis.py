@@ -175,9 +175,10 @@ def test_probe_deterministic_under_seed(small_ci):
 
 def test_probe_refuses_asymmetric_operator(small_ci):
     A = small_ci["A"]
-    entries = A.entries.copy()
-    entries[3, :] *= 1.5  # break the weighted symmetry
-    crooked = hs.OperatorMatrix(entries=entries, tail_mass=A.tail_mass.copy(),
+    row_scale = A.row_scale.copy()
+    row_scale[3] *= 1.5  # break the weighted symmetry
+    crooked = hs.OperatorMatrix(entries=A.entries, diagonal=A.diagonal,
+                                row_scale=row_scale, tail_mass=A.tail_mass.copy(),
                                 row_mass=A.row_mass.copy(), grid=A.grid,
                                 kernel=A.kernel)
     with pytest.raises(HypothesisNotMetError):

@@ -290,25 +290,69 @@ def test_table_on_non_converged_report(tmp_path, capsys):
     assert lines[0] == "n sup_diff envelope ratio" and len(lines) == 3
 
 
-def test_solve_evaluates_the_kernel_once(tmp_path, monkeypatch):
-    # the uniqueness probe is on (BASE_CONFIG keeps its default)
-    original = hammerstein.kernels.kernel_matrix
-    calls = []
+def _record_kernel_work(monkeypatch):
+    """Count kernel_matrix calls and the entries of every eval_kernel call, in
+    every hammerstein namespace that binds them."""
+    originals = {"kernel_matrix": hammerstein.kernels.kernel_matrix,
+                 "eval_kernel": hammerstein.kernels.eval_kernel}
+    dense_calls, entries = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted_matrix(*args, **kwargs):
+        dense_calls.append(args)
+        return originals["kernel_matrix"](*args, **kwargs)
 
+    def counted_eval(spec, x, t):
+        entries.append(np.broadcast(np.asarray(x), np.asarray(t)).size)
+        return originals["eval_kernel"](spec, x, t)
+
+    wrappers = {"kernel_matrix": counted_matrix, "eval_kernel": counted_eval}
     for name, module in list(sys.modules.items()):
-        if (name.startswith("hammerstein")
-                and getattr(module, "kernel_matrix", None) is original):
-            monkeypatch.setattr(module, "kernel_matrix", counted)
-    cfg = write_config(tmp_path)
+        if name.startswith("hammerstein"):
+            for fn, wrapper in wrappers.items():
+                if getattr(module, fn, None) is originals[fn]:
+                    monkeypatch.setattr(module, fn, wrapper)
+    return dense_calls, entries
+
+
+# 1200 nodes: enough that the O(N) kernel work (the tail quadrature's 480
+# points per row) stays below N^2 entries per evaluation
+WIDE_CONFIG = BASE_CONFIG.replace("n_panels: 100", "n_panels: 300")
+
+
+def test_solve_evaluates_the_kernel_once(tmp_path, monkeypatch):
+    # no N x N kernel: no kernel_matrix call and no eval_kernel call covering
+    # N^2 entries; the uniqueness probe is on (BASE_CONFIG keeps its default)
+    dense_calls, entries = _record_kernel_work(monkeypatch)
+    cfg = write_config(tmp_path, WIDE_CONFIG)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["certificates"]["uniqueness"]["passed"] is True
-    assert len(calls) == 1
+    n = load_config(cfg).grid.size
+    assert dense_calls == []
+    assert entries and max(entries) < n * n
+
+
+def test_library_path_evaluates_no_dense_kernel(tmp_path, monkeypatch):
+    config = load_config(write_config(tmp_path, WIDE_CONFIG))
+    spec, grid = config.kernel, config.grid
+    dense_calls, entries = _record_kernel_work(monkeypatch)
+    report = hammerstein.check_kernel_conditions(spec, grid)
+    hammerstein.assemble_operator(spec, grid, report=report)
+    hammerstein.gamma_profile(spec, grid)
+    assert dense_calls == []
+    assert entries and max(entries) < grid.size ** 2
+
+
+def test_cli_imports_without_scipy():
+    src = str(Path(hammerstein.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, hammerstein.cli; "
+             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
 def test_convergence_table_degenerate_and_empty():

@@ -16,7 +16,7 @@ from hammerstein.picard import (SolveReport, apply_hammerstein,
                                 evaluate_profile, fixed_point_iterate, iterate,
                                 rate_envelope, solve_picard, verify_rate_bound)
 
-from conftest import MIXTURE_ATOMS, make_G, make_kernel
+from conftest import MIXTURE_ATOMS, dense_operator, make_G, make_kernel
 
 
 # --- assembly ---------------------------------------------------------------
@@ -34,21 +34,22 @@ def test_degenerate_single_node_grid():
     grid = hs.build_grid(1.0, 1, hs.GAUSS, 1)
     spec = make_kernel("C")
     A = assemble_operator(spec, grid)
-    assert A.entries.shape == (1, 1)
+    dense = dense_operator(A)
+    assert dense.shape == (1, 1)
     expected = grid.weights[0] * float(hs.eval_kernel(spec, grid.nodes[0], grid.nodes[0]))
-    assert A.entries[0, 0] == expected
+    assert dense[0, 0] == expected
 
 
 def test_weighted_symmetry(small_ci):
     A = small_ci["A"]
     w = A.grid.weights
-    weighted = A.entries * w[:, None]
+    weighted = dense_operator(A) * w[:, None]
     assert np.abs(weighted - weighted.T).max() <= 1e-12
 
 
 def test_entries_positive_row_mass_bounded(small_ci):
     A = small_ci["A"]
-    assert A.entries.min() > 0.0
+    assert dense_operator(A).min() > 0.0
     assert A.row_mass.min() > 0.0
     assert A.row_mass.max() <= 1.0 + 1e-9
 
@@ -66,8 +67,11 @@ def test_discretise_matches_separate_steps(small_grid):
     report = hs.check_kernel_conditions(spec, small_grid)
     assert disc.report == report
     A = assemble_operator(spec, small_grid, report=report)
-    for name in ("entries", "tail_mass", "row_mass"):
+    for name in ("diagonal", "row_scale", "tail_mass", "row_mass"):
         assert np.array_equal(getattr(disc.operator, name), getattr(A, name))
+    for name in ("spectra", "left", "right"):
+        assert np.array_equal(getattr(disc.operator.entries, name),
+                              getattr(A.entries, name))
     gamma = hs.gamma_profile(spec, small_grid)
     assert np.abs(disc.gamma - gamma).max() <= small_grid.size * np.finfo(float).eps
 
@@ -88,16 +92,17 @@ def mixture_disc():
 def test_cusp_correction_sits_on_the_diagonal(mixture_disc):
     spec, grid, disc = mixture_disc
     A, n, w = disc.operator, grid.size, grid.weights
+    dense = dense_operator(A)
     # the rows close on the checked mass 1 - gamma
-    closed = A.entries @ np.ones(n) + A.tail_mass
+    closed = dense @ np.ones(n) + A.tail_mass
     assert np.abs(closed - (1.0 - disc.gamma)).max() <= n * np.finfo(float).eps
-    assert np.diag(A.entries).min() > 0.0
+    assert np.diag(dense).min() > 0.0
     # off the diagonal the entries are the plain Nystrom ones, up to the
     # over-cap rescale, so the weight symmetry is kept
     off = ~np.eye(n, dtype=bool)
     plain = kernel_matrix(spec, grid) * w
-    assert np.allclose(A.entries[off], plain[off], rtol=1e-13, atol=0.0)
-    weighted = A.entries * w[:, None]
+    assert np.allclose(dense[off], plain[off], rtol=1e-13, atol=0.0)
+    weighted = dense * w[:, None]
     assert np.abs(weighted - weighted.T).max() <= 1e-12
 
 
@@ -125,15 +130,16 @@ def test_nonpositive_corrected_diagonal_refused(monkeypatch, mixture_disc):
 # --- applications -------------------------------------------------------------
 
 def test_blas_application_matches_broadcast_sum(small_ci):
-    # the pairwise row sums the operator used before BLAS, kept as the reference;
-    # both sides sum N terms of one row, so they agree to N * eps * row mass
+    # pairwise row sums of the dense oracle, kept as the reference; both sides
+    # sum N terms of one row, so they agree to N * eps * row mass
     A, G = small_ci["A"], small_ci["G"]
+    dense = dense_operator(A)
     bound = A.size * np.finfo(float).eps * A.row_mass.max() * G.eta
     rng = np.random.default_rng(5)
     for f in [np.full(A.size, G.eta), small_ci["solve"].profile,
               *rng.uniform(0.0, G.eta, (3, A.size))]:
         g = hs.eval_G(G, f)
-        reference = (A.entries * g[None, :]).sum(axis=1) + g[-1] * A.tail_mass
+        reference = (dense * g[None, :]).sum(axis=1) + g[-1] * A.tail_mass
         assert np.abs(apply_hammerstein(A, G, f) - reference).max() <= bound
 
 
