@@ -53,8 +53,9 @@ NUMERICAL_ERRORS = (NumericalBreakdownError, DomainViolationError,
                     InconsistentReportError)
 
 
-def _plain(obj):
-    """Recursively convert reports to YAML-safe plain python values."""
+def _plain(obj, drop=()):
+    """Recursively convert reports to YAML-safe plain python values; a
+    dataclass's ``iterates`` and ``drop`` fields are left out unwalked."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -69,7 +70,7 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if hasattr(obj, "__dataclass_fields__"):
         return {name: _plain(getattr(obj, name))
-                for name in obj.__dataclass_fields__ if name != "iterates"}
+                for name in obj.__dataclass_fields__ if name not in ("iterates", *drop)}
     return repr(obj)
 
 
@@ -162,11 +163,10 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
     except NonConvergenceError as exc:
         solve = exc.report      # the partial report is written all the same
     payload["solve"] = {
-        **_plain(solve),
+        **_plain(solve, drop=("profile",)),     # profiles live in profile.csv
         "rate_exponent": rate_exp,
         "envelope": [None] + _plain(rate_envelope(solve, rate_exp)),
     }
-    payload["solve"].pop("profile", None)  # profiles live in profile.csv
     if not solve.converged:
         payload["status"]["converged"] = False
         return finish(EXIT_NO_CONVERGENCE)
@@ -181,10 +181,8 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
             payload["nemytsky_solve"] = _plain(exc.report)
             payload["status"]["converged"] = False
             return finish(EXIT_NO_CONVERGENCE)
-        nem_payload = _plain(nem_report)
-        for key in ("profile", "lower_env", "upper_env"):
-            nem_payload.pop(key, None)
-        payload["nemytsky_solve"] = nem_payload
+        payload["nemytsky_solve"] = _plain(
+            nem_report, drop=("profile", "lower_env", "upper_env"))
 
     certs = config.certificates
     bundle = CertificateBundle()

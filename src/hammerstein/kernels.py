@@ -18,8 +18,9 @@ lattice and compute the integral constants used by the analysis certificates.
 Each family is a diagonal scaling of ``K0(x - t)`` and ``K0(x + t)``, so on
 the equal panels of a quadrature grid its Nystrom matrix is block-Toeplitz
 plus block-Hankel.  :func:`structured_kernel` keeps it as the real-FFT
-spectra of those blocks (O(N) memory) and applies it in O(N log N);
-:func:`kernel_matrix`, the dense N x N form, is kept as a test oracle.
+spectra of those blocks (O(N) memory) and applies it in O(N log N), also
+for the tail past x_max at the nodes; :func:`kernel_matrix`, the dense
+N x N form, is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import GAUSS, HalfLineGrid, build_grid, integrate
+from .quadrature import GAUSS, TRAPEZOID, HalfLineGrid, build_grid, integrate
 
 # Smallest positive normal double.  Base-kernel, kernel, and operator values
 # are floored here so strict-positivity contracts survive tail underflow
@@ -364,23 +365,36 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
                             right=np.stack(right), fft_size=size, positive=positive)
 
 
-def _tail_quadrature(base: BaseKernel, x_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights covering [x_max, x_max + pad] where the kernel tail lives."""
+def _tail_extension(base: BaseKernel, grid: HalfLineGrid) -> tuple[HalfLineGrid, np.ndarray]:
+    """The grid continued past x_max by ceil(pad / h) or more panels of its width h
+    and rule, and each node's share of the tail: 1 past x_max, 1/2 at x_max on
+    a trapezoid grid.  The panel count k grows until (h k) / k == h (a power
+    of two always passes), so the first N nodes are the grid's, bit for bit.
+    """
     rate = base.min_decay_rate()
     pad = 12.0 if math.isinf(rate) else max(12.0, 40.0 / rate)
-    g = build_grid(pad, max(120, int(math.ceil(pad * 10.0))), GAUSS, 4)
-    return x_max + g.nodes, g.weights
+    h = grid.x_max / grid.n_panels
+    k = grid.n_panels + math.ceil(pad / h)
+    while h * k / k != h:
+        k += 1
+    extended = build_grid(h * k, k, grid.rule, grid.points_per_panel or 4)
+    share = (np.arange(extended.size) >= grid.size).astype(float)
+    share[grid.size - 1] = 0.5 if grid.rule == TRAPEZOID else 0.0
+    return extended, share
 
 
 def tail_row_mass(spec: KernelSpec, grid: HalfLineGrid, x):
-    """Kernel mass beyond the truncation point: int_{x_max}^inf K(x, t) dt.
+    """Kernel mass beyond the truncation point, int_{x_max}^inf K(x, t) dt, at any x.
 
     Row masses must cover the whole half-line; for x near x_max roughly half
     of the kernel bump sits past the truncation point, and dropping it would
-    fake a mass defect of order 1/2 there.
+    fake a mass defect of order 1/2 there.  The rule is the grid's own,
+    continued (:func:`_tail_extension`).  This row-by-row form serves
+    off-grid points and is the oracle of the structured :func:`node_masses`.
     """
-    t, v = _tail_quadrature(spec.base, grid.x_max)
-    return apply_kernel(spec, x, t, v)
+    extended, share = _tail_extension(spec.base, grid)
+    past = share > 0.0
+    return apply_kernel(spec, x, extended.nodes[past], (share * extended.weights)[past])
 
 
 def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
@@ -432,23 +446,30 @@ def row_mass_at(spec: KernelSpec, grid: HalfLineGrid, x):
     return mass if correction is None else mass + correction
 
 
-def _node_masses(spec: KernelSpec, grid: HalfLineGrid,
-                 kernel: StructuredKernel) -> np.ndarray:
-    """Raw half-line row masses at the nodes: kernel @ ones, tail, cusp correction."""
-    masses = kernel @ np.ones(grid.size) + tail_row_mass(spec, grid, grid.nodes)
+def node_masses(spec: KernelSpec, grid: HalfLineGrid):
+    """(kernel, masses, tail, correction): the grid's structured kernel and the
+    raw half-line row masses kernel @ ones + tail + correction at the nodes.
+
+    The tail is (extended kernel @ share)[:N] on the continued grid of
+    :func:`_tail_extension`, freed before the grid's kernel is built;
+    ``correction`` is :func:`cusp_correction`, None for a smooth base kernel.
+    """
+    extended, share = _tail_extension(spec.base, grid)
+    tail = (structured_kernel(spec, extended) @ share)[:grid.size]
+    kernel = structured_kernel(spec, grid)
     correction = cusp_correction(spec, grid, grid.nodes)
-    return masses if correction is None else masses + correction
+    masses = kernel @ np.ones(grid.size) + tail + (0.0 if correction is None else correction)
+    return kernel, masses, tail, correction
 
 
 def gamma_profile(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
     """Mass defect gamma(x_i) = 1 - row mass at every grid node.
 
-    The quadrature part is one product of the structured kernel with the
-    ones vector, plus the tail and, for a cusped base kernel, the
-    split-panel correction of :func:`row_mass_at`; it equals the gamma of
-    ``picard.discretise`` and does not depend on the BLAS thread count.
+    The masses are those of :func:`node_masses`, structured products for the
+    grid and the tail past x_max plus the cusp correction: the gamma of
+    ``picard.discretise``, independent of the BLAS thread count.
     """
-    return 1.0 - _node_masses(spec, grid, structured_kernel(spec, grid))
+    return 1.0 - node_masses(spec, grid)[1]
 
 
 @dataclass(frozen=True)
@@ -526,9 +547,8 @@ def check_kernel_conditions(spec: KernelSpec, grid: HalfLineGrid,
     axis.  Domination skips probes with t = 0 where the envelope profile is
     singular.  The report carries verdicts; callers decide what to do.
     """
-    kernel = structured_kernel(spec, grid)
-    return condition_report(spec, grid, kernel, _node_masses(spec, grid, kernel),
-                            probe_count, tol)
+    kernel, masses, _, _ = node_masses(spec, grid)
+    return condition_report(spec, grid, kernel, masses, probe_count, tol)
 
 
 def condition_report(spec: KernelSpec, grid: HalfLineGrid, kernel: StructuredKernel,
@@ -536,10 +556,8 @@ def condition_report(spec: KernelSpec, grid: HalfLineGrid, kernel: StructuredKer
                      tol: float = 1e-9) -> ConditionReport:
     """The checks of :func:`check_kernel_conditions` on a kernel already built.
 
-    ``kernel`` is ``structured_kernel(spec, grid)`` and ``masses`` the raw
-    half-line row masses ``kernel @ ones`` plus the tail past x_max, plus
-    the split-panel :func:`cusp_correction` when the base kernel has a cusp;
-    neither is modified.  Positivity is the structured kernel's bound over
+    ``kernel`` and ``masses`` are the first two results of :func:`node_masses`
+    and are not modified.  Positivity is the structured kernel's bound over
     every node pair; symmetry and domination are evaluated on the probe
     lattice.
     """

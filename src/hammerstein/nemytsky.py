@@ -169,14 +169,15 @@ def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid,
     lower_ok = bool((eval_G0(spec, gamma, s) - s).min() >= -tol)
     upper_ok = bool((eval_G0(spec, gamma, eta) - eta * gamma).max() <= tol)
 
-    g0_lattice = eval_G0(spec, gamma[:, None], u[None, :])
-    g1_lattice = eval_G1(spec, nodes[:, None], u[None, :])
-    monotone_ok = bool(np.diff(g0_lattice, axis=1).min() >= -tol
-                       and np.diff(g1_lattice, axis=1).min() >= -tol)
-
+    # the node x u lattices one u-column at a time: O(N) memory, same verdicts
     envelope = eta - eval_G(spec.base_G, eta - u)
-    envelope_ok = bool(g1_lattice.min() >= -tol
-                       and (g1_lattice - envelope[None, :]).max() <= tol)
+    monotone_ok = envelope_ok = True
+    for k in range(n_u):
+        g0, g1 = eval_G0(spec, gamma, u[k:k + 1]), eval_G1(spec, nodes, u[k:k + 1])
+        if k:
+            monotone_ok &= bool((g0 - prev0).min() >= -tol and (g1 - prev1).min() >= -tol)
+        envelope_ok &= bool(g1.min() >= -tol and (g1 - envelope[k]).max() <= tol)
+        prev0, prev1 = g0, g1
 
     eps = np.broadcast_to(np.asarray(eps_star_values(spec, gamma), dtype=float),
                           gamma.shape)

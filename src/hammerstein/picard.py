@@ -31,8 +31,7 @@ from .errors import (DomainViolationError, InconsistentReportError,
                      SpecRejectedError)
 from .kernels import (POSITIVITY_FLOOR, ConditionReport, KernelSpec,
                       StructuredKernel, apply_kernel, condition_report,
-                      cusp_correction, eval_kernel, structured_kernel,
-                      tail_row_mass)
+                      eval_kernel, node_masses, tail_row_mass)
 from .nonlinearity import NonlinearitySpec, eval_G
 from .quadrature import HalfLineGrid
 
@@ -62,7 +61,8 @@ class OperatorMatrix:
     ``row_scale`` is 1 except on rows whose quadrature mass exceeded
     1 - MASS_MARGIN, which are scaled down to it.
 
-    ``tail_mass`` holds the kernel mass past the truncation point per row;
+    ``tail_mass`` holds the kernel mass past the truncation point per row,
+    the structured tail of ``kernels.node_masses`` clipped under the cap;
     applications close the half-line integral there with the last node's
     integrand value (profiles are flat past x_max to the kernel-tail scale).
     ``row_mass`` is the full half-line row mass, equal to 1 - gamma at the
@@ -114,12 +114,7 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid, *, probe_count: int = 32,
     operator whose corrected diagonal is not positive raises
     :class:`SpecRejectedError`.
     """
-    kernel = structured_kernel(spec, grid)
-    tail = tail_row_mass(spec, grid, grid.nodes)
-    correction = cusp_correction(spec, grid, grid.nodes)
-    masses = kernel @ np.ones(grid.size) + tail
-    if correction is not None:
-        masses += correction
+    kernel, masses, tail, correction = node_masses(spec, grid)
     report = condition_report(spec, grid, kernel, masses, probe_count, tol)
     operator = (_operator_from_kernel(spec, grid, kernel, tail, correction, report)
                 if report.passed else None)

@@ -121,13 +121,13 @@ def test_exp_mixture_on_trapezoid_exits_2(tmp_path, capsys):
 
 
 def test_refused_operator_exits_3_with_report(tmp_path, monkeypatch):
-    spec_correction = hammerstein.picard.cusp_correction
+    spec_correction = hammerstein.kernels.cusp_correction
 
     def oversized(spec, grid, x):
         own = grid.weights * hammerstein.kernels.eval_kernel(spec, x, x)
         return spec_correction(spec, grid, x) - 2.0 * own
 
-    monkeypatch.setattr(hammerstein.picard, "cusp_correction", oversized)
+    monkeypatch.setattr(hammerstein.kernels, "cusp_correction", oversized)
     cfg = write_config(tmp_path, mixture_config(180))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 3
@@ -291,57 +291,61 @@ def test_table_on_non_converged_report(tmp_path, capsys):
 
 
 def _record_kernel_work(monkeypatch):
-    """Count kernel_matrix calls and the entries of every eval_kernel call, in
-    every hammerstein namespace that binds them."""
-    originals = {"kernel_matrix": hammerstein.kernels.kernel_matrix,
-                 "eval_kernel": hammerstein.kernels.eval_kernel}
-    dense_calls, entries = [], []
+    """Record the calls of kernel_matrix, tail_row_mass and eval_kernel, in
+    every hammerstein namespace that binds them, and the entries of every
+    eval_kernel call."""
+    calls = {"kernel_matrix": [], "tail_row_mass": [], "eval_kernel": []}
+    entries = []
 
-    def counted_matrix(*args, **kwargs):
-        dense_calls.append(args)
-        return originals["kernel_matrix"](*args, **kwargs)
+    def recorded(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            if name == "eval_kernel":
+                entries.append(np.broadcast(np.asarray(args[1]), np.asarray(args[2])).size)
+            return original(*args, **kwargs)
+        return wrapper
 
-    def counted_eval(spec, x, t):
-        entries.append(np.broadcast(np.asarray(x), np.asarray(t)).size)
-        return originals["eval_kernel"](spec, x, t)
-
-    wrappers = {"kernel_matrix": counted_matrix, "eval_kernel": counted_eval}
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hammerstein"):
-            for fn, wrapper in wrappers.items():
-                if getattr(module, fn, None) is originals[fn]:
-                    monkeypatch.setattr(module, fn, wrapper)
-    return dense_calls, entries
+    for fn in calls:
+        original = getattr(hammerstein.kernels, fn)
+        wrapper = recorded(fn, original)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hammerstein") and getattr(module, fn, None) is original:
+                monkeypatch.setattr(module, fn, wrapper)
+    return calls, entries
 
 
-# 1200 nodes: enough that the O(N) kernel work (the tail quadrature's 480
-# points per row) stays below N^2 entries per evaluation
+# 1200 nodes, so that 4 N entries (4800) is far below one row per node of
+# the tail past x_max (480 points per row at this grid's panel width)
 WIDE_CONFIG = BASE_CONFIG.replace("n_panels: 100", "n_panels: 300")
 
 
 def test_solve_evaluates_the_kernel_once(tmp_path, monkeypatch):
-    # no N x N kernel: no kernel_matrix call and no eval_kernel call covering
-    # N^2 entries; the uniqueness probe is on (BASE_CONFIG keeps its default)
-    dense_calls, entries = _record_kernel_work(monkeypatch)
+    # no N x N kernel and no N x (tail points) one: no kernel_matrix or
+    # tail_row_mass call, and every eval_kernel call together (the probe
+    # lattice) covers at most 4 N entries; the uniqueness probe is on
+    # (BASE_CONFIG keeps its default)
+    calls, entries = _record_kernel_work(monkeypatch)
     cfg = write_config(tmp_path, WIDE_CONFIG)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["certificates"]["uniqueness"]["passed"] is True
     n = load_config(cfg).grid.size
-    assert dense_calls == []
-    assert entries and max(entries) < n * n
+    assert calls["kernel_matrix"] == []
+    assert calls["tail_row_mass"] == []
+    assert entries and sum(entries) <= 4 * n
 
 
 def test_library_path_evaluates_no_dense_kernel(tmp_path, monkeypatch):
     config = load_config(write_config(tmp_path, WIDE_CONFIG))
     spec, grid = config.kernel, config.grid
-    dense_calls, entries = _record_kernel_work(monkeypatch)
+    calls, entries = _record_kernel_work(monkeypatch)
     report = hammerstein.check_kernel_conditions(spec, grid)
     hammerstein.assemble_operator(spec, grid, report=report)
     hammerstein.gamma_profile(spec, grid)
-    assert dense_calls == []
-    assert entries and max(entries) < grid.size ** 2
+    assert calls["kernel_matrix"] == []
+    assert calls["tail_row_mass"] == []
+    assert entries and sum(entries) <= 4 * grid.size
 
 
 def test_cli_imports_without_scipy():

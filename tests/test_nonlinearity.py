@@ -143,6 +143,32 @@ def test_lattice_certification_passes(family):
     assert report.inverse_scaling_violation <= 1e-12
 
 
+@pytest.mark.parametrize("family", ["II", "III"])
+def test_inverse_lattice_is_evaluated_once_per_distinct_product(family, monkeypatch):
+    # eval_Q sees the distinct products of the 200 x 200 lattice only; scattered
+    # back, they are the full-lattice values bit for bit, and so is the verdict
+    G = make_G(family)
+    u = np.linspace(0.0, G.eta, 200)
+    uu = np.linspace(0.0, 1.0, 200)
+    lattice = uu[:, None] * u[None, :]
+    full = eval_Q(G, lattice)
+    products, where = np.unique(lattice, return_inverse=True)
+    assert products.size == 12623
+    assert np.array_equal(eval_Q(G, products)[where.reshape(lattice.shape)], full)
+
+    sizes = []
+
+    def recorded(spec, v):
+        sizes.append(np.size(v))
+        return eval_Q(spec, v)
+
+    monkeypatch.setattr(nl, "eval_Q", recorded)
+    report = check_G_conditions(G, n_u=200, n_sigma=200)
+    assert sizes == [200, products.size]
+    assert report.inverse_scaling_violation == float(
+        (full - uu[:, None] * eval_Q(G, u)[None, :]).max())
+
+
 def test_power_family_scaling_is_equality():
     G = make_G("I")
     sigma = np.linspace(0.01, 0.99, 99)

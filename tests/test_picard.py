@@ -114,7 +114,7 @@ def test_nonpositive_corrected_diagonal_refused(monkeypatch, mixture_disc):
         # a correction that exceeds w_i * K(x_i, x_i) on every row
         return cusp_correction(spec_, grid_, x) - 2.0 * own
 
-    monkeypatch.setattr(hammerstein.picard, "cusp_correction", oversized)
+    monkeypatch.setattr(hammerstein.kernels, "cusp_correction", oversized)
     diag = own + oversized(spec, grid, grid.nodes)
     worst = int(diag.argmin())
     named = f"A[{worst}, {worst}] = {float(diag[worst])!r}"

@@ -3,7 +3,9 @@
 The oracle is ``kernel_matrix(spec, grid) * w`` (plus the cusp diagonal and
 the over-cap row rescale for an assembled operator, ``dense_operator``);
 every product of the program goes through the structured form, so these
-tests tie it to the definition of the Nystrom matrix.
+tests tie it to the definition of the Nystrom matrix.  The tail past x_max
+at the nodes, a structured product on the continued grid, has the
+row-by-row ``tail_row_mass`` as its oracle.
 """
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hammerstein as hs
-from hammerstein.kernels import kernel_matrix, structured_kernel
+from hammerstein.kernels import (_tail_extension, kernel_matrix, node_masses,
+                                 structured_kernel, tail_row_mass)
 from hammerstein.picard import discretise
 
 from conftest import MIXTURE_ATOMS, dense_operator, make_kernel
@@ -117,3 +120,74 @@ def test_storage_is_linear_in_the_grid():
     small = structured_kernel(spec, hs.build_grid(40.0, 200, hs.GAUSS, 4))
     large = structured_kernel(spec, hs.build_grid(40.0, 800, hs.GAUSS, 4))
     assert large.nbytes <= 4.5 * small.nbytes
+
+
+# --- the tail past x_max ------------------------------------------------------
+
+TAIL_TOL = 1e-14
+
+TAIL_GRIDS = {
+    "gauss-4": GRIDS["gauss-4"],
+    "trapezoid": GRIDS["trapezoid"],
+    "one-panel": hs.build_grid(3.0, 1, hs.GAUSS, 4),
+    "one-node": GRIDS["one-node"],
+    "trapezoid-20": hs.build_grid(40.0, 20, hs.TRAPEZOID),     # h = 2
+    # h = 10 / 22, where (h k) / k != h at the first continued panel count k = 49
+    "gauss-rounded": hs.build_grid(10.0, 22, hs.GAUSS, 4),
+}
+
+BASES = {"gaussian": hs.BaseKernel(),
+         "exp-mixture": hs.BaseKernel(variant="exp-mixture", atoms=MIXTURE_ATOMS)}
+
+
+def tail_gap(spec, grid):
+    tail = node_masses(spec, grid)[2]
+    return float(np.abs(tail - tail_row_mass(spec, grid, grid.nodes)).max())
+
+
+@pytest.mark.parametrize("grid_name", sorted(TAIL_GRIDS))
+@pytest.mark.parametrize("base", sorted(BASES))
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_node_tail_matches_row_by_row_tail(family, base, grid_name):
+    assert tail_gap(make_kernel(family, base=BASES[base]), TAIL_GRIDS[grid_name]) <= TAIL_TOL
+
+
+@pytest.mark.parametrize("grid_name", sorted(TAIL_GRIDS))
+def test_tail_extension_continues_the_grid(grid_name):
+    grid = TAIL_GRIDS[grid_name]
+    for base in BASES.values():
+        extended, share = _tail_extension(base, grid)
+        n = grid.size
+        assert extended.rule == grid.rule
+        assert extended.x_max / extended.n_panels == grid.x_max / grid.n_panels
+        assert extended.x_max >= grid.x_max + 12.0
+        # the grid's nodes bit for bit, but for a closed trapezoid grid's last
+        # node: x_max itself there, n h on the continued grid
+        assert np.array_equal(extended.nodes[:n - 1], grid.nodes[:n - 1])
+        assert abs(extended.nodes[n - 1] - grid.nodes[n - 1]) <= 4 * np.spacing(grid.x_max)
+        assert np.all(share[n:] == 1.0) and np.all(share[:n - 1] == 0.0)
+        assert share[n - 1] == (0.5 if grid.rule == hs.TRAPEZOID else 0.0)
+
+
+def test_node_tail_carries_half_the_bump_at_x_max():
+    grid = TAIL_GRIDS["gauss-4"]
+    tail = node_masses(make_kernel("C", d_star=1.0), grid)[2]
+    # lam == 1: K(x_max, t) = K0(x_max - t) + eps K0(x_max + t), about 1/2 past x_max
+    assert abs(float(tail[-1]) - 0.5) <= 0.01
+    assert np.abs(tail[:grid.size // 2]).max() <= 1e-15
+
+
+@given(family=st.sampled_from(["A", "B", "C"]),
+       base=st.sampled_from(sorted(BASES)),
+       lambda_form=st.sampled_from(["exp-gap", "rational-gap"]),
+       weight=st.floats(min_value=0.01, max_value=0.99),
+       d_star=st.floats(min_value=0.05, max_value=1.0),
+       x_max=st.floats(min_value=5.0, max_value=40.0),
+       n_panels=st.integers(min_value=1, max_value=120),
+       rule=st.sampled_from([hs.GAUSS, hs.TRAPEZOID]))
+@settings(max_examples=40, deadline=None)
+def test_node_tail_sweep(family, base, lambda_form, weight, d_star, x_max, n_panels, rule):
+    overrides = {"A": {}, "B": {"delta": weight}, "C": {"epsilon": weight}}[family]
+    spec = make_kernel(family, d_star=d_star, lambda_form=lambda_form, base=BASES[base],
+                       **overrides)
+    assert tail_gap(spec, hs.build_grid(x_max, n_panels, rule, 4)) <= TAIL_TOL
