@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisNotMetError
-from .kernels import ConditionReport
+from .kernels import ConditionReport, weight_asymmetry
 from .nonlinearity import NonlinearitySpec, eval_G, eval_Q
 from .picard import OperatorMatrix, fixed_point_iterate
 from .quadrature import HalfLineGrid, integrate
@@ -126,20 +126,6 @@ def asymptote_certificate(fstar, gamma, eta: float) -> AsymptoteCertificate:
     return AsymptoteCertificate(gap=gap, bound=bound, passed=bool(gap <= bound))
 
 
-def _weight_asymmetry(A: OperatorMatrix) -> float:
-    """Relative gap |u^T W A v - v^T W A u| / max of the two, W = diag(weights).
-
-    Zero up to rounding when w_i A[i, j] == w_j A[j, i]; two fixed positive
-    probe vectors read it through two operator products, with no N x N
-    temporary.  Scaling one row of A moves it far past 1e-9.
-    """
-    u, v = np.random.default_rng(0).random((2, A.size))
-    w = A.grid.weights
-    uwav = math.fsum(u * w * (A @ v))
-    vwau = math.fsum(v * w * (A @ u))
-    return abs(uwav - vwau) / max(abs(uwav), abs(vwau))
-
-
 @dataclass(frozen=True)
 class UniquenessProbeReport:
     """Sup-norm deviation of each perturbed restart from f*; ``max_dev``, the
@@ -164,7 +150,7 @@ def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
     converge marks the probe inconclusive rather than failing it.
     """
     fstar = np.asarray(fstar, dtype=float)
-    residual = _weight_asymmetry(A)
+    residual = weight_asymmetry(A, A.grid.weights)
     if residual > 1e-9:
         raise HypothesisNotMetError(
             f"operator is not weight-symmetric (relative residual {residual:.3e}); "

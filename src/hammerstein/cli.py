@@ -39,9 +39,10 @@ from .config import RunConfig, load_config
 from .errors import (ConfigError, DomainViolationError, HammersteinError,
                      InconsistentReportError, NonConvergenceError,
                      NumericalBreakdownError, SpecRejectedError)
+from .kernels import discretise
 from .nemytsky import check_nemytsky_conditions, solve_nemytsky
 from .nonlinearity import check_G_conditions
-from .picard import discretise, rate_envelope, solve_picard
+from .picard import rate_envelope, solve_picard
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,10 +96,8 @@ def _write_profile(path: Path, grid, fstar, gamma, eta, nem_report=None) -> None
     if nem_report is not None:
         columns += ["phi", "lower_env", "upper_env"]
         data += [nem_report.profile, nem_report.lower_env, nem_report.upper_env]
-    rows = [",".join(columns)]
-    for i in range(grid.size):
-        rows.append(",".join(f"{col[i]:.17g}" for col in data))
-    path.write_text("\n".join(rows) + "\n")
+    np.savetxt(path, np.column_stack(data), fmt="%.17g", delimiter=",",
+               header=",".join(columns), comments="")
 
 
 def _write_report(path: Path, payload: dict) -> None:

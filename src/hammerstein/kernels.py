@@ -1,5 +1,4 @@
-"""Kernel catalog on the quarter-plane and numerical certification of its
-structural conditions.
+"""Kernel catalog on the quarter-plane and its discretisation on a grid.
 
 Three symmetric kernel families are built from an even base kernel ``K0``
 with half-line mass 1/2 and a modulation profile ``lambda`` with infimum
@@ -11,9 +10,7 @@ with half-line mass 1/2 and a modulation profile ``lambda`` with infimum
 
 where ``mu(x, t) = lam(x) + lam(t) - lam(x) * lam(t)``.  All three are
 strictly positive, symmetric, have row mass at most 1 approaching 1 at
-infinity, and are dominated by ``lam_star(t) * kstar(x - t)``.  The checks in
-:func:`check_kernel_conditions` certify those facts numerically on a probe
-lattice and compute the integral constants used by the analysis certificates.
+infinity, and are dominated by ``lam_star(t) * kstar(x - t)``.
 
 Each family is a diagonal scaling of ``K0(x - t)`` and ``K0(x + t)``, so on
 the equal panels of a quadrature grid its Nystrom matrix is block-Toeplitz
@@ -21,6 +18,10 @@ plus block-Hankel.  :func:`structured_kernel` keeps it as the real-FFT
 spectra of those blocks (O(N) memory) and applies it in O(N log N), also
 for the tail past x_max at the nodes; :func:`kernel_matrix`, the dense
 N x N form, is kept as a test oracle.
+
+:func:`discretise` is the one entry from a kernel and a grid: the condition
+checks on the raw node masses, the :class:`OperatorMatrix` on the capped
+ones and the one gamma every later stage reads.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SpecRejectedError
 from .quadrature import GAUSS, TRAPEZOID, HalfLineGrid, build_grid, integrate
 
 # Smallest positive normal double.  Base-kernel, kernel, and operator values
@@ -432,54 +434,37 @@ def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
     return out.reshape(x.shape)
 
 
-def row_mass_at(spec: KernelSpec, grid: HalfLineGrid, x):
-    """Half-line row mass at any points x: quadrature over the grid plus the tail.
-
-    One kernel row per point, evaluated in row blocks.  For a cusped base
-    kernel on a Gauss grid the panel that holds x is integrated split at
-    t = x (:func:`cusp_correction`).  At the grid nodes themselves
-    :func:`gamma_profile` and the checks read the same mass from the
-    structured kernel instead.
-    """
-    mass = apply_kernel(spec, x, grid.nodes, grid.weights) + tail_row_mass(spec, grid, x)
-    correction = cusp_correction(spec, grid, x)
-    return mass if correction is None else mass + correction
-
-
-def node_masses(spec: KernelSpec, grid: HalfLineGrid):
-    """(kernel, masses, tail, correction): the grid's structured kernel and the
-    raw half-line row masses kernel @ ones + tail + correction at the nodes.
-
-    The tail is (extended kernel @ share)[:N] on the continued grid of
-    :func:`_tail_extension`, freed before the grid's kernel is built;
-    ``correction`` is :func:`cusp_correction`, None for a smooth base kernel.
-    """
+def node_tail(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
+    """int_{x_max}^inf K(x_i, t) dt at the nodes: (extended kernel @ share)[:N] on
+    the continued grid of :func:`_tail_extension`, one structured product."""
     extended, share = _tail_extension(spec.base, grid)
-    tail = (structured_kernel(spec, extended) @ share)[:grid.size]
-    kernel = structured_kernel(spec, grid)
-    correction = cusp_correction(spec, grid, grid.nodes)
-    masses = kernel @ np.ones(grid.size) + tail + (0.0 if correction is None else correction)
-    return kernel, masses, tail, correction
+    return (structured_kernel(spec, extended) @ share)[:grid.size]
 
 
-def gamma_profile(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
-    """Mass defect gamma(x_i) = 1 - row mass at every grid node.
+def weight_asymmetry(operand, weights: np.ndarray) -> float:
+    """Relative gap |u^T W (M v) - v^T W (M u)| / max of the two, W = diag(weights),
+    for any ``operand`` M with ``M @ v`` (structured kernel or operator).
 
-    The masses are those of :func:`node_masses`, structured products for the
-    grid and the tail past x_max plus the cusp correction: the gamma of
-    ``picard.discretise``, independent of the BLAS thread count.
+    Zero up to rounding when w_i M[i, j] == w_j M[j, i]; two fixed positive
+    probe vectors (Weyl sequences, no random generator) read it through two
+    products.  Scaling one row of M moves it far past 1e-9.
     """
-    return 1.0 - node_masses(spec, grid)[1]
+    k = np.arange(1, weights.size + 1)
+    u, v = 0.5 + (k * 0.6180339887498949) % 1.0, 0.5 + (k * 0.4142135623730951) % 1.0
+    uwav = math.fsum(u * weights * (operand @ v))
+    vwau = math.fsum(v * weights * (operand @ u))
+    return abs(uwav - vwau) / max(abs(uwav), abs(vwau))
 
 
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of the structural checks plus the certificate constants.
 
-    ``passed`` requires positivity on the probe lattice, row mass at most
-    ``1 + tol``, mass defect at least ``-tol`` everywhere but not identically
-    zero (a conservative kernel is flagged, not solved), probe symmetry within
-    ``tol`` and a domination margin no worse than ``-tol``.
+    ``passed`` requires positivity over every node pair, raw row mass at
+    most ``1 + tol``, raw mass defect at least ``-tol`` everywhere but not
+    identically zero (a conservative kernel is flagged, not solved), weight
+    symmetry (:func:`weight_asymmetry`) within ``tol`` and a domination
+    margin no worse than ``-tol``.
     """
 
     positivity_ok: bool
@@ -539,58 +524,158 @@ def _base_half_line_moments(base: BaseKernel) -> tuple[float, float]:
     return integrate(g, k), integrate(g, g.nodes * k)
 
 
-def check_kernel_conditions(spec: KernelSpec, grid: HalfLineGrid,
-                            probe_count: int = 32, tol: float = 1e-9) -> ConditionReport:
-    """Certify positivity, row mass, symmetry and domination; compute constants.
+# The true kernel is strictly sub-stochastic (its mass defect is positive),
+# but measured row masses carry ~2e-15 of quadrature and rounding noise and
+# can poke above 1, which would park the discrete fixed point above eta at
+# far nodes.  The closure term is capped so every full row mass stays at or
+# below 1 - MASS_MARGIN; condition checks still see the raw masses.
+MASS_MARGIN = 1e-14
 
-    Probes are grid nodes subsampled to at most ``probe_count`` indices per
-    axis.  Domination skips probes with t = 0 where the envelope profile is
-    singular.  The report carries verdicts; callers decide what to do.
+
+@dataclass(frozen=True)
+class OperatorMatrix:
+    """Nystrom operator A = diag(row_scale) (W + diag(diagonal)), applied as ``A @ v``.
+
+    ``entries`` is the weighted kernel W[i, j] = w_j * K(x_i, t_j) as a
+    :class:`StructuredKernel`: block-Toeplitz and block-Hankel spectra, O(N)
+    memory and one O(N log N) FFT product per application.  No N x N matrix
+    exists.  The kernel is symmetric, so the weighted operator satisfies
+    w_i A[i, j] == w_j A[j, i] up to rounding.
+
+    ``diagonal`` is the split-panel correction of :func:`cusp_correction`
+    (the checked mass minus the Nystrom row sum) for a cusped base kernel,
+    zeros otherwise, so ``A @ ones + tail_mass`` is the checked row mass.
+    The corrected diagonal w_i K(x_i, x_i) + diagonal_i must stay positive;
+    an operator whose diagonal does not is refused, never floored.
+    ``row_scale`` is 1 except on rows whose quadrature mass exceeded
+    1 - MASS_MARGIN, which are scaled down to it.
+
+    ``tail_mass`` holds the kernel mass past the truncation point per row,
+    :func:`node_tail` clipped under the cap; applications close the
+    half-line integral there with the last node's integrand value (profiles
+    are flat past x_max to the kernel-tail scale).  ``row_mass`` is the full
+    half-line row mass, equal to 1 - gamma at the nodes.  Its quadrature
+    part is ``A @ ones``: the same product that applies the operator, so the
+    ceiling maps to eta times ``row_mass`` bit for bit.
     """
-    kernel, masses, _, _ = node_masses(spec, grid)
-    return condition_report(spec, grid, kernel, masses, probe_count, tol)
+
+    entries: StructuredKernel
+    diagonal: np.ndarray
+    row_scale: np.ndarray
+    tail_mass: np.ndarray
+    row_mass: np.ndarray
+    grid: HalfLineGrid
+    kernel: KernelSpec
+
+    def __post_init__(self) -> None:
+        for array in (self.diagonal, self.row_scale, self.tail_mass, self.row_mass):
+            array.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return int(self.row_mass.size)
+
+    def __matmul__(self, v) -> np.ndarray:
+        return self.row_scale * (self.entries @ v + self.diagonal * v)
 
 
-def condition_report(spec: KernelSpec, grid: HalfLineGrid, kernel: StructuredKernel,
-                     masses: np.ndarray, probe_count: int = 32,
-                     tol: float = 1e-9) -> ConditionReport:
-    """The checks of :func:`check_kernel_conditions` on a kernel already built.
+@dataclass(frozen=True)
+class Discretisation:
+    """One kernel evaluation on one grid and everything built from it.
 
-    ``kernel`` and ``masses`` are the first two results of :func:`node_masses`
-    and are not modified.  Positivity is the structured kernel's bound over
-    every node pair; symmetry and domination are evaluated on the probe
-    lattice.
+    ``gamma`` is the mass defect 1 - row_mass of the capped masses, set
+    whether or not the report passes; it is ``1 - operator.row_mass`` bit
+    for bit.  ``operator`` is None when the report fails.
+    """
+
+    report: ConditionReport
+    gamma: np.ndarray
+    operator: OperatorMatrix | None
+
+
+def discretise(spec: KernelSpec, grid: HalfLineGrid, *, probe_count: int = 32,
+               tol: float = 1e-9) -> Discretisation:
+    """Evaluate K once on the grid: condition report, gamma and operator.
+
+    One structured product gives the tail past x_max (:func:`node_tail`)
+    and one ``kernel @ ones`` the quadrature masses, the cusp correction
+    (:func:`cusp_correction`) on the diagonal.  The report reads the raw
+    masses, so every mass check can fail.  Positivity is the structured
+    kernel's bound over every node pair, symmetry its
+    :func:`weight_asymmetry`; domination is evaluated on a lattice of grid
+    nodes subsampled to at most ``probe_count`` per axis, skipping t = 0
+    where the envelope is singular.
+
+    The closure caps the masses under 1 - MASS_MARGIN, and gamma is read
+    from the capped ones.  The operator is assembled only when the report
+    passes; a corrected diagonal entry max(w_i K(x_i, x_i), floor) +
+    correction_i at or below 0 then raises :class:`SpecRejectedError`.
     """
     if probe_count < 2:
         raise ValueError(f"probe_count must be at least 2, got {probe_count!r}")
-    gamma = 1.0 - masses
-
     n = grid.size
+    tail = node_tail(spec, grid)
+    kernel = structured_kernel(spec, grid)
+    correction = cusp_correction(spec, grid, grid.nodes)
+    diagonal = np.zeros(n) if correction is None else correction
+    # A @ ones before the row rescale, as OperatorMatrix.__matmul__ forms it
+    quad = kernel @ np.ones(n) + diagonal
+    masses = quad + tail
+    raw_gamma = 1.0 - masses
+
     idx = np.unique(np.linspace(0, n - 1, min(probe_count, n)).round().astype(int))
     probe_x = grid.nodes[idx]
-    sub = eval_kernel(spec, probe_x[:, None], probe_x[None, :])
-    symmetry_residual = float(np.abs(sub - sub.T).max())
-
-    inner = probe_x > 0.0
-    probe_t = probe_x[inner]
+    probe_t = probe_x[probe_x > 0.0]
     envelope = (spec.modulation.lam_star(probe_t)[None, :]
                 * spec.eval_kstar(probe_x[:, None] - probe_t[None, :]))
-    domination_margin = float((envelope - sub[:, inner]).min())
-
+    sub = eval_kernel(spec, probe_x[:, None], probe_t[None, :])
     half_mass, half_moment = _base_half_line_moments(spec.base)
     scale = spec.kstar_scale()
-
-    return ConditionReport(
+    report = ConditionReport(
         positivity_ok=kernel.positive,
         sup_row_mass=float(masses.max()),
-        gamma_min=float(gamma.min()),
-        gamma_max=float(gamma.max()),
-        gamma_tail=float(gamma[-1]),
-        symmetry_residual=symmetry_residual,
-        domination_margin=domination_margin,
-        gamma_integral=integrate(grid, gamma),
+        gamma_min=float(raw_gamma.min()),
+        gamma_max=float(raw_gamma.max()),
+        gamma_tail=float(raw_gamma[-1]),
+        symmetry_residual=weight_asymmetry(kernel, grid.weights),
+        domination_margin=float((envelope - sub).min()),
+        gamma_integral=integrate(grid, raw_gamma),
         lambda_star_excess_integral=lambda_star_excess_integral(spec.modulation),
         kstar_total_mass=2.0 * scale * half_mass,
         kstar_abs_moment=2.0 * scale * half_moment,
         tol=float(tol),
     )
+
+    if report.passed and correction is not None:
+        own = np.maximum(grid.weights * eval_kernel(spec, grid.nodes, grid.nodes),
+                         POSITIVITY_FLOOR) + correction
+        worst = int(own.argmin())
+        if not own[worst] > 0.0:
+            raise SpecRejectedError(
+                f"cusp-corrected operator diagonal A[{worst}, {worst}] = "
+                f"{float(own[worst])!r} at x = {float(grid.nodes[worst])!r} "
+                "is not positive; refine the grid", report)
+    cap = 1.0 - MASS_MARGIN
+    # rows whose true mass defect sits below double resolution; scale by
+    # ~1e-14 so the projected system keeps a representable gap under eta
+    row_scale = np.where(quad > cap, cap / quad, 1.0)
+    quad_mass = row_scale * quad
+    tail = np.clip(tail, 0.0, np.maximum(cap - quad_mass, 0.0))
+    row_mass = quad_mass + tail
+    operator = (OperatorMatrix(entries=kernel, diagonal=diagonal, row_scale=row_scale,
+                               tail_mass=tail, row_mass=row_mass, grid=grid, kernel=spec)
+                if report.passed else None)
+    return Discretisation(report=report, gamma=1.0 - row_mass, operator=operator)
+
+
+def check_kernel_conditions(spec: KernelSpec, grid: HalfLineGrid,
+                            probe_count: int = 32, tol: float = 1e-9) -> ConditionReport:
+    """The condition report of :func:`discretise` (which raises for a refused
+    operator); the report carries verdicts, callers decide what to do."""
+    return discretise(spec, grid, probe_count=probe_count, tol=tol).report
+
+
+def gamma_profile(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
+    """Mass defect gamma(x_i) = 1 - row mass at every grid node, the
+    ``gamma`` of :func:`discretise`."""
+    return discretise(spec, grid).gamma

@@ -2,11 +2,12 @@
 
     Phi(x) = G0(x, Phi(x)) + int_0^inf K(x, t) G1(t, Phi(t)) dt,
 
-iterated upward from the floor Phi_0 = xi * gamma.  The iterates increase
-pointwise and stay under eta - f_star, where f_star is the converged profile
-of the pure integral equation for the same kernel and base nonlinearity; the
-limit is sandwiched as xi * gamma(x) <= Phi(x) <= eta - f_star(x) and decays
-to zero at infinity.
+iterated upward from the floor Phi_0 = xi * gamma, gamma being the mass
+defect of ``kernels.discretise``.  The iterates increase pointwise and stay
+under eta - f_star, where f_star is the converged profile of the pure
+integral equation for the same kernel and base nonlinearity; the limit is
+sandwiched as xi * gamma(x) <= Phi(x) <= eta - f_star(x) and decays to zero
+at infinity.
 
 Catalog forms:
 
@@ -135,7 +136,6 @@ class NemytskyConditionReport:
     envelope_ok: bool             # 0 <= G1 <= eta - G(eta - u)
     eps_star_ok: bool             # quadratic coefficient within its bound
     eps_star_bad_node: int | None
-    caratheodory: str             # catalog forms are continuous in u by construction
     tol: float
 
     @property
@@ -151,7 +151,7 @@ def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid,
     """Verify the crossing, monotonicity, envelope and coefficient conditions
     on every grid node against a u-lattice of ``n_u`` points.
 
-    ``gamma`` is the kernel's raw mass defect at the nodes; pass the one a
+    ``gamma`` is the ``gamma`` of ``kernels.discretise``; pass the one a
     discretisation already holds to skip evaluating the kernel again.
     """
     if n_u < 3:
@@ -193,7 +193,6 @@ def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid,
         envelope_ok=envelope_ok,
         eps_star_ok=bool(eps_ok),
         eps_star_bad_node=None if eps_ok else int(bad[0]),
-        caratheodory="by construction",
         tol=float(tol),
     )
 

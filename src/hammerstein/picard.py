@@ -13,10 +13,11 @@ discrete system inherits positivity, monotonicity, concavity and the scaling
 bound verbatim, the envelope is certified with the sigma0 measured on the
 grid itself.
 
-The operator is never held as an N x N matrix: the weighted kernel is the
-block-Toeplitz plus block-Hankel ``kernels.StructuredKernel``, applied with
-real FFTs in O(N log N) time and O(N) memory; the cusp correction and the
-over-cap rescale stay diagonal.
+The operator is ``kernels.OperatorMatrix`` from ``kernels.discretise``
+(both re-exported here).  It is never held as an N x N matrix: the weighted
+kernel is the block-Toeplitz plus block-Hankel ``kernels.StructuredKernel``,
+applied with real FFTs in O(N log N) time and O(N) memory; the cusp
+correction and the over-cap rescale stay diagonal.
 """
 
 from __future__ import annotations
@@ -30,152 +31,27 @@ from .errors import (DomainViolationError, InconsistentReportError,
                      NonConvergenceError, NumericalBreakdownError,
                      SpecRejectedError)
 from .kernels import (POSITIVITY_FLOOR, ConditionReport, KernelSpec,
-                      StructuredKernel, apply_kernel, condition_report,
-                      eval_kernel, node_masses, tail_row_mass)
+                      OperatorMatrix, apply_kernel, discretise, tail_row_mass)
 from .nonlinearity import NonlinearitySpec, eval_G
 from .quadrature import HalfLineGrid
-
-# The true kernel is strictly sub-stochastic (its mass defect is positive),
-# but measured row masses carry ~2e-15 of quadrature and rounding noise and
-# can poke above 1, which would park the discrete fixed point above eta at
-# far nodes.  The closure term is capped so every full row mass stays at or
-# below 1 - MASS_MARGIN; condition checks still see the raw masses.
-MASS_MARGIN = 1e-14
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Nystrom operator A = diag(row_scale) (W + diag(diagonal)), applied as ``A @ v``.
-
-    ``entries`` is the weighted kernel W[i, j] = w_j * K(x_i, t_j) as a
-    :class:`kernels.StructuredKernel`: block-Toeplitz and block-Hankel
-    spectra, O(N) memory and one O(N log N) FFT product per application.
-    No N x N matrix exists.  The kernel is symmetric, so the weighted
-    operator satisfies w_i A[i, j] == w_j A[j, i] up to rounding.
-
-    ``diagonal`` is the split-panel correction of ``kernels.cusp_correction``
-    (the checked mass minus the Nystrom row sum) for a cusped base kernel,
-    zeros otherwise, so ``A @ ones + tail_mass`` is the checked row mass.
-    The corrected diagonal w_i K(x_i, x_i) + diagonal_i must stay positive;
-    an operator whose diagonal does not is refused, never floored.
-    ``row_scale`` is 1 except on rows whose quadrature mass exceeded
-    1 - MASS_MARGIN, which are scaled down to it.
-
-    ``tail_mass`` holds the kernel mass past the truncation point per row,
-    the structured tail of ``kernels.node_masses`` clipped under the cap;
-    applications close the half-line integral there with the last node's
-    integrand value (profiles are flat past x_max to the kernel-tail scale).
-    ``row_mass`` is the full half-line row mass, equal to 1 - gamma at the
-    nodes.  Its quadrature part is ``A @ ones``: the same product that
-    applies the operator, so the ceiling maps to eta times ``row_mass`` bit
-    for bit.
-    """
-
-    entries: StructuredKernel
-    diagonal: np.ndarray
-    row_scale: np.ndarray
-    tail_mass: np.ndarray
-    row_mass: np.ndarray
-    grid: HalfLineGrid
-    kernel: KernelSpec
-
-    def __post_init__(self) -> None:
-        for array in (self.diagonal, self.row_scale, self.tail_mass, self.row_mass):
-            array.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return int(self.row_mass.size)
-
-    def __matmul__(self, v) -> np.ndarray:
-        return self.row_scale * (self.entries @ v + self.diagonal * v)
-
-
-@dataclass(frozen=True)
-class Discretisation:
-    """One kernel evaluation on one grid and everything built from it.
-
-    ``gamma`` is the raw mass defect 1 - (K @ w + tail) at the nodes, the
-    same values the condition checks read.  ``operator`` is None when the
-    report fails.
-    """
-
-    report: ConditionReport
-    gamma: np.ndarray
-    operator: OperatorMatrix | None
-
-
-def discretise(spec: KernelSpec, grid: HalfLineGrid, *, probe_count: int = 32,
-               tol: float = 1e-9) -> Discretisation:
-    """Evaluate K once on the grid: condition report, raw gamma and operator.
-
-    The operator is assembled only when the report passes.  The kernel is
-    the structured one, so no N x N kernel is evaluated or stored.  An
-    operator whose corrected diagonal is not positive raises
-    :class:`SpecRejectedError`.
-    """
-    kernel, masses, tail, correction = node_masses(spec, grid)
-    report = condition_report(spec, grid, kernel, masses, probe_count, tol)
-    operator = (_operator_from_kernel(spec, grid, kernel, tail, correction, report)
-                if report.passed else None)
-    return Discretisation(report=report, gamma=1.0 - masses, operator=operator)
 
 
 def assemble_operator(spec: KernelSpec, grid: HalfLineGrid, *,
                       report: ConditionReport | None = None,
                       probe_count: int = 32, tol: float = 1e-9) -> OperatorMatrix:
-    """Assemble the operator after the kernel passes its condition checks.
+    """The operator of :func:`discretise`, once the kernel passes its checks.
 
     A failing ``report`` rejects the spec before the kernel is evaluated, a
     passing one sets ``tol``.  The checks rerun on the kernel evaluation the
-    operator is built from (:func:`discretise`); a failure there rejects too.
+    operator is built from; a failure there rejects too.
     """
-    if report is not None:
-        if not report.passed:
-            raise SpecRejectedError(
-                "kernel spec failed its condition checks; not assembling", report)
-        tol = report.tol
-    disc = discretise(spec, grid, probe_count=probe_count, tol=tol)
-    if disc.operator is None:
-        raise SpecRejectedError(
-            "kernel spec failed its condition checks; not assembling", disc.report)
-    return disc.operator
-
-
-def _operator_from_kernel(spec: KernelSpec, grid: HalfLineGrid,
-                          kernel: StructuredKernel, tail: np.ndarray,
-                          correction: np.ndarray | None,
-                          report: ConditionReport) -> OperatorMatrix:
-    """Close the structured kernel into the operator: diagonal, rescale, tail.
-
-    A cusp ``correction`` goes onto the diagonal before the over-cap
-    rescale; a diagonal entry max(w_i K(x_i, x_i), floor) + correction_i at
-    or below 0 rejects the operator.
-    """
-    n = grid.size
-    if correction is None:
-        diagonal = np.zeros(n)
-    else:
-        diagonal = correction
-        own = np.maximum(grid.weights * eval_kernel(spec, grid.nodes, grid.nodes),
-                         POSITIVITY_FLOOR) + correction
-        worst = int(own.argmin())
-        if not own[worst] > 0.0:
-            raise SpecRejectedError(
-                f"cusp-corrected operator diagonal A[{worst}, {worst}] = "
-                f"{float(own[worst])!r} at x = {float(grid.nodes[worst])!r} "
-                "is not positive; refine the grid", report)
-    cap = 1.0 - MASS_MARGIN
-    # diag(row_scale) (kernel @ ones + diagonal), as OperatorMatrix.__matmul__ forms it
-    raw_mass = kernel @ np.ones(n) + diagonal
-    # rows whose true mass defect sits below double resolution; scale by
-    # ~1e-14 so the projected system keeps a representable gap under eta
-    row_scale = np.where(raw_mass > cap, cap / raw_mass, 1.0)
-    quad_mass = row_scale * raw_mass
-    tail = np.clip(tail, 0.0, np.maximum(cap - quad_mass, 0.0))
-    return OperatorMatrix(entries=kernel, diagonal=diagonal, row_scale=row_scale,
-                          tail_mass=tail, row_mass=quad_mass + tail,
-                          grid=grid, kernel=spec)
+    if report is None or report.passed:
+        disc = discretise(spec, grid, probe_count=probe_count,
+                          tol=tol if report is None else report.tol)
+        if disc.operator is not None:
+            return disc.operator
+        report = disc.report
+    raise SpecRejectedError("kernel spec failed its condition checks; not assembling", report)
 
 
 def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:

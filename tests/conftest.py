@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import hammerstein as hs
-from hammerstein.kernels import kernel_matrix
+from hammerstein.kernels import (apply_kernel, cusp_correction, kernel_matrix,
+                                 tail_row_mass)
 
 # catalog defaults: delta = epsilon = d_star = l = 0.5; alpha = 0.5;
 # alpha_star = 0.5 (II); alpha_tilde = 0.25, alpha_star = 0.75 (III)
@@ -34,6 +35,19 @@ def dense_operator(A):
     dense = kernel_matrix(A.kernel, A.grid) * A.grid.weights
     dense[np.diag_indices(A.size)] += A.diagonal
     return A.row_scale[:, None] * dense
+
+
+def row_mass_at(spec, grid, x):
+    """Half-line row mass at any points x: quadrature over the grid plus the tail.
+
+    One kernel row per point, evaluated in row blocks.  For a cusped base
+    kernel on a Gauss grid the panel that holds x is integrated split at
+    t = x (``cusp_correction``).  The row-by-row oracle of the node masses
+    that ``discretise`` reads from the structured kernel.
+    """
+    mass = apply_kernel(spec, x, grid.nodes, grid.weights) + tail_row_mass(spec, grid, x)
+    correction = cusp_correction(spec, grid, x)
+    return mass if correction is None else mass + correction
 
 
 def make_G(family):

@@ -9,11 +9,10 @@ from hammerstein.kernels import (BLOCK_ENTRIES, BaseKernel, ConditionReport,
                                  KernelSpec, ModulationSet,
                                  check_kernel_conditions, cusp_correction,
                                  eval_kernel, gamma_profile, kernel_matrix,
-                                 lambda_star_excess_integral, row_mass_at,
-                                 tail_row_mass)
+                                 lambda_star_excess_integral, tail_row_mass)
 from hammerstein.picard import discretise
 
-from conftest import MIXTURE_ATOMS, make_kernel
+from conftest import MIXTURE_ATOMS, make_kernel, row_mass_at
 
 SQRT_PI = math.sqrt(math.pi)
 

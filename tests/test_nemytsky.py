@@ -101,7 +101,6 @@ def test_spec_validation(small_ci):
 def test_catalog_conditions_pass(small_ci):
     report = check_nemytsky_conditions(make_nem(small_ci), small_ci["grid"])
     assert report.passed
-    assert report.caratheodory == "by construction"
 
 
 def test_quadratic_fraction_within_bound_passes(small_ci):

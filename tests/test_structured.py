@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hammerstein as hs
-from hammerstein.kernels import (_tail_extension, kernel_matrix, node_masses,
+from hammerstein.kernels import (_tail_extension, kernel_matrix, node_tail,
                                  structured_kernel, tail_row_mass)
 from hammerstein.picard import discretise
 
@@ -141,7 +141,7 @@ BASES = {"gaussian": hs.BaseKernel(),
 
 
 def tail_gap(spec, grid):
-    tail = node_masses(spec, grid)[2]
+    tail = node_tail(spec, grid)
     return float(np.abs(tail - tail_row_mass(spec, grid, grid.nodes)).max())
 
 
@@ -171,7 +171,7 @@ def test_tail_extension_continues_the_grid(grid_name):
 
 def test_node_tail_carries_half_the_bump_at_x_max():
     grid = TAIL_GRIDS["gauss-4"]
-    tail = node_masses(make_kernel("C", d_star=1.0), grid)[2]
+    tail = node_tail(make_kernel("C", d_star=1.0), grid)
     # lam == 1: K(x_max, t) = K0(x_max - t) + eps K0(x_max + t), about 1/2 past x_max
     assert abs(float(tail[-1]) - 0.5) <= 0.01
     assert np.abs(tail[:grid.size // 2]).max() <= 1e-15
