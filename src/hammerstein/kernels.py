@@ -623,7 +623,9 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid, *, probe_count: int = 32,
     masses = quad + tail
     raw_gamma = 1.0 - masses
 
-    idx = np.unique(np.linspace(0, n - 1, min(probe_count, n)).round().astype(int))
+    # the probe indices are sorted; np.unique would import numpy.ma for this
+    idx = np.linspace(0, n - 1, min(probe_count, n)).round().astype(int)
+    idx = idx[np.r_[True, np.diff(idx) > 0]]
     probe_x = grid.nodes[idx]
     probe_t = probe_x[probe_x > 0.0]
     envelope = (spec.modulation.lam_star(probe_t)[None, :]

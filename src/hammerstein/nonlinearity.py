@@ -12,6 +12,9 @@ Each family carries a rate exponent ``a`` in (0, 1) with
 ``alpha`` for family I (an equality there), ``(1 + alpha_star) / 2`` for II
 and ``(alpha_tilde + alpha_star) / 2`` for III.  That exponent drives the
 geometric convergence envelope of the solver.
+
+The inverse Q = G^{-1} is closed-form for family I and, for the mean
+families, monotone Newton on the convex log G(e**z) in z = log u.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, NumericalBreakdownError
 
 FAMILIES = ("I", "II", "III")
 
@@ -121,9 +124,13 @@ def eval_G(spec: NonlinearitySpec, u):
 def eval_Q(spec: NonlinearitySpec, v):
     """Inverse nonlinearity Q = G^{-1} on [0, eta]; increasing and convex.
 
-    Family I inverts in closed form; the mean families bisect in the
-    logarithm of u, which keeps the relative error near machine level all
-    the way down to tiny v, so |G(Q(v)) - v| <= 1e-13 throughout.
+    Family I inverts in closed form.  The mean families G(u) = (u**a + u**b) / 2,
+    a < b <= 1, solve h(z) = log G(e**z) = log v in z = log u: h is a
+    log-sum-exp of two lines, so convex and increasing, and Newton's method
+    from z = log eta, at or above the root, falls monotonically onto it.  Each
+    value stops at the first step that does not lower it, with z floored at
+    log(1e-308), and depends on that value alone; |G(Q(v)) - v| <= 1e-13
+    wherever Q(v) lies above the floor.
     """
     eta = spec.eta
     arr = np.asarray(v, dtype=float)
@@ -141,16 +148,46 @@ def eval_Q(spec: NonlinearitySpec, v):
     out[at_zero] = 0.0
     out[at_eta] = eta
     if interior.any():
-        target = work[interior]
-        z_lo = np.full(target.shape, math.log(1e-308))
-        z_hi = np.full(target.shape, math.log(eta))
-        for _ in range(80):
-            z_mid = 0.5 * (z_lo + z_hi)
-            below = eval_G(spec, np.exp(z_mid)) <= target
-            z_lo = np.where(below, z_mid, z_lo)
-            z_hi = np.where(below, z_hi, z_mid)
-        out[interior] = np.exp(0.5 * (z_lo + z_hi))
+        out[interior] = np.exp(_newton_log_inverse(spec, np.log(work[interior])))
     return out.reshape(arr.shape) if arr.ndim else out[0]
+
+
+# Newton's passes over one eval_Q call.  The worst case measured over
+# exponents in [1e-12, 1 - 1e-12] and v in [5e-324, eta) is 13 passes (11
+# for exponents in [0.01, 0.99]), and 40 is three times that.  Each entry
+# stops at the first step that no longer lowers it, so only a step that
+# keeps lowering by rounding alone can reach the cap.
+MAX_NEWTON_PASSES = 40
+_LOG_Z_FLOOR = math.log(1e-308)
+
+
+def _newton_log_inverse(spec: NonlinearitySpec, log_v: np.ndarray) -> np.ndarray:
+    """Root z of h(z) = a z + log1p(expm1((b - a) z) / 2) = log v, per entry.
+
+    The expm1 form keeps h accurate near z = 0, where log1p(e**((b - a) z))
+    - log 2 cancels and the rounded step would keep lowering z by an ulp.
+    """
+    if spec.family == "II":
+        a, b = spec.alpha_star, 1.0
+    else:
+        a, b = spec.alpha_tilde, spec.alpha_star
+    gap = b - a
+    z = np.full(log_v.shape, math.log(spec.eta))
+    active = np.arange(z.size)
+    for _ in range(MAX_NEWTON_PASSES):
+        z_act = z[active]
+        m = np.expm1(gap * z_act)
+        h = a * z_act + np.log1p(0.5 * m)
+        slope = a + gap * (1.0 + m) / (2.0 + m)
+        z_new = np.maximum(z_act - (h - log_v[active]) / slope, _LOG_Z_FLOOR)
+        lowered = z_new < z_act
+        active = active[lowered]
+        z[active] = z_new[lowered]
+        if not active.size:
+            return z
+    raise NumericalBreakdownError(
+        f"eval_Q: {active.size} of {z.size} entries did not converge "
+        f"in {MAX_NEWTON_PASSES} Newton passes")
 
 
 @dataclass(frozen=True)

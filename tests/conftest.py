@@ -54,6 +54,28 @@ def make_G(family):
     return hs.NonlinearitySpec(family=family, **G_PARAMS[family])
 
 
+def bisect_Q(spec, v):
+    """Inverse of a mean-family G by 80 bisection steps in z = log u.
+
+    The bracket is [log(1e-308), log eta]; Q(0) = 0 and Q(eta) = eta exactly.
+    The bisection oracle of the Newton inverse that ``eval_Q`` runs.
+    """
+    eta = spec.eta
+    work = np.atleast_1d(np.clip(np.asarray(v, dtype=float), 0.0, eta))
+    out = np.where(work == 0.0, 0.0, eta)
+    interior = (work > 0.0) & (work < eta)
+    target = work[interior]
+    z_lo = np.full(target.shape, np.log(1e-308))
+    z_hi = np.full(target.shape, np.log(eta))
+    for _ in range(80):
+        z_mid = 0.5 * (z_lo + z_hi)
+        below = hs.eval_G(spec, np.exp(z_mid)) <= target
+        z_lo = np.where(below, z_mid, z_lo)
+        z_hi = np.where(below, z_hi, z_mid)
+    out[interior] = np.exp(0.5 * (z_lo + z_hi))
+    return out.reshape(np.shape(v))
+
+
 @pytest.fixture(scope="session")
 def small_grid():
     # compact grid for module-level tests; the acceptance suite runs the big one

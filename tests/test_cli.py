@@ -11,6 +11,7 @@ import yaml
 import hammerstein
 import hammerstein.cli
 import hammerstein.kernels
+import hammerstein.nonlinearity
 import hammerstein.picard
 from hammerstein.cli import emit_convergence_table, main, run
 from hammerstein.config import load_config
@@ -243,6 +244,15 @@ def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, error):
     assert "injected" in capsys.readouterr().err
 
 
+def test_newton_pass_cap_exits_5(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(hammerstein.nonlinearity, "MAX_NEWTON_PASSES", 1)
+    text = BASE_CONFIG.replace("family: I\n  alpha: 0.5", "family: II\n  alpha_star: 0.5")
+    cfg = write_config(tmp_path, text)
+    code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code == 5
+    assert "eval_Q" in capsys.readouterr().err
+
+
 def test_config_echo_round_trips(tmp_path):
     cfg = write_config(tmp_path)
     out1 = tmp_path / "first"
@@ -348,15 +358,30 @@ def test_library_path_evaluates_no_dense_kernel(tmp_path, monkeypatch):
     assert entries and sum(entries) <= 4 * grid.size
 
 
-def test_cli_imports_without_scipy():
+def run_child(probe):
+    """Run ``probe`` in a fresh interpreter that imports this package."""
     src = str(Path(hammerstein.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, hammerstein.cli; "
-             "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def test_cli_imports_without_scipy():
+    proc = run_child("import sys, hammerstein.cli; "
+                     "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
+
+
+def test_discretise_and_solve_do_not_import_numpy_ma():
+    proc = run_child("import sys, hammerstein as hs; "
+                     "grid = hs.build_grid(20.0, 50, hs.GAUSS, 4); "
+                     "kernel = hs.KernelSpec(family='C', base=hs.BaseKernel(), "
+                     "modulation=hs.ModulationSet(d_star=0.5, l=0.5), epsilon=0.5); "
+                     "disc = hs.discretise(kernel, grid); "
+                     "hs.solve_picard(disc.operator, hs.NonlinearitySpec(family='I', alpha=0.5)); "
+                     "sys.exit('numpy.ma' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr or "numpy.ma was imported"
 
 
 def test_convergence_table_degenerate_and_empty():

@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hammerstein.nonlinearity as nl
-from hammerstein.errors import InvalidSpecError
+from hammerstein.errors import InvalidSpecError, NumericalBreakdownError
 from hammerstein.nonlinearity import (NonlinearitySpec, check_G_conditions,
                                       eval_G, eval_Q, find_eta,
                                       power_linear_scaling_ratio)
 
-from conftest import make_G
+from conftest import bisect_Q, make_G
 
 unit_open = st.floats(min_value=0.05, max_value=0.95)
 
@@ -131,6 +131,45 @@ def test_Q_domain_checked():
         eval_Q(G, -0.1)
     with pytest.raises(ValueError):
         eval_Q(G, G.eta + 0.1)
+
+
+exponent = st.floats(min_value=0.01, max_value=0.99)
+
+
+def mean_spec(family, first, second):
+    if family == "II":
+        return NonlinearitySpec(family="II", alpha_star=first)
+    lo, hi = sorted((first, second))
+    assume(lo < hi)
+    return NonlinearitySpec(family="III", alpha_tilde=lo, alpha_star=hi)
+
+
+@pytest.mark.parametrize("family", ["II", "III"])
+@given(first=exponent, second=exponent, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_Q_newton_matches_bisection_oracle(family, first, second, seed):
+    G = mean_spec(family, first, second)
+    eta = G.eta
+    draws = np.random.default_rng(seed).uniform(0.0, eta, 200)
+    v = np.sort(np.concatenate([np.logspace(-300, 0, 301) * eta, draws, [0.0, eta]]))
+    q = eval_Q(G, v)
+    oracle = bisect_Q(G, v)
+    resolved = oracle > 1e-290
+    assert np.all(np.abs(q - oracle)[resolved] <= 1e-12 * oracle[resolved])
+    # below the resolved range both inverses sit on the same log(1e-308) floor
+    assert np.all(np.abs(eval_G(G, q) - v)[resolved] <= 1e-13)
+    # monotone at the sample spacing; for v an ulp apart Newton's last step can
+    # order the results by rounding, which the bisection's fixed lattice cannot
+    assert np.all(np.diff(q) >= 0.0)
+    assert q[0] == 0.0 and q[-1] == eta
+
+
+@pytest.mark.parametrize("family", ["II", "III"])
+def test_Q_newton_pass_cap_raises(family, monkeypatch):
+    monkeypatch.setattr(nl, "MAX_NEWTON_PASSES", 1)
+    v = np.array([0.0, 0.25, 0.5, 1.0])
+    with pytest.raises(NumericalBreakdownError, match=r"eval_Q: 2 of 2 entries"):
+        eval_Q(make_G(family), v)
 
 
 # --- lattice certification --------------------------------------------------
