@@ -56,7 +56,7 @@ NUMERICAL_ERRORS = (NumericalBreakdownError, DomainViolationError,
 
 def _plain(obj, drop=()):
     """Recursively convert reports to YAML-safe plain python values; a
-    dataclass's ``iterates`` and ``drop`` fields are left out unwalked."""
+    dataclass's ``drop`` fields are left out unwalked."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -71,7 +71,7 @@ def _plain(obj, drop=()):
         return {str(k): _plain(v) for k, v in obj.items()}
     if hasattr(obj, "__dataclass_fields__"):
         return {name: _plain(getattr(obj, name))
-                for name in obj.__dataclass_fields__ if name not in ("iterates", *drop)}
+                for name in obj.__dataclass_fields__ if name not in drop}
     return repr(obj)
 
 

@@ -46,6 +46,13 @@ POSITIVITY_FLOOR = float(np.finfo(float).tiny)
 # a single value.
 BLOCK_ENTRIES = 1 << 18
 
+# structured_kernel tabulates its Toeplitz and Hankel sequences a few block
+# pairs at a time, at most this many values per table (64 KiB) or one pair:
+# the 16 pairs of a 1600-node 4-point Gauss grid take 2 tables, a large grid
+# one pair per table.  A table per pair costs about 1 ms more per call on
+# small grids, in loop overhead.
+FFT_BLOCK_ENTRIES = 1 << 13
+
 FAMILIES = ("A", "B", "C")
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -317,54 +324,68 @@ class StructuredKernel:
         return (self.left * y.transpose(0, 2, 1).reshape(terms, -1)).sum(axis=0)
 
 
+def _scalings(spec: KernelSpec, grid: HalfLineGrid):
+    """(image weight, left, right, modulation floor) of the family's
+    ``sum_r diag(left[r]) (T + image * H) diag(right[r])`` form."""
+    w = grid.weights
+    if spec.family == "C":
+        lam = spec.modulation.lam(grid.nodes)
+        return (spec.epsilon, np.stack((0.5 * lam, np.full(grid.size, 0.5))),
+                np.stack((w, lam * w)), float(lam.min()))
+    gap = spec.modulation.lam_gap(grid.nodes)
+    image = 0.0 if spec.family == "A" else -spec.delta
+    # mu = 1 - gap(x) gap(t) >= 1 - max(gap)^2
+    return (image, np.stack((np.ones(grid.size), -gap)), np.stack((w, gap * w)),
+            1.0 - float(gap.max()) ** 2)
+
+
 def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
     """The grid's weighted Nystrom matrix from K0 at its Toeplitz and Hankel arguments.
 
     K0 is evaluated at the 2 (2m - 1) p^2 distinct arguments only, never on
-    the N x N node pairs.  The grid must have the equal panels of
-    ``build_grid``.
+    the N x N node pairs, and a few block pairs (k, l) at a time: the memory
+    beyond the returned spectra and scalings is a few tables of at most
+    max(FFT_BLOCK_ENTRIES, 2m) values.  The grid must have the equal panels
+    of ``build_grid``.
     """
     p = grid.points_per_panel or 1
     n = grid.size
     m = n // p
     h = grid.x_max / grid.n_panels
     offsets = grid.nodes[:p]
-    lattice = h * np.arange(m)[:, None] + offsets[None, :]
-    if m * p != n or np.abs(lattice.ravel() - grid.nodes).max() > 1e-12 * grid.x_max:
+    if m * p != n or np.abs((h * np.arange(m)[:, None] + offsets).ravel()
+                            - grid.nodes).max() > 1e-12 * grid.x_max:
         raise ValueError("structured_kernel needs the equal-panel grid of build_grid")
-    lag = np.arange(2 * m - 1)
-    toeplitz = spec.base.eval(h * (lag - (m - 1))
-                              + (offsets[:, None] - offsets[None, :])[..., None])
+    image, left, right, modulation_floor = _scalings(spec, grid)
+
+    # the p x p block pairs (k, l) are tabulated a few at a time, at most
+    # FFT_BLOCK_ENTRIES values per table; pocketfft transforms each sequence
+    # on its own, so the spectra are bit for bit those of one batch
     size = _fft_size(2 * m - 1)
-    embedded = np.zeros((p, p, size))
-    embedded[..., :m] = toeplitz[..., m - 1:]
-    embedded[..., size - m + 1:] = toeplitz[..., :m - 1]
-    spectra = [np.fft.rfft(embedded, axis=-1)]
-
-    w = grid.weights
-    if spec.family == "C":
-        image = spec.epsilon
-        lam = spec.modulation.lam(grid.nodes)
-        left, right = (0.5 * lam, np.full(n, 0.5)), (w, lam * w)
-        modulation_floor = float(lam.min())
-    else:
-        image = 0.0 if spec.family == "A" else -spec.delta
-        gap = spec.modulation.lam_gap(grid.nodes)
-        left, right = (np.ones(n), -gap), (w, gap * w)
-        modulation_floor = 1.0 - float(gap.max()) ** 2      # mu = 1 - gap(x) gap(t)
-
-    combined = toeplitz
-    if image:
-        hankel = spec.base.eval(h * lag + (offsets[:, None] + offsets[None, :])[..., None])
-        spectra.append(image * np.fft.rfft(hankel, n=size, axis=-1))
-        # the node pairs with P - Q = d have s = P + Q >= |d|, so the image
-        # term of T_kl[d] + image * H_kl[s] is bounded by its extreme over s >= |d|
-        accumulate = np.maximum if image < 0.0 else np.minimum
-        extreme = accumulate.accumulate(hankel[..., ::-1], axis=-1)[..., ::-1]
-        combined = toeplitz + image * extreme[..., np.abs(lag - (m - 1))]
-    positive = bool(combined.min() > 0.0 and modulation_floor > 0.0)
-    return StructuredKernel(spectra=np.concatenate(spectra, axis=1), left=np.stack(left),
-                            right=np.stack(right), fft_size=size, positive=positive)
+    spectra = np.empty((p, 2 * p if image else p, size // 2 + 1), dtype=complex)
+    chunk = max(1, FFT_BLOCK_ENTRIES // size)
+    embedded = np.zeros((min(chunk, p * p), size))
+    shifts = h * np.arange(1 - m, m)        # h (P - Q) over the Toeplitz lags
+    # the node pairs with P - Q = d have s = P + Q >= |d|, so the image term
+    # of T_kl[d] + image * H_kl[s] is bounded by its extreme over s >= |d|
+    accumulate = np.maximum if image < 0.0 else np.minimum
+    kernel_floor = math.inf
+    for start in range(0, p * p, chunk):
+        k, l = np.divmod(np.arange(start, min(start + chunk, p * p)), p)
+        toeplitz = spec.base.eval(shifts + (offsets[k] - offsets[l])[:, None])
+        circulant = embedded[:k.size]
+        circulant[:, :m] = toeplitz[:, m - 1:]
+        circulant[:, size - m + 1:] = toeplitz[:, :m - 1]
+        spectra[k, l] = np.fft.rfft(circulant, axis=-1)
+        if image:
+            hankel = spec.base.eval(h * np.arange(2 * m - 1) + (offsets[k] + offsets[l])[:, None])
+            spectra[k, p + l] = image * np.fft.rfft(hankel, n=size, axis=-1)
+            extreme = accumulate.accumulate(hankel[:, ::-1], axis=-1)[:, ::-1]
+            toeplitz += image * extreme[:, np.abs(np.arange(1 - m, m))]
+        kernel_floor = min(kernel_floor, float(toeplitz.min()))
+    positive = bool(kernel_floor > 0.0 and modulation_floor > 0.0)
+    return StructuredKernel(spectra=spectra, left=left, right=right, fft_size=size,
+                            positive=positive)
 
 
 def _tail_extension(base: BaseKernel, grid: HalfLineGrid) -> tuple[HalfLineGrid, np.ndarray]:
@@ -498,30 +519,17 @@ class ConditionReport:
 
 
 def lambda_star_excess_integral(modulation: ModulationSet) -> float:
-    """int_0^inf (lam_star(t) - 1) dt by quadrature.
-
-    The integrand has a t**(-l) endpoint singularity, so the substitution
-    t = u**m with m = max(4, ceil(2 / (1 - l))) is applied first; the
-    transformed integrand is at least C^1 at the origin and the fixed
-    composite Gauss rule converges far past 1e-10.  Truncation at t = 40
-    leaves a tail below 1e-17.
-    """
-    l = modulation.l
-    m = max(4, math.ceil(2.0 / (1.0 - l)))
-    u_max = 40.0 ** (1.0 / m)
-    g = build_grid(u_max, 300, GAUSS, 8)
-    u = g.nodes
-    vals = m * u ** (m * (1.0 - l) - 1.0) * np.exp(-u ** m)
-    return integrate(g, vals)
+    """int_0^inf (lam_star(t) - 1) dt = int_0^inf exp(-t) t**(-l) dt = Gamma(1 - l)."""
+    return math.gamma(1.0 - modulation.l)
 
 
 def _base_half_line_moments(base: BaseKernel) -> tuple[float, float]:
-    """(int_0^inf K0, int_0^inf y K0(y) dy) by quadrature on an internal grid."""
-    rate = base.min_decay_rate()
-    x_max = 40.0 if math.isinf(rate) else max(40.0, 45.0 / rate)
-    g = build_grid(x_max, max(400, int(math.ceil(x_max * 10.0))), GAUSS, 8)
-    k = base.eval(g.nodes)
-    return integrate(g, k), integrate(g, g.nodes * k)
+    """(int_0^inf K0, int_0^inf y K0(y) dy) in closed form: (1/2, 1/(2 sqrt(pi)))
+    for the Gaussian, (sum c/s, sum c/s^2) for the exponential mixture."""
+    if base.variant == "gaussian":
+        return 0.5, 0.5 / _SQRT_PI
+    return (math.fsum(c / s for c, s in base.atoms),
+            math.fsum(c / (s * s) for c, s in base.atoms))
 
 
 # The true kernel is strictly sub-stochastic (its mass defect is positive),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, NumericalBreakdownError
-from .kernels import KernelSpec, gamma_profile
+from .kernels import KernelSpec
 from .nonlinearity import NonlinearitySpec, eval_G
 from .picard import OperatorMatrix, iterate
 from .quadrature import HalfLineGrid
@@ -147,18 +147,16 @@ class NemytskyConditionReport:
 
 def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid,
                               n_u: int = 33, tol: float = 1e-12, *,
-                              gamma: np.ndarray | None = None) -> NemytskyConditionReport:
+                              gamma: np.ndarray) -> NemytskyConditionReport:
     """Verify the crossing, monotonicity, envelope and coefficient conditions
     on every grid node against a u-lattice of ``n_u`` points.
 
-    ``gamma`` is the ``gamma`` of ``kernels.discretise``; pass the one a
-    discretisation already holds to skip evaluating the kernel again.
+    ``gamma`` is the mass defect at the nodes: the ``gamma`` of the
+    ``kernels.discretise`` of ``spec.kernel`` on ``grid``.
     """
     if n_u < 3:
         raise ValueError("n_u must be at least 3")
     eta = spec.base_G.eta
-    if gamma is None:
-        gamma = gamma_profile(spec.kernel, grid)
     nodes = grid.nodes
     u = np.linspace(0.0, eta, n_u)
 

@@ -23,7 +23,7 @@ correction and the over-cap rescale stay diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,8 +78,10 @@ class SolveReport:
     """Everything the ceiling iteration produced.
 
     ``sup_diffs[k]`` is the sup norm of iterate k minus iterate k+1 (the
-    start step is k = 0).  ``iterates`` keeps the full history, ceiling
-    included, for the squeeze and envelope checks.
+    start step is k = 0).  ``monotone_ok`` is the upper half of the squeeze
+    f_{n+1} <= f_n and ``squeeze_ok`` its lower half
+    sigma0**(a**(n-1)) f_n <= f_{n+1}, both within 1e-12 at every step
+    taken.  No iterate history is kept.
     """
 
     iterations: int
@@ -91,7 +93,7 @@ class SolveReport:
     profile: np.ndarray
     eta: float
     converged: bool = True
-    iterates: list[np.ndarray] = field(default_factory=list, repr=False)
+    squeeze_ok: bool = True
 
 
 def estimate_sigma0(f1, f2) -> float:
@@ -173,7 +175,9 @@ def solve_picard(A: OperatorMatrix, G: NonlinearitySpec, tol: float = 1e-10,
                  max_iter: int = 500) -> SolveReport:
     """Iterate from the ceiling f_0 = eta until successive sup differences reach tol.
 
-    Monotone decrease is asserted at every step (see :func:`iterate`).  On
+    Monotone decrease is asserted at every step (see :func:`iterate`) and
+    the squeeze floor checked once the first two iterates fix sigma0, so
+    the working memory is a few iterates whatever the iteration count.  On
     convergence the report carries the measured sigma0, the fixed-point
     residual from one extra operator application, and the envelope verdict.
     Hitting ``max_iter`` raises with the partial report attached.
@@ -181,16 +185,24 @@ def solve_picard(A: OperatorMatrix, G: NonlinearitySpec, tol: float = 1e-10,
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     eta = G.eta
-    iterates: list[np.ndarray] = [np.full(A.size, eta)]
+    a = G.rate_exponent
+    j, sigma0, floor_breach = 0, 1.0, 0.0
 
     def step(f: np.ndarray) -> np.ndarray:
-        iterates.append(apply_hammerstein(A, G, f))
-        return iterates[-1]
+        # f is f_j: f_1 and f_2 fix sigma0, then every step checks the
+        # squeeze floor sigma0**(a**(j-1)) f_j <= f_{j+1}, j >= 1
+        nonlocal j, sigma0, floor_breach
+        nxt = apply_hammerstein(A, G, f)
+        if j == 1:
+            sigma0 = estimate_sigma0(f, nxt)
+        if j >= 1:
+            floor = sigma0 ** (a ** (j - 1)) * f
+            floor_breach = max(floor_breach, float((floor - nxt).max()))
+        j += 1
+        return nxt
 
     f, sup_diffs, monotone_ok, converged = iterate(
-        step, iterates[0], direction=-1, tol=tol, max_iter=max_iter)
-    sigma0 = (estimate_sigma0(iterates[1], iterates[2])
-              if len(iterates) >= 3 else 1.0)
+        step, np.full(A.size, eta), direction=-1, tol=tol, max_iter=max_iter)
     residual_inf = float(np.abs(f - apply_hammerstein(A, G, f)).max())
     report = SolveReport(
         iterations=len(sup_diffs),
@@ -202,12 +214,12 @@ def solve_picard(A: OperatorMatrix, G: NonlinearitySpec, tol: float = 1e-10,
         profile=f,
         eta=eta,
         converged=converged,
-        iterates=iterates,
+        squeeze_ok=floor_breach <= 1e-12,
     )
     if not converged:
         raise NonConvergenceError(
             f"no convergence to {tol} within {max_iter} iterations", report)
-    report.rate_bound_ok = verify_rate_bound(report, G.rate_exponent)
+    report.rate_bound_ok = verify_rate_bound(report, a)
     return report
 
 

@@ -4,6 +4,7 @@ import pytest
 import hammerstein as hs
 from hammerstein.kernels import (apply_kernel, cusp_correction, kernel_matrix,
                                  tail_row_mass)
+from hammerstein.picard import apply_hammerstein, iterate
 
 # catalog defaults: delta = epsilon = d_star = l = 0.5; alpha = 0.5;
 # alpha_star = 0.5 (II); alpha_tilde = 0.25, alpha_star = 0.75 (III)
@@ -48,6 +49,20 @@ def row_mass_at(spec, grid, x):
     mass = apply_kernel(spec, x, grid.nodes, grid.weights) + tail_row_mass(spec, grid, x)
     correction = cusp_correction(spec, grid, x)
     return mass if correction is None else mass + correction
+
+
+def ceiling_iterates(A, G, count):
+    """f_0 = eta, f_1, ..., f_count of the ceiling iteration, rebuilt outside
+    ``solve_picard`` (which keeps no history) for the offline oracles of its
+    online monotone and squeeze verdicts."""
+    history = [np.full(A.size, G.eta)]
+
+    def step(f):
+        history.append(apply_hammerstein(A, G, f))
+        return history[-1]
+
+    iterate(step, history[0], direction=0, tol=0.0, max_iter=count)
+    return history
 
 
 def make_G(family):

@@ -9,6 +9,7 @@ from hammerstein.kernels import (BLOCK_ENTRIES, BaseKernel, ConditionReport,
                                  KernelSpec, ModulationSet,
                                  check_kernel_conditions, cusp_correction,
                                  eval_kernel, gamma_profile, kernel_matrix,
+                                 _base_half_line_moments,
                                  lambda_star_excess_integral, tail_row_mass)
 from hammerstein.picard import discretise
 
@@ -102,6 +103,13 @@ def test_lambda_star_excess_integral_is_gamma_function(l):
     # int_0^inf exp(-t) t^{-l} dt = Gamma(1 - l)
     value = lambda_star_excess_integral(ModulationSet(l=l))
     assert abs(value - math.gamma(1.0 - l)) <= 1e-8
+
+
+@pytest.mark.parametrize("l", [0.1, 0.5, 0.9, 0.99])
+def test_lambda_star_excess_integral_to_double_precision(l):
+    # the closed form; a quadrature of the t**(-l) singularity lost 6e-10 at l = 0.9
+    value = lambda_star_excess_integral(ModulationSet(l=l))
+    assert value == pytest.approx(float(special.gamma(1.0 - l)), rel=1e-15, abs=0.0)
 
 
 def test_lambda_star_excess_integral_generic_exponent():
@@ -237,6 +245,18 @@ def test_mixture_constants(small_grid):
     # int |y| K0 = 2 * c / s^2 = 1, total = 2 * c / s = 1
     assert abs(report.kstar_total_mass - 1.0) <= 1e-12
     assert abs(report.kstar_abs_moment - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("base", [BaseKernel(),
+                                  BaseKernel(variant="exp-mixture", atoms=MIXTURE_ATOMS)],
+                         ids=["gaussian", "exp-mixture"])
+def test_base_half_line_moments_match_quadrature(base):
+    # the closed forms against scipy's adaptive quadrature of K0 and y K0 on [0, inf)
+    half_mass, half_moment = _base_half_line_moments(base)
+    mass = integrate.quad(lambda y: float(base.eval(y)), 0.0, np.inf, epsabs=1e-15)[0]
+    moment = integrate.quad(lambda y: y * float(base.eval(y)), 0.0, np.inf, epsabs=1e-15)[0]
+    assert half_mass == pytest.approx(mass, rel=1e-13)
+    assert half_moment == pytest.approx(moment, rel=1e-13)
 
 
 def test_conservative_kernel_flagged():

@@ -1,0 +1,67 @@
+"""Working-memory bounds of the stages that set a run's peak, by tracemalloc.
+
+numpy reports its array buffers to tracemalloc, so a traced peak counts every
+temporary a stage allocates.  Each bound is one the stage meets by walking its
+tables in blocks: the nonlinearity lattices, the structured kernel's block
+pairs and the ceiling iteration's two-iterate window.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import hammerstein as hs
+from hammerstein.kernels import structured_kernel
+
+from conftest import G_PARAMS, make_G, make_kernel
+
+MIB = 1 << 20
+
+
+def traced_peak(call):
+    """(call(), bytes allocated at the peak of the call above its start)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", sorted(G_PARAMS))
+def test_G_lattice_check_peak_under_one_mib(family):
+    report, peak = traced_peak(lambda: hs.check_G_conditions(make_G(family)))
+    assert report.passed
+    assert peak <= MIB, f"check_G_conditions peaked at {peak / MIB:.2f} MiB"
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_structured_kernel_peak_near_its_spectra(family):
+    grid = hs.build_grid(400.0, 10000, hs.GAUSS, 4)      # N = 40000
+    kernel, peak = traced_peak(lambda: structured_kernel(make_kernel(family), grid))
+    assert kernel.positive
+    assert peak <= 2 * kernel.spectra.nbytes, (
+        f"peak {peak / MIB:.2f} MiB against spectra {kernel.spectra.nbytes / MIB:.2f} MiB")
+
+
+def test_solve_picard_peak_independent_of_iteration_count():
+    grid = hs.build_grid(100.0, 2500, hs.GAUSS, 4)       # N = 10000
+    A = hs.discretise(make_kernel("C"), grid).operator
+    G = make_G("I")
+
+    def capped():
+        with pytest.raises(hs.NonConvergenceError) as err:
+            hs.solve_picard(A, G, tol=1e-10, max_iter=10)
+        return err.value.report
+
+    partial, short_peak = traced_peak(capped)
+    solve, full_peak = traced_peak(lambda: hs.solve_picard(A, G, tol=1e-10, max_iter=500))
+    assert partial.iterations == 10 and solve.iterations >= 25
+    # a kept history would add one N-vector per iteration past the tenth
+    assert full_peak <= short_peak + A.size * np.dtype(float).itemsize

@@ -99,14 +99,15 @@ def test_spec_validation(small_ci):
 # --- condition checks -------------------------------------------------------
 
 def test_catalog_conditions_pass(small_ci):
-    report = check_nemytsky_conditions(make_nem(small_ci), small_ci["grid"])
+    report = check_nemytsky_conditions(make_nem(small_ci), small_ci["grid"],
+                                       gamma=small_ci["gamma"])
     assert report.passed
 
 
 def test_quadratic_fraction_within_bound_passes(small_ci):
     spec = make_nem(small_ci, pointwise_family="saturating-quadratic",
                     eps_star_fraction=0.5)
-    report = check_nemytsky_conditions(spec, small_ci["grid"])
+    report = check_nemytsky_conditions(spec, small_ci["grid"], gamma=small_ci["gamma"])
     assert report.passed and report.eps_star_bad_node is None
 
 
@@ -117,7 +118,7 @@ def test_quadratic_profile_over_bound_names_node(small_ci):
     profile[7] = 1.1 * eps_star_bound(base, gamma)[7]
     spec = make_nem(small_ci, pointwise_family="saturating-quadratic",
                     eps_star_profile=profile)
-    report = check_nemytsky_conditions(spec, small_ci["grid"])
+    report = check_nemytsky_conditions(spec, small_ci["grid"], gamma=small_ci["gamma"])
     assert not report.passed
     assert report.eps_star_bad_node == 7
 

@@ -183,17 +183,18 @@ def test_lattice_certification_passes(family):
 
 
 @pytest.mark.parametrize("family", ["II", "III"])
-def test_inverse_lattice_is_evaluated_once_per_distinct_product(family, monkeypatch):
-    # eval_Q sees the distinct products of the 200 x 200 lattice only; scattered
-    # back, they are the full-lattice values bit for bit, and so is the verdict
+def test_inverse_lattice_is_evaluated_in_row_blocks(family, monkeypatch):
+    # eval_Q sees the 200 x 200 lattice LATTICE_BLOCK_ROWS rows at a time; it
+    # is elementwise, so the blocks are the full-lattice values bit for bit,
+    # and so is the verdict
     G = make_G(family)
     u = np.linspace(0.0, G.eta, 200)
     uu = np.linspace(0.0, 1.0, 200)
     lattice = uu[:, None] * u[None, :]
     full = eval_Q(G, lattice)
-    products, where = np.unique(lattice, return_inverse=True)
-    assert products.size == 12623
-    assert np.array_equal(eval_Q(G, products)[where.reshape(lattice.shape)], full)
+    starts = range(0, 200, nl.LATTICE_BLOCK_ROWS)
+    blocks = [lattice[s:s + nl.LATTICE_BLOCK_ROWS] for s in starts]
+    assert np.array_equal(np.concatenate([eval_Q(G, b) for b in blocks]), full)
 
     sizes = []
 
@@ -203,7 +204,7 @@ def test_inverse_lattice_is_evaluated_once_per_distinct_product(family, monkeypa
 
     monkeypatch.setattr(nl, "eval_Q", recorded)
     report = check_G_conditions(G, n_u=200, n_sigma=200)
-    assert sizes == [200, products.size]
+    assert sizes == [200] + [b.size for b in blocks]
     assert report.inverse_scaling_violation == float(
         (full - uu[:, None] * eval_Q(G, u)[None, :]).max())
 

@@ -16,7 +16,8 @@ from hammerstein.picard import (SolveReport, apply_hammerstein,
                                 evaluate_profile, fixed_point_iterate, iterate,
                                 rate_envelope, solve_picard, verify_rate_bound)
 
-from conftest import MIXTURE_ATOMS, dense_operator, make_G, make_kernel
+from conftest import (MIXTURE_ATOMS, ceiling_iterates, dense_operator, make_G,
+                      make_kernel)
 
 
 # --- assembly ---------------------------------------------------------------
@@ -187,7 +188,9 @@ def test_solve_converges_with_certificates(small_ci):
 
 def test_first_iterate_is_mass_defect_complement(small_ci):
     A, G, solve = small_ci["A"], small_ci["G"], small_ci["solve"]
-    assert np.array_equal(solve.iterates[1], G.eta * A.row_mass)
+    first = ceiling_iterates(A, G, 1)[1]
+    assert np.array_equal(first, G.eta * A.row_mass)
+    assert solve.sup_diffs[0] == float(np.abs(first - G.eta).max())
 
 
 def test_iteration_count_within_envelope_prediction(small_ci):
@@ -199,10 +202,12 @@ def test_iteration_count_within_envelope_prediction(small_ci):
 
 
 def test_monotone_pointwise_across_history(small_ci):
-    iterates = small_ci["solve"].iterates
+    solve = small_ci["solve"]
+    iterates = ceiling_iterates(small_ci["A"], small_ci["G"], solve.iterations)
     worst = max(float((iterates[n + 1] - iterates[n]).max())
                 for n in range(len(iterates) - 1))
     assert worst <= 1e-12
+    assert solve.monotone_ok
 
 
 def test_non_convergence_carries_partial_report(small_ci):
@@ -234,7 +239,8 @@ def test_sigma0_requires_positive_first_iterate():
 def test_sigma0_catalog_run(small_ci):
     solve = small_ci["solve"]
     assert 0.0 < solve.sigma0 < 1.0
-    f1, f2 = solve.iterates[1], solve.iterates[2]
+    f1, f2 = ceiling_iterates(small_ci["A"], small_ci["G"], 2)[1:]
+    assert solve.sigma0 == estimate_sigma0(f1, f2)
     assert f2[-1] / f1[-1] >= 0.99
 
 
@@ -279,11 +285,21 @@ def test_rate_bound_requires_convergence(small_ci):
 def test_squeeze_inequalities(small_ci):
     solve, G = small_ci["solve"], small_ci["G"]
     a = G.rate_exponent
-    for n in range(1, min(11, len(solve.iterates) - 1)):
-        f_n, f_next = solve.iterates[n], solve.iterates[n + 1]
+    iterates = ceiling_iterates(small_ci["A"], G, solve.iterations)
+    for n in range(1, min(11, len(iterates) - 1)):
+        f_n, f_next = iterates[n], iterates[n + 1]
         floor = solve.sigma0 ** (a ** (n - 1)) * f_n
         assert float((f_next - floor).min()) >= -1e-12
         assert float((f_n - f_next).min()) >= -1e-12
+    assert solve.squeeze_ok and solve.monotone_ok
+
+
+def test_squeeze_verdict_can_fail(small_ci, monkeypatch):
+    # a ratio floor above the measured min f_2 / f_1 puts sigma0 f_1 over f_2
+    monkeypatch.setattr(hammerstein.picard, "estimate_sigma0", lambda f1, f2: 0.999)
+    solve = solve_picard(small_ci["A"], small_ci["G"], tol=1e-10, max_iter=400)
+    assert solve.converged and solve.monotone_ok
+    assert not solve.squeeze_ok
 
 
 @pytest.mark.parametrize("direction", [-1, 0, 1])

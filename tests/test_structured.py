@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hammerstein as hs
+from hammerstein import kernels
 from hammerstein.kernels import (_tail_extension, kernel_matrix, node_tail,
                                  structured_kernel, tail_row_mass)
 from hammerstein.picard import discretise
@@ -103,6 +104,23 @@ def test_positivity_check_can_fail():
     grid = GRIDS["gauss-4"]
     assert not structured_kernel(spec, grid).positive
     assert not hs.check_kernel_conditions(spec, grid).positivity_ok
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_table_chunking_changes_no_bit(family, monkeypatch):
+    # all p^2 = 16 block pairs in one table, the default's 2 tables and one
+    # pair per table (the large-grid path): the same spectra and verdict
+    spec, grid = make_kernel(family), GRIDS["gauss-4"]
+    default = structured_kernel(spec, grid)
+    for entries in (1 << 30, 1):
+        monkeypatch.setattr(kernels, "FFT_BLOCK_ENTRIES", entries)
+        chunked = structured_kernel(spec, grid)
+        assert chunked.spectra.tobytes() == default.spectra.tobytes()
+        assert chunked.positive == default.positive
+    # one pair per table still, the positivity bound can fail
+    delta_spec = make_kernel("B")
+    object.__setattr__(delta_spec, "delta", 1.5)
+    assert not structured_kernel(delta_spec, grid).positive
 
 
 def test_structured_kernel_needs_equal_panels():
