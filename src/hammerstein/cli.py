@@ -140,9 +140,8 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
     }
     conditions_passed = kernel_report.passed and g_report.passed
 
-    nem_spec = None
-    if mode == "solve-nemytsky":
-        nem_spec = config.nemytsky_spec()
+    nem_spec = config.nemytsky if mode == "solve-nemytsky" else None
+    if nem_spec is not None:
         nem_conditions = check_nemytsky_conditions(nem_spec, config.grid,
                                                    gamma=disc.gamma)
         payload["conditions"]["nemytsky"] = {**_plain(nem_conditions),

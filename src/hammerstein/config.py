@@ -4,11 +4,12 @@ Every parameter is checked against its admissible interval at parse time;
 violations raise :class:`~hammerstein.errors.ConfigError` carrying the dotted
 path of the offending key (e.g. ``nonlinearity.alpha``).  The normalised
 tree (defaults filled in) is echoed into reports so a run can be reproduced
-from its own report.
+from its own report: it is exactly the set of values the parser read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,91 +22,94 @@ from .nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES, POINTWISE_FAMILIES,
 from .nonlinearity import NonlinearitySpec
 from .quadrature import GAUSS, TRAPEZOID, HalfLineGrid, build_grid
 
-_KERNEL_KEYS = {"family", "base", "lambda_form", "d_star", "l", "delta", "epsilon"}
-_BASE_KEYS = {"variant", "atoms"}
-_G_KEYS = {"family", "alpha", "alpha_star", "alpha_tilde"}
-_GRID_KEYS = {"x_max", "n_panels", "rule", "points_per_panel"}
-_SOLVER_KEYS = {"tol", "max_iter"}
-_NEMYTSKY_KEYS = {"pointwise", "integrand", "xi", "eps_star_fraction", "damping_profile"}
-_CHECK_KEYS = {"tol", "probe_count"}
-_CERT_KEYS = {"excess_integral", "tail_integral", "jensen", "asymptote",
-              "uniqueness_probe", "probe_trials", "probe_scale", "seed"}
-_TOP_KEYS = {"kernel", "nonlinearity", "grid", "solver", "checks", "nemytsky",
-             "certificates"}
+_CERT_SWITCHES = ("excess_integral", "tail_integral", "jensen", "asymptote",
+                  "uniqueness_probe")
 
 
-def _section(tree: dict, key: str, path: str, allowed: set[str],
-             required: bool = True) -> dict:
-    sub = tree.get(key)
-    if sub is None:
-        if required:
-            raise ConfigError(path, "section is missing")
-        return {}
-    if not isinstance(sub, dict):
-        raise ConfigError(path, "must be a mapping")
-    for name in sub:
-        if name not in allowed:
-            raise ConfigError(f"{path}.{name}", "unknown key")
-    return sub
+def _is_number(val) -> bool:
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
 
 
-def _number(sec: dict, path: str, key: str, default=None):
-    val = sec.get(key, default)
-    if val is None:
-        raise ConfigError(f"{path}.{key}", "value is required")
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"must be a number, got {val!r}")
-    return float(val)
+def _is_atom(val) -> bool:
+    return isinstance(val, (list, tuple)) and len(val) == 2 and all(map(_is_number, val))
 
 
-def _integer(sec: dict, path: str, key: str, default=None) -> int:
-    val = sec.get(key, default)
-    if val is None:
-        raise ConfigError(f"{path}.{key}", "value is required")
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{key}", f"must be an integer, got {val!r}")
-    return int(val)
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in the open interval (0.0, 1.0)")
 
 
-def _choice(sec: dict, path: str, key: str, allowed, default=None) -> str:
-    val = sec.get(key, default)
-    if val not in allowed:
-        raise ConfigError(f"{path}.{key}", f"must be one of {sorted(allowed)}, got {val!r}")
-    return val
+class _Section:
+    """One mapping of the tree, read key by key.
 
+    Each read validates one key, fills its default and records the value it
+    returns in ``echo``; :meth:`close` rejects every key that was never read.
+    """
 
-def _boolean(sec: dict, path: str, key: str, default: bool) -> bool:
-    val = sec.get(key, default)
-    if not isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}", f"must be a boolean, got {val!r}")
-    return val
+    def __init__(self, raw: dict, path: str, echo: dict):
+        self.raw, self.path, self.echo = raw, path, echo
 
+    def _where(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
 
-def _in_open(path: str, value: float, lo: float, hi: float) -> float:
-    if not lo < value < hi:
-        raise ConfigError(path, f"must lie in the open interval ({lo}, {hi}), got {value!r}")
-    return value
+    def section(self, key: str, required: bool = False) -> _Section:
+        raw = self.raw.get(key)
+        if raw is None:
+            if required:
+                raise ConfigError(self._where(key), "section is missing")
+            raw = {}
+        if not isinstance(raw, dict):
+            raise ConfigError(self._where(key), "must be a mapping")
+        self.echo[key] = {}
+        return _Section(raw, self._where(key), self.echo[key])
+
+    def read(self, key: str, default, *checks, cast=None):
+        """The value of ``key``, ``default`` when absent.  Each check is a
+        (test, rule) pair, applied in order; ``cast`` converts the value once
+        every check has passed."""
+        val = self.raw.get(key, default)
+        for test, rule in checks:
+            if not test(val):
+                raise ConfigError(self._where(key), f"{rule}, got {val!r}")
+        if cast is not None:
+            val = cast(val)
+        self.echo[key] = val
+        return val
+
+    def number(self, key: str, default: float, *checks) -> float:
+        return self.read(key, default, (_is_number, "must be a finite number"), *checks,
+                         cast=float)
+
+    def integer(self, key: str, default: int, least: int) -> int:
+        return self.read(key, default,
+                         (lambda v: isinstance(v, int) and not isinstance(v, bool),
+                          "must be an integer"),
+                         (lambda v: v >= least, f"must be at least {least}"))
+
+    def boolean(self, key: str, default: bool) -> bool:
+        return self.read(key, default, (lambda v: isinstance(v, bool), "must be a boolean"))
+
+    def choice(self, key: str, allowed, default=None) -> str:
+        return self.read(key, default,
+                         (lambda v: v in allowed, f"must be one of {sorted(allowed)}"))
+
+    def close(self, **reasons: str) -> None:
+        """Reject the first key never read, with its ``reasons`` entry if any."""
+        for key in self.raw:
+            if key not in self.echo:
+                raise ConfigError(self._where(key), reasons.get(key, "unknown key"))
 
 
 @dataclass
 class CertificateSettings:
-    excess_integral: bool = True
-    tail_integral: bool = True
-    jensen: bool = True
-    asymptote: bool = True
-    uniqueness_probe: bool = True
-    probe_trials: int = 5
-    probe_scale: float = 0.1
-    seed: int = 12345
-
-
-@dataclass
-class NemytskySettings:
-    pointwise: str = "saturating"
-    integrand: str = "reflected"
-    xi: float = 0.25
-    eps_star_fraction: float = 0.0
-    damping_profile: str = "one"
+    excess_integral: bool
+    tail_integral: bool
+    jensen: bool
+    asymptote: bool
+    uniqueness_probe: bool
+    probe_trials: int
+    probe_scale: float
+    seed: int
 
 
 @dataclass
@@ -119,63 +123,36 @@ class RunConfig:
     max_iter: int
     check_tol: float
     probe_count: int
-    nemytsky: NemytskySettings | None
+    nemytsky: NemytskySpec | None
     certificates: CertificateSettings
     echo: dict
-
-    def nemytsky_spec(self) -> NemytskySpec:
-        if self.nemytsky is None:
-            raise ConfigError("nemytsky", "section is missing")
-        n = self.nemytsky
-        return NemytskySpec(
-            kernel=self.kernel,
-            base_G=self.nonlinearity,
-            xi=n.xi,
-            pointwise_family=n.pointwise,
-            integrand_family=n.integrand,
-            eps_star_fraction=n.eps_star_fraction,
-            damping_profile=n.damping_profile,
-        )
 
 
 def parse_config(tree: dict) -> RunConfig:
     """Validate a configuration tree and build the domain objects."""
     if not isinstance(tree, dict):
         raise ConfigError("<root>", "configuration must be a mapping")
-    for key in tree:
-        if key not in _TOP_KEYS:
-            raise ConfigError(key, "unknown section")
+    root = _Section(tree, "", {})
 
-    gsec = _section(tree, "grid", "grid", _GRID_KEYS)
-    x_max = _number(gsec, "grid", "x_max", 40.0)
-    if not x_max > 0:
-        raise ConfigError("grid.x_max", f"must be positive, got {x_max!r}")
-    n_panels = _integer(gsec, "grid", "n_panels", 400)
-    if n_panels < 1:
-        raise ConfigError("grid.n_panels", f"must be at least 1, got {n_panels!r}")
-    rule = _choice(gsec, "grid", "rule", (TRAPEZOID, GAUSS), GAUSS)
-    points = _integer(gsec, "grid", "points_per_panel", 4)
-    if points < 1:
-        raise ConfigError("grid.points_per_panel", f"must be at least 1, got {points!r}")
+    g = root.section("grid", required=True)
+    x_max = g.number("x_max", 40.0, _POSITIVE)
+    n_panels = g.integer("n_panels", 400, least=1)
+    rule = g.choice("rule", (TRAPEZOID, GAUSS), GAUSS)
+    points = g.integer("points_per_panel", 4, least=1)
+    g.close()
     grid = build_grid(x_max, n_panels, rule, points)
 
-    ksec = _section(tree, "kernel", "kernel", _KERNEL_KEYS)
-    family = _choice(ksec, "kernel", "family", ("A", "B", "C"))
-    bsec = _section(ksec, "base", "kernel.base", _BASE_KEYS, required=False)
-    variant = _choice(bsec, "kernel.base", "variant", ("gaussian", "exp-mixture"),
-                      "gaussian")
+    k = root.section("kernel", required=True)
+    family = k.choice("family", ("A", "B", "C"))
+    b = k.section("base")
+    variant = b.choice("variant", ("gaussian", "exp-mixture"), "gaussian")
     atoms = None
     if variant == "exp-mixture":
-        raw = bsec.get("atoms")
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("kernel.base.atoms",
-                              "exp-mixture needs a non-empty list of [c, s] pairs")
-        try:
-            atoms = tuple((float(c), float(s)) for c, s in raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("kernel.base.atoms", f"malformed atom list: {exc}") from exc
-    elif "atoms" in bsec:
-        raise ConfigError("kernel.base.atoms", "only the exp-mixture variant takes atoms")
+        atoms = b.read("atoms", None,
+                       (lambda v: isinstance(v, list) and v and all(map(_is_atom, v)),
+                        "must be a non-empty list of [c, s] pairs of finite numbers"),
+                       cast=lambda v: [[float(c), float(s)] for c, s in v])
+    b.close(atoms="only the exp-mixture variant takes atoms")
     try:
         base = BaseKernel(variant=variant, atoms=atoms)
     except ValueError as exc:
@@ -186,164 +163,74 @@ def parse_config(tree: dict) -> RunConfig:
         raise ConfigError("grid.rule",
                           f"the {variant} base kernel has a cusp at t = x and needs "
                           f"rule: {GAUSS}, got {rule!r}")
-
-    lambda_form = _choice(ksec, "kernel", "lambda_form", ("exp-gap", "rational-gap"),
-                          "exp-gap")
-    d_star = _number(ksec, "kernel", "d_star", 0.5)
-    if not 0.0 < d_star <= 1.0:
-        raise ConfigError("kernel.d_star", f"must lie in (0, 1], got {d_star!r}")
-    l = _in_open("kernel.l", _number(ksec, "kernel", "l", 0.5), 0.0, 1.0)
-    modulation = ModulationSet(lambda_form=lambda_form, d_star=d_star, l=l)
-
-    delta = epsilon = None
-    if family == "B":
-        delta = _in_open("kernel.delta", _number(ksec, "kernel", "delta", 0.5), 0.0, 1.0)
-    elif "delta" in ksec:
-        raise ConfigError("kernel.delta", "only family B takes delta")
-    if family == "C":
-        epsilon = _in_open("kernel.epsilon", _number(ksec, "kernel", "epsilon", 0.5),
-                           0.0, 1.0)
-    elif "epsilon" in ksec:
-        raise ConfigError("kernel.epsilon", "only family C takes epsilon")
+    modulation = ModulationSet(
+        lambda_form=k.choice("lambda_form", ("exp-gap", "rational-gap"), "exp-gap"),
+        d_star=k.number("d_star", 0.5, (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")),
+        l=k.number("l", 0.5, _OPEN_UNIT))
+    delta = k.number("delta", 0.5, _OPEN_UNIT) if family == "B" else None
+    epsilon = k.number("epsilon", 0.5, _OPEN_UNIT) if family == "C" else None
+    k.close(delta="only family B takes delta", epsilon="only family C takes epsilon")
     kernel = KernelSpec(family=family, base=base, modulation=modulation,
                         delta=delta, epsilon=epsilon)
 
-    nsec = _section(tree, "nonlinearity", "nonlinearity", _G_KEYS)
-    gfam = _choice(nsec, "nonlinearity", "family", ("I", "II", "III"))
+    n = root.section("nonlinearity", required=True)
+    gfam = n.choice("family", ("I", "II", "III"))
     alpha = alpha_star = alpha_tilde = None
     if gfam == "I":
-        alpha = _in_open("nonlinearity.alpha",
-                         _number(nsec, "nonlinearity", "alpha", 0.5), 0.0, 1.0)
-        for key in ("alpha_star", "alpha_tilde"):
-            if key in nsec:
-                raise ConfigError(f"nonlinearity.{key}", "family I only takes alpha")
+        alpha = n.number("alpha", 0.5, _OPEN_UNIT)
     else:
-        if "alpha" in nsec:
-            raise ConfigError("nonlinearity.alpha", f"family {gfam} does not take alpha")
-        alpha_star = _in_open(
-            "nonlinearity.alpha_star",
-            _number(nsec, "nonlinearity", "alpha_star", 0.5 if gfam == "II" else 0.75),
-            0.0, 1.0)
-        if gfam == "III":
-            alpha_tilde = _in_open(
-                "nonlinearity.alpha_tilde",
-                _number(nsec, "nonlinearity", "alpha_tilde", 0.25), 0.0, 1.0)
-            if not alpha_tilde < alpha_star:
-                raise ConfigError("nonlinearity.alpha_tilde",
-                                  "must be strictly below alpha_star")
-        elif "alpha_tilde" in nsec:
-            raise ConfigError("nonlinearity.alpha_tilde", "only family III takes alpha_tilde")
+        alpha_star = n.number("alpha_star", 0.5 if gfam == "II" else 0.75, _OPEN_UNIT)
+    if gfam == "III":
+        alpha_tilde = n.number("alpha_tilde", 0.25, (
+            lambda v: 0.0 < v < alpha_star,
+            f"must lie in (0, alpha_star) = (0, {alpha_star})"))
+    n.close(alpha="only family I takes alpha",
+            alpha_star="only families II and III take alpha_star",
+            alpha_tilde="only family III takes alpha_tilde")
     nonlinearity = NonlinearitySpec(family=gfam, alpha=alpha, alpha_star=alpha_star,
                                     alpha_tilde=alpha_tilde)
 
-    ssec = _section(tree, "solver", "solver", _SOLVER_KEYS, required=False)
-    tol = _number(ssec, "solver", "tol", 1e-10)
-    if not tol > 0:
-        raise ConfigError("solver.tol", f"must be positive, got {tol!r}")
-    max_iter = _integer(ssec, "solver", "max_iter", 500)
-    if max_iter < 1:
-        raise ConfigError("solver.max_iter", f"must be at least 1, got {max_iter!r}")
+    s = root.section("solver")
+    tol = s.number("tol", 1e-10, _POSITIVE)
+    max_iter = s.integer("max_iter", 500, least=1)
+    s.close()
 
     # condition-check settings: the row masses of every accepted kernel reach
     # the default tolerance (a cusped base kernel is integrated split at its
     # cusp), so a failed check points at the grid, never at this tolerance
-    chsec = _section(tree, "checks", "checks", _CHECK_KEYS, required=False)
-    check_tol = _number(chsec, "checks", "tol", 1e-9)
-    if not check_tol > 0:
-        raise ConfigError("checks.tol", f"must be positive, got {check_tol!r}")
-    probe_count = _integer(chsec, "checks", "probe_count", 32)
-    if probe_count < 2:
-        raise ConfigError("checks.probe_count", f"must be at least 2, got {probe_count!r}")
+    ch = root.section("checks")
+    check_tol = ch.number("tol", 1e-9, _POSITIVE)
+    probe_count = ch.integer("probe_count", 32, least=2)
+    ch.close()
 
     nemytsky = None
     if "nemytsky" in tree:
-        msec = _section(tree, "nemytsky", "nemytsky", _NEMYTSKY_KEYS)
-        xi = _number(msec, "nemytsky", "xi", 0.25)
+        m = root.section("nemytsky", required=True)
         half_eta = 0.5 * nonlinearity.eta
-        if not 0.0 < xi < half_eta:
-            raise ConfigError("nemytsky.xi",
-                              f"must lie in (0, eta/2) = (0, {half_eta}), got {xi!r}")
-        fraction = _number(msec, "nemytsky", "eps_star_fraction", 0.0)
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigError("nemytsky.eps_star_fraction",
-                              f"must lie in [0, 1], got {fraction!r}")
-        nemytsky = NemytskySettings(
-            pointwise=_choice(msec, "nemytsky", "pointwise", POINTWISE_FAMILIES,
-                              "saturating"),
-            integrand=_choice(msec, "nemytsky", "integrand", INTEGRAND_FAMILIES,
-                              "reflected"),
-            xi=xi,
-            eps_star_fraction=fraction,
-            damping_profile=_choice(msec, "nemytsky", "damping_profile",
-                                    DAMPING_PROFILES, "one"),
-        )
+        nemytsky = NemytskySpec(
+            kernel=kernel, base_G=nonlinearity,
+            pointwise_family=m.choice("pointwise", POINTWISE_FAMILIES, "saturating"),
+            integrand_family=m.choice("integrand", INTEGRAND_FAMILIES, "reflected"),
+            xi=m.number("xi", 0.25, (lambda v: 0.0 < v < half_eta,
+                                     f"must lie in (0, eta/2) = (0, {half_eta})")),
+            eps_star_fraction=m.number("eps_star_fraction", 0.0,
+                                       (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+            damping_profile=m.choice("damping_profile", DAMPING_PROFILES, "one"))
+        m.close()
 
-    csec = _section(tree, "certificates", "certificates", _CERT_KEYS, required=False)
-    trials = _integer(csec, "certificates", "probe_trials", 5)
-    if trials < 0:
-        raise ConfigError("certificates.probe_trials", "must be nonnegative")
-    scale = _number(csec, "certificates", "probe_scale", 0.1)
-    if scale < 0:
-        raise ConfigError("certificates.probe_scale", "must be nonnegative")
-    seed = _integer(csec, "certificates", "seed", 12345)
-    if seed < 0:
-        raise ConfigError("certificates.seed", "must be nonnegative")
+    c = root.section("certificates")
     certificates = CertificateSettings(
-        excess_integral=_boolean(csec, "certificates", "excess_integral", True),
-        tail_integral=_boolean(csec, "certificates", "tail_integral", True),
-        jensen=_boolean(csec, "certificates", "jensen", True),
-        asymptote=_boolean(csec, "certificates", "asymptote", True),
-        uniqueness_probe=_boolean(csec, "certificates", "uniqueness_probe", True),
-        probe_trials=trials,
-        probe_scale=scale,
-        seed=seed,
-    )
-
-    echo: dict = {
-        "grid": {"x_max": x_max, "n_panels": n_panels, "rule": rule,
-                 "points_per_panel": points},
-        "kernel": {"family": family, "lambda_form": lambda_form,
-                   "d_star": d_star, "l": l,
-                   "base": {"variant": variant}},
-        "nonlinearity": {"family": gfam},
-        "solver": {"tol": tol, "max_iter": max_iter},
-        "checks": {"tol": check_tol, "probe_count": probe_count},
-        "certificates": {
-            "excess_integral": certificates.excess_integral,
-            "tail_integral": certificates.tail_integral,
-            "jensen": certificates.jensen,
-            "asymptote": certificates.asymptote,
-            "uniqueness_probe": certificates.uniqueness_probe,
-            "probe_trials": certificates.probe_trials,
-            "probe_scale": certificates.probe_scale,
-            "seed": certificates.seed,
-        },
-    }
-    if atoms is not None:
-        echo["kernel"]["base"]["atoms"] = [[c, s] for c, s in atoms]
-    if delta is not None:
-        echo["kernel"]["delta"] = delta
-    if epsilon is not None:
-        echo["kernel"]["epsilon"] = epsilon
-    if alpha is not None:
-        echo["nonlinearity"]["alpha"] = alpha
-    if alpha_star is not None:
-        echo["nonlinearity"]["alpha_star"] = alpha_star
-    if alpha_tilde is not None:
-        echo["nonlinearity"]["alpha_tilde"] = alpha_tilde
-    if nemytsky is not None:
-        echo["nemytsky"] = {
-            "pointwise": nemytsky.pointwise,
-            "integrand": nemytsky.integrand,
-            "xi": nemytsky.xi,
-            "eps_star_fraction": nemytsky.eps_star_fraction,
-            "damping_profile": nemytsky.damping_profile,
-        }
+        **{name: c.boolean(name, True) for name in _CERT_SWITCHES},
+        probe_trials=c.integer("probe_trials", 5, least=0),
+        probe_scale=c.number("probe_scale", 0.1, (lambda v: v >= 0.0, "must be nonnegative")),
+        seed=c.integer("seed", 12345, least=0))
+    c.close()
+    root.close()
 
     return RunConfig(kernel=kernel, nonlinearity=nonlinearity, grid=grid,
                      tol=tol, max_iter=max_iter, check_tol=check_tol,
                      probe_count=probe_count, nemytsky=nemytsky,
-                     certificates=certificates, echo=echo)
+                     certificates=certificates, echo=root.echo)
 
 
 def load_config(path) -> RunConfig:

@@ -81,8 +81,9 @@ class BaseKernel:
             raise ValueError("exp-mixture base kernel needs at least one (c, s) atom")
         atoms = tuple((float(c), float(s)) for c, s in self.atoms)
         for c, s in atoms:
-            if c <= 0 or s <= 0:
-                raise ValueError(f"mixture atoms need c > 0 and s > 0, got ({c}, {s})")
+            if not (0.0 < c < math.inf and 0.0 < s < math.inf):
+                raise ValueError(
+                    f"mixture atoms need finite c > 0 and s > 0, got ({c}, {s})")
         object.__setattr__(self, "atoms", atoms)
         mass = math.fsum(2.0 * c / s for c, s in atoms)
         if abs(mass - 1.0) > 1e-12:

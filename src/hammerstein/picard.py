@@ -109,15 +109,11 @@ def estimate_sigma0(f1, f2) -> float:
     return min(max(ratio, POSITIVITY_FLOOR), 1.0)
 
 
-def _rate_envelope_term(eta: float, rate_exponent: float, sigma0: float, n: int) -> float:
-    return eta * rate_exponent ** (n - 1) * math.log(1.0 / sigma0)
-
-
 def rate_envelope(report: SolveReport, rate_exponent: float) -> list[float]:
     """Envelope values eta * a**(n-1) * log(1/sigma0) for n = 1 .. len(sup_diffs)-1."""
     if report.sigma0 >= 1.0:
         return [0.0] * max(len(report.sup_diffs) - 1, 0)
-    return [_rate_envelope_term(report.eta, rate_exponent, report.sigma0, n)
+    return [report.eta * rate_exponent ** (n - 1) * math.log(1.0 / report.sigma0)
             for n in range(1, len(report.sup_diffs))]
 
 
@@ -129,15 +125,11 @@ def verify_rate_bound(report: SolveReport, rate_exponent: float) -> bool:
     """
     if not report.converged:
         raise ValueError("rate bound is only defined for converged reports")
-    diffs = report.sup_diffs
-    if report.sigma0 >= 1.0:
-        if any(d > 1e-12 for d in diffs[1:]):
-            raise InconsistentReportError(
-                "unit ratio floor with nonzero differences past the start step")
-        return True
-    return all(
-        diffs[n] <= _rate_envelope_term(report.eta, rate_exponent, report.sigma0, n) + 1e-12
-        for n in range(1, len(diffs)))
+    diffs = report.sup_diffs[1:]
+    if report.sigma0 >= 1.0 and any(d > 1e-12 for d in diffs):
+        raise InconsistentReportError(
+            "unit ratio floor with nonzero differences past the start step")
+    return all(d <= env + 1e-12 for d, env in zip(diffs, rate_envelope(report, rate_exponent)))
 
 
 def iterate(step, start: np.ndarray, *, direction: int, tol: float,

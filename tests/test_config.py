@@ -1,0 +1,232 @@
+"""``parse_config``: the echo it records and the path each bad key is named by."""
+
+import copy
+import math
+from pathlib import Path
+
+import pytest
+import yaml
+
+from hammerstein.config import parse_config
+from hammerstein.errors import ConfigError
+
+# the echo of each tree in ECHO_TREES: the `config` section of its report.yaml,
+# so an edit here is a change to report bytes
+GOLDEN = Path(__file__).with_name("config_echo.yaml")
+
+G_VALUES = {
+    "I": {"alpha": 0.3},
+    "II": {"alpha_star": 0.6},
+    "III": {"alpha_star": 0.8, "alpha_tilde": 0.2},
+}
+K_VALUES = {"A": {}, "B": {"delta": 0.4}, "C": {"epsilon": 0.6}}
+
+
+def _defaults(kfam, gfam):
+    return {"kernel": {"family": kfam}, "nonlinearity": {"family": gfam}, "grid": {}}
+
+
+def _every_key(kfam, gfam):
+    """Every optional key set, away from its default where it has room to."""
+    return {
+        "kernel": {"family": kfam, "lambda_form": "rational-gap", "d_star": 1.0,
+                   "l": 0.3, "base": {"variant": "gaussian"}, **K_VALUES[kfam]},
+        "nonlinearity": {"family": gfam, **G_VALUES[gfam]},
+        "grid": {"x_max": 30, "n_panels": 50, "rule": "gauss", "points_per_panel": 3},
+        "solver": {"tol": 1.0e-9, "max_iter": 100},
+        "checks": {"tol": 1.0e-8, "probe_count": 16},
+        "nemytsky": {"pointwise": "saturating-quadratic", "integrand": "scaled-reflected",
+                     "xi": 0.3, "eps_star_fraction": 0.5, "damping_profile": "exp-decay"},
+        "certificates": {"excess_integral": False, "tail_integral": True, "jensen": False,
+                         "asymptote": True, "uniqueness_probe": False, "probe_trials": 0,
+                         "probe_scale": 0, "seed": 0},
+    }
+
+
+def _echo_trees():
+    trees = {}
+    for kfam in "ABC":
+        for gfam in ("I", "II", "III"):
+            trees[f"defaults-{kfam}-{gfam}"] = _defaults(kfam, gfam)
+            trees[f"every-key-{kfam}-{gfam}"] = _every_key(kfam, gfam)
+    mixture = _defaults("A", "I")
+    mixture["kernel"]["base"] = {"variant": "exp-mixture",
+                                 "atoms": [[0.25, 1.0], [0.125, 0.5]]}
+    trees["mixture"] = mixture
+    trees["mixture-integer-atoms"] = copy.deepcopy(mixture)
+    trees["mixture-integer-atoms"]["kernel"]["base"]["atoms"] = [[1, 2]]
+    trees["nemytsky-empty"] = {**_defaults("C", "I"), "nemytsky": {}}
+    trees["nemytsky-partial"] = {**_defaults("B", "II"), "nemytsky": {"xi": 0.1}}
+    trees["trapezoid"] = {**_defaults("C", "III"), "grid": {"rule": "trapezoid"},
+                          "nemytsky": {}}
+    trees["empty-optional-sections"] = {**_defaults("A", "II"), "solver": {}, "checks": {},
+                                        "certificates": {}}
+    return trees
+
+
+ECHO_TREES = _echo_trees()
+
+
+def _golden():
+    return yaml.safe_load(GOLDEN.read_text())
+
+
+def test_echo_golden_covers_every_tree():
+    assert sorted(_golden()) == sorted(ECHO_TREES)
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_TREES))
+def test_echo_matches_golden(name):
+    # the echo is the normalised tree: every key read, defaults filled in
+    tree = copy.deepcopy(ECHO_TREES[name])
+    assert parse_config(tree).echo == _golden()[name]
+    assert tree == ECHO_TREES[name]         # the input is not modified
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_TREES))
+def test_echo_parses_to_itself(name):
+    echo = parse_config(copy.deepcopy(ECHO_TREES[name])).echo
+    assert parse_config(copy.deepcopy(echo)).echo == echo
+
+
+# --- one error per config ---------------------------------------------------
+
+BASE = {
+    "kernel": {"family": "C", "epsilon": 0.5, "base": {"variant": "gaussian"}},
+    "nonlinearity": {"family": "I", "alpha": 0.5},
+    "grid": {"x_max": 40.0, "n_panels": 100, "rule": "gauss", "points_per_panel": 4},
+    "solver": {"tol": 1.0e-10, "max_iter": 300},
+    "checks": {"tol": 1.0e-9, "probe_count": 32},
+    "nemytsky": {"xi": 0.25},
+    "certificates": {"probe_trials": 2, "seed": 7},
+}
+DROP = object()
+MIXTURE = {"kernel.base.variant": "exp-mixture",
+           "kernel.base.atoms": [[0.25, 1.0], [0.125, 0.5]]}
+FAMILY_B = {"kernel.family": "B", "kernel.epsilon": DROP}
+FAMILY_II = {"nonlinearity.family": "II", "nonlinearity.alpha": DROP}
+FAMILY_III = {"nonlinearity.family": "III", "nonlinearity.alpha": DROP,
+              "nonlinearity.alpha_star": 0.75}
+
+# (overrides of BASE by dotted path, the path the error names)
+ERRORS = [
+    # an unknown key in each section
+    ({"bogus": 1}, "bogus"),
+    ({"kernel.bogus": 1}, "kernel.bogus"),
+    ({"kernel.base.bogus": 1}, "kernel.base.bogus"),
+    ({"nonlinearity.bogus": 1}, "nonlinearity.bogus"),
+    ({"grid.bogus": 1}, "grid.bogus"),
+    ({"solver.bogus": 1}, "solver.bogus"),
+    ({"checks.bogus": 1}, "checks.bogus"),
+    ({"nemytsky.bogus": 1}, "nemytsky.bogus"),
+    ({"certificates.bogus": 1}, "certificates.bogus"),
+    # sections missing or not mappings
+    ({"kernel": DROP}, "kernel"),
+    ({"nonlinearity": DROP}, "nonlinearity"),
+    ({"grid": DROP}, "grid"),
+    ({"solver": 3}, "solver"),
+    ({"kernel.base": "gaussian"}, "kernel.base"),
+    ({"nemytsky": None}, "nemytsky"),
+    ({"certificates": [1]}, "certificates"),
+    # family-specific keys on the wrong family
+    ({"kernel.delta": 0.5}, "kernel.delta"),
+    ({"kernel.family": "A"}, "kernel.epsilon"),
+    ({**FAMILY_B, "kernel.epsilon": 0.5}, "kernel.epsilon"),
+    ({"kernel.base.atoms": [[1, 2]]}, "kernel.base.atoms"),
+    ({"nonlinearity.alpha_star": 0.5}, "nonlinearity.alpha_star"),
+    ({"nonlinearity.alpha_tilde": 0.25}, "nonlinearity.alpha_tilde"),
+    ({"nonlinearity.family": "II"}, "nonlinearity.alpha"),
+    ({**FAMILY_III, "nonlinearity.alpha": 0.5}, "nonlinearity.alpha"),
+    ({**FAMILY_II, "nonlinearity.alpha_tilde": 0.25}, "nonlinearity.alpha_tilde"),
+    ({**MIXTURE, "grid.rule": "trapezoid"}, "grid.rule"),
+    # mixture atoms
+    ({"kernel.base.variant": "exp-mixture"}, "kernel.base.atoms"),
+    ({**MIXTURE, "kernel.base.atoms": []}, "kernel.base.atoms"),
+    ({**MIXTURE, "kernel.base.atoms": "1, 2"}, "kernel.base.atoms"),
+    ({**MIXTURE, "kernel.base.atoms": [[1]]}, "kernel.base.atoms"),
+    ({**MIXTURE, "kernel.base.atoms": [[0.25, 1.0]]}, "kernel.base"),
+    ({**MIXTURE, "kernel.base.atoms": [[-0.5, -1.0]]}, "kernel.base"),
+    # ranges
+    ({"grid.x_max": 0.0}, "grid.x_max"),
+    ({"grid.n_panels": 0}, "grid.n_panels"),
+    ({"grid.points_per_panel": 0}, "grid.points_per_panel"),
+    ({"kernel.d_star": 0.0}, "kernel.d_star"),
+    ({"kernel.d_star": 1.5}, "kernel.d_star"),
+    ({"kernel.l": 0.0}, "kernel.l"),
+    ({"kernel.l": 1.0}, "kernel.l"),
+    ({"kernel.epsilon": 1.0}, "kernel.epsilon"),
+    ({**FAMILY_B, "kernel.delta": 0.0}, "kernel.delta"),
+    ({"nonlinearity.alpha": 1.2}, "nonlinearity.alpha"),
+    ({"nonlinearity.alpha": 0.0}, "nonlinearity.alpha"),
+    ({**FAMILY_II, "nonlinearity.alpha_star": 1.0}, "nonlinearity.alpha_star"),
+    ({**FAMILY_III, "nonlinearity.alpha_tilde": 0.0}, "nonlinearity.alpha_tilde"),
+    ({**FAMILY_III, "nonlinearity.alpha_tilde": 0.75}, "nonlinearity.alpha_tilde"),
+    ({"solver.tol": 0.0}, "solver.tol"),
+    ({"solver.max_iter": 0}, "solver.max_iter"),
+    ({"checks.tol": -1.0}, "checks.tol"),
+    ({"checks.probe_count": 1}, "checks.probe_count"),
+    ({"nemytsky.xi": 0.5}, "nemytsky.xi"),
+    ({"nemytsky.xi": 0.0}, "nemytsky.xi"),
+    ({"nemytsky.eps_star_fraction": 1.5}, "nemytsky.eps_star_fraction"),
+    ({"nemytsky.eps_star_fraction": -0.1}, "nemytsky.eps_star_fraction"),
+    ({"certificates.probe_trials": -1}, "certificates.probe_trials"),
+    ({"certificates.probe_scale": -0.1}, "certificates.probe_scale"),
+    ({"certificates.seed": -1}, "certificates.seed"),
+    # wrong types: number, integer, boolean, choice
+    ({"grid.x_max": "big"}, "grid.x_max"),
+    ({"kernel.l": True}, "kernel.l"),
+    ({"grid.n_panels": 2.5}, "grid.n_panels"),
+    ({"certificates.seed": "7"}, "certificates.seed"),
+    ({"certificates.jensen": "yes"}, "certificates.jensen"),
+    ({"certificates.uniqueness_probe": 1}, "certificates.uniqueness_probe"),
+    ({"kernel.family": "D"}, "kernel.family"),
+    ({"nonlinearity.family": DROP}, "nonlinearity.family"),
+    ({"grid.rule": "simpson"}, "grid.rule"),
+    ({"kernel.base.variant": "cauchy"}, "kernel.base.variant"),
+    ({"kernel.lambda_form": "gap"}, "kernel.lambda_form"),
+    ({"nemytsky.pointwise": "linear"}, "nemytsky.pointwise"),
+    ({"nemytsky.integrand": "plain"}, "nemytsky.integrand"),
+    ({"nemytsky.damping_profile": "two"}, "nemytsky.damping_profile"),
+    # non-finite numbers
+    ({"grid.x_max": math.inf}, "grid.x_max"),
+    ({"solver.tol": math.inf}, "solver.tol"),
+    ({"checks.tol": math.inf}, "checks.tol"),
+    ({"certificates.probe_scale": math.nan}, "certificates.probe_scale"),
+    ({"certificates.probe_scale": math.inf}, "certificates.probe_scale"),
+    ({"kernel.d_star": math.nan}, "kernel.d_star"),
+    ({"nemytsky.xi": math.nan}, "nemytsky.xi"),
+    ({**MIXTURE, "kernel.base.atoms": [[math.nan, 1.0]]}, "kernel.base.atoms"),
+    ({**MIXTURE, "kernel.base.atoms": [[0.5, 1.0], [1.0, math.inf]]}, "kernel.base.atoms"),
+]
+
+
+def _override(tree, dotted, value):
+    *parents, key = dotted.split(".")
+    for name in parents:
+        tree = tree[name]
+    if value is DROP:
+        del tree[key]
+    else:
+        tree[key] = value
+
+
+@pytest.mark.parametrize("overrides,path", ERRORS,
+                         ids=[f"{path}-{i}" for i, (_, path) in enumerate(ERRORS)])
+def test_single_error_names_its_path(overrides, path):
+    tree = copy.deepcopy(BASE)
+    for dotted, value in overrides.items():
+        _override(tree, dotted, value)
+    with pytest.raises(ConfigError) as info:
+        parse_config(tree)
+    assert info.value.path == path
+
+
+def test_base_tree_parses():
+    assert parse_config(copy.deepcopy(BASE)).echo["kernel"]["epsilon"] == 0.5
+
+
+@pytest.mark.parametrize("tree", [None, [], "kernel"])
+def test_root_must_be_a_mapping(tree):
+    with pytest.raises(ConfigError) as info:
+        parse_config(tree)
+    assert info.value.path == "<root>"

@@ -58,6 +58,8 @@ def test_gaussian_tail_matches_erfc():
     ((-0.5, 1.0), (1.0, 1.0)),  # negative weight
     ((0.5, -1.0),),             # negative rate
     (),
+    ((math.nan, 1.0),),         # NaN slips past c <= 0 and the mass test
+    ((0.5, 1.0), (1.0, math.inf)),  # 2c/s = 0 for the infinite rate
 ])
 def test_bad_mixture_rejected(atoms):
     with pytest.raises(ValueError):

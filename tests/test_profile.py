@@ -1,54 +1,34 @@
 """``profile.csv``: the one gamma in it, and its number formatting."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import yaml
 
 from hammerstein.cli import _write_profile, main
+from hammerstein.config import parse_config
 
-# the example configuration of the README
-README_CONFIG = """\
-kernel:
-  family: C
-  epsilon: 0.5
-  d_star: 0.5
-  l: 0.5
-  lambda_form: exp-gap
-  base:
-    variant: gaussian
-nonlinearity:
-  family: I
-  alpha: 0.5
-grid:
-  x_max: 40.0
-  n_panels: 400
-  rule: gauss
-  points_per_panel: 4
-solver:
-  tol: 1.0e-10
-  max_iter: 500
-nemytsky:
-  pointwise: saturating
-  integrand: reflected
-  xi: 0.25
-  eps_star_fraction: 0.0
-  damping_profile: one
-certificates:
-  excess_integral: true
-  tail_integral: true
-  jensen: true
-  asymptote: true
-  uniqueness_probe: true
-  probe_trials: 5
-  probe_scale: 0.1
-  seed: 12345
-"""
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config() -> str:
+    """The example configuration of the README, its one ``yaml`` block."""
+    text = README.read_text()
+    start = text.index("```yaml\n") + len("```yaml\n")
+    return text[start:text.index("```", start)]
+
+
+def test_readme_config_is_its_own_echo():
+    # the example shows every key at its echoed value, defaults included
+    tree = yaml.safe_load(readme_config())
+    assert parse_config(tree).echo == tree
 
 
 def test_readme_profile_has_one_gamma(tmp_path):
     # the gamma column and the combined solve's floor xi * gamma share their bits
     cfg = tmp_path / "readme.yaml"
-    cfg.write_text(README_CONFIG)
+    cfg.write_text(readme_config())
     out = tmp_path / "out"
     assert main(["solve-nemytsky", "--config", str(cfg), "--out-dir", str(out)]) == 0
     text = (out / "profile.csv").read_text()
