@@ -9,14 +9,12 @@ equation built on top of the same kernel.
 
 __version__ = "0.1.0"
 
-from .analysis import (AsymptoteCertificate, CertificateBundle,
-                       ExcessIntegralCertificate, TailIntegralCertificate,
-                       UniquenessProbeReport, asymptote_certificate,
-                       excess_integral_certificate, jensen_certificate,
-                       tail_integral_certificate, uniqueness_probe)
-from .errors import (ConfigError, DomainViolationError, HammersteinError,
-                     HypothesisNotMetError, InconsistentReportError,
-                     InvalidSpecError, NonConvergenceError,
+from .analysis import (AsymptoteCertificate, ExcessIntegralCertificate,
+                       TailIntegralCertificate, UniquenessProbeReport,
+                       asymptote_certificate, excess_integral_certificate,
+                       jensen_certificate, tail_integral_certificate,
+                       uniqueness_probe)
+from .errors import (ConfigError, HammersteinError, NonConvergenceError,
                      NumericalBreakdownError, SpecRejectedError)
 from .kernels import (BaseKernel, ConditionReport, Discretisation, KernelSpec,
                       ModulationSet, OperatorMatrix, check_kernel_conditions,

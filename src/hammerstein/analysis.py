@@ -4,7 +4,7 @@ Each certificate computes both sides of an inequality independently of the
 solve path and reports whether the bound holds:
 
 * excess integral: int (G(f*) - f*) dx is capped by eta times the kernel's
-  mass-defect constant (needs a symmetric kernel);
+  mass-defect constant (fails for a kernel that is not symmetric);
 * tail integral: int_r^inf (eta - f*) dx is capped by
   (eta - eps) eta / (G(eps) - eps) times the same constant, with r the first
   node past which the profile stays above eta / 2 and eps its minimum there;
@@ -15,6 +15,8 @@ solve path and reports whether the bound holds:
   operator must all return to the same profile (a heuristic check -- the
   underlying uniqueness argument is non-constructive).  The probe evaluates
   no kernel; convergence under grid refinement is a separate question.
+
+A certificate whose hypotheses fail reports ``passed: False``; none raises.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisNotMetError
 from .kernels import ConditionReport, weight_asymmetry
 from .nonlinearity import NonlinearitySpec, eval_G, eval_Q
 from .picard import OperatorMatrix, fixed_point_iterate
@@ -44,16 +45,13 @@ def excess_integral_certificate(fstar, report: ConditionReport, G: NonlinearityS
     """Certify int (G(f*) - f*) <= eta * mass-defect constant.
 
     The bound only holds for symmetric kernels, so a report with probe
-    symmetry residual above ``symmetry_tol`` is refused.
+    symmetry residual above ``symmetry_tol`` fails, whatever the two sides.
     """
-    if report.symmetry_residual > symmetry_tol:
-        raise HypothesisNotMetError(
-            f"kernel symmetry residual {report.symmetry_residual:.3e} exceeds "
-            f"{symmetry_tol:.3e}; the bound needs a symmetric kernel")
     fstar = np.asarray(fstar, dtype=float)
     lhs = integrate(grid, eval_G(G, fstar) - fstar)
     rhs = G.eta * report.mass_defect_constant
-    return ExcessIntegralCertificate(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs + tol))
+    passed = report.symmetry_residual <= symmetry_tol and lhs <= rhs + tol
+    return ExcessIntegralCertificate(lhs=lhs, rhs=rhs, passed=bool(passed))
 
 
 @dataclass(frozen=True)
@@ -69,16 +67,16 @@ class TailIntegralCertificate:
 def tail_integral_certificate(fstar, grid: HalfLineGrid, G: NonlinearitySpec,
                               report: ConditionReport,
                               tol: float = 1e-8) -> TailIntegralCertificate:
-    """Certify int_r^{x_max} (eta - f*) <= (eta - eps) eta / (G(eps) - eps) * constant."""
+    """Certify int_r^{x_max} (eta - f*) <= (eta - eps) eta / (G(eps) - eps) * constant.
+
+    A profile not strictly positive, or never above eta / 2 up to x_max, fails
+    with every number NaN."""
     fstar = np.asarray(fstar, dtype=float)
     eta = G.eta
-    if fstar.min() <= 0.0:
-        raise HypothesisNotMetError("profile must be strictly positive")
-    above = fstar >= 0.5 * eta
-    suffix_all = np.logical_and.accumulate(above[::-1])[::-1]
-    if not suffix_all.any():
-        raise HypothesisNotMetError(
-            "profile never stays above eta / 2; pathological run")
+    suffix_all = np.logical_and.accumulate((fstar >= 0.5 * eta)[::-1])[::-1]
+    if fstar.min() <= 0.0 or not suffix_all.any():
+        return TailIntegralCertificate(lhs=math.nan, rhs=math.nan, r=math.nan,
+                                       epsilon=math.nan, passed=False, degenerate=False)
     i0 = int(np.argmax(suffix_all))
     r = float(grid.nodes[i0])
     eps = float(fstar[i0:].min())
@@ -103,7 +101,7 @@ def jensen_certificate(A: OperatorMatrix, G: NonlinearitySpec, g) -> float:
     eta = G.eta
     if g.min() <= 0.0 or g.max() >= eta:
         raise ValueError(f"g must lie strictly inside (0, {eta})")
-    weight = A @ np.ones(A.size)
+    weight = A.quad_mass
     lhs = A @ eval_Q(G, g)
     mean = (A @ g) / weight
     rhs = weight * eval_Q(G, np.clip(mean, 0.0, eta))
@@ -147,15 +145,11 @@ def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
     operator's own grid with a per-trial generator spawned from ``seed``; the
     probe passes iff every deviation stays within 10 * tol.  Only the
     operator is applied; no kernel is evaluated.  A restart that fails to
-    converge marks the probe inconclusive rather than failing it.
+    converge marks the probe inconclusive, and an operator that is not
+    weight-symmetric (relative residual above 1e-9) fails it: the uniqueness
+    argument needs a symmetric kernel.
     """
     fstar = np.asarray(fstar, dtype=float)
-    residual = weight_asymmetry(A, A.grid.weights)
-    if residual > 1e-9:
-        raise HypothesisNotMetError(
-            f"operator is not weight-symmetric (relative residual {residual:.3e}); "
-            "the uniqueness argument needs a symmetric kernel")
-
     eta = G.eta
     deviations: list[float] = []
     inconclusive = False
@@ -171,33 +165,7 @@ def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
 
     finite = [d for d in deviations if not math.isnan(d)]
     max_dev = max(finite) if finite else math.nan
-    passed = bool(not inconclusive and finite and max_dev <= 10.0 * tol)
+    passed = bool(not inconclusive and finite and max_dev <= 10.0 * tol
+                  and weight_asymmetry(A, A.grid.weights) <= 1e-9)
     return UniquenessProbeReport(max_dev=max_dev, deviations=deviations,
                                  inconclusive=inconclusive, passed=passed)
-
-
-@dataclass
-class CertificateBundle:
-    """All enabled certificates for one run; members are None when disabled."""
-
-    excess: ExcessIntegralCertificate | None = None
-    tail: TailIntegralCertificate | None = None
-    jensen_min_margin: float | None = None
-    jensen_passed: bool | None = None
-    asymptote: AsymptoteCertificate | None = None
-    uniqueness: UniquenessProbeReport | None = None
-
-    @property
-    def all_passed(self) -> bool:
-        verdicts = []
-        if self.excess is not None:
-            verdicts.append(self.excess.passed)
-        if self.tail is not None and self.tail.passed is not None:
-            verdicts.append(self.tail.passed)
-        if self.jensen_passed is not None:
-            verdicts.append(self.jensen_passed)
-        if self.asymptote is not None:
-            verdicts.append(self.asymptote.passed)
-        if self.uniqueness is not None:
-            verdicts.append(self.uniqueness.passed)
-        return all(verdicts)

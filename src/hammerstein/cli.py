@@ -7,16 +7,16 @@ certificates, then writes
 * ``profile.csv``   one row per node (x, f_star, gamma, eta_minus_fstar and,
   when the combined solve ran, phi with its two envelopes);
 * ``report.yaml``   conditions, solve data with the rate envelope, the
-  certificate bundle and the config echo -- byte-identical for identical
+  enabled certificates and the config echo -- byte-identical for identical
   config and seed (timestamps go to a sidecar);
 * ``run_meta.txt``  timestamp and wall time, kept out of the report.
 
-Exit codes: 0 all enabled certificates passed; 1 a certificate failed
-(report still written); 2 config error; 3 condition checks failed or the
-cusp-corrected operator was refused (report still written); 4
-non-convergence; 5 numerical failure (an iterate left its domain, a
-theorem-level inequality broke beyond noise, or a solve report contradicted
-itself).
+Exit codes: 0 every verdict passed; 1 a verdict of the iteration, the
+combined solve or a certificate failed (a ``passed``, ``*_passed`` or
+``*_ok`` key reads false; report still written, the key's path on stderr);
+2 config error; 3 condition checks failed or the cusp-corrected operator was
+refused (report still written); 4 non-convergence; 5 numerical failure.
+Codes 2-5 are the ``exit_code`` of the classes in :mod:`hammerstein.errors`.
 """
 
 from __future__ import annotations
@@ -32,26 +32,23 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .analysis import (CertificateBundle, asymptote_certificate,
-                       excess_integral_certificate, jensen_certificate,
-                       tail_integral_certificate, uniqueness_probe)
+from .analysis import (asymptote_certificate, excess_integral_certificate,
+                       jensen_certificate, tail_integral_certificate,
+                       uniqueness_probe)
 from .config import RunConfig, load_config
-from .errors import (ConfigError, DomainViolationError, HammersteinError,
-                     InconsistentReportError, NonConvergenceError,
-                     NumericalBreakdownError, SpecRejectedError)
+from .errors import (ConfigError, HammersteinError, NonConvergenceError,
+                     SpecRejectedError)
 from .kernels import discretise
 from .nemytsky import check_nemytsky_conditions, solve_nemytsky
 from .nonlinearity import check_G_conditions
 from .picard import rate_envelope, solve_picard
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_CONDITIONS = 3
-EXIT_NO_CONVERGENCE = 4
-EXIT_NUMERICAL = 5
-
-NUMERICAL_ERRORS = (NumericalBreakdownError, DomainViolationError,
-                    InconsistentReportError)
+EXIT_VERDICT = 1
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_CONDITIONS = SpecRejectedError.exit_code
+EXIT_NO_CONVERGENCE = NonConvergenceError.exit_code
+VERDICT_SECTIONS = ("solve", "nemytsky_solve", "certificates")
 
 
 def _plain(obj, drop=()):
@@ -73,6 +70,16 @@ def _plain(obj, drop=()):
         return {name: _plain(getattr(obj, name))
                 for name in obj.__dataclass_fields__ if name not in drop}
     return repr(obj)
+
+
+def _failed_verdicts(tree: dict, path: str):
+    """Dotted paths of the ``passed``, ``*_passed`` and ``*_ok`` keys of a
+    plain report tree that read False, at any depth."""
+    for key, val in tree.items():
+        if isinstance(val, dict):
+            yield from _failed_verdicts(val, f"{path}.{key}")
+        elif val is False and (key == "passed" or key.endswith(("_passed", "_ok"))):
+            yield f"{path}.{key}"
 
 
 def emit_convergence_table(sup_diffs, envelope) -> str:
@@ -100,24 +107,17 @@ def _write_profile(path: Path, grid, fstar, gamma, eta, nem_report=None) -> None
                header=",".join(columns), comments="")
 
 
-def _write_report(path: Path, payload: dict) -> None:
-    path.write_text(yaml.safe_dump(_plain(payload), sort_keys=True,
-                                   default_flow_style=False))
-
-
 def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    report_path = out_dir / "report.yaml"
-    payload: dict = {
-        "tool": {"name": "hammerstein", "version": __version__},
-        "config": config.echo,
-    }
+    payload: dict = {"tool": {"name": "hammerstein", "version": __version__},
+                     "config": config.echo}
 
     def finish(code: int) -> int:
-        _write_report(report_path, payload)
+        (out_dir / "report.yaml").write_text(
+            yaml.safe_dump(_plain(payload), sort_keys=True, default_flow_style=False))
         elapsed = time.perf_counter() - started
         (out_dir / "run_meta.txt").write_text(
             f"started_utc: {stamp}\nwall_seconds: {elapsed:.3f}\n")
@@ -183,44 +183,47 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
             nem_report, drop=("profile", "lower_env", "upper_env"))
 
     certs = config.certificates
-    bundle = CertificateBundle()
+    results: dict = dict.fromkeys(("excess", "tail", "jensen_min_margin",
+                                   "jensen_passed", "asymptote", "uniqueness"))
     if certs.excess_integral:
-        bundle.excess = excess_integral_certificate(
+        results["excess"] = excess_integral_certificate(
             solve.profile, kernel_report, config.nonlinearity, config.grid)
     if certs.tail_integral:
-        bundle.tail = tail_integral_certificate(
+        results["tail"] = tail_integral_certificate(
             solve.profile, config.grid, config.nonlinearity, kernel_report)
     if certs.jensen:
         margin = jensen_certificate(operator, config.nonlinearity, solve.profile)
-        bundle.jensen_min_margin = margin
-        bundle.jensen_passed = margin >= -1e-12
+        results["jensen_min_margin"] = margin
+        results["jensen_passed"] = margin >= -1e-12
     if certs.asymptote:
-        bundle.asymptote = asymptote_certificate(solve.profile, gamma,
-                                                 config.nonlinearity.eta)
+        results["asymptote"] = asymptote_certificate(solve.profile, gamma,
+                                                     config.nonlinearity.eta)
     if certs.uniqueness_probe:
-        bundle.uniqueness = uniqueness_probe(
+        results["uniqueness"] = uniqueness_probe(
             operator, config.nonlinearity, solve.profile,
             perturbation_scale=certs.probe_scale, trials=certs.probe_trials,
             seed=certs.seed, tol=config.tol, max_iter=10 * config.max_iter)
-    payload["certificates"] = _plain(bundle)
+    payload["certificates"] = _plain(results)
+    failed = [path for section in VERDICT_SECTIONS if section in payload
+              for path in _failed_verdicts(payload[section], section)]
     payload["status"]["converged"] = True
-    payload["status"]["certificates_passed"] = bundle.all_passed
+    payload["status"]["certificates_passed"] = not any(
+        path.startswith("certificates.") for path in failed)
+    for path in failed:
+        print(f"verdict failed: {path}", file=sys.stderr)
 
     _write_profile(out_dir / "profile.csv", config.grid, solve.profile, gamma,
                    config.nonlinearity.eta, nem_report)
-    return finish(EXIT_OK if bundle.all_passed else 1)
+    return finish(EXIT_VERDICT if failed else EXIT_OK)
 
 
 def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> int:
     """Programmatic entry point; returns the CLI exit code."""
     try:
-        config = load_config(config_path)
+        config = load_config(config_path, seed=seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if seed is not None:
-        config.certificates.seed = seed
-        config.echo["certificates"]["seed"] = seed
     if mode == "solve-nemytsky" and config.nemytsky is None:
         print("config error: nemytsky: section is missing", file=sys.stderr)
         return EXIT_CONFIG
@@ -270,9 +273,7 @@ def main(argv=None) -> int:
         return run(args.config, args.out_dir, mode=args.command, seed=args.seed)
     except HammersteinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, NonConvergenceError):
-            return EXIT_NO_CONVERGENCE
-        return EXIT_NUMERICAL if isinstance(exc, NUMERICAL_ERRORS) else EXIT_CONFIG
+        return exc.exit_code
 
 
 if __name__ == "__main__":

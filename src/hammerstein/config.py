@@ -128,8 +128,9 @@ class RunConfig:
     echo: dict
 
 
-def parse_config(tree: dict) -> RunConfig:
-    """Validate a configuration tree and build the domain objects."""
+def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
+    """Validate a configuration tree and build the domain objects; ``seed``
+    overrides ``certificates.seed`` and is checked like it."""
     if not isinstance(tree, dict):
         raise ConfigError("<root>", "configuration must be a mapping")
     root = _Section(tree, "", {})
@@ -219,6 +220,8 @@ def parse_config(tree: dict) -> RunConfig:
         m.close()
 
     c = root.section("certificates")
+    if seed is not None:
+        c.raw = {**c.raw, "seed": seed}
     certificates = CertificateSettings(
         **{name: c.boolean(name, True) for name in _CERT_SWITCHES},
         probe_trials=c.integer("probe_trials", 5, least=0),
@@ -233,8 +236,8 @@ def parse_config(tree: dict) -> RunConfig:
                      certificates=certificates, echo=root.echo)
 
 
-def load_config(path) -> RunConfig:
-    """Read and validate a YAML configuration file."""
+def load_config(path, seed: int | None = None) -> RunConfig:
+    """Read and validate a YAML configuration file (see :func:`parse_config`)."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -246,4 +249,4 @@ def load_config(path) -> RunConfig:
         raise ConfigError(str(path), f"invalid YAML: {exc}") from exc
     if tree is None:
         raise ConfigError(str(path), "config file is empty")
-    return parse_config(tree)
+    return parse_config(tree, seed)

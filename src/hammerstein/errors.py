@@ -1,28 +1,36 @@
-"""Exception types shared across the solver modules."""
+"""Exception types, one per CLI exit code: the class's ``exit_code``."""
 
 
 class HammersteinError(Exception):
     """Base class for all solver-specific failures."""
 
+    exit_code: int
 
-class InvalidSpecError(HammersteinError):
-    """A nonlinearity violates its shape conditions (e.g. no positive fixed point)."""
+
+class ConfigError(HammersteinError):
+    """A run configuration is malformed; names the offending key path."""
+
+    exit_code = 2
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
 
 
 class SpecRejectedError(HammersteinError):
     """A kernel spec failed its numerical condition checks."""
+
+    exit_code = 3
 
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
 
 
-class DomainViolationError(HammersteinError):
-    """An iterate left the admissible range [0, eta]."""
-
-
 class NonConvergenceError(HammersteinError):
     """The iteration hit max_iter before the stopping tolerance; carries the partial report."""
+
+    exit_code = 4
 
     def __init__(self, message: str, report=None):
         super().__init__(message)
@@ -30,20 +38,7 @@ class NonConvergenceError(HammersteinError):
 
 
 class NumericalBreakdownError(HammersteinError):
-    """A theorem-level inequality (monotonicity, envelope, positivity) was violated beyond noise."""
+    """An iterate left its domain, a theorem-level inequality broke beyond
+    noise, or a solve report contradicts itself."""
 
-
-class HypothesisNotMetError(HammersteinError):
-    """A certificate was requested for inputs that do not satisfy its hypotheses."""
-
-
-class InconsistentReportError(HammersteinError):
-    """A solve report contradicts itself (e.g. unit ratio floor with nonzero differences)."""
-
-
-class ConfigError(HammersteinError):
-    """A run configuration is malformed; names the offending key path."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
+    exit_code = 5

@@ -562,27 +562,31 @@ class OperatorMatrix:
     ``tail_mass`` holds the kernel mass past the truncation point per row,
     :func:`node_tail` clipped under the cap; applications close the
     half-line integral there with the last node's integrand value (profiles
-    are flat past x_max to the kernel-tail scale).  ``row_mass`` is the full
-    half-line row mass, equal to 1 - gamma at the nodes.  Its quadrature
-    part is ``A @ ones``: the same product that applies the operator, so the
-    ceiling maps to eta times ``row_mass`` bit for bit.
+    are flat past x_max to the kernel-tail scale).  ``quad_mass`` is
+    ``A @ ones`` bit for bit, and ``row_mass`` = quad_mass + tail_mass the
+    full half-line row mass, 1 - gamma at the nodes: the ceiling maps to eta
+    times ``row_mass`` bit for bit.
     """
 
     entries: StructuredKernel
     diagonal: np.ndarray
     row_scale: np.ndarray
     tail_mass: np.ndarray
-    row_mass: np.ndarray
+    quad_mass: np.ndarray
     grid: HalfLineGrid
     kernel: KernelSpec
 
     def __post_init__(self) -> None:
-        for array in (self.diagonal, self.row_scale, self.tail_mass, self.row_mass):
+        for array in (self.diagonal, self.row_scale, self.tail_mass, self.quad_mass):
             array.setflags(write=False)
 
     @property
     def size(self) -> int:
-        return int(self.row_mass.size)
+        return int(self.quad_mass.size)
+
+    @property
+    def row_mass(self) -> np.ndarray:
+        return self.quad_mass + self.tail_mass
 
     def __matmul__(self, v) -> np.ndarray:
         return self.row_scale * (self.entries @ v + self.diagonal * v)
@@ -672,11 +676,10 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid, *, probe_count: int = 32,
     row_scale = np.where(quad > cap, cap / quad, 1.0)
     quad_mass = row_scale * quad
     tail = np.clip(tail, 0.0, np.maximum(cap - quad_mass, 0.0))
-    row_mass = quad_mass + tail
     operator = (OperatorMatrix(entries=kernel, diagonal=diagonal, row_scale=row_scale,
-                               tail_mass=tail, row_mass=row_mass, grid=grid, kernel=spec)
+                               tail_mass=tail, quad_mass=quad_mass, grid=grid, kernel=spec)
                 if report.passed else None)
-    return Discretisation(report=report, gamma=1.0 - row_mass, operator=operator)
+    return Discretisation(report=report, gamma=1.0 - (quad_mass + tail), operator=operator)
 
 
 def check_kernel_conditions(spec: KernelSpec, grid: HalfLineGrid,

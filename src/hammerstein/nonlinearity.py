@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, NumericalBreakdownError
+from .errors import NumericalBreakdownError
 
 FAMILIES = ("I", "II", "III")
 
@@ -53,7 +53,7 @@ def find_eta(family: str, alpha: float | None = None, alpha_star: float | None =
     lo, hi = 1e-8, 10.0
     flo, fhi = g(lo) - lo, g(hi) - hi
     if not (flo > 0.0 > fhi):
-        raise InvalidSpecError(
+        raise ValueError(
             f"no sign change of G(u) - u on [{lo}, {hi}]; "
             "G does not look increasing-concave with a positive fixed point")
     while hi - lo > 1e-14:
@@ -96,7 +96,7 @@ class NonlinearitySpec:
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta!r}")
         if abs(float(eval_G(self, self.eta)) - self.eta) > 1e-12:
-            raise InvalidSpecError(f"eta = {self.eta!r} is not a fixed point of G")
+            raise ValueError(f"eta = {self.eta!r} is not a fixed point of G")
 
     @property
     def rate_exponent(self) -> float:

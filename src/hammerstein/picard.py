@@ -27,9 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainViolationError, InconsistentReportError,
-                     NonConvergenceError, NumericalBreakdownError,
-                     SpecRejectedError)
+from .errors import NonConvergenceError, NumericalBreakdownError, SpecRejectedError
 from .kernels import (POSITIVITY_FLOOR, ConditionReport, KernelSpec,
                       OperatorMatrix, apply_kernel, discretise, tail_row_mass)
 from .nonlinearity import NonlinearitySpec, eval_G
@@ -67,7 +65,7 @@ def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     eta = G.eta
     if f.min() < -1e-9 or f.max() > eta + 1e-9:
-        raise DomainViolationError(
+        raise NumericalBreakdownError(
             f"iterate leaves [0, {eta}]: min={f.min()!r}, max={f.max()!r}")
     g = eval_G(G, np.clip(f, 0.0, eta))
     return A @ g + g[-1] * A.tail_mass
@@ -127,7 +125,7 @@ def verify_rate_bound(report: SolveReport, rate_exponent: float) -> bool:
         raise ValueError("rate bound is only defined for converged reports")
     diffs = report.sup_diffs[1:]
     if report.sigma0 >= 1.0 and any(d > 1e-12 for d in diffs):
-        raise InconsistentReportError(
+        raise NumericalBreakdownError(
             "unit ratio floor with nonzero differences past the start step")
     return all(d <= env + 1e-12 for d, env in zip(diffs, rate_envelope(report, rate_exponent)))
 

@@ -11,12 +11,12 @@ import yaml
 import hammerstein
 import hammerstein.cli
 import hammerstein.kernels
+import hammerstein.nemytsky
 import hammerstein.nonlinearity
 import hammerstein.picard
 from hammerstein.cli import emit_convergence_table, main, run
 from hammerstein.config import load_config
-from hammerstein.errors import (DomainViolationError, InconsistentReportError,
-                                NumericalBreakdownError)
+from hammerstein.errors import NumericalBreakdownError
 from hammerstein.picard import SolveReport, discretise, rate_envelope, solve_picard
 
 BASE_CONFIG = """\
@@ -231,17 +231,126 @@ def test_reports_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("error", [NumericalBreakdownError, DomainViolationError,
-                                   InconsistentReportError])
-def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, error):
+def _inject_breakdown(monkeypatch):
     def broken(*args, **kwargs):
-        raise error("injected")
+        raise NumericalBreakdownError("injected")
 
     monkeypatch.setattr(hammerstein.cli, "solve_picard", broken)
+
+
+def _leave_the_domain(monkeypatch):
+    def solve(A, G, **kwargs):
+        return hammerstein.picard.apply_hammerstein(A, G, np.full(A.size, 2.0 * G.eta))
+
+    monkeypatch.setattr(hammerstein.cli, "solve_picard", solve)
+
+
+def _unit_ratio_floor(monkeypatch):
+    # sigma0 = 1 with nonzero differences past the start step: a report
+    # that contradicts itself
+    monkeypatch.setattr(hammerstein.picard, "estimate_sigma0", lambda f1, f2: 1.0)
+
+
+@pytest.mark.parametrize("breakage, message", [
+    pytest.param(_inject_breakdown, "injected", id="breakdown"),
+    pytest.param(_leave_the_domain, "iterate leaves", id="domain"),
+    pytest.param(_unit_ratio_floor, "unit ratio floor", id="inconsistent"),
+])
+def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, breakage, message):
+    breakage(monkeypatch)
     cfg = write_config(tmp_path)
     code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert code == 5
-    assert "injected" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, verdict", [
+    ("solve", "rate_bound_ok"), ("solve", "squeeze_ok"), ("solve", "monotone_ok"),
+    ("nemytsky_solve", "increase_ok"), ("nemytsky_solve", "envelope_ok"),
+    ("nemytsky_solve", "sandwich_ok"),
+])
+def test_failed_iteration_verdict_exits_1(tmp_path, monkeypatch, capsys, section, verdict):
+    solver = "solve_picard" if section == "solve" else "solve_nemytsky"
+    original = getattr(hammerstein.cli, solver)
+
+    def forced(*args, **kwargs):
+        report = original(*args, **kwargs)
+        setattr(report, verdict, False)
+        return report
+
+    monkeypatch.setattr(hammerstein.cli, solver, forced)
+    out = tmp_path / "out"
+    code = main(["solve-nemytsky", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(out)])
+    assert code == 1
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report[section][verdict] is False
+    assert report["status"]["certificates_passed"] is True   # certificates only
+    assert capsys.readouterr().err.splitlines() == [f"verdict failed: {section}.{verdict}"]
+
+
+def test_short_x_max_fails_the_tail_certificate(tmp_path, capsys):
+    # admissible, but x_max = 1 is far too short for the profile to reach eta / 2
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(Path(__file__).with_name("short_x_max.yaml")),
+                 "--out-dir", str(out)])
+    assert code == 1
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["certificates"]["tail"]["passed"] is False
+    assert report["certificates"]["tail"]["lhs"] == "nan"
+    assert report["status"]["certificates_passed"] is False
+    assert "certificates.tail.passed" in capsys.readouterr().err
+    assert (out / "profile.csv").exists()
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(write_config(tmp_path)), "--out-dir", str(out),
+                 "--seed", "-5"])
+    assert code == 2
+    assert "certificates.seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _lifted_at_zero(fn):
+    # G0(x, 0) = xi gamma / 10: small enough to keep G0 increasing where
+    # gamma is near 0
+    def lifted(spec, gamma, u):
+        return fn(spec, gamma, u) + 0.1 * spec.xi * gamma * (np.asarray(u) == 0.0)
+    return lifted
+
+
+def _scaled(factor):
+    return lambda fn: (lambda spec, where, u: factor * fn(spec, where, u))
+
+
+def _falls_at_the_top(fn):
+    def falling(spec, where, u):
+        return fn(spec, where, u) * (1.0 - np.asarray(u))   # eta = 1, so G1(x, eta) = 0
+    return falling
+
+
+@pytest.mark.parametrize("verdict, term, breakage", [
+    ("criticality_ok", "eval_G0", _lifted_at_zero),
+    ("lower_crossing_ok", "eval_G0", _scaled(0.5)),
+    ("upper_crossing_ok", "eval_G0", _scaled(3.0)),
+    ("monotone_ok", "eval_G1", _falls_at_the_top),
+])
+def test_failed_nemytsky_condition_exits_3(tmp_path, monkeypatch, verdict, term, breakage):
+    monkeypatch.setattr(hammerstein.nemytsky, term,
+                        breakage(getattr(hammerstein.nemytsky, term)))
+    out = tmp_path / "out"
+    code = main(["solve-nemytsky", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(out)])
+    assert code == 3
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    conditions = report["conditions"]["nemytsky"]
+    assert conditions[verdict] is False and conditions["passed"] is False
+    # the breakage fails this verdict alone
+    assert [key for key, val in conditions.items()
+            if key.endswith("_ok") and val is False] == [verdict]
+    assert report["status"]["conditions_passed"] is False
+    assert "solve" not in report
 
 
 def test_newton_pass_cap_exits_5(tmp_path, monkeypatch, capsys):

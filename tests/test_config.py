@@ -225,6 +225,18 @@ def test_base_tree_parses():
     assert parse_config(copy.deepcopy(BASE)).echo["kernel"]["epsilon"] == 0.5
 
 
+def test_seed_override_is_read_like_the_key():
+    tree = copy.deepcopy(BASE)
+    config = parse_config(tree, seed=3)
+    assert config.certificates.seed == 3 and config.echo["certificates"]["seed"] == 3
+    assert tree["certificates"]["seed"] == 7          # the tree itself is untouched
+    del tree["certificates"]
+    assert parse_config(tree, seed=0).echo["certificates"]["seed"] == 0
+    with pytest.raises(ConfigError) as info:
+        parse_config(copy.deepcopy(BASE), seed=-5)
+    assert info.value.path == "certificates.seed"
+
+
 @pytest.mark.parametrize("tree", [None, [], "kernel"])
 def test_root_must_be_a_mapping(tree):
     with pytest.raises(ConfigError) as info:

@@ -20,6 +20,9 @@ def test_one_gamma(small_grid, family):
     spec = make_kernel(family)
     disc = discretise(spec, small_grid)
     assert np.array_equal(disc.gamma, 1.0 - disc.operator.row_mass)
+    # the stored quadrature mass is the operator's own product with ones
+    ones = np.ones(small_grid.size)
+    assert np.array_equal(disc.operator.quad_mass, disc.operator @ ones)
     assert np.array_equal(hs.gamma_profile(spec, small_grid), disc.gamma)
     assert disc.gamma.min() > 0.0
 

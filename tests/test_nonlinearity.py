@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hammerstein.nonlinearity as nl
-from hammerstein.errors import InvalidSpecError, NumericalBreakdownError
+from hammerstein.errors import NumericalBreakdownError
 from hammerstein.nonlinearity import (NonlinearitySpec, check_G_conditions,
                                       eval_G, eval_Q, find_eta,
                                       power_linear_scaling_ratio)
@@ -55,12 +55,12 @@ def test_find_eta_two_power_family(a_t, gap):
 def test_find_eta_rejects_shapeless_G(monkeypatch):
     # no sign change of G(u) - u on the bracket: shape conditions violated
     monkeypatch.setattr(nl, "_g_raw", lambda *args: 0.5 * args[-1])
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(ValueError, match="no sign change"):
         find_eta("I", alpha=0.5)
 
 
 def test_spec_rejects_wrong_eta():
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(ValueError, match="not a fixed point"):
         NonlinearitySpec(family="I", alpha=0.5, eta=2.0)
 
 
