@@ -15,7 +15,8 @@ Exit codes: 0 every verdict passed; 1 a verdict of the iteration, the
 combined solve or a certificate failed (a ``passed``, ``*_passed`` or
 ``*_ok`` key reads false; report still written, the key's path on stderr);
 2 config error; 3 condition checks failed or the cusp-corrected operator was
-refused (report still written); 4 non-convergence; 5 numerical failure.
+refused (report still written); 4 non-convergence; 5 numerical failure
+(report still written, the message under ``status.numerical_error``).
 Codes 2-5 are the ``exit_code`` of the classes in :mod:`hammerstein.errors`.
 """
 
@@ -37,7 +38,7 @@ from .analysis import (asymptote_certificate, excess_integral_certificate,
                        uniqueness_probe)
 from .config import RunConfig, load_config
 from .errors import (ConfigError, HammersteinError, NonConvergenceError,
-                     SpecRejectedError)
+                     NumericalBreakdownError, SpecRejectedError)
 from .kernels import discretise
 from .nemytsky import check_nemytsky_conditions, solve_nemytsky
 from .nonlinearity import check_G_conditions
@@ -49,6 +50,7 @@ EXIT_CONFIG = ConfigError.exit_code
 EXIT_CONDITIONS = SpecRejectedError.exit_code
 EXIT_NO_CONVERGENCE = NonConvergenceError.exit_code
 VERDICT_SECTIONS = ("solve", "nemytsky_solve", "certificates")
+PROFILE_BLOCK_ROWS = 256
 
 
 def _plain(obj, drop=()):
@@ -98,31 +100,46 @@ def emit_convergence_table(sup_diffs, envelope) -> str:
 
 
 def _write_profile(path: Path, grid, fstar, gamma, eta, nem_report=None) -> None:
+    """One ``%.17g`` row per node, byte-identical to ``np.savetxt`` with that
+    format, written ``PROFILE_BLOCK_ROWS`` rows to one ``%`` format at a time."""
     columns = ["x", "f_star", "gamma", "eta_minus_fstar"]
     data = [grid.nodes, fstar, gamma, eta - fstar]
     if nem_report is not None:
         columns += ["phi", "lower_env", "upper_env"]
         data += [nem_report.profile, nem_report.lower_env, nem_report.upper_env]
-    np.savetxt(path, np.column_stack(data), fmt="%.17g", delimiter=",",
-               header=",".join(columns), comments="")
+    row = ",".join(["%.17g"] * len(data)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(data[0]), PROFILE_BLOCK_ROWS):
+            block = np.column_stack([col[start:start + PROFILE_BLOCK_ROWS] for col in data])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
+    """Run ``mode`` and write its report, also when a numerical failure (exit
+    5) stops the run part way: the report then holds every stage finished
+    before it and ``status.numerical_error``, the failure's message."""
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-
     payload: dict = {"tool": {"name": "hammerstein", "version": __version__},
                      "config": config.echo}
+    try:
+        code = _stages(mode, config, out_dir, payload)
+    except NumericalBreakdownError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        payload.setdefault("status", {})["numerical_error"] = str(exc)
+        code = exc.exit_code
+    (out_dir / "report.yaml").write_text(
+        yaml.safe_dump(_plain(payload), sort_keys=True, default_flow_style=False))
+    elapsed = time.perf_counter() - started
+    (out_dir / "run_meta.txt").write_text(
+        f"started_utc: {stamp}\nwall_seconds: {elapsed:.3f}\n")
+    return code
 
-    def finish(code: int) -> int:
-        (out_dir / "report.yaml").write_text(
-            yaml.safe_dump(_plain(payload), sort_keys=True, default_flow_style=False))
-        elapsed = time.perf_counter() - started
-        (out_dir / "run_meta.txt").write_text(
-            f"started_utc: {stamp}\nwall_seconds: {elapsed:.3f}\n")
-        return code
 
+def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
+    """Every stage of a run, filling ``payload``; returns the exit code."""
     try:
         disc = discretise(config.kernel, config.grid,
                           probe_count=config.probe_count, tol=config.check_tol)
@@ -131,7 +148,7 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
         payload["conditions"] = {"kernel": {**_plain(exc.report), "passed": False,
                                             "operator_refused": str(exc)}}
         payload["status"] = {"conditions_passed": False}
-        return finish(EXIT_CONDITIONS)
+        return EXIT_CONDITIONS
     kernel_report = disc.report
     g_report = check_G_conditions(config.nonlinearity)
     payload["conditions"] = {
@@ -151,7 +168,7 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
     payload["status"] = {"conditions_passed": conditions_passed}
 
     if mode == "check" or not conditions_passed:
-        return finish(EXIT_OK if conditions_passed else EXIT_CONDITIONS)
+        return EXIT_OK if conditions_passed else EXIT_CONDITIONS
 
     operator, gamma = disc.operator, disc.gamma
     rate_exp = config.nonlinearity.rate_exponent
@@ -167,7 +184,7 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
     }
     if not solve.converged:
         payload["status"]["converged"] = False
-        return finish(EXIT_NO_CONVERGENCE)
+        return EXIT_NO_CONVERGENCE
 
     nem_report = None
     if nem_spec is not None:
@@ -176,11 +193,12 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
                                         tol=config.tol, max_iter=10 * config.max_iter,
                                         operator=operator)
         except NonConvergenceError as exc:
-            payload["nemytsky_solve"] = _plain(exc.report)
-            payload["status"]["converged"] = False
-            return finish(EXIT_NO_CONVERGENCE)
+            nem_report = exc.report
         payload["nemytsky_solve"] = _plain(
             nem_report, drop=("profile", "lower_env", "upper_env"))
+        if not nem_report.converged:
+            payload["status"]["converged"] = False
+            return EXIT_NO_CONVERGENCE
 
     certs = config.certificates
     results: dict = dict.fromkeys(("excess", "tail", "jensen_min_margin",
@@ -214,7 +232,7 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
 
     _write_profile(out_dir / "profile.csv", config.grid, solve.profile, gamma,
                    config.nonlinearity.eta, nem_report)
-    return finish(EXIT_VERDICT if failed else EXIT_OK)
+    return EXIT_VERDICT if failed else EXIT_OK
 
 
 def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> int:

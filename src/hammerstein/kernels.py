@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecRejectedError
-from .quadrature import GAUSS, TRAPEZOID, HalfLineGrid, build_grid, integrate
+from .quadrature import (GAUSS, TRAPEZOID, HalfLineGrid, build_grid, gauss_legendre,
+                         integrate)
 
 # Smallest positive normal double.  Base-kernel, kernel, and operator values
 # are floored here so strict-positivity contracts survive tail underflow
@@ -292,7 +293,9 @@ class StructuredKernel:
     ``kernel @ v`` takes one batch of forward real FFTs, a p x 2p
     contraction per frequency (a Hankel block acts through the conjugate
     spectrum of v) and one batch of inverse FFTs: O(N log N) time, and no
-    BLAS call, so no dependence on the BLAS thread count.
+    BLAS call.  With the panel rule of :func:`~.quadrature.gauss_legendre`,
+    the whole run makes no BLAS or LAPACK call, so its results depend neither
+    on the BLAS build nor on its thread count.
 
     ``positive`` is the positivity verdict: every K(x_i, t_j) bounded below
     from the floored K0 tables and the modulation factors.
@@ -445,7 +448,7 @@ def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
     a = h * panel
     left = np.clip(flat - a, 0.0, h)[:, None]
     right = np.clip(a + h - flat, 0.0, h)[:, None]
-    xi, wi = np.polynomial.legendre.leggauss(p)
+    xi, wi = gauss_legendre(p)
     u, wu = 0.5 * (xi + 1.0), 0.5 * wi
     own = panel[:, None] * p + np.arange(p)
     t = np.concatenate([a[:, None] + left * u, flat[:, None] + right * u,

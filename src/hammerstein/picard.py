@@ -66,7 +66,7 @@ def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
     eta = G.eta
     if f.min() < -1e-9 or f.max() > eta + 1e-9:
         raise NumericalBreakdownError(
-            f"iterate leaves [0, {eta}]: min={f.min()!r}, max={f.max()!r}")
+            f"iterate leaves [0, {eta}]: min={f.min():.17g}, max={f.max():.17g}")
     g = eval_G(G, np.clip(f, 0.0, eta))
     return A @ g + g[-1] * A.tail_mass
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,16 @@ G_PARAMS = {
     "II": {"alpha_star": 0.5},
     "III": {"alpha_tilde": 0.25, "alpha_star": 0.75},
 }
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config() -> str:
+    """The example configuration of the README, its one ``yaml`` block."""
+    text = README.read_text()
+    start = text.index("```yaml\n") + len("```yaml\n")
+    return text[start:text.index("```", start)]
+
 
 # two-atom exponential mixture with a cusp at 0; its slow atom needs x_max ~ 90
 MIXTURE_ATOMS = ((0.25, 1.0), (0.125, 0.5))

@@ -14,6 +14,7 @@ import hammerstein.kernels
 import hammerstein.nemytsky
 import hammerstein.nonlinearity
 import hammerstein.picard
+from conftest import readme_config
 from hammerstein.cli import emit_convergence_table, main, run
 from hammerstein.config import load_config
 from hammerstein.errors import NumericalBreakdownError
@@ -203,6 +204,32 @@ def test_non_convergence_exits_4(tmp_path):
     assert report["status"]["converged"] is False
 
 
+def _list_lengths(tree):
+    """Length of every list in a plain report tree, at any depth."""
+    if isinstance(tree, dict):
+        for val in tree.values():
+            yield from _list_lengths(val)
+    elif isinstance(tree, list):
+        yield len(tree)
+        for val in tree:
+            yield from _list_lengths(val)
+
+
+def test_combined_non_convergence_exits_4_without_profiles(tmp_path, monkeypatch):
+    # the ceiling iteration converges, the combined solve is capped at 3 steps
+    original = hammerstein.cli.solve_nemytsky
+    monkeypatch.setattr(hammerstein.cli, "solve_nemytsky",
+                        lambda *args, **kwargs: original(*args, **{**kwargs, "max_iter": 3}))
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve-nemytsky", "--config", str(cfg), "--out-dir", str(out)]) == 4
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["status"]["converged"] is False
+    assert report["nemytsky_solve"]["converged"] is False
+    assert report["nemytsky_solve"]["iterations"] == 3
+    assert max(_list_lengths(report)) < load_config(cfg).grid.size
+
+
 def test_reports_byte_identical_for_same_seed(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -257,11 +284,20 @@ def _unit_ratio_floor(monkeypatch):
     pytest.param(_unit_ratio_floor, "unit ratio floor", id="inconsistent"),
 ])
 def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, breakage, message):
+    # the report is written all the same: the stages before the failure and
+    # the failure's message, with plain numbers (no numpy reprs)
     breakage(monkeypatch)
     cfg = write_config(tmp_path)
-    code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["solve", "--config", str(cfg), "--out-dir", str(out)])
     assert code == 5
     assert message in capsys.readouterr().err
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert message in report["status"]["numerical_error"]
+    assert "np.float64" not in report["status"]["numerical_error"]
+    assert report["status"]["conditions_passed"] is True
+    assert report["conditions"]["kernel"]["passed"] is True
+    assert not (out / "profile.csv").exists()
 
 
 @pytest.mark.parametrize("section, verdict", [
@@ -482,15 +518,33 @@ def test_cli_imports_without_scipy():
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
+# a library run in a child: discretise, then the ceiling iteration
+LIBRARY_RUN = ("import sys, hammerstein as hs; "
+               "grid = hs.build_grid(20.0, 50, hs.GAUSS, 4); "
+               "kernel = hs.KernelSpec(family='C', base=hs.BaseKernel(), "
+               "modulation=hs.ModulationSet(d_star=0.5, l=0.5), epsilon=0.5); "
+               "disc = hs.discretise(kernel, grid); "
+               "hs.solve_picard(disc.operator, hs.NonlinearitySpec(family='I', alpha=0.5)); ")
+
+
 def test_discretise_and_solve_do_not_import_numpy_ma():
-    proc = run_child("import sys, hammerstein as hs; "
-                     "grid = hs.build_grid(20.0, 50, hs.GAUSS, 4); "
-                     "kernel = hs.KernelSpec(family='C', base=hs.BaseKernel(), "
-                     "modulation=hs.ModulationSet(d_star=0.5, l=0.5), epsilon=0.5); "
-                     "disc = hs.discretise(kernel, grid); "
-                     "hs.solve_picard(disc.operator, hs.NonlinearitySpec(family='I', alpha=0.5)); "
-                     "sys.exit('numpy.ma' in sys.modules)")
+    proc = run_child(LIBRARY_RUN + "sys.exit('numpy.ma' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "numpy.ma was imported"
+
+
+@pytest.mark.parametrize("run_kind", ["cli", "library"])
+def test_runs_do_not_import_numpy_polynomial(tmp_path, run_kind):
+    # the Gauss panels come from quadrature.gauss_legendre, not leggauss
+    if run_kind == "cli":
+        cfg = tmp_path / "readme.yaml"
+        cfg.write_text(readme_config())
+        run = (f"import sys; from hammerstein.cli import main; "
+               f"code = main(['solve-nemytsky', '--config', {str(cfg)!r}, "
+               f"'--out-dir', {str(tmp_path / 'out')!r}]); ")
+    else:
+        run = LIBRARY_RUN + "code = 0; "
+    proc = run_child(run + "sys.exit(code or ('numpy.polynomial' in sys.modules))")
+    assert proc.returncode == 0, proc.stderr or "numpy.polynomial was imported"
 
 
 def test_convergence_table_degenerate_and_empty():

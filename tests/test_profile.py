@@ -1,22 +1,14 @@
 """``profile.csv``: the one gamma in it, and its number formatting."""
 
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 import yaml
 
-from hammerstein.cli import _write_profile, main
+from conftest import readme_config
+from hammerstein.cli import PROFILE_BLOCK_ROWS, _write_profile, main
 from hammerstein.config import parse_config
-
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def readme_config() -> str:
-    """The example configuration of the README, its one ``yaml`` block."""
-    text = README.read_text()
-    start = text.index("```yaml\n") + len("```yaml\n")
-    return text[start:text.index("```", start)]
 
 
 def test_readme_config_is_its_own_echo():
@@ -65,3 +57,28 @@ def test_profile_matches_per_value_formatting(tmp_path):
     _write_profile(tmp_path / "b.csv", grid, cols[1], cols[2], eta, nem)
     assert (tmp_path / "b.csv").read_text() == _per_value_format(
         base + ["phi", "lower_env", "upper_env"], plain + [cols[3], cols[4], cols[5]])
+
+
+@pytest.mark.parametrize("n", [1, PROFILE_BLOCK_ROWS - 1, PROFILE_BLOCK_ROWS,
+                               PROFILE_BLOCK_ROWS + 1, 3 * PROFILE_BLOCK_ROWS + 17])
+@pytest.mark.parametrize("combined", [False, True], ids=["4-columns", "7-columns"])
+def test_profile_matches_savetxt(tmp_path, n, combined):
+    # the block writer against the np.savetxt call it replaced, byte for byte
+    rng = np.random.default_rng(n)
+    cols = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-300, 300, (6, n))
+    special = np.array([-0.0, 1e-300, 0.0, -1e-300, 5e-324, 1.0 / 3.0])
+    for k in range(6):
+        cols[k, :min(n, special.size)] = np.roll(special, k)[:n]
+    grid = SimpleNamespace(nodes=cols[0], size=n)
+    nem = SimpleNamespace(profile=cols[3], lower_env=cols[4], upper_env=cols[5])
+    eta = 1.0
+    columns = ["x", "f_star", "gamma", "eta_minus_fstar"]
+    data = [cols[0], cols[1], cols[2], eta - cols[1]]
+    if combined:
+        columns += ["phi", "lower_env", "upper_env"]
+        data += [cols[3], cols[4], cols[5]]
+    _write_profile(tmp_path / "blocks.csv", grid, cols[1], cols[2], eta,
+                   nem if combined else None)
+    np.savetxt(tmp_path / "savetxt.csv", np.column_stack(data), fmt="%.17g",
+               delimiter=",", header=",".join(columns), comments="")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()

@@ -1,10 +1,13 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hammerstein as hs
-from hammerstein.quadrature import GAUSS, TRAPEZOID, build_grid, integrate, refine
+from hammerstein.quadrature import (GAUSS, TRAPEZOID, build_grid, gauss_legendre,
+                                    integrate, refine)
 
 
 def test_trapezoid_closed_form():
@@ -120,3 +123,74 @@ def test_sample_length_mismatch():
     g = build_grid(1.0, 4, GAUSS, 4)
     with pytest.raises(ValueError):
         integrate(g, np.ones(g.size + 1))
+
+
+def _decimal_rule(p, guesses):
+    """Roots and weights of P_p to 40 digits: Newton's method in decimal
+    arithmetic from ``guesses`` (within 1e-15 of the roots; three quadratic
+    steps reach 1e-40), then 2 / ((1 - x^2) P_p'(x)^2)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        nodes, weights = [], []
+        for guess in guesses:
+            x = decimal.Decimal(float(guess))
+            for _ in range(4):
+                prev, cur = decimal.Decimal(1), x
+                for n in range(1, p):
+                    prev, cur = cur, ((2 * n + 1) * x * cur - n * prev) / (n + 1)
+                slope = p * (prev - x * cur) / (1 - x * x)
+                x -= cur / slope
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * slope * slope)))
+        return np.array(nodes), np.array(weights)
+
+
+@settings(max_examples=64, deadline=None)
+@given(st.integers(min_value=1, max_value=64))
+def test_gauss_legendre_matches_leggauss(p):
+    # numpy's eigenvalue-based rule is one oracle; its own weights are off by
+    # up to 1.3e-12 relative (4e-15 absolute) next to +-1 at p = 48, so the
+    # relative weight bound is checked against a 40-digit rule
+    x, w = gauss_legendre(p)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(p)
+    assert np.abs(x - ref_x).max() <= 1e-15
+    assert np.abs(w - ref_w).max() <= 1e-14
+    exact_x, exact_w = _decimal_rule(p, ref_x)
+    assert np.abs(x - exact_x).max() <= 1e-15
+    assert np.all(np.abs(w - exact_w) <= 1e-14 * exact_w)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    for k in range(2 * p):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(w * x ** k) - exact) <= 1e-14
+
+
+def _closed_form(p):
+    """Nodes and weights of the p-point Gauss-Legendre rule in closed form, p <= 5."""
+    if p == 2:
+        return [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], [1.0, 1.0]
+    if p == 3:
+        r = math.sqrt(0.6)
+        return [-r, 0.0, r], [5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0]
+    if p == 4:
+        inner = math.sqrt(3.0 / 7.0 - 2.0 / 7.0 * math.sqrt(1.2))
+        outer = math.sqrt(3.0 / 7.0 + 2.0 / 7.0 * math.sqrt(1.2))
+        wi, wo = (18.0 + math.sqrt(30.0)) / 36.0, (18.0 - math.sqrt(30.0)) / 36.0
+        return [-outer, -inner, inner, outer], [wo, wi, wi, wo]
+    inner = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+    outer = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+    wi, wo = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0, (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
+    return [-outer, -inner, 0.0, inner, outer], [wo, wi, 128.0 / 225.0, wi, wo]
+
+
+def test_gauss_legendre_one_point():
+    x, w = gauss_legendre(1)
+    assert x.tolist() == [0.0] and w.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_gauss_legendre_closed_forms(p):
+    x, w = gauss_legendre(p)
+    ref_x, ref_w = map(np.array, _closed_form(p))
+    assert np.abs(x - ref_x).max() <= 1e-15
+    assert np.all(np.abs(w - ref_w) <= 1e-14 * ref_w)
