@@ -9,6 +9,14 @@ equation built on top of the same kernel.
 
 __version__ = "0.1.0"
 
+import os
+
+# No stage calls BLAS or LAPACK, yet the first import below loads numpy and
+# OpenBLAS starts its worker pool with it; an idle worker then spins for
+# 2**28 cycles.  4 is OpenBLAS's least timeout.  The pool keeps its size, a
+# value set in the environment wins, and once numpy is loaded this is inert.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .analysis import (AsymptoteCertificate, ExcessIntegralCertificate,
                        TailIntegralCertificate, UniquenessProbeReport,
                        asymptote_certificate, excess_integral_certificate,
@@ -24,8 +32,7 @@ from .nemytsky import (NemytskyConditionReport, NemytskyReport, NemytskySpec,
                        check_nemytsky_conditions, eval_G0, eval_G1,
                        solve_nemytsky)
 from .nonlinearity import (GConditionReport, NonlinearitySpec,
-                           check_G_conditions, eval_G, eval_Q, find_eta,
-                           power_linear_scaling_ratio)
+                           check_G_conditions, eval_G, eval_Q, find_eta)
 from .picard import (SolveReport, apply_hammerstein, assemble_operator,
                      estimate_sigma0, evaluate_profile, fixed_point_iterate,
                      rate_envelope, solve_picard, verify_rate_bound)

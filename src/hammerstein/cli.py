@@ -36,7 +36,7 @@ from . import __version__
 from .analysis import (asymptote_certificate, excess_integral_certificate,
                        jensen_certificate, tail_integral_certificate,
                        uniqueness_probe)
-from .config import RunConfig, load_config
+from .config import SAFE_LOADER, RunConfig, load_config
 from .errors import (ConfigError, HammersteinError, NonConvergenceError,
                      NumericalBreakdownError, SpecRejectedError)
 from .kernels import discretise
@@ -51,6 +51,8 @@ EXIT_CONDITIONS = SpecRejectedError.exit_code
 EXIT_NO_CONVERGENCE = NonConvergenceError.exit_code
 VERDICT_SECTIONS = ("solve", "nemytsky_solve", "certificates")
 PROFILE_BLOCK_ROWS = 256
+# libyaml's C emitter where available: the same bytes as SafeDumper, faster
+SAFE_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def _plain(obj, drop=()):
@@ -131,7 +133,8 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
         payload.setdefault("status", {})["numerical_error"] = str(exc)
         code = exc.exit_code
     (out_dir / "report.yaml").write_text(
-        yaml.safe_dump(_plain(payload), sort_keys=True, default_flow_style=False))
+        yaml.dump(_plain(payload), Dumper=SAFE_DUMPER, sort_keys=True,
+                  default_flow_style=False))
     elapsed = time.perf_counter() - started
     (out_dir / "run_meta.txt").write_text(
         f"started_utc: {stamp}\nwall_seconds: {elapsed:.3f}\n")
@@ -249,7 +252,7 @@ def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> i
 
 
 def _table_command(report_path: Path) -> int:
-    tree = yaml.safe_load(Path(report_path).read_text())
+    tree = yaml.load(Path(report_path).read_text(), Loader=SAFE_LOADER)
     solve = tree.get("solve")
     if not solve:
         print("report has no solve section", file=sys.stderr)

@@ -22,6 +22,8 @@ from .nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES, POINTWISE_FAMILIES,
 from .nonlinearity import NonlinearitySpec
 from .quadrature import GAUSS, TRAPEZOID, HalfLineGrid, build_grid
 
+# libyaml's C parser where PyYAML was built with it, the pure-python one otherwise
+SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _CERT_SWITCHES = ("excess_integral", "tail_integral", "jensen", "asymptote",
                   "uniqueness_probe")
 
@@ -244,7 +246,7 @@ def load_config(path, seed: int | None = None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read config file: {exc}") from exc
     try:
-        tree = yaml.safe_load(text)
+        tree = yaml.load(text, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(str(path), f"invalid YAML: {exc}") from exc
     if tree is None:

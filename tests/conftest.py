@@ -103,6 +103,19 @@ def bisect_Q(spec, v):
     return out.reshape(np.shape(v))
 
 
+def power_linear_scaling_ratio(sigma, alpha_star):
+    """(sigma**alpha_star - sigma**a) / (sigma**a - sigma) with a = (1 + alpha_star) / 2.
+
+    A value of at least 1 throughout (0, 1) is what certifies the scaling
+    bound for the power-plus-linear family with its midpoint exponent.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if np.any(sigma <= 0.0) or np.any(sigma >= 1.0):
+        raise ValueError("sigma must lie strictly inside (0, 1)")
+    a = 0.5 * (1.0 + alpha_star)
+    return (sigma ** alpha_star - sigma ** a) / (sigma ** a - sigma)
+
+
 @pytest.fixture(scope="session")
 def small_grid():
     # compact grid for module-level tests; the acceptance suite runs the big one

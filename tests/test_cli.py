@@ -164,6 +164,39 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "certificates.bogus" in capsys.readouterr().err
 
 
+def test_malformed_yaml_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG + "grid: [unclosed\n")
+    code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "invalid YAML" in capsys.readouterr().err
+
+
+# values a report can hold that a YAML emitter might quote or round differently
+EMITTER_TREE = {
+    "strings": {"nan": "nan", "inf": "inf", "ninf": "-inf", "null": "null", "yes": "yes",
+                "number": "1e-10", "empty": "", "long": "x" * 300, "words": "word " * 60,
+                "message": "eval_Q: Newton passes exceeded at u = 0.5; 'q' \"dq\" [0, eta]: #"},
+    "numbers": [None, -0.0, 5e-324, 1e300, 0.1, 12345678901234567890, -7, True, False],
+    "nested": {"rows": [[0.25, None], [], {}], "flag": True},
+}
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
+def test_c_emitter_writes_the_safe_dumper_bytes():
+    dump = {name: yaml.dump(EMITTER_TREE, Dumper=getattr(yaml, name), sort_keys=True,
+                            default_flow_style=False)
+            for name in ("SafeDumper", "CSafeDumper")}
+    assert dump["CSafeDumper"] == dump["SafeDumper"]
+
+
+def test_report_is_the_safe_dumper_bytes(tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve-nemytsky", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(out)]) == 0
+    text = (out / "report.yaml").read_text()
+    assert yaml.safe_dump(yaml.safe_load(text), sort_keys=True, default_flow_style=False) == text
+
+
 def test_missing_nemytsky_section_exits_2(tmp_path, capsys):
     text = BASE_CONFIG.replace("nemytsky:\n  xi: 0.25\n", "")
     cfg = write_config(tmp_path, text)
@@ -503,11 +536,17 @@ def test_library_path_evaluates_no_dense_kernel(tmp_path, monkeypatch):
     assert entries and sum(entries) <= 4 * grid.size
 
 
-def run_child(probe):
-    """Run ``probe`` in a fresh interpreter that imports this package."""
+def run_child(probe, **env_vars):
+    """Run ``probe`` in a fresh interpreter that imports this package; each
+    keyword sets that environment variable, or unsets it when None."""
     src = str(Path(hammerstein.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
 
@@ -545,6 +584,43 @@ def test_runs_do_not_import_numpy_polynomial(tmp_path, run_kind):
         run = LIBRARY_RUN + "code = 0; "
     proc = run_child(run + "sys.exit(code or ('numpy.polynomial' in sys.modules))")
     assert proc.returncode == 0, proc.stderr or "numpy.polynomial was imported"
+
+
+# CPU clock ticks (utime + stime) of every thread but the main one, 50 ms
+# after the import: an idle OpenBLAS worker that spins shows up here
+WORKER_TICKS = ("import os, threading, time, hammerstein; time.sleep(0.05); "
+                "main = threading.get_native_id(); ticks = 0\n"
+                "for tid in os.listdir('/proc/self/task'):\n"
+                "    if int(tid) != main:\n"
+                "        with open(f'/proc/self/task/{tid}/stat') as fh:\n"
+                "            fields = fh.read().rsplit(')', 1)[1].split()\n"
+                "        ticks += int(fields[11]) + int(fields[12])\n"
+                "print(ticks)")
+
+
+def blas_name():
+    """The BLAS numpy was built on, "" where numpy does not say (before 1.25)."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread /proc")
+@pytest.mark.skipif("openblas" not in blas_name(), reason="numpy is not built on OpenBLAS")
+def test_import_leaves_no_blas_worker_spinning():
+    # no stage calls BLAS; at OpenBLAS's default timeout the idle worker
+    # busy-yields for 2**28 cycles after load (8-9 ticks on a 2-vCPU VM)
+    proc = run_child(WORKER_TICKS, OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=None)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 1
+
+
+def test_import_keeps_a_callers_blas_thread_timeout():
+    proc = run_child("import os, hammerstein; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])",
+                     OPENBLAS_THREAD_TIMEOUT="30")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "30"
 
 
 def test_convergence_table_degenerate_and_empty():

@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 import hammerstein.nonlinearity as nl
 from hammerstein.errors import NumericalBreakdownError
 from hammerstein.nonlinearity import (NonlinearitySpec, check_G_conditions,
-                                      eval_G, eval_Q, find_eta,
-                                      power_linear_scaling_ratio)
+                                      eval_G, eval_Q, find_eta)
 
-from conftest import bisect_Q, make_G
+from conftest import bisect_Q, make_G, power_linear_scaling_ratio
 
 unit_open = st.floats(min_value=0.05, max_value=0.95)
 
