@@ -26,10 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ConditionReport, weight_asymmetry
+from .kernels import ConditionReport, OperatorMatrix, weight_asymmetry
 from .nonlinearity import NonlinearitySpec, eval_G, eval_Q
-from .picard import OperatorMatrix, fixed_point_iterate
+from .picard import fixed_point_iterate
 from .quadrature import HalfLineGrid, integrate
+
+# Additive slack of the excess and tail integral bounds, and the probe
+# symmetry residual above which the excess bound fails.
+INTEGRAL_TOL = 1e-8
+SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,17 +45,16 @@ class ExcessIntegralCertificate:
 
 
 def excess_integral_certificate(fstar, report: ConditionReport, G: NonlinearitySpec,
-                                grid: HalfLineGrid, tol: float = 1e-8,
-                                symmetry_tol: float = 1e-12) -> ExcessIntegralCertificate:
+                                grid: HalfLineGrid) -> ExcessIntegralCertificate:
     """Certify int (G(f*) - f*) <= eta * mass-defect constant.
 
     The bound only holds for symmetric kernels, so a report with probe
-    symmetry residual above ``symmetry_tol`` fails, whatever the two sides.
+    symmetry residual above ``SYMMETRY_TOL`` fails, whatever the two sides.
     """
     fstar = np.asarray(fstar, dtype=float)
     lhs = integrate(grid, eval_G(G, fstar) - fstar)
     rhs = G.eta * report.mass_defect_constant
-    passed = report.symmetry_residual <= symmetry_tol and lhs <= rhs + tol
+    passed = report.symmetry_residual <= SYMMETRY_TOL and lhs <= rhs + INTEGRAL_TOL
     return ExcessIntegralCertificate(lhs=lhs, rhs=rhs, passed=bool(passed))
 
 
@@ -65,8 +69,7 @@ class TailIntegralCertificate:
 
 
 def tail_integral_certificate(fstar, grid: HalfLineGrid, G: NonlinearitySpec,
-                              report: ConditionReport,
-                              tol: float = 1e-8) -> TailIntegralCertificate:
+                              report: ConditionReport) -> TailIntegralCertificate:
     """Certify int_r^{x_max} (eta - f*) <= (eta - eps) eta / (G(eps) - eps) * constant.
 
     A profile not strictly positive, or never above eta / 2 up to x_max, fails
@@ -87,7 +90,7 @@ def tail_integral_certificate(fstar, grid: HalfLineGrid, G: NonlinearitySpec,
                                        passed=None, degenerate=True)
     rhs = ((eta - eps) * eta / (float(eval_G(G, eps)) - eps)) * report.mass_defect_constant
     return TailIntegralCertificate(lhs=lhs, rhs=rhs, r=r, epsilon=eps,
-                                   passed=bool(lhs <= rhs + tol), degenerate=False)
+                                   passed=bool(lhs <= rhs + INTEGRAL_TOL), degenerate=False)
 
 
 def jensen_certificate(A: OperatorMatrix, G: NonlinearitySpec, g) -> float:

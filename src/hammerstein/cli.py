@@ -14,9 +14,11 @@ certificates, then writes
 Exit codes: 0 every verdict passed; 1 a verdict of the iteration, the
 combined solve or a certificate failed (a ``passed``, ``*_passed`` or
 ``*_ok`` key reads false; report still written, the key's path on stderr);
-2 config error; 3 condition checks failed or the cusp-corrected operator was
-refused (report still written); 4 non-convergence; 5 numerical failure
-(report still written, the message under ``status.numerical_error``).
+2 config error, or an I/O error on ``--report`` or ``--out-dir`` (one
+``error:`` line naming the path); 3 condition checks failed or the
+cusp-corrected operator was refused (report still written); 4
+non-convergence; 5 numerical failure (report still written, the message
+under ``status.numerical_error``).
 Codes 2-5 are the ``exit_code`` of the classes in :mod:`hammerstein.errors`.
 """
 
@@ -121,7 +123,11 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
     """Run ``mode`` and write its report, also when a numerical failure (exit
     5) stops the run part way: the report then holds every stage finished
     before it and ``status.numerical_error``, the failure's message."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(str(out_dir),
+                          f"cannot create the output directory: {exc.strerror}") from exc
     started = time.perf_counter()
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     payload: dict = {"tool": {"name": "hammerstein", "version": __version__},
@@ -192,9 +198,8 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
     nem_report = None
     if nem_spec is not None:
         try:
-            nem_report = solve_nemytsky(nem_spec, config.grid, solve.profile,
-                                        tol=config.tol, max_iter=10 * config.max_iter,
-                                        operator=operator)
+            nem_report = solve_nemytsky(nem_spec, solve.profile, tol=config.tol,
+                                        max_iter=10 * config.max_iter, operator=operator)
         except NonConvergenceError as exc:
             nem_report = exc.report
         payload["nemytsky_solve"] = _plain(
@@ -252,14 +257,17 @@ def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> i
 
 
 def _table_command(report_path: Path) -> int:
-    tree = yaml.load(Path(report_path).read_text(), Loader=SAFE_LOADER)
-    solve = tree.get("solve")
-    if not solve:
-        print("report has no solve section", file=sys.stderr)
-        return EXIT_CONFIG
-    sys.stdout.write(emit_convergence_table(
-        [float(d) for d in solve["sup_diffs"]],
-        [float(e) for e in solve["envelope"][1:]]))
+    """Print the convergence table of a written report; a report that cannot
+    be read, or has no well-formed solve section, is a config error."""
+    try:
+        solve = yaml.load(report_path.read_text(), Loader=SAFE_LOADER)["solve"]
+        table = emit_convergence_table([float(d) for d in solve["sup_diffs"]],
+                                       [float(e) for e in solve["envelope"][1:]])
+    except (OSError, yaml.YAMLError, LookupError, TypeError, ValueError) as exc:
+        reason = " ".join(str(exc).split())     # a YAML error spans lines
+        raise ConfigError(str(report_path), "not a report with a solve section "
+                                            f"({type(exc).__name__}: {reason})") from exc
+    sys.stdout.write(table)
     return EXIT_OK
 
 

@@ -211,7 +211,7 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
         m = root.section("nemytsky", required=True)
         half_eta = 0.5 * nonlinearity.eta
         nemytsky = NemytskySpec(
-            kernel=kernel, base_G=nonlinearity,
+            base_G=nonlinearity,
             pointwise_family=m.choice("pointwise", POINTWISE_FAMILIES, "saturating"),
             integrand_family=m.choice("integrand", INTEGRAND_FAMILIES, "reflected"),
             xi=m.number("xi", 0.25, (lambda v: 0.0 < v < half_eta,

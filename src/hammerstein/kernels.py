@@ -163,15 +163,6 @@ class ModulationSet:
     def mu(self, x, t):
         return 1.0 - self.one_minus_mu(x, t)
 
-    def sup_one_minus_mu(self, x):
-        """sup over t of (1 - mu(x, t)); the gap profile is largest at t = 0."""
-        return self.lam_gap(x) * (1.0 - self.d_star)
-
-    @property
-    def epsilon0(self) -> float:
-        """Lower bound of mu: d_star * (2 - d_star) > 0."""
-        return self.d_star * (2.0 - self.d_star)
-
     def lam_star(self, t):
         t = np.asarray(t, dtype=float)
         return 1.0 + self.lam_star_excess(t)
@@ -685,11 +676,10 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid, *, probe_count: int = 32,
     return Discretisation(report=report, gamma=1.0 - (quad_mass + tail), operator=operator)
 
 
-def check_kernel_conditions(spec: KernelSpec, grid: HalfLineGrid,
-                            probe_count: int = 32, tol: float = 1e-9) -> ConditionReport:
+def check_kernel_conditions(spec: KernelSpec, grid: HalfLineGrid) -> ConditionReport:
     """The condition report of :func:`discretise` (which raises for a refused
     operator); the report carries verdicts, callers decide what to do."""
-    return discretise(spec, grid, probe_count=probe_count, tol=tol).report
+    return discretise(spec, grid).report
 
 
 def gamma_profile(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:

@@ -28,21 +28,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, NumericalBreakdownError
-from .kernels import KernelSpec
+from .kernels import OperatorMatrix
 from .nonlinearity import NonlinearitySpec, eval_G
-from .picard import OperatorMatrix, iterate
+from .picard import iterate
 from .quadrature import HalfLineGrid
 
 POINTWISE_FAMILIES = ("saturating", "saturating-quadratic")
 INTEGRAND_FAMILIES = ("reflected", "scaled-reflected")
 DAMPING_PROFILES = ("one", "half", "exp-decay")
+# Points of the u-lattice of check_nemytsky_conditions, and its slack.
+LATTICE_POINTS = 33
+LATTICE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class NemytskySpec:
     """Declarative description of one combined-equation instance."""
 
-    kernel: KernelSpec
     base_G: NonlinearitySpec
     xi: float
     pointwise_family: str = "saturating"
@@ -145,20 +147,18 @@ class NemytskyConditionReport:
                     and self.envelope_ok and self.eps_star_ok)
 
 
-def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid,
-                              n_u: int = 33, tol: float = 1e-12, *,
+def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid, *,
                               gamma: np.ndarray) -> NemytskyConditionReport:
     """Verify the crossing, monotonicity, envelope and coefficient conditions
-    on every grid node against a u-lattice of ``n_u`` points.
+    on every grid node against a u-lattice of ``LATTICE_POINTS`` points,
+    within ``LATTICE_TOL``.
 
     ``gamma`` is the mass defect at the nodes: the ``gamma`` of the
-    ``kernels.discretise`` of ``spec.kernel`` on ``grid``.
+    ``kernels.discretise`` of the kernel on ``grid``.
     """
-    if n_u < 3:
-        raise ValueError("n_u must be at least 3")
-    eta = spec.base_G.eta
+    eta, tol = spec.base_G.eta, LATTICE_TOL
     nodes = grid.nodes
-    u = np.linspace(0.0, eta, n_u)
+    u = np.linspace(0.0, eta, LATTICE_POINTS)
 
     crit = bool(np.abs(eval_G0(spec, gamma, 0.0)).max() <= tol
                 and np.abs(eval_G1(spec, nodes, 0.0)).max() <= tol)
@@ -170,7 +170,7 @@ def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid,
     # the node x u lattices one u-column at a time: O(N) memory, same verdicts
     envelope = eta - eval_G(spec.base_G, eta - u)
     monotone_ok = envelope_ok = True
-    for k in range(n_u):
+    for k in range(LATTICE_POINTS):
         g0, g1 = eval_G0(spec, gamma, u[k:k + 1]), eval_G1(spec, nodes, u[k:k + 1])
         if k:
             monotone_ok &= bool((g0 - prev0).min() >= -tol and (g1 - prev1).min() >= -tol)
@@ -191,7 +191,7 @@ def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid,
         envelope_ok=envelope_ok,
         eps_star_ok=bool(eps_ok),
         eps_star_bad_node=None if eps_ok else int(bad[0]),
-        tol=float(tol),
+        tol=tol,
     )
 
 
@@ -212,28 +212,26 @@ class NemytskyReport:
     converged: bool = True
 
 
-def solve_nemytsky(spec: NemytskySpec, grid: HalfLineGrid, fstar,
-                   tol: float = 1e-10, max_iter: int = 5000, *,
-                   operator: OperatorMatrix) -> NemytskyReport:
+def solve_nemytsky(spec: NemytskySpec, fstar, tol: float = 1e-10,
+                   max_iter: int = 5000, *, operator: OperatorMatrix) -> NemytskyReport:
     """Iterate Phi_{n+1} = G0(x, Phi_n) + A G1(t, Phi_n) from Phi_0 = xi * gamma.
 
     ``fstar`` must be a converged ceiling-iteration profile for the same
-    kernel, nonlinearity and grid, and ``operator`` the one it was solved
-    with; ``fstar`` provides the upper envelope.  Pointwise increase and the
+    nonlinearity, solved with ``operator``, whose grid gives the nodes;
+    ``fstar`` provides the upper envelope.  Pointwise increase and the
     envelope are asserted at every step (1e-12 flags, 1e-9 aborts).  The
     final profile is checked against the two-sided sandwich at 1e-10.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     fstar = np.asarray(fstar, dtype=float)
-    if fstar.shape != grid.nodes.shape:
+    nodes = operator.grid.nodes
+    if fstar.shape != nodes.shape:
         raise ValueError("fstar must hold one value per grid node")
     eta = spec.base_G.eta
     gamma = 1.0 - operator.row_mass
     lower = spec.xi * gamma
     upper = eta - fstar
-
-    nodes = grid.nodes
     envelope_ok = True
 
     def step(cur: np.ndarray) -> np.ndarray:

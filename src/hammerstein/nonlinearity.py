@@ -29,51 +29,14 @@ from .errors import NumericalBreakdownError
 FAMILIES = ("I", "II", "III")
 
 
-def _g_raw(family: str, alpha, alpha_star, alpha_tilde, u):
-    if family == "I":
-        return u ** alpha
-    if family == "II":
-        return 0.5 * (u ** alpha_star + u)
-    return 0.5 * (u ** alpha_tilde + u ** alpha_star)
-
-
-def find_eta(family: str, alpha: float | None = None, alpha_star: float | None = None,
-             alpha_tilde: float | None = None) -> float:
-    """Unique positive fixed point of the nonlinearity.
-
-    Checks u = 1 first (exact for the whole catalog), otherwise bisects
-    G(u) - u on [1e-8, 10] down to an interval of 1e-14.  A missing sign
-    change signals a G that violates the shape conditions.
-    """
-    def g(u):
-        return float(_g_raw(family, alpha, alpha_star, alpha_tilde, u))
-
-    if g(1.0) == 1.0:
-        return 1.0
-    lo, hi = 1e-8, 10.0
-    flo, fhi = g(lo) - lo, g(hi) - hi
-    if not (flo > 0.0 > fhi):
-        raise ValueError(
-            f"no sign change of G(u) - u on [{lo}, {hi}]; "
-            "G does not look increasing-concave with a positive fixed point")
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if g(mid) - mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """One catalog nonlinearity; ``eta`` is validated (or found) at construction."""
+    """One catalog nonlinearity, its exponents validated at construction."""
 
     family: str
     alpha: float | None = None
     alpha_star: float | None = None
     alpha_tilde: float | None = None
-    eta: float | None = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -89,14 +52,12 @@ class NonlinearitySpec:
                 raise ValueError(
                     f"family III needs alpha_tilde < alpha_star, "
                     f"got {self.alpha_tilde!r} >= {self.alpha_star!r}")
-        if self.eta is None:
-            object.__setattr__(
-                self, "eta",
-                find_eta(self.family, self.alpha, self.alpha_star, self.alpha_tilde))
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta!r}")
-        if abs(float(eval_G(self, self.eta)) - self.eta) > 1e-12:
-            raise ValueError(f"eta = {self.eta!r} is not a fixed point of G")
+
+    @property
+    def eta(self) -> float:
+        """The positive fixed point G(eta) = eta: 1 for every family, exactly,
+        since each G is a mean of powers of u and ``1.0 ** x == 1.0``."""
+        return 1.0
 
     @property
     def rate_exponent(self) -> float:
@@ -118,7 +79,11 @@ def eval_G(spec: NonlinearitySpec, u):
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("G is only defined for nonnegative arguments")
-    return _g_raw(spec.family, spec.alpha, spec.alpha_star, spec.alpha_tilde, arr)
+    if spec.family == "I":
+        return arr ** spec.alpha
+    if spec.family == "II":
+        return 0.5 * (arr ** spec.alpha_star + arr)
+    return 0.5 * (arr ** spec.alpha_tilde + arr ** spec.alpha_star)
 
 
 def eval_Q(spec: NonlinearitySpec, v):
@@ -190,8 +155,11 @@ def _newton_log_inverse(spec: NonlinearitySpec, log_v: np.ndarray) -> np.ndarray
         f"in {MAX_NEWTON_PASSES} Newton passes")
 
 
-# Rows of the sigma and ray lattices per block of check_G_conditions: a block
-# of 25 x 200 keeps the Newton temporaries of eval_Q near 0.6 MiB.
+# Points per axis of the lattices of check_G_conditions, and the slack of
+# its verdicts.  Rows per block: a block of 25 x 200 keeps the Newton
+# temporaries of eval_Q near 0.6 MiB.
+LATTICE_POINTS = 200
+LATTICE_TOL = 1e-12
 LATTICE_BLOCK_ROWS = 25
 
 
@@ -214,36 +182,31 @@ class GConditionReport:
                     and self.scaling_ok and self.inverse_scaling_ok)
 
 
-def check_G_conditions(spec: NonlinearitySpec, n_u: int = 200, n_sigma: int = 200,
-                       tol: float = 1e-12) -> GConditionReport:
+def check_G_conditions(spec: NonlinearitySpec) -> GConditionReport:
     """Certify monotonicity, concavity, the fixed point, and both scaling bounds.
 
-    Sampling lattices: u on [0, eta] with ``n_u`` points, sigma strictly
-    inside (0, 1) with ``n_sigma`` points; the inverse bound u Q(v) >= Q(u v)
-    is checked on a [0, 1] x [0, eta] lattice of the same sizes.  Both
-    lattices are walked ``LATTICE_BLOCK_ROWS`` rows at a time and
-    max-reduced per block: G and Q are elementwise, so the violations are
-    those of the whole lattice, bit for bit, in O(n_u) memory.
+    Sampling lattices: u on [0, eta] = [0, 1] with ``LATTICE_POINTS``
+    points, sigma strictly inside (0, 1) with as many; the inverse bound
+    u Q(v) >= Q(u v) is checked on the u x u lattice.  Both lattices are
+    walked ``LATTICE_BLOCK_ROWS`` rows at a time and max-reduced per block:
+    G and Q are elementwise, so the violations are those of the whole
+    lattice, bit for bit, in O(LATTICE_POINTS) memory.
     """
-    if n_u < 3 or n_sigma < 3:
-        raise ValueError("n_u and n_sigma must be at least 3")
-    eta = spec.eta
-
-    u = np.linspace(0.0, eta, n_u)
+    eta, tol = spec.eta, LATTICE_TOL
+    u = np.linspace(0.0, eta, LATTICE_POINTS)
     g = eval_G(spec, u)
     increasing_ok = bool(np.all(np.diff(g) > 0.0))
     second = g[2:] - 2.0 * g[1:-1] + g[:-2]
     concave_ok = bool(second.max() <= tol)
     fixed_point_ok = bool(g[0] == 0.0 and abs(g[-1] - eta) <= tol)
 
-    sigma = np.arange(1, n_sigma + 1, dtype=float) / (n_sigma + 1)
+    sigma = np.arange(1, LATTICE_POINTS + 1, dtype=float) / (LATTICE_POINTS + 1)
     a = spec.rate_exponent
-    uu = np.linspace(0.0, 1.0, n_sigma)
     q = eval_Q(spec, u)
     scaling_violation = inverse_violation = -math.inf
-    for start in range(0, n_sigma, LATTICE_BLOCK_ROWS):
+    for start in range(0, LATTICE_POINTS, LATTICE_BLOCK_ROWS):
         rows = slice(start, start + LATTICE_BLOCK_ROWS)
-        s, r = sigma[rows, None], uu[rows, None]
+        s, r = sigma[rows, None], u[rows, None]
         scaling_violation = max(scaling_violation,
                                 float((s ** a * g - eval_G(spec, s * u)).max()))
         inverse_violation = max(inverse_violation,
@@ -257,6 +220,5 @@ def check_G_conditions(spec: NonlinearitySpec, n_u: int = 200, n_sigma: int = 20
         scaling_violation=scaling_violation,
         inverse_scaling_ok=inverse_violation <= tol,
         inverse_scaling_violation=inverse_violation,
-        tol=float(tol),
+        tol=tol,
     )
-

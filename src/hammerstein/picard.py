@@ -13,11 +13,11 @@ discrete system inherits positivity, monotonicity, concavity and the scaling
 bound verbatim, the envelope is certified with the sigma0 measured on the
 grid itself.
 
-The operator is ``kernels.OperatorMatrix`` from ``kernels.discretise``
-(both re-exported here).  It is never held as an N x N matrix: the weighted
-kernel is the block-Toeplitz plus block-Hankel ``kernels.StructuredKernel``,
-applied with real FFTs in O(N log N) time and O(N) memory; the cusp
-correction and the over-cap rescale stay diagonal.
+The operator is ``kernels.OperatorMatrix`` from ``kernels.discretise``,
+both defined in and imported from ``kernels``.  It is never held as an
+N x N matrix: the weighted kernel is the block-Toeplitz plus block-Hankel
+``kernels.StructuredKernel``, applied with real FFTs in O(N log N) time and
+O(N) memory; the cusp correction and the over-cap rescale stay diagonal.
 """
 
 from __future__ import annotations
@@ -35,17 +35,16 @@ from .quadrature import HalfLineGrid
 
 
 def assemble_operator(spec: KernelSpec, grid: HalfLineGrid, *,
-                      report: ConditionReport | None = None,
-                      probe_count: int = 32, tol: float = 1e-9) -> OperatorMatrix:
+                      report: ConditionReport | None = None) -> OperatorMatrix:
     """The operator of :func:`discretise`, once the kernel passes its checks.
 
     A failing ``report`` rejects the spec before the kernel is evaluated, a
-    passing one sets ``tol``.  The checks rerun on the kernel evaluation the
-    operator is built from; a failure there rejects too.
+    passing one sets the checks' ``tol``.  The checks rerun on the kernel
+    evaluation the operator is built from; a failure there rejects too.
     """
     if report is None or report.passed:
-        disc = discretise(spec, grid, probe_count=probe_count,
-                          tol=tol if report is None else report.tol)
+        disc = (discretise(spec, grid) if report is None
+                else discretise(spec, grid, tol=report.tol))
         if disc.operator is not None:
             return disc.operator
         report = disc.report

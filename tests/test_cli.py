@@ -478,6 +478,34 @@ def test_table_on_non_converged_report(tmp_path, capsys):
     assert lines[0] == "n sup_diff envelope ratio" and len(lines) == 3
 
 
+# each case: (command, the path it names, the file's text or None for no file)
+IO_ERROR_CASES = {
+    "report-missing": ("table", "report.yaml", None),
+    "report-empty": ("table", "report.yaml", ""),
+    "report-no-envelope": ("table", "report.yaml", "solve:\n  sup_diffs: [1.0, 0.5]\n"),
+    "report-malformed-yaml": ("table", "report.yaml", "solve: [1.0,\n"),
+    "report-not-a-mapping": ("table", "report.yaml", "- 1\n- 2\n"),
+    "solve-out-dir-is-a-file": ("solve", "out", "not a directory\n"),
+    "check-out-dir-is-a-file": ("check", "out", "not a directory\n"),
+}
+
+
+@pytest.mark.parametrize("case", IO_ERROR_CASES)
+def test_io_errors_exit_2_naming_the_path(tmp_path, capsys, case):
+    command, name, text = IO_ERROR_CASES[case]
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    if command == "table":
+        argv = ["table", "--report", str(path)]
+    else:
+        argv = [command, "--config", str(write_config(tmp_path)), "--out-dir", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
 def _record_kernel_work(monkeypatch):
     """Record the calls of kernel_matrix, tail_row_mass and eval_kernel, in
     every hammerstein namespace that binds them, and the entries of every

@@ -82,16 +82,18 @@ def test_mu_symmetric_and_bounded():
     x = np.linspace(0.0, 10.0, 40)
     mu = mod.mu(x[:, None], x[None, :])
     assert np.array_equal(mu, mu.T)
-    assert np.all(mu <= 1.0) and np.all(mu >= mod.epsilon0 - 1e-15)
-    assert mod.epsilon0 == pytest.approx(0.75)
+    # the lower bound of mu is d_star * (2 - d_star) = 0.75, reached at x = t = 0
+    assert np.all(mu <= 1.0) and np.all(mu >= 0.5 * (2.0 - 0.5) - 1e-15)
+    assert mu[0, 0] == pytest.approx(0.75)
 
 
 def test_sup_mu_gap_closed_form():
     # exp-gap profile: sup_t (1 - mu(x, t)) = (1 - d_star)^2 * exp(-x)
     mod = ModulationSet(d_star=0.5)
+    t = np.linspace(0.0, 18.0, 50)
     for x in np.linspace(0.0, 18.0, 10):
         expected = 0.25 * math.exp(-x)
-        assert abs(float(mod.sup_one_minus_mu(x)) - expected) <= 1e-12
+        assert abs(float(mod.one_minus_mu(x, t).max()) - expected) <= 1e-12
 
 
 def test_mu_identity_exact():
@@ -289,7 +291,7 @@ def test_coarse_grid_fails_checks():
 
 def test_probe_count_validated(small_grid):
     with pytest.raises(ValueError):
-        check_kernel_conditions(make_kernel("A"), small_grid, probe_count=1)
+        discretise(make_kernel("A"), small_grid, probe_count=1)
 
 
 # --- kernels with a cusp --------------------------------------------------

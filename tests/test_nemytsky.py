@@ -13,7 +13,7 @@ from conftest import make_G, make_kernel
 
 
 def make_nem(small_ci, **overrides):
-    kwargs = dict(kernel=small_ci["spec"], base_G=small_ci["G"], xi=0.25)
+    kwargs = dict(base_G=small_ci["G"], xi=0.25)
     kwargs.update(overrides)
     return NemytskySpec(**kwargs)
 
@@ -135,8 +135,8 @@ def test_eps_star_values_fraction_of_bound(small_ci):
 
 @pytest.fixture(scope="module")
 def nem_solution(small_ci):
-    spec = NemytskySpec(kernel=small_ci["spec"], base_G=small_ci["G"], xi=0.25)
-    report = solve_nemytsky(spec, small_ci["grid"], small_ci["solve"].profile,
+    spec = NemytskySpec(base_G=small_ci["G"], xi=0.25)
+    report = solve_nemytsky(spec, small_ci["solve"].profile,
                             tol=1e-10, max_iter=5000, operator=small_ci["A"])
     return spec, report
 
@@ -160,18 +160,18 @@ def test_residual_and_tail(nem_solution):
 
 
 def test_first_step_moves_up(small_ci):
-    spec = NemytskySpec(kernel=small_ci["spec"], base_G=small_ci["G"], xi=0.25)
-    report = solve_nemytsky(spec, small_ci["grid"], small_ci["solve"].profile,
+    spec = NemytskySpec(base_G=small_ci["G"], xi=0.25)
+    report = solve_nemytsky(spec, small_ci["solve"].profile,
                             tol=1e-10, max_iter=5000, operator=small_ci["A"])
     # the recorded first difference is the sup of Phi_1 - Phi_0 >= 0
     assert report.sup_diffs[0] > 0.0
 
 
 def test_scaled_variant_converges(small_ci):
-    spec = NemytskySpec(kernel=small_ci["spec"], base_G=small_ci["G"], xi=0.2,
+    spec = NemytskySpec(base_G=small_ci["G"], xi=0.2,
                         integrand_family="scaled-reflected",
                         damping_profile="exp-decay")
-    report = solve_nemytsky(spec, small_ci["grid"], small_ci["solve"].profile,
+    report = solve_nemytsky(spec, small_ci["solve"].profile,
                             tol=1e-10, max_iter=5000, operator=small_ci["A"])
     assert report.sandwich_ok and report.phi_at_xmax <= 1e-6
 
@@ -186,8 +186,8 @@ def test_integral_stable_under_refinement(small_ci):
         rep = hs.check_kernel_conditions(spec, g)
         A = hs.assemble_operator(spec, g, report=rep)
         fstar = hs.solve_picard(A, G, tol=1e-10, max_iter=400).profile
-        nspec = NemytskySpec(kernel=spec, base_G=G, xi=0.25)
-        nrep = solve_nemytsky(nspec, g, fstar, tol=1e-10, operator=A)
+        nspec = NemytskySpec(base_G=G, xi=0.25)
+        nrep = solve_nemytsky(nspec, fstar, tol=1e-10, operator=A)
         total = integrate(g, nrep.profile)
         if coarse_val is None:
             coarse_val = total
@@ -197,8 +197,8 @@ def test_integral_stable_under_refinement(small_ci):
 
 
 def test_non_convergence_raises(small_ci):
-    spec = NemytskySpec(kernel=small_ci["spec"], base_G=small_ci["G"], xi=0.25)
+    spec = NemytskySpec(base_G=small_ci["G"], xi=0.25)
     with pytest.raises(NonConvergenceError) as err:
-        solve_nemytsky(spec, small_ci["grid"], small_ci["solve"].profile,
+        solve_nemytsky(spec, small_ci["solve"].profile,
                        tol=1e-10, max_iter=2, operator=small_ci["A"])
     assert err.value.report is not None and not err.value.report.converged

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import hammerstein.nonlinearity as nl
 from hammerstein.errors import NumericalBreakdownError
 from hammerstein.nonlinearity import (NonlinearitySpec, check_G_conditions,
-                                      eval_G, eval_Q, find_eta)
+                                      eval_G, eval_Q)
 
 from conftest import bisect_Q, make_G, power_linear_scaling_ratio
 
@@ -30,37 +30,25 @@ def test_eval_G_rejects_negative():
         eval_G(make_G("I"), -0.5)
 
 
-@pytest.mark.parametrize("family", ["I", "II", "III"])
-def test_find_eta_catalog(family):
-    G = make_G(family)
+# the whole box NonlinearitySpec admits: every exponent in (0, 1)
+box_exponent = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
+
+
+@given(family=st.sampled_from(["I", "II", "III"]), a=box_exponent, b=box_exponent)
+@settings(max_examples=60, deadline=None)
+def test_eta_one_is_the_fixed_point_across_the_box(family, a, b):
+    # eta is the constant 1.0 because every family is a mean of powers of u
+    # and 1.0 ** x == 1.0 exactly; this holds the constant to that claim
+    if family == "I":
+        G = NonlinearitySpec(family="I", alpha=a)
+    elif family == "II":
+        G = NonlinearitySpec(family="II", alpha_star=a)
+    else:
+        assume(min(a, b) < max(a, b))
+        G = NonlinearitySpec(family="III", alpha_tilde=min(a, b), alpha_star=max(a, b))
     assert G.eta == 1.0
-    assert abs(float(eval_G(G, G.eta)) - G.eta) <= 1e-12
-
-
-@given(alpha=unit_open)
-@settings(max_examples=40, deadline=None)
-def test_find_eta_power_family_any_alpha(alpha):
-    assert find_eta("I", alpha=alpha) == 1.0
-
-
-@given(a_t=unit_open, gap=st.floats(min_value=0.01, max_value=0.5))
-@settings(max_examples=40, deadline=None)
-def test_find_eta_two_power_family(a_t, gap):
-    a_s = min(a_t + gap, 0.99)
-    if a_t < a_s:
-        assert find_eta("III", alpha_tilde=a_t, alpha_star=a_s) == 1.0
-
-
-def test_find_eta_rejects_shapeless_G(monkeypatch):
-    # no sign change of G(u) - u on the bracket: shape conditions violated
-    monkeypatch.setattr(nl, "_g_raw", lambda *args: 0.5 * args[-1])
-    with pytest.raises(ValueError, match="no sign change"):
-        find_eta("I", alpha=0.5)
-
-
-def test_spec_rejects_wrong_eta():
-    with pytest.raises(ValueError, match="not a fixed point"):
-        NonlinearitySpec(family="I", alpha=0.5, eta=2.0)
+    assert eval_G(G, 1.0) == 1.0
+    assert check_G_conditions(G).fixed_point_ok
 
 
 def test_spec_parameter_validation():
@@ -175,7 +163,7 @@ def test_Q_newton_pass_cap_raises(family, monkeypatch):
 
 @pytest.mark.parametrize("family", ["I", "II", "III"])
 def test_lattice_certification_passes(family):
-    report = check_G_conditions(make_G(family), n_u=200, n_sigma=200, tol=1e-12)
+    report = check_G_conditions(make_G(family))
     assert report.passed
     assert report.scaling_violation <= 1e-12
     assert report.inverse_scaling_violation <= 1e-12
@@ -202,7 +190,7 @@ def test_inverse_lattice_is_evaluated_in_row_blocks(family, monkeypatch):
         return eval_Q(spec, v)
 
     monkeypatch.setattr(nl, "eval_Q", recorded)
-    report = check_G_conditions(G, n_u=200, n_sigma=200)
+    report = check_G_conditions(G)
     assert sizes == [200] + [b.size for b in blocks]
     assert report.inverse_scaling_violation == float(
         (full - uu[:, None] * eval_Q(G, u)[None, :]).max())
@@ -240,11 +228,6 @@ def test_power_linear_ratio_at_least_one():
 def test_power_linear_ratio_domain():
     with pytest.raises(ValueError):
         power_linear_scaling_ratio(0.0, 0.5)
-
-
-def test_lattice_size_validated():
-    with pytest.raises(ValueError):
-        check_G_conditions(make_G("I"), n_u=2)
 
 
 @given(alpha_star=unit_open, sigma=st.floats(min_value=0.01, max_value=0.99),
