@@ -30,6 +30,33 @@ def test_eval_G_rejects_negative():
         eval_G(make_G("I"), -0.5)
 
 
+# eta is a property of the spec now (find_eta is gone); these keep the
+# catalog and exponent-grid fixed-point checks under their original names
+@pytest.mark.parametrize("family", ["I", "II", "III"])
+def test_find_eta_catalog(family):
+    G = make_G(family)
+    assert G.eta == 1.0
+    assert abs(float(eval_G(G, G.eta)) - G.eta) <= 1e-12
+
+
+@given(alpha=unit_open)
+@settings(max_examples=40, deadline=None)
+def test_find_eta_power_family_any_alpha(alpha):
+    G = NonlinearitySpec(family="I", alpha=alpha)
+    assert G.eta == 1.0
+    assert eval_G(G, G.eta) == G.eta
+
+
+@given(a_t=unit_open, gap=st.floats(min_value=0.01, max_value=0.5))
+@settings(max_examples=40, deadline=None)
+def test_find_eta_two_power_family(a_t, gap):
+    a_s = min(a_t + gap, 0.99)
+    if a_t < a_s:
+        G = NonlinearitySpec(family="III", alpha_tilde=a_t, alpha_star=a_s)
+        assert G.eta == 1.0
+        assert eval_G(G, G.eta) == G.eta
+
+
 # the whole box NonlinearitySpec admits: every exponent in (0, 1)
 box_exponent = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
 
