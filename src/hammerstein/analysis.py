@@ -14,7 +14,9 @@ solve path and reports whether the bound holds:
 * uniqueness probe: perturbed restarts of the iteration on the solve's own
   operator must all return to the same profile (a heuristic check -- the
   underlying uniqueness argument is non-constructive).  The probe evaluates
-  no kernel; convergence under grid refinement is a separate question.
+  no kernel; convergence under grid refinement is a separate question.  Its
+  bumps are numpy's PCG64 stream, computed here bit for bit, so a run never
+  imports ``numpy.random`` (nor OpenSSL, which comes with it).
 
 A certificate whose hypotheses fail reports ``passed: False``; none raises.
 """
@@ -127,6 +129,79 @@ def asymptote_certificate(fstar, gamma, eta: float) -> AsymptoteCertificate:
     return AsymptoteCertificate(gap=gap, bound=bound, passed=bool(gap <= bound))
 
 
+# numpy's SeedSequence and PCG64 constants: numpy/random/bit_generator.pyx;
+# M. E. O'Neill, PCG, Harvey Mudd College report HMC-CS-2014-0905 (2014)
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's 32-bit hash, its constant advanced by ``mult`` per call."""
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_state(words) -> list[int]:
+    """``SeedSequence(words).generate_state(4, np.uint64)``: the words'
+    uint32 digits, low first, mixed into a pool of four and hashed out."""
+    if min(words) < 0:
+        raise ValueError(f"seed words must be nonnegative, got {list(words)}")
+    entropy = [w >> 32 * k & _M32 for w in words for k in range((w.bit_length() + 31) // 32 or 1)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * hashmix(y)) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in (d for d in range(4) if d != src):
+            pool[dst] = mix(pool[dst], pool[src])
+    for word in entropy[4:]:
+        pool = [mix(p, word) for p in pool]
+    draw = _hasher(0x8B51F9DD, 0x58F38DED)     # eight uint32 words, low one first
+    return [draw(pool[i % 4]) | draw(pool[i % 4 + 1]) << 32 for i in range(0, 8, 2)]
+
+
+def _mulhi(x: np.ndarray, y: int) -> np.ndarray:
+    """High 64 bits of each uint64 product x * y, from 32-bit halves."""
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    x0, x1, y0, y1 = x & m32, x >> s32, np.uint64(y & _M32), np.uint64(y >> 32)
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> s32) + (p01 & m32) + (p10 & m32)
+    return x1 * y1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+
+
+def _uniform_stream(seed: int, trial: int, n: int) -> np.ndarray:
+    """``np.random.default_rng([seed, trial]).random(n)``, bit for bit: the
+    XSL-RR outputs of PCG64's 128-bit LCG states, to 53 bits.  The states
+    are hi/lo uint64 pairs, filled by doubling: states [t, 2t) are the
+    affine map of t steps, s -> M**t s + c_t mod 2**128, of states [0, t)."""
+    words = _seed_state([seed, trial])
+    inc = (words[2] << 65 | words[3] << 1 | 1) & _M128
+    state = ((inc + (words[0] << 64 | words[1])) * _PCG_MULT + inc) & _M128
+    first = (state * _PCG_MULT + inc) & _M128
+    hi, lo = np.empty(n, np.uint64), np.empty(n, np.uint64)
+    hi[:1], lo[:1] = first >> 64, first & _M64
+    mult, add, done = _PCG_MULT, inc, 1     # the map of `done` steps
+    while done < n:
+        k = min(done, n - done)
+        m_lo, m_hi = mult & _M64, np.uint64(mult >> 64)
+        prod = lo[:k] * np.uint64(m_lo)
+        new_lo = np.add(prod, np.uint64(add & _M64), out=lo[done:done + k])
+        hi[done:done + k] = (_mulhi(lo[:k], m_lo) + lo[:k] * m_hi + hi[:k] * np.uint64(m_lo)
+                             + np.uint64(add >> 64) + (new_lo < prod))
+        mult, add, done = mult * mult & _M128, (mult * add + add) & _M128, 2 * done
+    rot, xored = hi >> np.uint64(58), np.bitwise_xor(hi, lo, out=lo)
+    rotated = xored >> rot | xored << (-rot & np.uint64(63))
+    return (rotated >> np.uint64(11)) * 2.0 ** -53
+
+
 @dataclass(frozen=True)
 class UniquenessProbeReport:
     """Sup-norm deviation of each perturbed restart from f*; ``max_dev``, the
@@ -145,7 +220,8 @@ def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
     """Re-run the iteration from perturbed starts; all must return to f*.
 
     Each trial restarts from clip(f* + positive bump, 0, eta) on the
-    operator's own grid with a per-trial generator spawned from ``seed``; the
+    operator's own grid, the bump scaled from the PCG64 stream that numpy's
+    ``default_rng([seed, trial]).random`` draws (``_uniform_stream``); the
     probe passes iff every deviation stays within 10 * tol.  Only the
     operator is applied; no kernel is evaluated.  A restart that fails to
     converge marks the probe inconclusive, and an operator that is not
@@ -157,8 +233,8 @@ def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
     deviations: list[float] = []
     inconclusive = False
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        start = np.clip(fstar + perturbation_scale * rng.random(fstar.size), 0.0, eta)
+        bump = perturbation_scale * _uniform_stream(seed, trial, fstar.size)
+        start = np.clip(fstar + bump, 0.0, eta)
         profile, _, ok = fixed_point_iterate(A, G, start, tol, max_iter)
         if not ok:
             inconclusive = True

@@ -247,11 +247,10 @@ def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> i
     """Programmatic entry point; returns the CLI exit code."""
     try:
         config = load_config(config_path, seed=seed)
+        if mode == "solve-nemytsky" and config.nemytsky is None:
+            raise ConfigError("nemytsky", "section is missing")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if mode == "solve-nemytsky" and config.nemytsky is None:
-        print("config error: nemytsky: section is missing", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return _run(mode, config, Path(out_dir))
 

@@ -248,7 +248,8 @@ def load_config(path, seed: int | None = None) -> RunConfig:
     try:
         tree = yaml.load(text, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(str(path), f"invalid YAML: {exc}") from exc
+        reason = " ".join(str(exc).split())     # a YAML error spans lines
+        raise ConfigError(str(path), f"invalid YAML: {reason}") from exc
     if tree is None:
         raise ConfigError(str(path), "config file is empty")
     return parse_config(tree, seed)

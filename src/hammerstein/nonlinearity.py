@@ -190,7 +190,9 @@ def check_G_conditions(spec: NonlinearitySpec) -> GConditionReport:
     u Q(v) >= Q(u v) is checked on the u x u lattice.  Both lattices are
     walked ``LATTICE_BLOCK_ROWS`` rows at a time and max-reduced per block:
     G and Q are elementwise, so the violations are those of the whole
-    lattice, bit for bit, in O(LATTICE_POINTS) memory.
+    lattice, bit for bit, in O(LATTICE_POINTS) memory.  As u_i u_j == u_j u_i
+    exactly, Q is evaluated on each block's columns from its first row on,
+    and each value serves entries (i, j) and (j, i): about half the lattice.
     """
     eta, tol = spec.eta, LATTICE_TOL
     u = np.linspace(0.0, eta, LATTICE_POINTS)
@@ -209,8 +211,10 @@ def check_G_conditions(spec: NonlinearitySpec) -> GConditionReport:
         s, r = sigma[rows, None], u[rows, None]
         scaling_violation = max(scaling_violation,
                                 float((s ** a * g - eval_G(spec, s * u)).max()))
+        q_prod = eval_Q(spec, r * u[start:])
         inverse_violation = max(inverse_violation,
-                                float((eval_Q(spec, r * u) - r * q).max()))
+                                float((q_prod - r * q[start:]).max()),
+                                float((q_prod - u[start:] * q[rows, None]).max()))
 
     return GConditionReport(
         increasing_ok=increasing_ok,

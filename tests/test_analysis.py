@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hammerstein as hs
 import hammerstein.kernels
-from hammerstein.analysis import (UniquenessProbeReport, asymptote_certificate,
+from hammerstein.analysis import (UniquenessProbeReport, _uniform_stream,
+                                  asymptote_certificate,
                                   excess_integral_certificate,
                                   jensen_certificate,
                                   tail_integral_certificate, uniqueness_probe)
@@ -142,6 +144,34 @@ def test_asymptote_certificate(small_ci):
 
 
 # --- uniqueness probe ---------------------------------------------------------------
+
+# one- to four-word entropy: 2**32 and 2**64 + 5 span two and three uint32
+# words, 2**100 four
+STREAM_SEEDS = [0, 1, *range(12345, 12353), 2**32 - 1, 2**32, 2**64 + 5, 2**100]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_probe_stream_is_numpys_pcg64(seed):
+    for trial in range(6):
+        for n in (0, 1, 2, 3, 1600, 4097):
+            expected = np.random.default_rng([seed, trial]).random(n)
+            assert np.array_equal(_uniform_stream(seed, trial, n), expected), (trial, n)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**128 - 1),
+       trial=st.integers(min_value=0, max_value=2**40), n=st.integers(0, 300))
+@settings(max_examples=200, deadline=None)
+def test_probe_stream_is_numpys_pcg64_for_any_seed(seed, trial, n):
+    expected = np.random.default_rng([seed, trial]).random(n)
+    assert np.array_equal(_uniform_stream(seed, trial, n), expected)
+
+
+def test_probe_stream_refuses_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError):
+        np.random.default_rng([-1, 0])
+    with pytest.raises(ValueError):
+        _uniform_stream(-1, 0, 3)
+
 
 def test_probe_zero_scale_returns_immediately(small_ci):
     probe = uniqueness_probe(small_ci["A"], small_ci["G"],

@@ -171,6 +171,27 @@ def test_malformed_yaml_exits_2(tmp_path, capsys):
     assert "invalid YAML" in capsys.readouterr().err
 
 
+# each case: (command, config text or None for no file); all exit 2
+CONFIG_ERROR_CASES = {
+    "unknown-key": ("solve", BASE_CONFIG + "  bogus: 1\n"),
+    "malformed-yaml": ("solve", BASE_CONFIG + "grid: [unclosed\n"),
+    "missing-file": ("solve", None),
+    "no-nemytsky-section": ("solve-nemytsky",
+                            BASE_CONFIG.replace("nemytsky:\n  xi: 0.25\n", "")),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERROR_CASES)
+def test_config_errors_print_one_error_line(tmp_path, capsys, case):
+    # the same one-line prefix as every other exit-2 error of main
+    command, text = CONFIG_ERROR_CASES[case]
+    cfg = write_config(tmp_path, text) if text is not None else tmp_path / "absent.yaml"
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 # values a report can hold that a YAML emitter might quote or round differently
 EMITTER_TREE = {
     "strings": {"nan": "nan", "inf": "inf", "ninf": "-inf", "null": "null", "yes": "yes",
@@ -585,13 +606,15 @@ def test_cli_imports_without_scipy():
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
-# a library run in a child: discretise, then the ceiling iteration
+# a library run in a child: discretise, the ceiling iteration, a probe restart
 LIBRARY_RUN = ("import sys, hammerstein as hs; "
                "grid = hs.build_grid(20.0, 50, hs.GAUSS, 4); "
                "kernel = hs.KernelSpec(family='C', base=hs.BaseKernel(), "
                "modulation=hs.ModulationSet(d_star=0.5, l=0.5), epsilon=0.5); "
                "disc = hs.discretise(kernel, grid); "
-               "hs.solve_picard(disc.operator, hs.NonlinearitySpec(family='I', alpha=0.5)); ")
+               "G = hs.NonlinearitySpec(family='I', alpha=0.5); "
+               "solve = hs.solve_picard(disc.operator, G); "
+               "hs.uniqueness_probe(disc.operator, G, solve.profile, trials=1); ")
 
 
 def test_discretise_and_solve_do_not_import_numpy_ma():
@@ -599,19 +622,36 @@ def test_discretise_and_solve_do_not_import_numpy_ma():
     assert proc.returncode == 0, proc.stderr or "numpy.ma was imported"
 
 
+def child_run(tmp_path, run_kind):
+    """Child code that runs the README config through the CLI, probe on, or
+    the library run, and leaves the CLI exit code (0 for the library) in
+    ``code``."""
+    if run_kind == "library":
+        return LIBRARY_RUN + "code = 0; "
+    cfg = tmp_path / "readme.yaml"
+    cfg.write_text(readme_config())
+    return (f"import sys; from hammerstein.cli import main; "
+            f"code = main(['solve-nemytsky', '--config', {str(cfg)!r}, "
+            f"'--out-dir', {str(tmp_path / 'out')!r}]); ")
+
+
 @pytest.mark.parametrize("run_kind", ["cli", "library"])
 def test_runs_do_not_import_numpy_polynomial(tmp_path, run_kind):
     # the Gauss panels come from quadrature.gauss_legendre, not leggauss
-    if run_kind == "cli":
-        cfg = tmp_path / "readme.yaml"
-        cfg.write_text(readme_config())
-        run = (f"import sys; from hammerstein.cli import main; "
-               f"code = main(['solve-nemytsky', '--config', {str(cfg)!r}, "
-               f"'--out-dir', {str(tmp_path / 'out')!r}]); ")
-    else:
-        run = LIBRARY_RUN + "code = 0; "
-    proc = run_child(run + "sys.exit(code or ('numpy.polynomial' in sys.modules))")
+    proc = run_child(child_run(tmp_path, run_kind)
+                     + "sys.exit(code or ('numpy.polynomial' in sys.modules))")
     assert proc.returncode == 0, proc.stderr or "numpy.polynomial was imported"
+
+
+@pytest.mark.parametrize("run_kind", ["cli", "library"])
+def test_runs_do_not_import_numpy_random_or_openssl(tmp_path, run_kind):
+    # the probe draws its bumps from analysis._uniform_stream; numpy.random
+    # would bring secrets, hmac and OpenSSL's _hashlib along
+    modules = ("numpy.random", "secrets", "_hashlib")
+    proc = run_child(child_run(tmp_path, run_kind)
+                     + f"sys.exit(code or ' '.join(m for m in {modules!r} if m in sys.modules) "
+                       "or None)")
+    assert proc.returncode == 0, proc.stderr
 
 
 # CPU clock ticks (utime + stime) of every thread but the main one, 50 ms

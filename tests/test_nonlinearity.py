@@ -196,19 +196,34 @@ def test_lattice_certification_passes(family):
     assert report.inverse_scaling_violation <= 1e-12
 
 
+def full_inverse_violation(G, Q=eval_Q):
+    """max of Q(u_i u_j) - u_i Q(u_j) over the whole u x u lattice at once:
+    the oracle of check_G_conditions' blocked half-lattice walk."""
+    u = np.linspace(0.0, G.eta, nl.LATTICE_POINTS)
+    return float((Q(G, u[:, None] * u[None, :]) - u[:, None] * Q(G, u)[None, :]).max())
+
+
+def wobbly_Q(freq):
+    """Q plus an elementwise wobble: still a function of each argument alone,
+    but with positive violations that differ between (i, j) and (j, i)."""
+    return lambda spec, v: eval_Q(spec, v) + 1e-3 * np.sin(freq * np.asarray(v)) ** 2
+
+
 @pytest.mark.parametrize("family", ["II", "III"])
 def test_inverse_lattice_is_evaluated_in_row_blocks(family, monkeypatch):
-    # eval_Q sees the 200 x 200 lattice LATTICE_BLOCK_ROWS rows at a time; it
-    # is elementwise, so the blocks are the full-lattice values bit for bit,
-    # and so is the verdict
+    # eval_Q sees the 200 x 200 lattice LATTICE_BLOCK_ROWS rows at a time,
+    # each block from its first row's column on (the lattice is symmetric);
+    # it is elementwise, so the blocks are the full-lattice values bit for
+    # bit, and so is the verdict
     G = make_G(family)
     u = np.linspace(0.0, G.eta, 200)
-    uu = np.linspace(0.0, 1.0, 200)
-    lattice = uu[:, None] * u[None, :]
+    lattice = u[:, None] * u[None, :]
+    assert np.array_equal(lattice, lattice.T)
     full = eval_Q(G, lattice)
     starts = range(0, 200, nl.LATTICE_BLOCK_ROWS)
-    blocks = [lattice[s:s + nl.LATTICE_BLOCK_ROWS] for s in starts]
-    assert np.array_equal(np.concatenate([eval_Q(G, b) for b in blocks]), full)
+    blocks = [lattice[s:s + nl.LATTICE_BLOCK_ROWS, s:] for s in starts]
+    assert all(np.array_equal(eval_Q(G, b), full[s:s + nl.LATTICE_BLOCK_ROWS, s:])
+               for s, b in zip(starts, blocks))
 
     sizes = []
 
@@ -219,8 +234,33 @@ def test_inverse_lattice_is_evaluated_in_row_blocks(family, monkeypatch):
     monkeypatch.setattr(nl, "eval_Q", recorded)
     report = check_G_conditions(G)
     assert sizes == [200] + [b.size for b in blocks]
+    assert sum(sizes[1:]) <= 0.6 * lattice.size
     assert report.inverse_scaling_violation == float(
-        (full - uu[:, None] * eval_Q(G, u)[None, :]).max())
+        (full - u[:, None] * eval_Q(G, u)[None, :]).max())
+
+
+@pytest.mark.parametrize("family", ["I", "II", "III"])
+def test_inverse_violation_is_the_full_lattice_value(family, monkeypatch):
+    G = make_G(family)
+    assert check_G_conditions(G).inverse_scaling_violation == full_inverse_violation(G)
+    # the u = 0 row pins an admissible Q's value at 0; wobbles move the
+    # maximum off it, to either side of the diagonal
+    for freq in (997.0, 1999.0, 3001.0, 4003.0):
+        monkeypatch.setattr(nl, "eval_Q", wobbly_Q(freq))
+        violation = check_G_conditions(G).inverse_scaling_violation
+        assert violation == full_inverse_violation(G, wobbly_Q(freq)) > 0.0, freq
+
+
+@given(family=st.sampled_from(["I", "II", "III"]),
+       a=st.floats(min_value=0.01, max_value=0.99),
+       b=st.floats(min_value=0.01, max_value=0.99))
+@settings(max_examples=50, deadline=None)
+def test_inverse_violation_is_the_full_lattice_value_for_any_exponents(family, a, b):
+    assume(family != "III" or a < b)
+    G = NonlinearitySpec(family=family, alpha=a if family == "I" else None,
+                         alpha_star=None if family == "I" else b,
+                         alpha_tilde=a if family == "III" else None)
+    assert check_G_conditions(G).inverse_scaling_violation == full_inverse_violation(G)
 
 
 def test_power_family_scaling_is_equality():
