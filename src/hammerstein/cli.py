@@ -4,8 +4,8 @@ A run reads one YAML config, executes condition checks, the ceiling
 iteration, the optional combined-equation solve and the enabled
 certificates, then writes
 
-* ``profile.csv``   one row per node (x, f_star, gamma, eta_minus_fstar and,
-  when the combined solve ran, phi with its two envelopes);
+* ``profile.csv``   one row per node (x, f_star, gamma and, when the
+  combined solve ran, phi: between xi * gamma and eta - f_star = 1 - f_star);
 * ``report.yaml``   conditions, solve data with the rate envelope, the
   enabled certificates and the config echo -- byte-identical for identical
   config and seed (timestamps go to a sidecar);
@@ -103,14 +103,12 @@ def emit_convergence_table(sup_diffs, envelope) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_profile(path: Path, grid, fstar, gamma, eta, nem_report=None) -> None:
+def _write_profile(path: Path, grid, fstar, gamma, phi=None) -> None:
     """One ``%.17g`` row per node, byte-identical to ``np.savetxt`` with that
     format, written ``PROFILE_BLOCK_ROWS`` rows to one ``%`` format at a time."""
-    columns = ["x", "f_star", "gamma", "eta_minus_fstar"]
-    data = [grid.nodes, fstar, gamma, eta - fstar]
-    if nem_report is not None:
-        columns += ["phi", "lower_env", "upper_env"]
-        data += [nem_report.profile, nem_report.lower_env, nem_report.upper_env]
+    columns, data = ["x", "f_star", "gamma"], [grid.nodes, fstar, gamma]
+    if phi is not None:
+        columns, data = columns + ["phi"], data + [phi]
     row = ",".join(["%.17g"] * len(data)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
@@ -202,8 +200,7 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
                                         max_iter=10 * config.max_iter, operator=operator)
         except NonConvergenceError as exc:
             nem_report = exc.report
-        payload["nemytsky_solve"] = _plain(
-            nem_report, drop=("profile", "lower_env", "upper_env"))
+        payload["nemytsky_solve"] = _plain(nem_report, drop=("profile",))
         if not nem_report.converged:
             payload["status"]["converged"] = False
             return EXIT_NO_CONVERGENCE
@@ -239,7 +236,7 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
         print(f"verdict failed: {path}", file=sys.stderr)
 
     _write_profile(out_dir / "profile.csv", config.grid, solve.profile, gamma,
-                   config.nonlinearity.eta, nem_report)
+                   None if nem_report is None else nem_report.profile)
     return EXIT_VERDICT if failed else EXIT_OK
 
 

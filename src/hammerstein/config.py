@@ -16,10 +16,10 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .kernels import BaseKernel, KernelSpec, ModulationSet
+from .kernels import FAMILIES as KERNEL_FAMILIES, BaseKernel, KernelSpec, ModulationSet
 from .nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES, POINTWISE_FAMILIES,
                        NemytskySpec)
-from .nonlinearity import NonlinearitySpec
+from .nonlinearity import FAMILIES as G_FAMILIES, NonlinearitySpec
 from .quadrature import GAUSS, TRAPEZOID, HalfLineGrid, build_grid
 
 # libyaml's C parser where PyYAML was built with it, the pure-python one otherwise
@@ -146,7 +146,7 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
     grid = build_grid(x_max, n_panels, rule, points)
 
     k = root.section("kernel", required=True)
-    family = k.choice("family", ("A", "B", "C"))
+    family = k.choice("family", KERNEL_FAMILIES)
     b = k.section("base")
     variant = b.choice("variant", ("gaussian", "exp-mixture"), "gaussian")
     atoms = None
@@ -177,7 +177,7 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
                         delta=delta, epsilon=epsilon)
 
     n = root.section("nonlinearity", required=True)
-    gfam = n.choice("family", ("I", "II", "III"))
+    gfam = n.choice("family", G_FAMILIES)
     alpha = alpha_star = alpha_tilde = None
     if gfam == "I":
         alpha = n.number("alpha", 0.5, _OPEN_UNIT)

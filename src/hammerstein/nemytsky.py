@@ -50,7 +50,6 @@ class NemytskySpec:
     pointwise_family: str = "saturating"
     integrand_family: str = "reflected"
     eps_star_fraction: float = 0.0
-    eps_star_profile: np.ndarray | None = None
     damping_profile: str = "one"
 
     def __post_init__(self) -> None:
@@ -75,14 +74,7 @@ def eps_star_bound(spec: NemytskySpec, gamma):
 
 
 def eps_star_values(spec: NemytskySpec, gamma):
-    """Quadratic coefficient profile: explicit override, else fraction of the bound."""
-    gamma = np.asarray(gamma, dtype=float)
-    if spec.eps_star_profile is not None:
-        profile = np.asarray(spec.eps_star_profile, dtype=float)
-        if profile.size != gamma.size:
-            raise ValueError(
-                f"eps_star_profile has {profile.size} entries for {gamma.size} nodes")
-        return profile.reshape(gamma.shape)
+    """Quadratic coefficient profile: ``eps_star_fraction`` of the bound."""
     return spec.eps_star_fraction * eps_star_bound(spec, gamma)
 
 
@@ -177,9 +169,7 @@ def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid, *,
         envelope_ok &= bool(g1.min() >= -tol and (g1 - envelope[k]).max() <= tol)
         prev0, prev1 = g0, g1
 
-    eps = np.broadcast_to(np.asarray(eps_star_values(spec, gamma), dtype=float),
-                          gamma.shape)
-    over = eps - eps_star_bound(spec, gamma)
+    over = eps_star_values(spec, gamma) - eps_star_bound(spec, gamma)
     bad = np.nonzero(over > tol)[0]
     eps_ok = bad.size == 0
 
@@ -197,13 +187,11 @@ def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid, *,
 
 @dataclass
 class NemytskyReport:
-    """Outcome of the upward iteration, with both envelopes kept for the sandwich."""
+    """Outcome of the upward iteration, without its envelopes xi * gamma and eta - f_star."""
 
     iterations: int
     sup_diffs: list[float]
     profile: np.ndarray
-    lower_env: np.ndarray     # xi * gamma
-    upper_env: np.ndarray     # eta - f_star
     increase_ok: bool
     envelope_ok: bool
     sandwich_ok: bool
@@ -260,8 +248,6 @@ def solve_nemytsky(spec: NemytskySpec, fstar, tol: float = 1e-10,
         iterations=len(sup_diffs),
         sup_diffs=sup_diffs,
         profile=phi,
-        lower_env=lower,
-        upper_env=upper,
         increase_ok=increase_ok,
         envelope_ok=envelope_ok,
         sandwich_ok=sandwich_ok,

@@ -187,12 +187,14 @@ def check_G_conditions(spec: NonlinearitySpec) -> GConditionReport:
 
     Sampling lattices: u on [0, eta] = [0, 1] with ``LATTICE_POINTS``
     points, sigma strictly inside (0, 1) with as many; the inverse bound
-    u Q(v) >= Q(u v) is checked on the u x u lattice.  Both lattices are
-    walked ``LATTICE_BLOCK_ROWS`` rows at a time and max-reduced per block:
-    G and Q are elementwise, so the violations are those of the whole
-    lattice, bit for bit, in O(LATTICE_POINTS) memory.  As u_i u_j == u_j u_i
-    exactly, Q is evaluated on each block's columns from its first row on,
-    and each value serves entries (i, j) and (j, i): about half the lattice.
+    u Q(v) >= Q(u v) is checked on the u x u lattice.  The entries that are
+    0 for every G, with a factor u = 0 or an inverse multiplier u = 1, are
+    left out, so the violations show their margin.  Both lattices are walked
+    ``LATTICE_BLOCK_ROWS`` rows at a time and max-reduced per block: G and Q
+    are elementwise, so the violations are those of the whole lattice, bit
+    for bit, in O(LATTICE_POINTS) memory.  As u_i u_j == u_j u_i exactly, Q
+    is evaluated on each block's columns from its first row on, and each
+    value serves entries (i, j) and (j, i): about half the lattice.
     """
     eta, tol = spec.eta, LATTICE_TOL
     u = np.linspace(0.0, eta, LATTICE_POINTS)
@@ -205,16 +207,20 @@ def check_G_conditions(spec: NonlinearitySpec) -> GConditionReport:
     sigma = np.arange(1, LATTICE_POINTS + 1, dtype=float) / (LATTICE_POINTS + 1)
     a = spec.rate_exponent
     q = eval_Q(spec, u)
-    scaling_violation = inverse_violation = -math.inf
+    inner, q_inner = u[1:-1], q[1:-1]   # the inverse multipliers 0 < u < 1
+    scaling_violation = -math.inf
+    inverse_violation = float((q_inner - inner * q[-1]).max())     # the factor u = 1
     for start in range(0, LATTICE_POINTS, LATTICE_BLOCK_ROWS):
-        rows = slice(start, start + LATTICE_BLOCK_ROWS)
-        s, r = sigma[rows, None], u[rows, None]
+        s = sigma[start:start + LATTICE_BLOCK_ROWS, None]
         scaling_violation = max(scaling_violation,
-                                float((s ** a * g - eval_G(spec, s * u)).max()))
-        q_prod = eval_Q(spec, r * u[start:])
+                                float((s ** a * g[1:] - eval_G(spec, s * u[1:])).max()))
+    for start in range(0, inner.size, LATTICE_BLOCK_ROWS):
+        rows = slice(start, start + LATTICE_BLOCK_ROWS)
+        r = inner[rows, None]
+        q_prod = eval_Q(spec, r * inner[start:])
         inverse_violation = max(inverse_violation,
-                                float((q_prod - r * q[start:]).max()),
-                                float((q_prod - u[start:] * q[rows, None]).max()))
+                                float((q_prod - r * q_inner[start:]).max()),
+                                float((q_prod - inner[start:] * q_inner[rows, None]).max()))
 
     return GConditionReport(
         increasing_ok=increasing_ok,

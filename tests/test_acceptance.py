@@ -148,8 +148,8 @@ def test_criterion_10_combined_equation_sandwich(catalog):
     spec = hs.NemytskySpec(base_G=run.G, xi=0.25)
     nem = hs.solve_nemytsky(spec, run.solve.profile, tol=TOL, max_iter=5000,
                             operator=run.A)
-    lower_gap = float((nem.lower_env - nem.profile).max())
-    upper_gap = float((nem.profile - nem.upper_env).max())
+    lower_gap = float((spec.xi * (1.0 - run.A.row_mass) - nem.profile).max())
+    upper_gap = float((nem.profile - (run.G.eta - run.solve.profile)).max())
     ok = (nem.converged and nem.increase_ok
           and lower_gap <= 1e-10 and upper_gap <= 1e-10
           and nem.phi_at_xmax <= 1e-6)

@@ -61,7 +61,7 @@ def test_happy_path_writes_artifacts(tmp_path):
     assert len(report["solve"]["envelope"]) == len(report["solve"]["sup_diffs"])
     assert report["solve"]["envelope"][0] is None
     header = (out / "profile.csv").read_text().splitlines()[0]
-    assert header == "x,f_star,gamma,eta_minus_fstar"
+    assert header == "x,f_star,gamma"
     assert (out / "run_meta.txt").exists()
 
 
@@ -71,9 +71,10 @@ def test_full_pipeline_profile_has_envelopes(tmp_path):
     code = main(["solve-nemytsky", "--config", str(cfg), "--out-dir", str(out)])
     assert code == 0
     lines = (out / "profile.csv").read_text().splitlines()
-    assert lines[0] == "x,f_star,gamma,eta_minus_fstar,phi,lower_env,upper_env"
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[5] <= first[4] + 1e-10 <= first[6] + 2e-10  # sandwich at node 0
+    assert lines[0] == "x,f_star,gamma,phi"
+    # the envelopes xi * gamma and 1 - f_star follow from the columns
+    _, fstar, gamma, phi = (float(v) for v in lines[1].split(","))
+    assert 0.25 * gamma <= phi + 1e-10 <= 1.0 - fstar + 2e-10  # sandwich at node 0
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["nemytsky_solve"]["sandwich_ok"] is True
 

@@ -112,14 +112,15 @@ def test_quadratic_fraction_within_bound_passes(small_ci):
 
 
 def test_quadratic_profile_over_bound_names_node(small_ci):
-    gamma = small_ci["gamma"]
-    base = make_nem(small_ci)
-    profile = 0.5 * eps_star_bound(base, gamma)
-    profile[7] = 1.1 * eps_star_bound(base, gamma)[7]
+    # a fraction over 1 breaks the bound wherever it is positive; with gamma
+    # zero elsewhere, the bound is 0 and met, so only node 7 breaks it
+    gamma = np.zeros_like(small_ci["gamma"])
+    gamma[7] = small_ci["gamma"][7]
     spec = make_nem(small_ci, pointwise_family="saturating-quadratic",
-                    eps_star_profile=profile)
-    report = check_nemytsky_conditions(spec, small_ci["grid"], gamma=small_ci["gamma"])
-    assert not report.passed
+                    eps_star_fraction=1.1)
+    assert eps_star_bound(spec, gamma)[7] > 0.0
+    report = check_nemytsky_conditions(spec, small_ci["grid"], gamma=gamma)
+    assert not report.eps_star_ok and not report.passed
     assert report.eps_star_bad_node == 7
 
 
@@ -141,11 +142,13 @@ def nem_solution(small_ci):
     return spec, report
 
 
-def test_sandwich_holds(nem_solution):
-    _, report = nem_solution
+def test_sandwich_holds(small_ci, nem_solution):
+    spec, report = nem_solution
     assert report.converged and report.sandwich_ok
-    assert float((report.profile - report.lower_env).min()) >= -1e-10
-    assert float((report.upper_env - report.profile).min()) >= -1e-10
+    lower = spec.xi * (1.0 - small_ci["A"].row_mass)
+    upper = spec.base_G.eta - small_ci["solve"].profile
+    assert float((report.profile - lower).min()) >= -1e-10
+    assert float((upper - report.profile).min()) >= -1e-10
 
 
 def test_iterates_increase_under_envelope(nem_solution):

@@ -196,11 +196,34 @@ def test_lattice_certification_passes(family):
     assert report.inverse_scaling_violation <= 1e-12
 
 
+# the scaling and inverse lattice margins of the catalog defaults
+LATTICE_MARGINS = {
+    "I": (1.1102230246251565e-16, -1.2625624960385108e-07),
+    "II": (-7.744592624980839e-07, -4.855073666644758e-07),
+    "III": (-7.754255266778642e-07, -5.1248259649645255e-11),
+}
+
+
+@pytest.mark.parametrize("family", ["I", "II", "III"])
+def test_lattice_violations_carry_their_margin(family):
+    # the entries that are 0 for every G (a factor u = 0, an inverse
+    # multiplier u = 1) are left out, so no maximum is pinned at 0
+    report = check_G_conditions(make_G(family))
+    scaling, inverse = LATTICE_MARGINS[family]
+    assert report.scaling_violation == pytest.approx(scaling, rel=1e-9, abs=1e-15)
+    assert report.inverse_scaling_violation == pytest.approx(inverse, rel=1e-9)
+    assert report.inverse_scaling_violation < 0.0
+    if family != "I":
+        assert report.scaling_violation < 0.0
+
+
 def full_inverse_violation(G, Q=eval_Q):
-    """max of Q(u_i u_j) - u_i Q(u_j) over the whole u x u lattice at once:
-    the oracle of check_G_conditions' blocked half-lattice walk."""
+    """max of Q(u_i u_j) - u_i Q(u_j) over the u x u lattice at once, less
+    the entries with u_j = 0 or u_i in {0, 1}: the oracle of
+    check_G_conditions' blocked half-lattice walk."""
     u = np.linspace(0.0, G.eta, nl.LATTICE_POINTS)
-    return float((Q(G, u[:, None] * u[None, :]) - u[:, None] * Q(G, u)[None, :]).max())
+    return float((Q(G, u[1:-1, None] * u[None, 1:])
+                  - u[1:-1, None] * Q(G, u)[None, 1:]).max())
 
 
 def wobbly_Q(freq):
@@ -211,16 +234,17 @@ def wobbly_Q(freq):
 
 @pytest.mark.parametrize("family", ["II", "III"])
 def test_inverse_lattice_is_evaluated_in_row_blocks(family, monkeypatch):
-    # eval_Q sees the 200 x 200 lattice LATTICE_BLOCK_ROWS rows at a time,
-    # each block from its first row's column on (the lattice is symmetric);
-    # it is elementwise, so the blocks are the full-lattice values bit for
-    # bit, and so is the verdict
+    # eval_Q sees the 198 x 198 lattice of the multipliers 0 < u < 1
+    # LATTICE_BLOCK_ROWS rows at a time, each block from its first row's
+    # column on (the lattice is symmetric); it is elementwise, so the blocks
+    # are the full-lattice values bit for bit, and so is the verdict
     G = make_G(family)
     u = np.linspace(0.0, G.eta, 200)
-    lattice = u[:, None] * u[None, :]
+    inner = u[1:-1]
+    lattice = inner[:, None] * inner[None, :]
     assert np.array_equal(lattice, lattice.T)
     full = eval_Q(G, lattice)
-    starts = range(0, 200, nl.LATTICE_BLOCK_ROWS)
+    starts = range(0, 198, nl.LATTICE_BLOCK_ROWS)
     blocks = [lattice[s:s + nl.LATTICE_BLOCK_ROWS, s:] for s in starts]
     assert all(np.array_equal(eval_Q(G, b), full[s:s + nl.LATTICE_BLOCK_ROWS, s:])
                for s, b in zip(starts, blocks))
@@ -235,16 +259,17 @@ def test_inverse_lattice_is_evaluated_in_row_blocks(family, monkeypatch):
     report = check_G_conditions(G)
     assert sizes == [200] + [b.size for b in blocks]
     assert sum(sizes[1:]) <= 0.6 * lattice.size
-    assert report.inverse_scaling_violation == float(
-        (full - u[:, None] * eval_Q(G, u)[None, :]).max())
+    q = eval_Q(G, u)
+    assert report.inverse_scaling_violation == max(
+        float((full - inner[:, None] * q[None, 1:-1]).max()),
+        float((q[1:-1] - inner * q[-1]).max()))
 
 
 @pytest.mark.parametrize("family", ["I", "II", "III"])
 def test_inverse_violation_is_the_full_lattice_value(family, monkeypatch):
     G = make_G(family)
     assert check_G_conditions(G).inverse_scaling_violation == full_inverse_violation(G)
-    # the u = 0 row pins an admissible Q's value at 0; wobbles move the
-    # maximum off it, to either side of the diagonal
+    # wobbles move the maximum to either side of the diagonal
     for freq in (997.0, 1999.0, 3001.0, 4003.0):
         monkeypatch.setattr(nl, "eval_Q", wobbly_Q(freq))
         violation = check_G_conditions(G).inverse_scaling_violation
