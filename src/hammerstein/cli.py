@@ -148,8 +148,7 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
 def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
     """Every stage of a run, filling ``payload``; returns the exit code."""
     try:
-        disc = discretise(config.kernel, config.grid,
-                          probe_count=config.probe_count, tol=config.check_tol)
+        disc = discretise(config.kernel, config.grid)
     except SpecRejectedError as exc:
         # the checks passed but the cusp-corrected operator is not positive
         payload["conditions"] = {"kernel": {**_plain(exc.report), "passed": False,

@@ -123,8 +123,6 @@ class RunConfig:
     grid: HalfLineGrid
     tol: float
     max_iter: int
-    check_tol: float
-    probe_count: int
     nemytsky: NemytskySpec | None
     certificates: CertificateSettings
     echo: dict
@@ -162,7 +160,7 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
         raise ConfigError("kernel.base", str(exc)) from exc
     if base.has_cusp and rule != GAUSS:
         # the cusp of each row sits at a trapezoid node, where no panel split
-        # helps: the row masses stay second order and cannot meet checks.tol
+        # helps: the row masses stay second order and cannot meet CHECK_TOL
         raise ConfigError("grid.rule",
                           f"the {variant} base kernel has a cusp at t = x and needs "
                           f"rule: {GAUSS}, got {rule!r}")
@@ -198,14 +196,6 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
     max_iter = s.integer("max_iter", 500, least=1)
     s.close()
 
-    # condition-check settings: the row masses of every accepted kernel reach
-    # the default tolerance (a cusped base kernel is integrated split at its
-    # cusp), so a failed check points at the grid, never at this tolerance
-    ch = root.section("checks")
-    check_tol = ch.number("tol", 1e-9, _POSITIVE)
-    probe_count = ch.integer("probe_count", 32, least=2)
-    ch.close()
-
     nemytsky = None
     if "nemytsky" in tree:
         m = root.section("nemytsky", required=True)
@@ -226,15 +216,15 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
         c.raw = {**c.raw, "seed": seed}
     certificates = CertificateSettings(
         **{name: c.boolean(name, True) for name in _CERT_SWITCHES},
-        probe_trials=c.integer("probe_trials", 5, least=0),
-        probe_scale=c.number("probe_scale", 0.1, (lambda v: v >= 0.0, "must be nonnegative")),
+        probe_trials=c.integer("probe_trials", 5, least=1),
+        probe_scale=c.number("probe_scale", 0.1, _POSITIVE),
         seed=c.integer("seed", 12345, least=0))
     c.close()
-    root.close()
+    root.close(checks="the kernel checks take no settings (their tolerance is "
+                      "kernels.CHECK_TOL, domination is proven); remove this section")
 
     return RunConfig(kernel=kernel, nonlinearity=nonlinearity, grid=grid,
-                     tol=tol, max_iter=max_iter, check_tol=check_tol,
-                     probe_count=probe_count, nemytsky=nemytsky,
+                     tol=tol, max_iter=max_iter, nemytsky=nemytsky,
                      certificates=certificates, echo=root.echo)
 
 

@@ -62,8 +62,8 @@ class NemytskySpec:
         eta = self.base_G.eta
         if not 0.0 < self.xi < 0.5 * eta:
             raise ValueError(f"xi must lie in (0, eta/2) = (0, {0.5 * eta}), got {self.xi!r}")
-        if not 0.0 <= self.eps_star_fraction:
-            raise ValueError(f"eps_star_fraction must be nonnegative, got {self.eps_star_fraction!r}")
+        if not 0.0 <= self.eps_star_fraction <= 1.0:
+            raise ValueError(f"eps_star_fraction must lie in [0, 1], got {self.eps_star_fraction!r}")
 
 
 def eps_star_bound(spec: NemytskySpec, gamma):
@@ -128,22 +128,22 @@ class NemytskyConditionReport:
     upper_crossing_ok: bool       # G0(x, eta) <= eta gamma
     monotone_ok: bool             # both terms increase in u
     envelope_ok: bool             # 0 <= G1 <= eta - G(eta - u)
-    eps_star_ok: bool             # quadratic coefficient within its bound
-    eps_star_bad_node: int | None
     tol: float
 
     @property
     def passed(self) -> bool:
         return bool(self.criticality_ok and self.lower_crossing_ok
                     and self.upper_crossing_ok and self.monotone_ok
-                    and self.envelope_ok and self.eps_star_ok)
+                    and self.envelope_ok)
 
 
 def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid, *,
                               gamma: np.ndarray) -> NemytskyConditionReport:
-    """Verify the crossing, monotonicity, envelope and coefficient conditions
-    on every grid node against a u-lattice of ``LATTICE_POINTS`` points,
-    within ``LATTICE_TOL``.
+    """Verify the crossing, monotonicity and envelope conditions on every
+    grid node against a u-lattice of ``LATTICE_POINTS`` points, within
+    ``LATTICE_TOL``.  The upper crossing G0(x, eta) <= eta gamma is the bound
+    eps_star <= :func:`eps_star_bound` itself, so it checks the quadratic
+    coefficient too.
 
     ``gamma`` is the mass defect at the nodes: the ``gamma`` of the
     ``kernels.discretise`` of the kernel on ``grid``.
@@ -169,18 +169,12 @@ def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid, *,
         envelope_ok &= bool(g1.min() >= -tol and (g1 - envelope[k]).max() <= tol)
         prev0, prev1 = g0, g1
 
-    over = eps_star_values(spec, gamma) - eps_star_bound(spec, gamma)
-    bad = np.nonzero(over > tol)[0]
-    eps_ok = bad.size == 0
-
     return NemytskyConditionReport(
         criticality_ok=crit,
         lower_crossing_ok=lower_ok,
         upper_crossing_ok=upper_ok,
         monotone_ok=monotone_ok,
         envelope_ok=envelope_ok,
-        eps_star_ok=bool(eps_ok),
-        eps_star_bad_node=None if eps_ok else int(bad[0]),
         tol=tol,
     )
 

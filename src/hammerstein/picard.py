@@ -38,13 +38,12 @@ def assemble_operator(spec: KernelSpec, grid: HalfLineGrid, *,
                       report: ConditionReport | None = None) -> OperatorMatrix:
     """The operator of :func:`discretise`, once the kernel passes its checks.
 
-    A failing ``report`` rejects the spec before the kernel is evaluated, a
-    passing one sets the checks' ``tol``.  The checks rerun on the kernel
-    evaluation the operator is built from; a failure there rejects too.
+    A failing ``report`` rejects the spec before the kernel is evaluated.
+    The checks rerun on the kernel evaluation the operator is built from; a
+    failure there rejects too.
     """
     if report is None or report.passed:
-        disc = (discretise(spec, grid) if report is None
-                else discretise(spec, grid, tol=report.tol))
+        disc = discretise(spec, grid)
         if disc.operator is not None:
             return disc.operator
         report = disc.report

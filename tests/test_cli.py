@@ -179,6 +179,11 @@ CONFIG_ERROR_CASES = {
     "missing-file": ("solve", None),
     "no-nemytsky-section": ("solve-nemytsky",
                             BASE_CONFIG.replace("nemytsky:\n  xi: 0.25\n", "")),
+    # settings that take no value, or under which the uniqueness verdict
+    # could only fail (no restart) or only pass (no bump)
+    "checks-section": ("solve", BASE_CONFIG + "checks:\n  tol: 1.0e-9\n"),
+    "no-probe-restart": ("solve", BASE_CONFIG.replace("probe_trials: 2", "probe_trials: 0")),
+    "zero-probe-scale": ("solve", BASE_CONFIG + "  probe_scale: 0.0\n"),
 }
 
 
@@ -552,30 +557,24 @@ def _record_kernel_work(monkeypatch):
     return calls, entries
 
 
-# 1200 nodes, so that 4 N entries (4800) is far below one row per node of
-# the tail past x_max (480 points per row at this grid's panel width)
-WIDE_CONFIG = BASE_CONFIG.replace("n_panels: 100", "n_panels: 300")
-
-
 def test_solve_evaluates_the_kernel_once(tmp_path, monkeypatch):
     # no N x N kernel and no N x (tail points) one: no kernel_matrix or
-    # tail_row_mass call, and every eval_kernel call together (the probe
-    # lattice) covers at most 4 N entries; the uniqueness probe is on
+    # tail_row_mass call, and a Gaussian kernel is never evaluated pointwise
+    # (domination is proven, not probed); the uniqueness probe is on
     # (BASE_CONFIG keeps its default)
     calls, entries = _record_kernel_work(monkeypatch)
-    cfg = write_config(tmp_path, WIDE_CONFIG)
+    cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["certificates"]["uniqueness"]["passed"] is True
-    n = load_config(cfg).grid.size
     assert calls["kernel_matrix"] == []
     assert calls["tail_row_mass"] == []
-    assert entries and sum(entries) <= 4 * n
+    assert entries == []
 
 
 def test_library_path_evaluates_no_dense_kernel(tmp_path, monkeypatch):
-    config = load_config(write_config(tmp_path, WIDE_CONFIG))
+    config = load_config(write_config(tmp_path))
     spec, grid = config.kernel, config.grid
     calls, entries = _record_kernel_work(monkeypatch)
     report = hammerstein.check_kernel_conditions(spec, grid)
@@ -583,7 +582,19 @@ def test_library_path_evaluates_no_dense_kernel(tmp_path, monkeypatch):
     hammerstein.gamma_profile(spec, grid)
     assert calls["kernel_matrix"] == []
     assert calls["tail_row_mass"] == []
-    assert entries and sum(entries) <= 4 * grid.size
+    assert entries == []
+
+
+def test_mixture_kernel_is_evaluated_at_its_cusp_only(tmp_path, monkeypatch):
+    # a cusped kernel is evaluated pointwise for its cusp correction, 3p
+    # values per node, and for the corrected diagonal, one per node
+    calls, entries = _record_kernel_work(monkeypatch)
+    cfg = write_config(tmp_path, mixture_config(360))
+    assert main(["check", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    grid = load_config(cfg).grid
+    assert calls["kernel_matrix"] == []
+    assert calls["tail_row_mass"] == []
+    assert 0 < sum(entries) <= (3 * grid.points_per_panel + 1) * grid.size
 
 
 def run_child(probe, **env_vars):

@@ -34,12 +34,11 @@ def _every_key(kfam, gfam):
         "nonlinearity": {"family": gfam, **G_VALUES[gfam]},
         "grid": {"x_max": 30, "n_panels": 50, "rule": "gauss", "points_per_panel": 3},
         "solver": {"tol": 1.0e-9, "max_iter": 100},
-        "checks": {"tol": 1.0e-8, "probe_count": 16},
         "nemytsky": {"pointwise": "saturating-quadratic", "integrand": "scaled-reflected",
                      "xi": 0.3, "eps_star_fraction": 0.5, "damping_profile": "exp-decay"},
         "certificates": {"excess_integral": False, "tail_integral": True, "jensen": False,
-                         "asymptote": True, "uniqueness_probe": False, "probe_trials": 0,
-                         "probe_scale": 0, "seed": 0},
+                         "asymptote": True, "uniqueness_probe": False, "probe_trials": 1,
+                         "probe_scale": 0.05, "seed": 0},
     }
 
 
@@ -59,7 +58,7 @@ def _echo_trees():
     trees["nemytsky-partial"] = {**_defaults("B", "II"), "nemytsky": {"xi": 0.1}}
     trees["trapezoid"] = {**_defaults("C", "III"), "grid": {"rule": "trapezoid"},
                           "nemytsky": {}}
-    trees["empty-optional-sections"] = {**_defaults("A", "II"), "solver": {}, "checks": {},
+    trees["empty-optional-sections"] = {**_defaults("A", "II"), "solver": {},
                                         "certificates": {}}
     return trees
 
@@ -96,7 +95,6 @@ BASE = {
     "nonlinearity": {"family": "I", "alpha": 0.5},
     "grid": {"x_max": 40.0, "n_panels": 100, "rule": "gauss", "points_per_panel": 4},
     "solver": {"tol": 1.0e-10, "max_iter": 300},
-    "checks": {"tol": 1.0e-9, "probe_count": 32},
     "nemytsky": {"xi": 0.25},
     "certificates": {"probe_trials": 2, "seed": 7},
 }
@@ -117,7 +115,7 @@ ERRORS = [
     ({"nonlinearity.bogus": 1}, "nonlinearity.bogus"),
     ({"grid.bogus": 1}, "grid.bogus"),
     ({"solver.bogus": 1}, "solver.bogus"),
-    ({"checks.bogus": 1}, "checks.bogus"),
+    ({"checks": {"tol": 1.0e-9}}, "checks"),      # takes no settings: kernels.CHECK_TOL
     ({"nemytsky.bogus": 1}, "nemytsky.bogus"),
     ({"certificates.bogus": 1}, "certificates.bogus"),
     # sections missing or not mappings
@@ -163,8 +161,8 @@ ERRORS = [
     ({**FAMILY_III, "nonlinearity.alpha_tilde": 0.75}, "nonlinearity.alpha_tilde"),
     ({"solver.tol": 0.0}, "solver.tol"),
     ({"solver.max_iter": 0}, "solver.max_iter"),
-    ({"checks.tol": -1.0}, "checks.tol"),
-    ({"checks.probe_count": 1}, "checks.probe_count"),
+    ({"certificates.probe_trials": 0}, "certificates.probe_trials"),
+    ({"certificates.probe_scale": 0.0}, "certificates.probe_scale"),
     ({"nemytsky.xi": 0.5}, "nemytsky.xi"),
     ({"nemytsky.xi": 0.0}, "nemytsky.xi"),
     ({"nemytsky.eps_star_fraction": 1.5}, "nemytsky.eps_star_fraction"),
@@ -190,7 +188,7 @@ ERRORS = [
     # non-finite numbers
     ({"grid.x_max": math.inf}, "grid.x_max"),
     ({"solver.tol": math.inf}, "solver.tol"),
-    ({"checks.tol": math.inf}, "checks.tol"),
+    ({"nemytsky.eps_star_fraction": math.inf}, "nemytsky.eps_star_fraction"),
     ({"certificates.probe_scale": math.nan}, "certificates.probe_scale"),
     ({"certificates.probe_scale": math.inf}, "certificates.probe_scale"),
     ({"kernel.d_star": math.nan}, "kernel.d_star"),

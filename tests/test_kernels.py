@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 import hammerstein as hs
-from hammerstein.kernels import (BLOCK_ENTRIES, BaseKernel, ConditionReport,
-                                 KernelSpec, ModulationSet,
+from hammerstein.kernels import (BLOCK_ENTRIES, POSITIVITY_FLOOR, BaseKernel,
+                                 ConditionReport, KernelSpec, ModulationSet,
                                  check_kernel_conditions, cusp_correction,
                                  eval_kernel, gamma_profile, kernel_matrix,
                                  _base_half_line_moments,
@@ -232,8 +233,51 @@ def test_catalog_conditions_pass(small_grid, family):
     assert report.symmetry_residual <= 1e-12
     assert report.sup_row_mass <= 1.0 + 1e-9
     assert report.gamma_min >= -1e-9
-    assert report.domination_margin >= -1e-9
     assert report.gamma_integral > 0.0
+
+
+# --- domination, proven in the kernels module docstring --------------------
+
+def _envelope(spec, x, t):
+    """lam_star(t) * kstar(x - t) from the closed forms, K0 floored as the kernel is."""
+    y = np.abs(x - t)
+    if spec.base.variant == "gaussian":
+        k0 = np.exp(-y * y) / SQRT_PI
+    else:
+        k0 = sum(c * np.exp(-y * s) for c, s in spec.base.atoms)
+    with np.errstate(divide="ignore"):
+        lam_star = 1.0 + np.exp(-t) * t ** -spec.modulation.l
+    return lam_star * spec.kstar_scale() * np.maximum(k0, POSITIVITY_FLOOR)
+
+
+def _mixture(atoms):
+    # (weight, rate) pairs scaled to sum 2c/s = 1
+    total = math.fsum(w for w, _ in atoms)
+    return BaseKernel(variant="exp-mixture", atoms=tuple((w * s / (2.0 * total), s)
+                                                         for w, s in atoms))
+
+
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@given(family=st.sampled_from(["A", "B", "C"]),
+       atoms=st.none() | st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.05, 20.0)),
+                                  min_size=1, max_size=3),
+       lambda_form=st.sampled_from(["exp-gap", "rational-gap"]),
+       d_star=st.floats(0.0, 1.0, exclude_min=True), l=open_unit, weight=open_unit,
+       rule=st.sampled_from([hs.GAUSS, hs.TRAPEZOID]), n_panels=st.integers(1, 80),
+       points=st.integers(1, 5), x_max=st.floats(0.5, 80.0))
+@settings(max_examples=200, deadline=None)
+def test_kernel_dominated_on_every_node_pair(family, atoms, lambda_form, d_star, l, weight,
+                                             rule, n_panels, points, x_max):
+    image = {"A": {}, "B": {"delta": weight}, "C": {"epsilon": weight}}[family]
+    spec = make_kernel(family, d_star=d_star, l=l, lambda_form=lambda_form,
+                       base=None if atoms is None else _mixture(atoms), **image)
+    nodes = np.concatenate([[0.0], hs.build_grid(x_max, n_panels, rule, points).nodes])
+    x, t = nodes[:, None], nodes[None, :]
+    # within 4 ulps of the envelope: 1 + epsilon and lam_star are rounded
+    slack = 1.0 + 4.0 * np.finfo(float).eps
+    assert (eval_kernel(spec, x, t) <= _envelope(spec, x, t) * slack).all()
 
 
 def test_constants_closed_forms(small_grid):
@@ -267,18 +311,18 @@ def test_conservative_kernel_flagged():
     # a row mass identically 1 gives gamma == 0 everywhere: rejected
     report = ConditionReport(
         positivity_ok=True, sup_row_mass=1.0, gamma_min=0.0, gamma_max=0.0,
-        gamma_tail=0.0, symmetry_residual=0.0, domination_margin=0.1,
+        gamma_tail=0.0, symmetry_residual=0.0,
         gamma_integral=0.0, lambda_star_excess_integral=1.0,
-        kstar_total_mass=1.0, kstar_abs_moment=0.5, tol=1e-9)
+        kstar_total_mass=1.0, kstar_abs_moment=0.5)
     assert not report.passed
 
 
 def test_positivity_failure_flagged():
     report = ConditionReport(
         positivity_ok=False, sup_row_mass=0.9, gamma_min=0.05, gamma_max=0.5,
-        gamma_tail=0.0, symmetry_residual=0.0, domination_margin=0.1,
+        gamma_tail=0.0, symmetry_residual=0.0,
         gamma_integral=0.3, lambda_star_excess_integral=1.0,
-        kstar_total_mass=1.0, kstar_abs_moment=0.5, tol=1e-9)
+        kstar_total_mass=1.0, kstar_abs_moment=0.5)
     assert not report.passed
 
 
@@ -287,11 +331,6 @@ def test_coarse_grid_fails_checks():
     report = check_kernel_conditions(make_kernel("B", delta=0.999999), coarse)
     assert not report.passed
     assert report.sup_row_mass > 1.0 + 1e-9 or report.gamma_min < -1e-9
-
-
-def test_probe_count_validated(small_grid):
-    with pytest.raises(ValueError):
-        discretise(make_kernel("A"), small_grid, probe_count=1)
 
 
 # --- kernels with a cusp --------------------------------------------------

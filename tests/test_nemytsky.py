@@ -108,20 +108,14 @@ def test_quadratic_fraction_within_bound_passes(small_ci):
     spec = make_nem(small_ci, pointwise_family="saturating-quadratic",
                     eps_star_fraction=0.5)
     report = check_nemytsky_conditions(spec, small_ci["grid"], gamma=small_ci["gamma"])
-    assert report.passed and report.eps_star_bad_node is None
+    assert report.passed
 
 
-def test_quadratic_profile_over_bound_names_node(small_ci):
-    # a fraction over 1 breaks the bound wherever it is positive; with gamma
-    # zero elsewhere, the bound is 0 and met, so only node 7 breaks it
-    gamma = np.zeros_like(small_ci["gamma"])
-    gamma[7] = small_ci["gamma"][7]
-    spec = make_nem(small_ci, pointwise_family="saturating-quadratic",
-                    eps_star_fraction=1.1)
-    assert eps_star_bound(spec, gamma)[7] > 0.0
-    report = check_nemytsky_conditions(spec, small_ci["grid"], gamma=gamma)
-    assert not report.eps_star_ok and not report.passed
-    assert report.eps_star_bad_node == 7
+def test_quadratic_fraction_over_one_rejected(small_ci):
+    # eps_star is this fraction of its bound, so the spec keeps it within the
+    # bound; the upper crossing G0(eta) <= eta gamma is that same bound
+    with pytest.raises(ValueError, match="eps_star_fraction"):
+        make_nem(small_ci, pointwise_family="saturating-quadratic", eps_star_fraction=1.1)
 
 
 def test_eps_star_values_fraction_of_bound(small_ci):
