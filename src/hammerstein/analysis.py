@@ -228,6 +228,9 @@ def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
     weight-symmetric (relative residual above 1e-9) fails it: the uniqueness
     argument needs a symmetric kernel.
     """
+    if trials < 1 or not perturbation_scale > 0.0:
+        raise ValueError("trials must be at least 1 and perturbation_scale positive, "
+                         f"got {trials!r} and {perturbation_scale!r}")
     fstar = np.asarray(fstar, dtype=float)
     eta = G.eta
     deviations: list[float] = []

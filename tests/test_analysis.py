@@ -173,12 +173,13 @@ def test_probe_stream_refuses_a_negative_seed_as_numpy_does():
         _uniform_stream(-1, 0, 3)
 
 
-def test_probe_zero_scale_returns_immediately(small_ci):
-    probe = uniqueness_probe(small_ci["A"], small_ci["G"],
-                             small_ci["solve"].profile, perturbation_scale=0.0,
-                             trials=2, seed=1, tol=1e-10)
-    assert probe.max_dev <= 1e-10
-    assert probe.passed
+@pytest.mark.parametrize("kwargs", [dict(trials=0), dict(perturbation_scale=0.0)],
+                         ids=["no-restart", "zero-scale"])
+def test_probe_rejects_meaningless_settings(small_ci, kwargs):
+    # no restart tests nothing, and a zero bump restarts from f* itself
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        uniqueness_probe(small_ci["A"], small_ci["G"], small_ci["solve"].profile,
+                         **kwargs)
 
 
 def test_probe_perturbed_restarts(small_ci):
@@ -221,7 +222,7 @@ def test_probe_refuses_asymmetric_operator(small_ci):
                                 quad_mass=A.quad_mass.copy(), grid=A.grid,
                                 kernel=A.kernel)
     probe = uniqueness_probe(crooked, small_ci["G"], small_ci["solve"].profile,
-                             perturbation_scale=0.0, trials=1, seed=0)
+                             perturbation_scale=0.1, trials=1, seed=0)
     # the restart is measured, and it returns; the asymmetry alone fails it
     assert len(probe.deviations) == 1 and not probe.inconclusive
     assert probe.passed is False

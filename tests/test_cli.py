@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,7 +12,6 @@ import yaml
 import hammerstein
 import hammerstein.cli
 import hammerstein.kernels
-import hammerstein.nemytsky
 import hammerstein.nonlinearity
 import hammerstein.picard
 from conftest import readme_config
@@ -408,43 +408,38 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def _lifted_at_zero(fn):
-    # G0(x, 0) = xi gamma / 10: small enough to keep G0 increasing where
-    # gamma is near 0
-    def lifted(spec, gamma, u):
-        return fn(spec, gamma, u) + 0.1 * spec.xi * gamma * (np.asarray(u) == 0.0)
-    return lifted
-
-
-def _scaled(factor):
-    return lambda fn: (lambda spec, where, u: factor * fn(spec, where, u))
-
-
-def _falls_at_the_top(fn):
-    def falling(spec, where, u):
-        return fn(spec, where, u) * (1.0 - np.asarray(u))   # eta = 1, so G1(x, eta) = 0
-    return falling
-
-
-@pytest.mark.parametrize("verdict, term, breakage", [
-    ("criticality_ok", "eval_G0", _lifted_at_zero),
-    ("lower_crossing_ok", "eval_G0", _scaled(0.5)),
-    ("upper_crossing_ok", "eval_G0", _scaled(3.0)),
-    ("monotone_ok", "eval_G1", _falls_at_the_top),
+# One node's gamma outside [0, 1] per case: below, not a number, above, and
+# the next float above 1 (the check has no slack).  The ids are those of the
+# four lattice-check cases these replaced, kept so the test names stay stable.
+@pytest.mark.parametrize("bad_gamma, key", [
+    pytest.param(-1e-3, "gamma_min", id="criticality_ok-eval_G0-_lifted_at_zero"),
+    pytest.param(math.nan, "gamma_min", id="lower_crossing_ok-eval_G0-<lambda>"),
+    pytest.param(1.5, "gamma_max", id="upper_crossing_ok-eval_G0-<lambda>"),
+    pytest.param(math.nextafter(1.0, 2.0), "gamma_max",
+                 id="monotone_ok-eval_G1-_falls_at_the_top"),
 ])
-def test_failed_nemytsky_condition_exits_3(tmp_path, monkeypatch, verdict, term, breakage):
-    monkeypatch.setattr(hammerstein.nemytsky, term,
-                        breakage(getattr(hammerstein.nemytsky, term)))
+def test_failed_nemytsky_condition_exits_3(tmp_path, monkeypatch, bad_gamma, key):
+    # conditions 1)-4) are proven from 0 <= gamma <= 1 alone (the nemytsky
+    # module docstring), so a gamma outside it at one node is what fails them
+    real = hammerstein.cli.discretise
+
+    def broken_gamma(*args):
+        disc = real(*args)
+        gamma = disc.gamma.copy()
+        gamma[3] = bad_gamma
+        return dataclasses.replace(disc, gamma=gamma)
+
+    monkeypatch.setattr(hammerstein.cli, "discretise", broken_gamma)
     out = tmp_path / "out"
     code = main(["solve-nemytsky", "--config", str(write_config(tmp_path)),
                  "--out-dir", str(out)])
     assert code == 3
     report = yaml.safe_load((out / "report.yaml").read_text())
-    conditions = report["conditions"]["nemytsky"]
-    assert conditions[verdict] is False and conditions["passed"] is False
-    # the breakage fails this verdict alone
-    assert [key for key, val in conditions.items()
-            if key.endswith("_ok") and val is False] == [verdict]
+    conditions = report["conditions"]
+    assert conditions["nemytsky"]["passed"] is False
+    reported = float(conditions["nemytsky"][key])
+    assert reported == bad_gamma or (math.isnan(reported) and math.isnan(bad_gamma))
+    assert conditions["kernel"]["passed"] and conditions["nonlinearity"]["passed"]
     assert report["status"]["conditions_passed"] is False
     assert "solve" not in report
 

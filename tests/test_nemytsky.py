@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import hammerstein as hs
 from hammerstein.errors import NonConvergenceError
-from hammerstein.nemytsky import (NemytskySpec, check_nemytsky_conditions,
-                                  damping_values, eps_star_bound,
-                                  eps_star_values, eval_G0, eval_G1,
-                                  solve_nemytsky)
+from hammerstein.nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES,
+                                  POINTWISE_FAMILIES, NemytskySpec,
+                                  check_nemytsky_conditions, damping_values,
+                                  eps_star_bound, eps_star_values, eval_G0,
+                                  eval_G1, solve_nemytsky)
+from hammerstein.nonlinearity import NonlinearitySpec, eval_G
 from hammerstein.quadrature import integrate
 
 from conftest import make_G, make_kernel
@@ -102,6 +107,8 @@ def test_catalog_conditions_pass(small_ci):
     report = check_nemytsky_conditions(make_nem(small_ci), small_ci["grid"],
                                        gamma=small_ci["gamma"])
     assert report.passed
+    assert report.gamma_min == small_ci["gamma"].min()
+    assert report.gamma_max == small_ci["gamma"].max()
 
 
 def test_quadratic_fraction_within_bound_passes(small_ci):
@@ -109,6 +116,66 @@ def test_quadratic_fraction_within_bound_passes(small_ci):
                     eps_star_fraction=0.5)
     report = check_nemytsky_conditions(spec, small_ci["grid"], gamma=small_ci["gamma"])
     assert report.passed
+
+
+@pytest.mark.parametrize("entry", [-1e-3, math.nan, 1.5])
+def test_gamma_outside_unit_interval_fails_without_raising(small_ci, entry):
+    gamma = small_ci["gamma"].copy()
+    gamma[5] = entry
+    report = check_nemytsky_conditions(make_nem(small_ci), small_ci["grid"], gamma=gamma)
+    assert report.passed is False
+
+
+def _base_G(family, a, b):
+    if family == "I":
+        return NonlinearitySpec(family="I", alpha=a)
+    if family == "II":
+        return NonlinearitySpec(family="II", alpha_star=a)
+    assume(a != b)
+    return NonlinearitySpec(family="III", alpha_tilde=min(a, b), alpha_star=max(a, b))
+
+
+box_exponent = st.floats(1e-6, 1.0 - 1e-6)
+# gamma in [0, 1]: uniform, log-uniform down to 1e-16, and the edge values
+gamma_entry = (st.floats(0.0, 1.0) | st.floats(-16.0, 0.0).map(lambda e: 10.0 ** e)
+               | st.sampled_from([0.0, 1.0, 1e-14, 5e-324]))
+PROOF_TOL = 1e-12
+
+
+@given(family=st.sampled_from(["I", "II", "III"]), a=box_exponent, b=box_exponent,
+       xi=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       pointwise=st.sampled_from(POINTWISE_FAMILIES),
+       integrand=st.sampled_from(INTEGRAND_FAMILIES),
+       damping=st.sampled_from(DAMPING_PROFILES),
+       fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       gamma=st.lists(gamma_entry, min_size=1, max_size=40), x_max=st.floats(0.0, 80.0))
+@settings(max_examples=200, deadline=None)
+def test_conditions_hold_for_every_accepted_spec(family, a, b, xi, pointwise, integrand,
+                                                 damping, fraction, gamma, x_max):
+    # the module docstring's proof, on an x-by-u lattice: every spec
+    # NemytskySpec accepts meets conditions 1)-4) once 0 <= gamma <= 1
+    G = _base_G(family, a, b)
+    spec = NemytskySpec(base_G=G, xi=xi, pointwise_family=pointwise,
+                        integrand_family=integrand, eps_star_fraction=fraction,
+                        damping_profile=damping)
+    gamma = np.array(gamma)
+    x = np.linspace(0.0, x_max, gamma.size)
+    eta, s = G.eta, xi * gamma
+    u = np.linspace(0.0, eta, 33)
+    g0 = eval_G0(spec, gamma[:, None], u[None, :])
+    g1 = eval_G1(spec, x[:, None], u[None, :])
+    # criticality, exactly
+    assert np.all(eval_G0(spec, gamma, 0.0) == 0.0)
+    assert np.all(eval_G1(spec, x, 0.0) == 0.0)
+    # the two crossings
+    assert (eval_G0(spec, gamma, s) - s).min() >= -PROOF_TOL
+    assert (eval_G0(spec, gamma, eta) - eta * gamma).max() <= PROOF_TOL
+    # both terms increase in u
+    assert np.diff(g0, axis=1).min() >= -PROOF_TOL
+    assert np.diff(g1, axis=1).min() >= -PROOF_TOL
+    # the reflected envelope
+    assert g1.min() >= -PROOF_TOL
+    assert (g1 - (eta - eval_G(G, eta - u))).max() <= PROOF_TOL
 
 
 def test_quadratic_fraction_over_one_rejected(small_ci):
