@@ -43,7 +43,6 @@ from .errors import (ConfigError, HammersteinError, NonConvergenceError,
                      NumericalBreakdownError, SpecRejectedError)
 from .kernels import discretise
 from .nemytsky import check_nemytsky_conditions, solve_nemytsky
-from .nonlinearity import check_G_conditions
 from .picard import rate_envelope, solve_picard
 
 EXIT_OK = 0
@@ -156,17 +155,13 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
         payload["status"] = {"conditions_passed": False}
         return EXIT_CONDITIONS
     kernel_report = disc.report
-    g_report = check_G_conditions(config.nonlinearity)
     payload["conditions"] = {
-        "kernel": {**_plain(kernel_report), "passed": kernel_report.passed},
-        "nonlinearity": {**_plain(g_report), "passed": g_report.passed},
-    }
-    conditions_passed = kernel_report.passed and g_report.passed
+        "kernel": {**_plain(kernel_report), "passed": kernel_report.passed}}
+    conditions_passed = kernel_report.passed
 
     nem_spec = config.nemytsky if mode == "solve-nemytsky" else None
     if nem_spec is not None:
-        nem_conditions = check_nemytsky_conditions(nem_spec, config.grid,
-                                                   gamma=disc.gamma)
+        nem_conditions = check_nemytsky_conditions(disc.gamma)
         payload["conditions"]["nemytsky"] = {**_plain(nem_conditions),
                                              "passed": nem_conditions.passed}
         conditions_passed = conditions_passed and nem_conditions.passed

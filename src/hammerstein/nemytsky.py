@@ -48,7 +48,6 @@ from .errors import NonConvergenceError, NumericalBreakdownError
 from .kernels import OperatorMatrix
 from .nonlinearity import NonlinearitySpec, eval_G
 from .picard import iterate
-from .quadrature import HalfLineGrid
 
 POINTWISE_FAMILIES = ("saturating", "saturating-quadratic")
 INTEGRAND_FAMILIES = ("reflected", "scaled-reflected")
@@ -145,12 +144,11 @@ class NemytskyConditionReport:
         return bool(0.0 <= self.gamma_min and self.gamma_max <= 1.0)   # NaN fails
 
 
-def check_nemytsky_conditions(spec: NemytskySpec, grid: HalfLineGrid, *,
-                              gamma: np.ndarray) -> NemytskyConditionReport:
+def check_nemytsky_conditions(gamma: np.ndarray) -> NemytskyConditionReport:
     """Check 0 <= gamma <= 1 at every node in O(N), without raising; a NaN
-    fails it.  ``gamma`` is the mass defect at the nodes of ``grid``, as
+    fails it.  ``gamma`` is the mass defect at the grid nodes, as
     ``kernels.discretise`` gives it.  Conditions 1)-4) then hold for every
-    accepted ``spec`` (module docstring); ``spec`` and ``grid`` go unread.
+    spec that ``NemytskySpec`` accepts (module docstring).
     """
     gamma = np.asarray(gamma, dtype=float)
     return NemytskyConditionReport(gamma_min=float(gamma.min()),

@@ -439,9 +439,28 @@ def test_failed_nemytsky_condition_exits_3(tmp_path, monkeypatch, bad_gamma, key
     assert conditions["nemytsky"]["passed"] is False
     reported = float(conditions["nemytsky"][key])
     assert reported == bad_gamma or (math.isnan(reported) and math.isnan(bad_gamma))
-    assert conditions["kernel"]["passed"] and conditions["nonlinearity"]["passed"]
+    assert "nonlinearity" not in conditions and conditions["kernel"]["passed"]
     assert report["status"]["conditions_passed"] is False
     assert "solve" not in report
+
+
+# Accepted exponents far below 2e-14: the nonlinearity's conditions are
+# proven (the nonlinearity module docstring), so no lattice can read
+# u**1e-20 as flat at neighbouring points and refuse the run.
+@pytest.mark.parametrize("nonlinearity", [
+    pytest.param("family: I\n  alpha: 1.0e-20", id="I-1e-20"),
+    pytest.param("family: III\n  alpha_tilde: 1.0e-20\n  alpha_star: 2.0e-20",
+                 id="III-1e-20-2e-20"),
+])
+def test_tiny_exponents_exit_0(tmp_path, nonlinearity):
+    text = BASE_CONFIG.replace("family: I\n  alpha: 0.5", nonlinearity)
+    out = tmp_path / "out"
+    code = main(["solve-nemytsky", "--config", str(write_config(tmp_path, text)),
+                 "--out-dir", str(out)])
+    assert code == 0
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert sorted(report["conditions"]) == ["kernel", "nemytsky"]
+    assert report["status"]["conditions_passed"] is True
 
 
 def test_newton_pass_cap_exits_5(tmp_path, monkeypatch, capsys):

@@ -104,25 +104,23 @@ def test_spec_validation(small_ci):
 # --- condition checks -------------------------------------------------------
 
 def test_catalog_conditions_pass(small_ci):
-    report = check_nemytsky_conditions(make_nem(small_ci), small_ci["grid"],
-                                       gamma=small_ci["gamma"])
+    report = check_nemytsky_conditions(small_ci["gamma"])
     assert report.passed
     assert report.gamma_min == small_ci["gamma"].min()
     assert report.gamma_max == small_ci["gamma"].max()
 
 
 def test_quadratic_fraction_within_bound_passes(small_ci):
-    spec = make_nem(small_ci, pointwise_family="saturating-quadratic",
-                    eps_star_fraction=0.5)
-    report = check_nemytsky_conditions(spec, small_ci["grid"], gamma=small_ci["gamma"])
-    assert report.passed
+    # the spec is accepted, and gamma's range is all the check reads
+    make_nem(small_ci, pointwise_family="saturating-quadratic", eps_star_fraction=0.5)
+    assert check_nemytsky_conditions(small_ci["gamma"]).passed
 
 
 @pytest.mark.parametrize("entry", [-1e-3, math.nan, 1.5])
 def test_gamma_outside_unit_interval_fails_without_raising(small_ci, entry):
     gamma = small_ci["gamma"].copy()
     gamma[5] = entry
-    report = check_nemytsky_conditions(make_nem(small_ci), small_ci["grid"], gamma=gamma)
+    report = check_nemytsky_conditions(gamma)
     assert report.passed is False
 
 

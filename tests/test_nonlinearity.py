@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import hammerstein.nonlinearity as nl
 from hammerstein.errors import NumericalBreakdownError
-from hammerstein.nonlinearity import (NonlinearitySpec, check_G_conditions,
-                                      eval_G, eval_Q)
+from hammerstein.nonlinearity import NonlinearitySpec, eval_G, eval_Q
 
 from conftest import bisect_Q, make_G, power_linear_scaling_ratio
 
@@ -75,7 +75,6 @@ def test_eta_one_is_the_fixed_point_across_the_box(family, a, b):
         G = NonlinearitySpec(family="III", alpha_tilde=min(a, b), alpha_star=max(a, b))
     assert G.eta == 1.0
     assert eval_G(G, 1.0) == 1.0
-    assert check_G_conditions(G).fixed_point_ok
 
 
 def test_spec_parameter_validation():
@@ -186,14 +185,38 @@ def test_Q_newton_pass_cap_raises(family, monkeypatch):
         eval_Q(make_G(family), v)
 
 
-# --- lattice certification --------------------------------------------------
+# --- the proof, checked on lattices -----------------------------------------
+
+# points per axis of the u, sigma and inverse lattices
+LATTICE_POINTS = 200
+
+
+def scaling_violation(G):
+    """max of sigma**a G(u) - G(sigma u) over the full sigma x u lattice,
+    sigma strictly inside (0, 1), less the column u = 0 (0 for every G)."""
+    u = np.linspace(0.0, G.eta, LATTICE_POINTS)[1:]
+    sigma = np.arange(1, LATTICE_POINTS + 1, dtype=float)[:, None] / (LATTICE_POINTS + 1)
+    return float((sigma ** G.rate_exponent * eval_G(G, u) - eval_G(G, sigma * u)).max())
+
+
+def full_inverse_violation(G, Q=eval_Q):
+    """max of Q(u_i u_j) - u_i Q(u_j) over the u x u lattice, less the
+    entries with u_j = 0 or u_i in {0, 1} (0 for every G)."""
+    u = np.linspace(0.0, G.eta, LATTICE_POINTS)
+    return float((Q(G, u[1:-1, None] * u[None, 1:])
+                  - u[1:-1, None] * Q(G, u)[None, 1:]).max())
+
 
 @pytest.mark.parametrize("family", ["I", "II", "III"])
 def test_lattice_certification_passes(family):
-    report = check_G_conditions(make_G(family))
-    assert report.passed
-    assert report.scaling_violation <= 1e-12
-    assert report.inverse_scaling_violation <= 1e-12
+    # the five conditions of the module docstring's proof, in floating point
+    G = make_G(family)
+    g = eval_G(G, np.linspace(0.0, G.eta, LATTICE_POINTS))
+    assert g[0] == 0.0 and g[-1] == G.eta
+    assert np.all(np.diff(g) > 0.0)
+    assert (g[2:] - 2.0 * g[1:-1] + g[:-2]).max() <= 1e-12
+    assert scaling_violation(G) <= 1e-12
+    assert full_inverse_violation(G) <= 1e-12
 
 
 # the scaling and inverse lattice margins of the catalog defaults
@@ -208,22 +231,13 @@ LATTICE_MARGINS = {
 def test_lattice_violations_carry_their_margin(family):
     # the entries that are 0 for every G (a factor u = 0, an inverse
     # multiplier u = 1) are left out, so no maximum is pinned at 0
-    report = check_G_conditions(make_G(family))
+    G = make_G(family)
     scaling, inverse = LATTICE_MARGINS[family]
-    assert report.scaling_violation == pytest.approx(scaling, rel=1e-9, abs=1e-15)
-    assert report.inverse_scaling_violation == pytest.approx(inverse, rel=1e-9)
-    assert report.inverse_scaling_violation < 0.0
+    assert scaling_violation(G) == pytest.approx(scaling, rel=1e-9, abs=1e-15)
+    assert full_inverse_violation(G) == pytest.approx(inverse, rel=1e-9)
+    assert full_inverse_violation(G) < 0.0
     if family != "I":
-        assert report.scaling_violation < 0.0
-
-
-def full_inverse_violation(G, Q=eval_Q):
-    """max of Q(u_i u_j) - u_i Q(u_j) over the u x u lattice at once, less
-    the entries with u_j = 0 or u_i in {0, 1}: the oracle of
-    check_G_conditions' blocked half-lattice walk."""
-    u = np.linspace(0.0, G.eta, nl.LATTICE_POINTS)
-    return float((Q(G, u[1:-1, None] * u[None, 1:])
-                  - u[1:-1, None] * Q(G, u)[None, 1:]).max())
+        assert scaling_violation(G) < 0.0
 
 
 def wobbly_Q(freq):
@@ -233,47 +247,32 @@ def wobbly_Q(freq):
 
 
 @pytest.mark.parametrize("family", ["II", "III"])
-def test_inverse_lattice_is_evaluated_in_row_blocks(family, monkeypatch):
-    # eval_Q sees the 198 x 198 lattice of the multipliers 0 < u < 1
-    # LATTICE_BLOCK_ROWS rows at a time, each block from its first row's
-    # column on (the lattice is symmetric); it is elementwise, so the blocks
-    # are the full-lattice values bit for bit, and so is the verdict
+def test_inverse_lattice_is_evaluated_in_row_blocks(family):
+    # eval_Q is elementwise: on the 198 x 198 lattice of the multipliers
+    # 0 < u < 1, blocks of 25 rows, each from its first row's column on (the
+    # lattice is symmetric), give the full-lattice values bit for bit
     G = make_G(family)
-    u = np.linspace(0.0, G.eta, 200)
+    u = np.linspace(0.0, G.eta, LATTICE_POINTS)
     inner = u[1:-1]
     lattice = inner[:, None] * inner[None, :]
     assert np.array_equal(lattice, lattice.T)
     full = eval_Q(G, lattice)
-    starts = range(0, 198, nl.LATTICE_BLOCK_ROWS)
-    blocks = [lattice[s:s + nl.LATTICE_BLOCK_ROWS, s:] for s in starts]
-    assert all(np.array_equal(eval_Q(G, b), full[s:s + nl.LATTICE_BLOCK_ROWS, s:])
-               for s, b in zip(starts, blocks))
-
-    sizes = []
-
-    def recorded(spec, v):
-        sizes.append(np.size(v))
-        return eval_Q(spec, v)
-
-    monkeypatch.setattr(nl, "eval_Q", recorded)
-    report = check_G_conditions(G)
-    assert sizes == [200] + [b.size for b in blocks]
-    assert sum(sizes[1:]) <= 0.6 * lattice.size
+    assert all(np.array_equal(eval_Q(G, lattice[s:s + 25, s:]), full[s:s + 25, s:])
+               for s in range(0, inner.size, 25))
     q = eval_Q(G, u)
-    assert report.inverse_scaling_violation == max(
+    assert full_inverse_violation(G) == max(
         float((full - inner[:, None] * q[None, 1:-1]).max()),
         float((q[1:-1] - inner * q[-1]).max()))
 
 
 @pytest.mark.parametrize("family", ["I", "II", "III"])
-def test_inverse_violation_is_the_full_lattice_value(family, monkeypatch):
+def test_inverse_violation_is_the_full_lattice_value(family):
+    # the bound holds with a margin for the true Q; wobbles that move the
+    # maximum to either side of the diagonal break it
     G = make_G(family)
-    assert check_G_conditions(G).inverse_scaling_violation == full_inverse_violation(G)
-    # wobbles move the maximum to either side of the diagonal
+    assert full_inverse_violation(G) < 0.0
     for freq in (997.0, 1999.0, 3001.0, 4003.0):
-        monkeypatch.setattr(nl, "eval_Q", wobbly_Q(freq))
-        violation = check_G_conditions(G).inverse_scaling_violation
-        assert violation == full_inverse_violation(G, wobbly_Q(freq)) > 0.0, freq
+        assert full_inverse_violation(G, wobbly_Q(freq)) > 0.0, freq
 
 
 @given(family=st.sampled_from(["I", "II", "III"]),
@@ -285,7 +284,48 @@ def test_inverse_violation_is_the_full_lattice_value_for_any_exponents(family, a
     G = NonlinearitySpec(family=family, alpha=a if family == "I" else None,
                          alpha_star=None if family == "I" else b,
                          alpha_tilde=a if family == "III" else None)
-    assert check_G_conditions(G).inverse_scaling_violation == full_inverse_violation(G)
+    assert full_inverse_violation(G) <= 1e-12
+
+
+# the admissible box, log-uniform: every exponent in [1e-40, 1 - 1e-16]
+log_box_exponent = st.floats(min_value=math.log(1e-40), max_value=math.log1p(-1e-16)).map(
+    lambda t: min(math.exp(t), 1.0 - 1e-16))
+
+
+@given(family=st.sampled_from(["I", "II", "III"]), a=log_box_exponent, b=log_box_exponent)
+@settings(max_examples=50, deadline=None)
+def test_proof_holds_across_the_box_at_fifty_digits(family, a, b):
+    # The module docstring's five statements at 50 significant digits on
+    # u, sigma, w in {k / 10}, whose products m / 100 are exact, so G is
+    # tabled once on them.  The inverse bound is its forward form
+    # G(u w) >= u G(w).  rate_exponent is (p + q) / 2 rounded to a float,
+    # up to half an ulp below it; one ulp above it covers that rounding, and
+    # SLACK the last digits' rounding.
+    if family == "I":
+        G, powers = NonlinearitySpec(family="I", alpha=a), [a]
+    elif family == "II":
+        G, powers = NonlinearitySpec(family="II", alpha_star=a), [a, 1.0]
+    else:
+        assume(min(a, b) < max(a, b))
+        powers = [min(a, b), max(a, b)]
+        G = NonlinearitySpec(family="III", alpha_tilde=powers[0], alpha_star=powers[1])
+    assert eval_G(G, 0.0) == 0.0 and eval_G(G, 1.0) == G.eta == 1.0
+    slack = Decimal("1e-45")
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exps = [Decimal(c) for c in powers]
+        table = [sum(x ** c for c in exps) / len(exps)
+                 for x in (Decimal(m) / 100 for m in range(101))]
+        assert table[0] == 0 and table[100] == 1
+        assert all(hi > lo for lo, hi in zip(table, table[1:]))
+        assert all(table[m + 1] - 2 * table[m] + table[m - 1] <= slack
+                   for m in range(1, 100))
+        rate = Decimal(G.rate_exponent) + Decimal(math.ulp(G.rate_exponent))
+        for j in range(1, 10):
+            scale = (Decimal(j) / 10) ** rate
+            assert all(table[j * k] >= scale * table[10 * k] - slack for k in range(11))
+        assert all(table[k * m] >= Decimal(k) / 10 * table[10 * m] - slack
+                   for k in range(11) for m in range(11))
 
 
 def test_power_family_scaling_is_equality():
