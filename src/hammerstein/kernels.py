@@ -13,14 +13,31 @@ strictly positive, symmetric, have row mass at most 1 approaching 1 at
 infinity, and are dominated by ``lam_star(t) * kstar(x - t)``, where
 ``lam_star(t) = 1 + exp(-t) / t**l >= 1`` and ``kstar = kstar_scale * K0``.
 
-This holds for every (x, t) in R+ x R+, so no run probes it.  K0 is even,
-positive and non-increasing on R+ (a mixture's atoms have c, s > 0), so
-K0(x + t) <= K0(x - t); lam <= 1, mu = 1 - gap(x) gap(t) <= 1 with gap >= 0,
-and delta, epsilon < 1.  So K <= kstar(x - t) <= lam_star(t) kstar(x - t), by
-A: mu K0(x - t) <= K0(x - t); B: mu (K0(x - t) - delta K0(x + t)) <= K0(x - t);
-C: 0.5 (lam(x) + lam(t)) (K0(x - t) + epsilon K0(x + t)) <= (1 + epsilon) K0(x - t).
-The floors at ``POSITIVITY_FLOOR`` on both sides keep this order, as a floored
-K0 is still non-increasing, and rounding keeps it to a few ulps.
+Positivity, symmetry and domination hold for every (x, t) in R+ x R+ and
+every spec ``KernelSpec`` accepts, so no run checks them.  K0 is even,
+positive and non-increasing on R+ (a mixture's atoms have c, s > 0), also
+floored at ``POSITIVITY_FLOOR``, and |x - t| <= x + t, so K0(x + t) <= K0(x - t).
+With gap = 1 - lam in [0, 1 - d_star], mu = 1 - gap(x) gap(t).
+
+* Positivity: 0.5 (lam(x) + lam(t)) >= d_star > 0 for C and
+  mu >= 1 - (1 - d_star)**2 > 0 for A and B.  So A is positive, C adds
+  epsilon K0(x + t) >= 0 and B has K0(x - t) - delta K0(x + t) >=
+  (1 - delta) K0(x - t) > 0.  In floating point fl(delta b) <= b <= a for
+  a = K0(x - t), b = K0(x + t), so every tabulated T - delta H entry is >= 0.
+  It is 0 only where a = b = the floor and delta = 1 - 2**-53, whose product
+  with the floor rounds to it; ``eval_kernel`` floors its values again.  The
+  rounded modulation is positive while 1 - d_star rounds below 1, that is
+  for d_star > 2**-54; below that it rounds to 0 at x = t = 0.
+* Symmetry: ``eval_kernel(x, t) == eval_kernel(t, x)`` bit for bit, as
+  x - t == -(t - x), K0 is even in its argument and lam(x) + lam(t) and
+  gap(x) gap(t) commute.  In :func:`structured_kernel`, T_lk[-d] and T_kl[d]
+  take exactly negated arguments and H_lk = H_kl, so w_i W_ij = w_j W_ji
+  and a product adds only FFT rounding.
+* Domination: lam <= 1, mu <= 1 and delta, epsilon < 1, so
+  K <= kstar(x - t) <= lam_star(t) kstar(x - t), by
+  A: mu K0(x - t) <= K0(x - t); B: mu (K0(x - t) - delta K0(x + t)) <= K0(x - t);
+  C: 0.5 (lam(x) + lam(t)) (K0(x - t) + epsilon K0(x + t)) <= (1 + epsilon) K0(x - t).
+  The floors keep this order, and rounding keeps it to a few ulps.
 
 Each family is a diagonal scaling of ``K0(x - t)`` and ``K0(x + t)``, so on
 the equal panels of a quadrature grid its Nystrom matrix is block-Toeplitz
@@ -288,16 +305,12 @@ class StructuredKernel:
     BLAS call.  With the panel rule of :func:`~.quadrature.gauss_legendre`,
     the whole run makes no BLAS or LAPACK call, so its results depend neither
     on the BLAS build nor on its thread count.
-
-    ``positive`` is the positivity verdict: every K(x_i, t_j) bounded below
-    from the floored K0 tables and the modulation factors.
     """
 
     spectra: np.ndarray
     left: np.ndarray
     right: np.ndarray
     fft_size: int
-    positive: bool
 
     def __post_init__(self) -> None:
         for array in (self.spectra, self.left, self.right):
@@ -321,18 +334,16 @@ class StructuredKernel:
 
 
 def _scalings(spec: KernelSpec, grid: HalfLineGrid):
-    """(image weight, left, right, modulation floor) of the family's
+    """(image weight, left, right) of the family's
     ``sum_r diag(left[r]) (T + image * H) diag(right[r])`` form."""
     w = grid.weights
     if spec.family == "C":
         lam = spec.modulation.lam(grid.nodes)
         return (spec.epsilon, np.stack((0.5 * lam, np.full(grid.size, 0.5))),
-                np.stack((w, lam * w)), float(lam.min()))
+                np.stack((w, lam * w)))
     gap = spec.modulation.lam_gap(grid.nodes)
     image = 0.0 if spec.family == "A" else -spec.delta
-    # mu = 1 - gap(x) gap(t) >= 1 - max(gap)^2
-    return (image, np.stack((np.ones(grid.size), -gap)), np.stack((w, gap * w)),
-            1.0 - float(gap.max()) ** 2)
+    return image, np.stack((np.ones(grid.size), -gap)), np.stack((w, gap * w))
 
 
 def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
@@ -352,7 +363,7 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
     if m * p != n or np.abs((h * np.arange(m)[:, None] + offsets).ravel()
                             - grid.nodes).max() > 1e-12 * grid.x_max:
         raise ValueError("structured_kernel needs the equal-panel grid of build_grid")
-    image, left, right, modulation_floor = _scalings(spec, grid)
+    image, left, right = _scalings(spec, grid)
 
     # the p x p block pairs (k, l) are tabulated a few at a time, at most
     # FFT_BLOCK_ENTRIES values per table; pocketfft transforms each sequence
@@ -362,10 +373,6 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
     chunk = max(1, FFT_BLOCK_ENTRIES // size)
     embedded = np.zeros((min(chunk, p * p), size))
     shifts = h * np.arange(1 - m, m)        # h (P - Q) over the Toeplitz lags
-    # the node pairs with P - Q = d have s = P + Q >= |d|, so the image term
-    # of T_kl[d] + image * H_kl[s] is bounded by its extreme over s >= |d|
-    accumulate = np.maximum if image < 0.0 else np.minimum
-    kernel_floor = math.inf
     for start in range(0, p * p, chunk):
         k, l = np.divmod(np.arange(start, min(start + chunk, p * p)), p)
         toeplitz = spec.base.eval(shifts + (offsets[k] - offsets[l])[:, None])
@@ -376,12 +383,7 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
         if image:
             hankel = spec.base.eval(h * np.arange(2 * m - 1) + (offsets[k] + offsets[l])[:, None])
             spectra[k, p + l] = image * np.fft.rfft(hankel, n=size, axis=-1)
-            extreme = accumulate.accumulate(hankel[:, ::-1], axis=-1)[:, ::-1]
-            toeplitz += image * extreme[:, np.abs(np.arange(1 - m, m))]
-        kernel_floor = min(kernel_floor, float(toeplitz.min()))
-    positive = bool(kernel_floor > 0.0 and modulation_floor > 0.0)
-    return StructuredKernel(spectra=spectra, left=left, right=right, fft_size=size,
-                            positive=positive)
+    return StructuredKernel(spectra=spectra, left=left, right=right, fft_size=size)
 
 
 def _tail_extension(base: BaseKernel, grid: HalfLineGrid) -> tuple[HalfLineGrid, np.ndarray]:
@@ -458,39 +460,21 @@ def node_tail(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
     return (structured_kernel(spec, extended) @ share)[:grid.size]
 
 
-def weight_asymmetry(operand, weights: np.ndarray) -> float:
-    """Relative gap |u^T W (M v) - v^T W (M u)| / max of the two, W = diag(weights),
-    for any ``operand`` M with ``M @ v`` (structured kernel or operator).
-
-    Zero up to rounding when w_i M[i, j] == w_j M[j, i]; two fixed positive
-    probe vectors (Weyl sequences, no random generator) read it through two
-    products.  Scaling one row of M moves it far past 1e-9.
-    """
-    k = np.arange(1, weights.size + 1)
-    u, v = 0.5 + (k * 0.6180339887498949) % 1.0, 0.5 + (k * 0.4142135623730951) % 1.0
-    uwav = math.fsum(u * weights * (operand @ v))
-    vwau = math.fsum(v * weights * (operand @ u))
-    return abs(uwav - vwau) / max(abs(uwav), abs(vwau))
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of the structural checks plus the certificate constants.
 
-    ``passed`` requires positivity over every node pair, raw row mass at
-    most ``1 + tol``, raw mass defect at least ``-tol`` everywhere but not
-    identically zero (a conservative kernel is flagged, not solved) and
-    weight symmetry (:func:`weight_asymmetry`) within ``tol``, which is
-    ``CHECK_TOL``.  Domination is proven for every spec (module docstring),
-    so it has no verdict here.
+    ``passed`` requires raw row mass at most ``1 + tol`` and raw mass
+    defect at least ``-tol`` everywhere but not identically zero (a
+    conservative kernel is flagged, not solved); ``tol`` is ``CHECK_TOL``.
+    Positivity, symmetry and domination are proven for every spec (module
+    docstring), so they have no verdict here.
     """
 
-    positivity_ok: bool
     sup_row_mass: float
     gamma_min: float
     gamma_max: float
     gamma_tail: float
-    symmetry_residual: float
     gamma_integral: float
     lambda_star_excess_integral: float
     kstar_total_mass: float
@@ -506,11 +490,9 @@ class ConditionReport:
 
     @property
     def passed(self) -> bool:
-        return bool(self.positivity_ok
-                    and self.sup_row_mass <= 1.0 + self.tol
+        return bool(self.sup_row_mass <= 1.0 + self.tol
                     and self.gamma_min >= -self.tol
-                    and self.gamma_max > self.tol
-                    and self.symmetry_residual <= self.tol)
+                    and self.gamma_max > self.tol)
 
 
 def lambda_star_excess_integral(modulation: ModulationSet) -> float:
@@ -606,11 +588,10 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
     One structured product gives the tail past x_max (:func:`node_tail`)
     and one ``kernel @ ones`` the quadrature masses, the cusp correction
     (:func:`cusp_correction`) on the diagonal.  The report reads the raw
-    masses, so every mass check can fail.  Positivity is the structured
-    kernel's bound over every node pair, symmetry its
-    :func:`weight_asymmetry`.  Domination is proven (module docstring), so
-    a smooth base kernel is never evaluated pointwise; a cusped one is, in
-    its cusp correction and on the diagonal: (3p + 1) N values.
+    masses, so every mass check can fail.  Positivity, symmetry and
+    domination are proven (module docstring), so a smooth base kernel is
+    never evaluated pointwise; a cusped one is, in its cusp correction and
+    on the diagonal: (3p + 1) N values.
 
     The closure caps the masses under 1 - MASS_MARGIN, and gamma is read
     from the capped ones.  The operator is assembled only when the report
@@ -629,12 +610,10 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
     half_mass, half_moment = _base_half_line_moments(spec.base)
     scale = spec.kstar_scale()
     report = ConditionReport(
-        positivity_ok=kernel.positive,
         sup_row_mass=float(masses.max()),
         gamma_min=float(raw_gamma.min()),
         gamma_max=float(raw_gamma.max()),
         gamma_tail=float(raw_gamma[-1]),
-        symmetry_residual=weight_asymmetry(kernel, grid.weights),
         gamma_integral=integrate(grid, raw_gamma),
         lambda_star_excess_integral=lambda_star_excess_integral(spec.modulation),
         kstar_total_mass=2.0 * scale * half_mass,

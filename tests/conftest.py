@@ -42,6 +42,19 @@ def make_kernel(family, d_star=0.5, l=0.5, lambda_form="exp-gap", base=None, **o
     )
 
 
+# sup gap a structured product may keep from its dense oracle
+SUP_TOL = 1e-13
+
+
+def probe_vectors(n):
+    rng = np.random.default_rng(17)
+    return [np.ones(n), rng.random(n), rng.standard_normal(n)]
+
+
+def sup_gap(structured, dense, n):
+    return max(float(np.abs(structured @ v - dense @ v).max()) for v in probe_vectors(n))
+
+
 def dense_operator(A):
     """Dense oracle of a structured operator: kernel_matrix * w, plus the
     cusp correction on the diagonal, then the over-cap row rescale."""

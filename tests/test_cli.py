@@ -463,6 +463,22 @@ def test_tiny_exponents_exit_0(tmp_path, nonlinearity):
     assert report["status"]["conditions_passed"] is True
 
 
+def test_delta_next_to_one_exits_0(tmp_path):
+    # delta = 1 - 2**-53 times the floor rounds to the floor, so K0(x - t) -
+    # delta K0(x + t) is exactly 0 at the far node pairs; positivity is
+    # proven (the kernels module docstring), so no scan refuses the run
+    config = yaml.safe_load(readme_config())
+    config["kernel"] = {"family": "B", "delta": 1.0 - 2.0 ** -53}
+    out = tmp_path / "out"
+    code = main(["solve-nemytsky", "--config",
+                 str(write_config(tmp_path, yaml.safe_dump(config))), "--out-dir", str(out)])
+    assert code == 0
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["status"] == {"conditions_passed": True, "converged": True,
+                                "certificates_passed": True}
+    assert not {"positivity_ok", "symmetry_residual"} & set(report["conditions"]["kernel"])
+
+
 def test_newton_pass_cap_exits_5(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(hammerstein.nonlinearity, "MAX_NEWTON_PASSES", 1)
     text = BASE_CONFIG.replace("family: I\n  alpha: 0.5", "family: II\n  alpha_star: 0.5")

@@ -1,4 +1,5 @@
-"""``discretise``: the one mass defect, the views on it and a symmetry check that can fail."""
+"""``discretise``: the one mass defect and the views on it, and the dense
+oracle that catches a product breaking the kernel's proven symmetry."""
 
 import dataclasses
 
@@ -9,9 +10,9 @@ import hammerstein as hs
 import hammerstein.kernels
 from hammerstein.errors import SpecRejectedError
 from hammerstein.kernels import (StructuredKernel, cusp_correction, discretise,
-                                 kernel_matrix, weight_asymmetry)
+                                 kernel_matrix, structured_kernel)
 
-from conftest import MIXTURE_ATOMS, make_kernel
+from conftest import MIXTURE_ATOMS, SUP_TOL, make_kernel, sup_gap
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C"])
@@ -48,14 +49,6 @@ def test_refused_operator_rejects_every_view(monkeypatch):
         assert err.value.report.passed        # the checks pass; the operator is refused
 
 
-def test_weight_asymmetry_of_the_dense_oracle(small_grid):
-    spec = make_kernel("B")
-    dense = kernel_matrix(spec, small_grid) * small_grid.weights
-    assert weight_asymmetry(dense, small_grid.weights) <= 1e-15
-    dense[7] *= 1.001
-    assert weight_asymmetry(dense, small_grid.weights) > 1e-7
-
-
 def _unconjugated_matmul(self, v):
     # StructuredKernel.__matmul__ with the Hankel half fed u_hat, not its conjugate
     terms, p = self.left.shape[0], self.spectra.shape[0]
@@ -68,29 +61,23 @@ def _unconjugated_matmul(self, v):
 
 @pytest.mark.parametrize("family", ["B", "C"])
 def test_symmetry_check_fails_without_the_hankel_conjugate(monkeypatch, small_grid, family):
+    # no run reads the weight symmetry (it is proven); a product that breaks
+    # it is caught here, against the dense oracle
     spec = make_kernel(family)
-    assert discretise(spec, small_grid).report.symmetry_residual <= 1e-15
+    dense = kernel_matrix(spec, small_grid) * small_grid.weights
+    kernel = structured_kernel(spec, small_grid)
+    assert sup_gap(kernel, dense, small_grid.size) <= SUP_TOL
     monkeypatch.setattr(StructuredKernel, "__matmul__", _unconjugated_matmul)
-    report = hs.check_kernel_conditions(spec, small_grid)
-    assert report.symmetry_residual > 1e-6
-    assert not report.passed
+    assert sup_gap(kernel, dense, small_grid.size) > SUP_TOL
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C"])
-def test_symmetry_check_fails_on_one_scaled_row(monkeypatch, small_grid, family):
-    # row 0 scaled by 1 + 1e-3 keeps its mass under 1: symmetry alone fails
-    original = hammerstein.kernels.structured_kernel
-
-    def one_row_scaled(spec_, grid_):
-        kernel = original(spec_, grid_)
-        if grid_ is not small_grid:           # the tail's continued grid
-            return kernel
-        left = kernel.left.copy()
-        left[:, 0] *= 1.0 + 1e-3
-        return dataclasses.replace(kernel, left=left)
-
-    monkeypatch.setattr(hammerstein.kernels, "structured_kernel", one_row_scaled)
-    report = hs.check_kernel_conditions(make_kernel(family), small_grid)
-    assert report.symmetry_residual > report.tol
-    assert not report.passed
-    assert dataclasses.replace(report, symmetry_residual=0.0).passed
+def test_symmetry_check_fails_on_one_scaled_row(small_grid, family):
+    # row 0 scaled by 1 + 1e-3 breaks the weight symmetry; the oracle sees it
+    spec = make_kernel(family)
+    dense = kernel_matrix(spec, small_grid) * small_grid.weights
+    kernel = structured_kernel(spec, small_grid)
+    assert sup_gap(kernel, dense, small_grid.size) <= SUP_TOL
+    left = kernel.left.copy()
+    left[:, 0] *= 1.0 + 1e-3
+    assert sup_gap(dataclasses.replace(kernel, left=left), dense, small_grid.size) > SUP_TOL

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 import hammerstein as hs
@@ -229,8 +229,6 @@ def test_tail_row_mass_completes_the_row(small_grid):
 def test_catalog_conditions_pass(small_grid, family):
     report = check_kernel_conditions(make_kernel(family), small_grid)
     assert report.passed
-    assert report.positivity_ok
-    assert report.symmetry_residual <= 1e-12
     assert report.sup_row_mass <= 1.0 + 1e-9
     assert report.gamma_min >= -1e-9
     assert report.gamma_integral > 0.0
@@ -280,6 +278,35 @@ def test_kernel_dominated_on_every_node_pair(family, atoms, lambda_form, d_star,
     assert (eval_kernel(spec, x, t) <= _envelope(spec, x, t) * slack).all()
 
 
+# --- positivity and symmetry, proven in the kernels module docstring ------
+
+@given(family=st.sampled_from(["A", "B", "C"]), mixture=st.booleans(),
+       lambda_form=st.sampled_from(["exp-gap", "rational-gap"]),
+       d_star=st.floats(0.0, 1.0, exclude_min=True), weight=open_unit,
+       rule=st.sampled_from([hs.GAUSS, hs.TRAPEZOID]), n_panels=st.integers(1, 40),
+       points=st.integers(1, 4))
+@example(family="B", mixture=False, lambda_form="exp-gap", d_star=0.5,
+         weight=1.0 - 2.0 ** -53, rule=hs.TRAPEZOID, n_panels=30, points=1)
+@settings(max_examples=150, deadline=None)
+def test_kernel_positive_and_symmetric_on_every_node_pair(family, mixture, lambda_form,
+                                                          d_star, weight, rule, n_panels,
+                                                          points):
+    # weight is delta for family B and epsilon for family C, up to 1 - 2**-53
+    image = {"A": {}, "B": {"delta": weight}, "C": {"epsilon": weight}}[family]
+    spec = make_kernel(family, d_star=d_star, lambda_form=lambda_form,
+                       base=BaseKernel(variant="exp-mixture", atoms=MIXTURE_ATOMS)
+                       if mixture else None, **image)
+    # x_max 30: a Gaussian K0 underflows past 27 at the far node pairs
+    grid = hs.build_grid(30.0, n_panels, rule, points)
+    dense = kernel_matrix(spec, grid)
+    assert (dense > 0.0).all()
+    assert np.array_equal(dense, dense.T)
+    # the K0 tables of structured_kernel: positive, with fl(weight b) <= b <= a
+    x, t = grid.nodes[:, None], grid.nodes[None, :]
+    a, b = spec.base.eval(x - t), spec.base.eval(x + t)
+    assert (b > 0.0).all() and (b <= a).all() and (a - weight * b >= 0.0).all()
+
+
 def test_constants_closed_forms(small_grid):
     report = check_kernel_conditions(make_kernel("C"), small_grid)
     assert abs(report.lambda_star_excess_integral - SQRT_PI) <= 1e-8
@@ -310,18 +337,8 @@ def test_base_half_line_moments_match_quadrature(base):
 def test_conservative_kernel_flagged():
     # a row mass identically 1 gives gamma == 0 everywhere: rejected
     report = ConditionReport(
-        positivity_ok=True, sup_row_mass=1.0, gamma_min=0.0, gamma_max=0.0,
-        gamma_tail=0.0, symmetry_residual=0.0,
+        sup_row_mass=1.0, gamma_min=0.0, gamma_max=0.0, gamma_tail=0.0,
         gamma_integral=0.0, lambda_star_excess_integral=1.0,
-        kstar_total_mass=1.0, kstar_abs_moment=0.5)
-    assert not report.passed
-
-
-def test_positivity_failure_flagged():
-    report = ConditionReport(
-        positivity_ok=False, sup_row_mass=0.9, gamma_min=0.05, gamma_max=0.5,
-        gamma_tail=0.0, symmetry_residual=0.0,
-        gamma_integral=0.3, lambda_star_excess_integral=1.0,
         kstar_total_mass=1.0, kstar_abs_moment=0.5)
     assert not report.passed
 

@@ -2,8 +2,8 @@
 
 numpy reports its array buffers to tracemalloc, so a traced peak counts every
 temporary a stage allocates.  Each bound is one the stage meets by walking its
-tables in blocks: the nonlinearity lattices, the structured kernel's block
-pairs and the ceiling iteration's two-iterate window.
+tables in blocks: the structured kernel's block pairs and the ceiling
+iteration's two-iterate window.
 """
 
 import tracemalloc
@@ -14,7 +14,7 @@ import pytest
 import hammerstein as hs
 from hammerstein.kernels import structured_kernel
 
-from conftest import G_PARAMS, make_G, make_kernel
+from conftest import make_G, make_kernel
 
 MIB = 1 << 20
 
@@ -34,18 +34,10 @@ def traced_peak(call):
             tracemalloc.stop()
 
 
-@pytest.mark.parametrize("family", sorted(G_PARAMS))
-def test_G_lattice_check_peak_under_one_mib(family):
-    report, peak = traced_peak(lambda: hs.check_G_conditions(make_G(family)))
-    assert report.passed
-    assert peak <= MIB, f"check_G_conditions peaked at {peak / MIB:.2f} MiB"
-
-
 @pytest.mark.parametrize("family", ["A", "B", "C"])
 def test_structured_kernel_peak_near_its_spectra(family):
     grid = hs.build_grid(400.0, 10000, hs.GAUSS, 4)      # N = 40000
     kernel, peak = traced_peak(lambda: structured_kernel(make_kernel(family), grid))
-    assert kernel.positive
     assert peak <= 2 * kernel.spectra.nbytes, (
         f"peak {peak / MIB:.2f} MiB against spectra {kernel.spectra.nbytes / MIB:.2f} MiB")
 
