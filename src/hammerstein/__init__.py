@@ -32,7 +32,7 @@ from .nemytsky import (NemytskyConditionReport, NemytskyReport, NemytskySpec,
                        check_nemytsky_conditions, eval_G0, eval_G1,
                        solve_nemytsky)
 from .nonlinearity import (GConditionReport, NonlinearitySpec,
-                           check_G_conditions, eval_G, eval_Q)
+                           check_G_conditions, eval_G)
 from .picard import (SolveReport, apply_hammerstein, assemble_operator,
                      estimate_sigma0, evaluate_profile, fixed_point_iterate,
                      rate_envelope, solve_picard, verify_rate_bound)

@@ -8,8 +8,8 @@ solve path and reports whether the bound holds:
 * tail integral: int_r^inf (eta - f*) dx is capped by
   (eta - eps) eta / (G(eps) - eps) times the same constant, with r the first
   node past which the profile stays above eta / 2 and eps its minimum there;
-* Jensen margin: row-wise convexity of the inverse nonlinearity under the
-  operator's positive weights;
+* Jensen margin: Jensen's inequality for the concave nonlinearity under
+  the operator's positive weights, row by row at the profile;
 * asymptote: the profile's gap to eta at the last node;
 * uniqueness probe: perturbed restarts of the iteration on the solve's own
   operator must all return to the same profile (a heuristic check -- the
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import ConditionReport, OperatorMatrix
-from .nonlinearity import NonlinearitySpec, eval_G, eval_Q
+from .nonlinearity import NonlinearitySpec, eval_G
 from .picard import fixed_point_iterate
 from .quadrature import HalfLineGrid, integrate
 
@@ -92,22 +92,25 @@ def tail_integral_certificate(fstar, grid: HalfLineGrid, G: NonlinearitySpec,
                                    passed=bool(lhs <= rhs + INTEGRAL_TOL), degenerate=False)
 
 
-def jensen_certificate(A: OperatorMatrix, G: NonlinearitySpec, g) -> float:
-    """Minimum over rows of  sum_j A_ij Q(g_j) - (row weight) * Q(weighted mean of g).
+def jensen_certificate(A: OperatorMatrix, G: NonlinearitySpec, u) -> float:
+    """Minimum over rows of  w_i G(sum_j A_ij u_j / w_i) - sum_j A_ij G(u_j),
+    with w_i = sum_j A_ij the row weight (no tail term).
 
-    Nonnegative for the convex inverse nonlinearity under positive weights;
-    returns the worst margin.  The statement is about the matrix weights
-    alone, so the rows are normalised by their own sums (no tail term).
+    Jensen's inequality for concave G under positive weights makes it
+    nonnegative up to rounding: G is concave (``nonlinearity`` module
+    docstring) and every A_ij is positive (``kernels`` module docstring).
+    Row by row it is G, which increases, applied to both sides of the
+    inverse form sum_j A_ij Q(g_j) >= w_i Q(sum_j A_ij g_j / w_i) at
+    g = G(u), Q = G^{-1}; Q's slope 1 / G'(eta) near eta (1 / alpha for
+    family I) would multiply the rounding of u.
     """
-    g = np.asarray(g, dtype=float)
+    u = np.asarray(u, dtype=float)
     eta = G.eta
-    if g.min() <= 0.0 or g.max() >= eta:
-        raise ValueError(f"g must lie strictly inside (0, {eta})")
+    if u.min() <= 0.0 or u.max() >= eta:
+        raise ValueError(f"u must lie strictly inside (0, {eta})")
     weight = A.quad_mass
-    lhs = A @ eval_Q(G, g)
-    mean = (A @ g) / weight
-    rhs = weight * eval_Q(G, np.clip(mean, 0.0, eta))
-    return float((lhs - rhs).min())
+    mean = (A @ u) / weight
+    return float((weight * eval_G(G, np.clip(mean, 0.0, eta)) - A @ eval_G(G, u)).min())
 
 
 @dataclass(frozen=True)

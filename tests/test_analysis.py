@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hammerstein.kernels
 from hammerstein.analysis import (UniquenessProbeReport, _uniform_stream,
@@ -11,6 +11,8 @@ from hammerstein.analysis import (UniquenessProbeReport, _uniform_stream,
                                   excess_integral_certificate,
                                   jensen_certificate,
                                   tail_integral_certificate, uniqueness_probe)
+from hammerstein.nonlinearity import NonlinearitySpec
+from hammerstein.picard import solve_picard
 from hammerstein.quadrature import integrate
 
 from conftest import make_G
@@ -109,6 +111,25 @@ def test_jensen_random_profiles(small_ci):
     for _ in range(100):
         g = rng.uniform(1e-6, 1.0 - 1e-6, small_ci["A"].size)
         assert jensen_certificate(small_ci["A"], small_ci["G"], g) >= -1e-12
+
+
+# exponents log-uniform in [1e-12, 0.9]; near eta the inverse Q = G^{-1}
+# has slope up to 1 / alpha, so its form of the inequality failed by rounding
+log_exponent = st.floats(min_value=math.log(1e-12), max_value=math.log(0.9)).map(math.exp)
+
+
+@given(family=st.sampled_from(["I", "II", "III"]), a=log_exponent, b=log_exponent)
+@settings(max_examples=30, deadline=None)
+def test_jensen_on_solution_for_any_exponents(small_ci, family, a, b):
+    if family == "I":
+        G = NonlinearitySpec(family="I", alpha=a)
+    elif family == "II":
+        G = NonlinearitySpec(family="II", alpha_star=a)
+    else:
+        assume(a != b)
+        G = NonlinearitySpec(family="III", alpha_tilde=min(a, b), alpha_star=max(a, b))
+    fstar = solve_picard(small_ci["A"], G, tol=1e-10, max_iter=2000).profile
+    assert jensen_certificate(small_ci["A"], G, fstar) >= -1e-12
 
 
 def test_jensen_domain_checked(small_ci):

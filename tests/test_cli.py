@@ -10,9 +10,9 @@ import pytest
 import yaml
 
 import hammerstein
+import hammerstein.analysis
 import hammerstein.cli
 import hammerstein.kernels
-import hammerstein.nonlinearity
 import hammerstein.picard
 from conftest import readme_config
 from hammerstein.cli import emit_convergence_table, main, run
@@ -479,13 +479,31 @@ def test_delta_next_to_one_exits_0(tmp_path):
     assert not {"positivity_ok", "symmetry_residual"} & set(report["conditions"]["kernel"])
 
 
-def test_newton_pass_cap_exits_5(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(hammerstein.nonlinearity, "MAX_NEWTON_PASSES", 1)
-    text = BASE_CONFIG.replace("family: I\n  alpha: 0.5", "family: II\n  alpha_star: 0.5")
-    cfg = write_config(tmp_path, text)
-    code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
-    assert code == 5
-    assert "eval_Q" in capsys.readouterr().err
+def test_small_exponent_passes_the_jensen_certificate(tmp_path):
+    # alpha = 0.0002 brings f* within 1e-14 of eta, where Q = G^{-1} has
+    # slope 1 / alpha: the inverse form of the certificate failed there by
+    # rounding alone, the forward form on G does not
+    out = tmp_path / "out"
+    code = main(["solve-nemytsky", "--config",
+                 str(Path(__file__).with_name("small_exponent.yaml")), "--out-dir", str(out)])
+    assert code == 0
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["certificates"]["jensen_passed"] is True
+    assert report["status"]["certificates_passed"] is True
+
+
+def test_convex_G_fails_the_jensen_certificate(tmp_path, monkeypatch, capsys):
+    # Jensen's inequality turns over for a convex G, here u**2 in the
+    # certificates; the tail certificate reads the same G and is switched off
+    monkeypatch.setattr(hammerstein.analysis, "eval_G", lambda spec, u: np.asarray(u) ** 2)
+    text = BASE_CONFIG.replace("certificates:\n", "certificates:\n  tail_integral: false\n")
+    out = tmp_path / "out"
+    code = main(["solve-nemytsky", "--config", str(write_config(tmp_path, text)),
+                 "--out-dir", str(out)])
+    assert code == 1
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["certificates"]["jensen_min_margin"] < -1e-12
+    assert capsys.readouterr().err.splitlines() == ["verdict failed: certificates.jensen_passed"]
 
 
 def test_config_echo_round_trips(tmp_path):

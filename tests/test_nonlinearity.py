@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import hammerstein.nonlinearity as nl
-from hammerstein.errors import NumericalBreakdownError
-from hammerstein.nonlinearity import NonlinearitySpec, eval_G, eval_Q
+from hammerstein.nonlinearity import NonlinearitySpec, eval_G
 
-from conftest import bisect_Q, make_G, power_linear_scaling_ratio
+from conftest import make_G, power_linear_scaling_ratio
 
 unit_open = st.floats(min_value=0.05, max_value=0.95)
 
@@ -94,95 +92,16 @@ def test_rate_exponents():
 
 # --- inverse --------------------------------------------------------------
 
-def test_Q_power_family_closed_form():
-    G = make_G("I")
-    assert eval_Q(G, 0.5) == pytest.approx(0.25, abs=1e-15)
-
-
-@pytest.mark.parametrize("family", ["I", "II", "III"])
-def test_Q_endpoints_exact(family):
-    G = make_G(family)
-    assert eval_Q(G, 0.0) == 0.0
-    assert eval_Q(G, G.eta) == G.eta
-
-
-def test_Q_mean_family_forward_verified():
-    # G(0.25) = (sqrt(0.25) + 0.25) / 2 = 0.375 for the power-linear mean
-    G = make_G("II")
-    assert float(eval_G(G, 0.25)) == 0.375
-    assert abs(float(eval_Q(G, 0.375)) - 0.25) <= 1e-13
-
-
-@pytest.mark.parametrize("family", ["I", "II", "III"])
-def test_Q_round_trip(family):
-    G = make_G(family)
-    u = np.linspace(0.0, G.eta, 1000)
-    assert np.abs(eval_Q(G, eval_G(G, u)) - u).max() <= 1e-12
-
-
-@pytest.mark.parametrize("family", ["II", "III"])
-def test_Q_inverts_to_stated_tolerance(family):
-    G = make_G(family)
-    v = np.linspace(0.0, G.eta, 777)
-    assert np.abs(eval_G(G, eval_Q(G, v)) - v).max() <= 1e-13
-
-
 @pytest.mark.parametrize("family", ["I", "II", "III"])
 def test_Q_convex_and_below_identity(family):
+    # Q convex and below the identity on (0, 1) is G concave and above it
     G = make_G(family)
-    v = np.linspace(0.0, G.eta, 500)
-    q = eval_Q(G, v)
-    second = q[2:] - 2.0 * q[1:-1] + q[:-2]
-    assert second.min() >= -1e-12
+    u = np.linspace(0.0, G.eta, 500)
+    g = eval_G(G, u)
+    second = g[2:] - 2.0 * g[1:-1] + g[:-2]
+    assert second.max() <= 1e-12
     interior = slice(1, -1)
-    assert np.all(q[interior] < v[interior])
-
-
-def test_Q_domain_checked():
-    G = make_G("I")
-    with pytest.raises(ValueError):
-        eval_Q(G, -0.1)
-    with pytest.raises(ValueError):
-        eval_Q(G, G.eta + 0.1)
-
-
-exponent = st.floats(min_value=0.01, max_value=0.99)
-
-
-def mean_spec(family, first, second):
-    if family == "II":
-        return NonlinearitySpec(family="II", alpha_star=first)
-    lo, hi = sorted((first, second))
-    assume(lo < hi)
-    return NonlinearitySpec(family="III", alpha_tilde=lo, alpha_star=hi)
-
-
-@pytest.mark.parametrize("family", ["II", "III"])
-@given(first=exponent, second=exponent, seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_Q_newton_matches_bisection_oracle(family, first, second, seed):
-    G = mean_spec(family, first, second)
-    eta = G.eta
-    draws = np.random.default_rng(seed).uniform(0.0, eta, 200)
-    v = np.sort(np.concatenate([np.logspace(-300, 0, 301) * eta, draws, [0.0, eta]]))
-    q = eval_Q(G, v)
-    oracle = bisect_Q(G, v)
-    resolved = oracle > 1e-290
-    assert np.all(np.abs(q - oracle)[resolved] <= 1e-12 * oracle[resolved])
-    # below the resolved range both inverses sit on the same log(1e-308) floor
-    assert np.all(np.abs(eval_G(G, q) - v)[resolved] <= 1e-13)
-    # monotone at the sample spacing; for v an ulp apart Newton's last step can
-    # order the results by rounding, which the bisection's fixed lattice cannot
-    assert np.all(np.diff(q) >= 0.0)
-    assert q[0] == 0.0 and q[-1] == eta
-
-
-@pytest.mark.parametrize("family", ["II", "III"])
-def test_Q_newton_pass_cap_raises(family, monkeypatch):
-    monkeypatch.setattr(nl, "MAX_NEWTON_PASSES", 1)
-    v = np.array([0.0, 0.25, 0.5, 1.0])
-    with pytest.raises(NumericalBreakdownError, match=r"eval_Q: 2 of 2 entries"):
-        eval_Q(make_G(family), v)
+    assert np.all(g[interior] > u[interior])
 
 
 # --- the proof, checked on lattices -----------------------------------------
@@ -199,12 +118,13 @@ def scaling_violation(G):
     return float((sigma ** G.rate_exponent * eval_G(G, u) - eval_G(G, sigma * u)).max())
 
 
-def full_inverse_violation(G, Q=eval_Q):
-    """max of Q(u_i u_j) - u_i Q(u_j) over the u x u lattice, less the
-    entries with u_j = 0 or u_i in {0, 1} (0 for every G)."""
+def full_inverse_violation(G, G_eval=eval_G):
+    """max of u_i G(u_j) - G(u_i u_j) over the u x u lattice, less the
+    entries with u_j = 0 or u_i in {0, 1} (0 for every G): the inverse
+    scaling bound u Q(v) >= Q(u v) in its forward form."""
     u = np.linspace(0.0, G.eta, LATTICE_POINTS)
-    return float((Q(G, u[1:-1, None] * u[None, 1:])
-                  - u[1:-1, None] * Q(G, u)[None, 1:]).max())
+    return float((u[1:-1, None] * G_eval(G, u)[None, 1:]
+                  - G_eval(G, u[1:-1, None] * u[None, 1:])).max())
 
 
 @pytest.mark.parametrize("family", ["I", "II", "III"])
@@ -221,16 +141,17 @@ def test_lattice_certification_passes(family):
 
 # the scaling and inverse lattice margins of the catalog defaults
 LATTICE_MARGINS = {
-    "I": (1.1102230246251565e-16, -1.2625624960385108e-07),
-    "II": (-7.744592624980839e-07, -4.855073666644758e-07),
-    "III": (-7.754255266778642e-07, -5.1248259649645255e-11),
+    "I": (1.1102230246251565e-16, -1.7788653419716083e-04),
+    "II": (-7.744592624980839e-07, -8.894326709858041e-05),
+    "III": (-7.754255266778642e-07, -5.132410105538332e-04),
 }
 
 
 @pytest.mark.parametrize("family", ["I", "II", "III"])
 def test_lattice_violations_carry_their_margin(family):
     # the entries that are 0 for every G (a factor u = 0, an inverse
-    # multiplier u = 1) are left out, so no maximum is pinned at 0
+    # multiplier u = 1) are left out, so no maximum is pinned at 0; the
+    # inverse maximum sits at u_i = 198 / 199, u_j = 1 / 199 for each family
     G = make_G(family)
     scaling, inverse = LATTICE_MARGINS[family]
     assert scaling_violation(G) == pytest.approx(scaling, rel=1e-9, abs=1e-15)
@@ -240,39 +161,20 @@ def test_lattice_violations_carry_their_margin(family):
         assert scaling_violation(G) < 0.0
 
 
-def wobbly_Q(freq):
-    """Q plus an elementwise wobble: still a function of each argument alone,
-    but with positive violations that differ between (i, j) and (j, i)."""
-    return lambda spec, v: eval_Q(spec, v) + 1e-3 * np.sin(freq * np.asarray(v)) ** 2
-
-
-@pytest.mark.parametrize("family", ["II", "III"])
-def test_inverse_lattice_is_evaluated_in_row_blocks(family):
-    # eval_Q is elementwise: on the 198 x 198 lattice of the multipliers
-    # 0 < u < 1, blocks of 25 rows, each from its first row's column on (the
-    # lattice is symmetric), give the full-lattice values bit for bit
-    G = make_G(family)
-    u = np.linspace(0.0, G.eta, LATTICE_POINTS)
-    inner = u[1:-1]
-    lattice = inner[:, None] * inner[None, :]
-    assert np.array_equal(lattice, lattice.T)
-    full = eval_Q(G, lattice)
-    assert all(np.array_equal(eval_Q(G, lattice[s:s + 25, s:]), full[s:s + 25, s:])
-               for s in range(0, inner.size, 25))
-    q = eval_Q(G, u)
-    assert full_inverse_violation(G) == max(
-        float((full - inner[:, None] * q[None, 1:-1]).max()),
-        float((q[1:-1] - inner * q[-1]).max()))
+def wobbly_G(freq):
+    """G plus an elementwise wobble of at most 3e-3, above every margin of
+    ``LATTICE_MARGINS``: still a function of each argument alone, but not
+    concave."""
+    return lambda spec, v: eval_G(spec, v) + 3e-3 * np.sin(freq * np.asarray(v)) ** 2
 
 
 @pytest.mark.parametrize("family", ["I", "II", "III"])
 def test_inverse_violation_is_the_full_lattice_value(family):
-    # the bound holds with a margin for the true Q; wobbles that move the
-    # maximum to either side of the diagonal break it
+    # the bound holds with a margin for the true G; wobbles of G break it
     G = make_G(family)
     assert full_inverse_violation(G) < 0.0
     for freq in (997.0, 1999.0, 3001.0, 4003.0):
-        assert full_inverse_violation(G, wobbly_Q(freq)) > 0.0, freq
+        assert full_inverse_violation(G, wobbly_G(freq)) > 0.0, freq
 
 
 @given(family=st.sampled_from(["I", "II", "III"]),
@@ -345,10 +247,11 @@ def test_scaling_bound_spot_value():
 
 
 def test_inverse_scaling_spot_value():
-    # u Q(v) >= Q(u v) with Q(v) = v^2: 0.5 * 0.0625 >= 0.015625
+    # G(u w) >= u G(w) with G(w) = sqrt(w), u = 0.5, w = 0.25:
+    # sqrt(0.125) = 0.35355... >= 0.5 * 0.5 = 0.25
     G = make_G("I")
-    assert float(0.5 * eval_Q(G, 0.25)) == pytest.approx(0.03125)
-    assert float(eval_Q(G, 0.125)) == pytest.approx(0.015625)
+    assert float(eval_G(G, 0.5 * 0.25)) == pytest.approx(0.3535533905932738)
+    assert float(0.5 * eval_G(G, 0.25)) == 0.25
 
 
 def test_power_linear_ratio_at_least_one():

@@ -81,9 +81,25 @@ def test_structured_kernel_sweep(family, lambda_form, weight, d_star, n_panels, 
 
 @pytest.mark.parametrize("family", ["A", "B", "C"])
 def test_positivity_bound_holds_on_the_catalog(family):
-    # proven in the kernels module docstring; the dense oracle on every grid
+    # the kernels module docstring's floating-point steps, on the K0 tables
+    # structured_kernel builds: every value is > 0, and a = T_kl[P - Q],
+    # b = H_kl[P + Q] at each node pair keep fl(delta b) <= b <= a (the
+    # kernel values themselves are floored again, so they cannot show it)
+    spec = make_kernel(family)
     for grid in GRIDS.values():
-        assert (kernel_matrix(make_kernel(family), grid) > 0.0).all()
+        p = grid.points_per_panel or 1
+        m = grid.size // p
+        h = grid.x_max / grid.n_panels
+        offsets = grid.nodes[:p]
+        lag, k, l = np.arange(m), np.arange(p)[:, None, None], np.arange(p)[None, :, None]
+        toeplitz = spec.base.eval(h * np.arange(1 - m, m) + (offsets[k] - offsets[l]))
+        hankel = spec.base.eval(h * np.arange(2 * m - 1) + (offsets[k] + offsets[l]))
+        assert (toeplitz > 0.0).all() and (hankel > 0.0).all()
+        a = toeplitz[..., lag[:, None] - lag[None, :] + m - 1]
+        b = hankel[..., lag[:, None] + lag[None, :]]
+        assert (b <= a).all()
+        if family == "B":
+            assert (spec.delta * b <= b).all()
 
 
 def test_positivity_check_can_fail():
