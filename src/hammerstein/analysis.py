@@ -63,8 +63,7 @@ class TailIntegralCertificate:
     rhs: float
     r: float
     epsilon: float
-    passed: bool | None
-    degenerate: bool            # eps within 1e-6 of eta: rhs not computed
+    passed: bool | None         # None: eps within 1e-6 of eta, rhs not computed
 
 
 def tail_integral_certificate(fstar, grid: HalfLineGrid, G: NonlinearitySpec,
@@ -78,18 +77,17 @@ def tail_integral_certificate(fstar, grid: HalfLineGrid, G: NonlinearitySpec,
     suffix_all = np.logical_and.accumulate((fstar >= 0.5 * eta)[::-1])[::-1]
     if fstar.min() <= 0.0 or not suffix_all.any():
         return TailIntegralCertificate(lhs=math.nan, rhs=math.nan, r=math.nan,
-                                       epsilon=math.nan, passed=False, degenerate=False)
+                                       epsilon=math.nan, passed=False)
     i0 = int(np.argmax(suffix_all))
     r = float(grid.nodes[i0])
     eps = float(fstar[i0:].min())
     lhs = math.fsum(grid.weights[i0:] * (eta - fstar[i0:]))
     if eta - eps <= 1e-6:
-        # the slope quotient degenerates to 0/0; flag instead of computing
-        return TailIntegralCertificate(lhs=lhs, rhs=math.nan, r=r, epsilon=eps,
-                                       passed=None, degenerate=True)
+        # the slope quotient degenerates to 0/0; no verdict instead of computing
+        return TailIntegralCertificate(lhs=lhs, rhs=math.nan, r=r, epsilon=eps, passed=None)
     rhs = ((eta - eps) * eta / (float(eval_G(G, eps)) - eps)) * report.mass_defect_constant
     return TailIntegralCertificate(lhs=lhs, rhs=rhs, r=r, epsilon=eps,
-                                   passed=bool(lhs <= rhs + INTEGRAL_TOL), degenerate=False)
+                                   passed=bool(lhs <= rhs + INTEGRAL_TOL))
 
 
 def jensen_certificate(A: OperatorMatrix, G: NonlinearitySpec, u) -> float:

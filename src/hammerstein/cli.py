@@ -6,9 +6,10 @@ certificates, then writes
 
 * ``profile.csv``   one row per node (x, f_star, gamma and, when the
   combined solve ran, phi: between xi * gamma and eta - f_star = 1 - f_star);
-* ``report.yaml``   conditions, solve data with the rate envelope, the
-  enabled certificates and the config echo -- byte-identical for identical
-  config and seed (timestamps go to a sidecar);
+* ``report.yaml``   conditions, solve data (``table`` derives the rate
+  envelope from its sigma0, eta and rate exponent), the enabled
+  certificates and the config echo -- byte-identical for identical config
+  and seed (timestamps go to a sidecar);
 * ``run_meta.txt``  timestamp and wall time, kept out of the report.
 
 Exit codes: 0 every verdict passed; 1 a verdict of the iteration, the
@@ -172,7 +173,6 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
         return EXIT_OK if conditions_passed else EXIT_CONDITIONS
 
     operator, gamma = disc.operator, disc.gamma
-    rate_exp = config.nonlinearity.rate_exponent
     try:
         solve = solve_picard(operator, config.nonlinearity,
                              tol=config.tol, max_iter=config.max_iter)
@@ -180,8 +180,7 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
         solve = exc.report      # the partial report is written all the same
     payload["solve"] = {
         **_plain(solve, drop=("profile",)),     # profiles live in profile.csv
-        "rate_exponent": rate_exp,
-        "envelope": [None] + _plain(rate_envelope(solve, rate_exp)),
+        "rate_exponent": config.nonlinearity.rate_exponent,
     }
     if not solve.converged:
         payload["status"]["converged"] = False
@@ -247,12 +246,14 @@ def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> i
 
 
 def _table_command(report_path: Path) -> int:
-    """Print the convergence table of a written report; a report that cannot
-    be read, or has no well-formed solve section, is a config error."""
+    """Print a written report's convergence table, its envelope derived from the
+    solve section; an unreadable report or solve section is a config error."""
     try:
         solve = yaml.load(report_path.read_text(), Loader=SAFE_LOADER)["solve"]
-        table = emit_convergence_table([float(d) for d in solve["sup_diffs"]],
-                                       [float(e) for e in solve["envelope"][1:]])
+        sup_diffs = [float(d) for d in solve["sup_diffs"]]
+        envelope = rate_envelope(float(solve["sigma0"]), float(solve["eta"]),
+                                 float(solve["rate_exponent"]), len(sup_diffs))
+        table = emit_convergence_table(sup_diffs, envelope)
     except (OSError, yaml.YAMLError, LookupError, TypeError, ValueError) as exc:
         reason = " ".join(str(exc).split())     # a YAML error spans lines
         raise ConfigError(str(report_path), "not a report with a solve section "

@@ -411,7 +411,7 @@ def tail_row_mass(spec: KernelSpec, grid: HalfLineGrid, x):
     of the kernel bump sits past the truncation point, and dropping it would
     fake a mass defect of order 1/2 there.  The rule is the grid's own,
     continued (:func:`_tail_extension`).  This row-by-row form serves
-    off-grid points and is the oracle of the structured :func:`node_masses`.
+    off-grid points and is the oracle of the structured :func:`node_tail`.
     """
     extended, share = _tail_extension(spec.base, grid)
     past = share > 0.0
@@ -464,22 +464,20 @@ def node_tail(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
 class ConditionReport:
     """Outcome of the structural checks plus the certificate constants.
 
-    ``passed`` requires raw row mass at most ``1 + tol`` and raw mass
-    defect at least ``-tol`` everywhere but not identically zero (a
-    conservative kernel is flagged, not solved); ``tol`` is ``CHECK_TOL``.
+    ``passed`` requires raw row mass at most ``1 + CHECK_TOL`` (so raw
+    mass defect at least ``-CHECK_TOL`` everywhere) and a largest defect
+    above ``CHECK_TOL`` (a conservative kernel is flagged, not solved).
     Positivity, symmetry and domination are proven for every spec (module
     docstring), so they have no verdict here.
     """
 
     sup_row_mass: float
-    gamma_min: float
     gamma_max: float
     gamma_tail: float
     gamma_integral: float
     lambda_star_excess_integral: float
     kstar_total_mass: float
     kstar_abs_moment: float
-    tol: float = CHECK_TOL
 
     @property
     def mass_defect_constant(self) -> float:
@@ -490,9 +488,7 @@ class ConditionReport:
 
     @property
     def passed(self) -> bool:
-        return bool(self.sup_row_mass <= 1.0 + self.tol
-                    and self.gamma_min >= -self.tol
-                    and self.gamma_max > self.tol)
+        return bool(self.sup_row_mass <= 1.0 + CHECK_TOL and self.gamma_max > CHECK_TOL)
 
 
 def lambda_star_excess_integral(modulation: ModulationSet) -> float:
@@ -611,7 +607,6 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
     scale = spec.kstar_scale()
     report = ConditionReport(
         sup_row_mass=float(masses.max()),
-        gamma_min=float(raw_gamma.min()),
         gamma_max=float(raw_gamma.max()),
         gamma_tail=float(raw_gamma[-1]),
         gamma_integral=integrate(grid, raw_gamma),

@@ -166,7 +166,6 @@ class NemytskyReport:
     envelope_ok: bool
     sandwich_ok: bool
     residual_inf: float
-    phi_at_xmax: float
     converged: bool = True
 
 
@@ -222,7 +221,6 @@ def solve_nemytsky(spec: NemytskySpec, fstar, tol: float = 1e-10,
         envelope_ok=envelope_ok,
         sandwich_ok=sandwich_ok,
         residual_inf=residual_inf,
-        phi_at_xmax=float(phi[-1]),
         converged=converged,
     )
     if not converged:

@@ -2,22 +2,35 @@
 
 The integral equation f(x) = int_0^inf K(x, t) G(f(t)) dt is discretised as
 f_i = sum_j w_j K(x_i, t_j) G(f_j) and iterated from the constant ceiling
-f_0 = eta.  Iterates decrease pointwise, stay strictly positive, and the
-sup-norm differences obey the geometric envelope
+f_0 = eta.  With a the nonlinearity's rate exponent and sigma0 the pointwise
+minimum of f_2 / f_1, the iterates obey the squeeze
 
-    |f_n - f_{n+1}| <= eta * a**(n-1) * log(1 / sigma0),   n >= 1,
+    sigma0**(a**(n-1)) * f_n <= f_{n+1} <= f_n,   n >= 1,
 
-where a is the nonlinearity's rate exponent and sigma0 is the pointwise
-minimum of the ratio of the second to the first iterate.  Because the
-discrete system inherits positivity, monotonicity, concavity and the scaling
-bound verbatim, the envelope is certified with the sigma0 measured on the
-grid itself.
+so, as 1 - s**c <= c log(1/s) and f_n <= eta, the geometric envelope
 
-The operator is ``kernels.OperatorMatrix`` from ``kernels.discretise``,
-both defined in and imported from ``kernels``.  It is never held as an
-N x N matrix: the weighted kernel is the block-Toeplitz plus block-Hankel
-``kernels.StructuredKernel``, applied with real FFTs in O(N log N) time and
-O(N) memory; the cusp correction and the over-cap rescale stay diagonal.
+    |f_n - f_{n+1}| <= eta * a**(n-1) * log(1 / sigma0),   n >= 1.
+
+The upper half, pointwise decrease, is asserted at every step
+(:func:`iterate`).  The lower half holds for every accepted spec, so no run
+measures it.  With T(f) = diag(row_scale) (W + diag(d)) G(f) + G(f_N) tail:
+
+* Start: sigma0 <= min f_2 / f_1 (:func:`estimate_sigma0`'s clamp lowers a
+  quotient above 1 and raises one only where f_2 underflows), so
+  sigma0 f_1 <= f_2 up to the rounding of one quotient and one product.
+* T preserves order and T(sigma u) >= sigma**a T(u), sigma in (0, 1]: W > 0
+  (``kernels`` module docstring), W_ii + d_i > 0 (``kernels.discretise``
+  refuses an operator otherwise), row_scale > 0 and tail >= 0 weigh G's
+  values, and G increases with G(sigma u) >= sigma**a G(u) (``nonlinearity``
+  module docstring).
+* Induction: sigma0**(a**(n-1)) f_n <= f_{n+1} gives
+  f_{n+2} = T(f_{n+1}) >= T(sigma0**(a**(n-1)) f_n) >= sigma0**(a**n) f_{n+1}.
+
+The operator, ``kernels.OperatorMatrix`` from ``kernels.discretise``, is
+never held as an N x N matrix: the weighted kernel is the block-Toeplitz
+plus block-Hankel ``kernels.StructuredKernel``, applied with real FFTs in
+O(N log N) time and O(N) memory; the cusp correction and the over-cap
+rescale stay diagonal.
 """
 
 from __future__ import annotations
@@ -55,10 +68,10 @@ def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
 
     The tail term closes the integral past x_max with the last node's value
     (profiles are flat to the kernel-tail scale out there), so the ceiling
-    maps to eta times the full row mass and zero stays a fixed point.  G is
-    monotone, hence the closed map keeps the monotone and squeeze machinery
-    verbatim.  The product is one structured FFT application (``A @ g``); its
-    result does not depend on the BLAS thread count.
+    maps to eta times the full row mass and zero stays a fixed point; the
+    tail mass is >= 0, so the squeeze proof (module docstring) covers it.
+    The product is one structured FFT application (``A @ g``); its result
+    does not depend on the BLAS thread count.
     """
     f = np.asarray(f, dtype=float)
     eta = G.eta
@@ -75,9 +88,8 @@ class SolveReport:
 
     ``sup_diffs[k]`` is the sup norm of iterate k minus iterate k+1 (the
     start step is k = 0).  ``monotone_ok`` is the upper half of the squeeze
-    f_{n+1} <= f_n and ``squeeze_ok`` its lower half
-    sigma0**(a**(n-1)) f_n <= f_{n+1}, both within 1e-12 at every step
-    taken.  No iterate history is kept.
+    f_{n+1} <= f_n within 1e-12 at every step taken; the lower half is
+    proven (module docstring).  No iterate history is kept.
     """
 
     iterations: int
@@ -89,7 +101,6 @@ class SolveReport:
     profile: np.ndarray
     eta: float
     converged: bool = True
-    squeeze_ok: bool = True
 
 
 def estimate_sigma0(f1, f2) -> float:
@@ -105,12 +116,13 @@ def estimate_sigma0(f1, f2) -> float:
     return min(max(ratio, POSITIVITY_FLOOR), 1.0)
 
 
-def rate_envelope(report: SolveReport, rate_exponent: float) -> list[float]:
-    """Envelope values eta * a**(n-1) * log(1/sigma0) for n = 1 .. len(sup_diffs)-1."""
-    if report.sigma0 >= 1.0:
-        return [0.0] * max(len(report.sup_diffs) - 1, 0)
-    return [report.eta * rate_exponent ** (n - 1) * math.log(1.0 / report.sigma0)
-            for n in range(1, len(report.sup_diffs))]
+def rate_envelope(sigma0: float, eta: float, rate_exponent: float, steps: int) -> list[float]:
+    """Envelope values eta * a**(n-1) * log(1/sigma0) for n = 1 .. steps-1, the
+    bounds on the sup differences of ``steps`` iterations past the start step."""
+    if sigma0 >= 1.0:
+        return [0.0] * max(steps - 1, 0)
+    return [eta * rate_exponent ** (n - 1) * math.log(1.0 / sigma0)
+            for n in range(1, steps)]
 
 
 def verify_rate_bound(report: SolveReport, rate_exponent: float) -> bool:
@@ -125,7 +137,8 @@ def verify_rate_bound(report: SolveReport, rate_exponent: float) -> bool:
     if report.sigma0 >= 1.0 and any(d > 1e-12 for d in diffs):
         raise NumericalBreakdownError(
             "unit ratio floor with nonzero differences past the start step")
-    return all(d <= env + 1e-12 for d, env in zip(diffs, rate_envelope(report, rate_exponent)))
+    envelope = rate_envelope(report.sigma0, report.eta, rate_exponent, len(report.sup_diffs))
+    return all(d <= env + 1e-12 for d, env in zip(diffs, envelope))
 
 
 def iterate(step, start: np.ndarray, *, direction: int, tol: float,
@@ -163,29 +176,24 @@ def solve_picard(A: OperatorMatrix, G: NonlinearitySpec, tol: float = 1e-10,
                  max_iter: int = 500) -> SolveReport:
     """Iterate from the ceiling f_0 = eta until successive sup differences reach tol.
 
-    Monotone decrease is asserted at every step (see :func:`iterate`) and
-    the squeeze floor checked once the first two iterates fix sigma0, so
-    the working memory is a few iterates whatever the iteration count.  On
-    convergence the report carries the measured sigma0, the fixed-point
-    residual from one extra operator application, and the envelope verdict.
+    Monotone decrease is asserted at every step (see :func:`iterate`), and
+    the first two iterates fix sigma0, so the working memory is a few
+    iterates whatever the iteration count.  On convergence the report
+    carries the measured sigma0, the fixed-point residual from one extra
+    operator application, and the envelope verdict.
     Hitting ``max_iter`` raises with the partial report attached.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     eta = G.eta
-    a = G.rate_exponent
-    j, sigma0, floor_breach = 0, 1.0, 0.0
+    j, sigma0 = 0, 1.0
 
     def step(f: np.ndarray) -> np.ndarray:
-        # f is f_j: f_1 and f_2 fix sigma0, then every step checks the
-        # squeeze floor sigma0**(a**(j-1)) f_j <= f_{j+1}, j >= 1
-        nonlocal j, sigma0, floor_breach
+        # f is f_j: f_1 and f_2 fix sigma0
+        nonlocal j, sigma0
         nxt = apply_hammerstein(A, G, f)
         if j == 1:
             sigma0 = estimate_sigma0(f, nxt)
-        if j >= 1:
-            floor = sigma0 ** (a ** (j - 1)) * f
-            floor_breach = max(floor_breach, float((floor - nxt).max()))
         j += 1
         return nxt
 
@@ -202,12 +210,11 @@ def solve_picard(A: OperatorMatrix, G: NonlinearitySpec, tol: float = 1e-10,
         profile=f,
         eta=eta,
         converged=converged,
-        squeeze_ok=floor_breach <= 1e-12,
     )
     if not converged:
         raise NonConvergenceError(
             f"no convergence to {tol} within {max_iter} iterations", report)
-    report.rate_bound_ok = verify_rate_bound(report, a)
+    report.rate_bound_ok = verify_rate_bound(report, G.rate_exponent)
     return report
 
 

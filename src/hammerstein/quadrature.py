@@ -112,7 +112,7 @@ class HalfLineGrid:
     points_per_panel: int | None = None
 
     def __post_init__(self) -> None:
-        # grids are shared freely between threads; freeze the arrays
+        # frozen, so the grid an operator was built on cannot change under it
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 

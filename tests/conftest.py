@@ -79,7 +79,7 @@ def row_mass_at(spec, grid, x):
 def ceiling_iterates(A, G, count):
     """f_0 = eta, f_1, ..., f_count of the ceiling iteration, rebuilt outside
     ``solve_picard`` (which keeps no history) for the offline oracles of its
-    online monotone and squeeze verdicts."""
+    online monotone verdict and of the proven squeeze."""
     history = [np.full(A.size, G.eta)]
 
     def step(f):
@@ -88,6 +88,17 @@ def ceiling_iterates(A, G, count):
 
     iterate(step, history[0], direction=0, tol=0.0, max_iter=count)
     return history
+
+
+def squeeze_breach(A, G, sigma0, steps):
+    """Worst breach of the squeeze sigma0**(a**(n-1)) f_n <= f_{n+1} <= f_n,
+    1 <= n < steps, on the rebuilt ceiling iterates: the picard module
+    docstring proves its lower half, and the solve asserts the upper."""
+    iterates = ceiling_iterates(A, G, steps)
+    a = G.rate_exponent
+    return max((max(float((sigma0 ** (a ** (n - 1)) * iterates[n] - iterates[n + 1]).max()),
+                    float((iterates[n + 1] - iterates[n]).max()))
+                for n in range(1, steps)), default=0.0)
 
 
 def make_G(family):

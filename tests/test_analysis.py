@@ -53,7 +53,7 @@ def test_excess_zero_for_flat_ceiling(small_ci):
 def test_tail_integral_certificate_passes(small_ci):
     cert = tail_integral_certificate(small_ci["solve"].profile, small_ci["grid"],
                                      small_ci["G"], small_ci["report"])
-    assert cert.passed and not cert.degenerate
+    assert cert.passed is True and math.isfinite(cert.rhs)
     assert cert.epsilon >= 0.5 * small_ci["G"].eta
     assert cert.lhs <= cert.rhs + 1e-8
     assert math.isfinite(cert.lhs) and cert.lhs > 0.0
@@ -72,15 +72,15 @@ def test_tail_degenerate_profile_flagged(small_ci):
     nearly_flat = np.full(small_ci["grid"].size, small_ci["G"].eta - 1e-9)
     cert = tail_integral_certificate(nearly_flat, small_ci["grid"],
                                      small_ci["G"], small_ci["report"])
-    assert cert.degenerate and cert.passed is None
-    assert math.isnan(cert.rhs)
+    assert cert.passed is None and math.isnan(cert.rhs)
+    assert cert.epsilon == small_ci["G"].eta - 1e-9
 
 
 def test_tail_requires_half_ceiling_plateau(small_ci):
     low = np.full(small_ci["grid"].size, 0.1)
     cert = tail_integral_certificate(low, small_ci["grid"], small_ci["G"],
                                      small_ci["report"])
-    assert cert.passed is False and not cert.degenerate
+    assert cert.passed is False
     assert all(math.isnan(v) for v in (cert.lhs, cert.rhs, cert.r, cert.epsilon))
 
 

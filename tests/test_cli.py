@@ -18,7 +18,7 @@ from conftest import readme_config
 from hammerstein.cli import emit_convergence_table, main, run
 from hammerstein.config import load_config
 from hammerstein.errors import NumericalBreakdownError
-from hammerstein.picard import SolveReport, discretise, rate_envelope, solve_picard
+from hammerstein.picard import discretise, rate_envelope, solve_picard
 
 BASE_CONFIG = """\
 kernel:
@@ -58,8 +58,8 @@ def test_happy_path_writes_artifacts(tmp_path):
     assert report["status"]["certificates_passed"] is True
     assert report["solve"]["monotone_ok"] is True
     assert report["solve"]["rate_bound_ok"] is True
-    assert len(report["solve"]["envelope"]) == len(report["solve"]["sup_diffs"])
-    assert report["solve"]["envelope"][0] is None
+    # the envelope is derived by `table`, and the squeeze's lower half is proven
+    assert not {"envelope", "squeeze_ok"} & set(report["solve"])
     header = (out / "profile.csv").read_text().splitlines()[0]
     assert header == "x,f_star,gamma"
     assert (out / "run_meta.txt").exists()
@@ -361,7 +361,7 @@ def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, breakage, mess
 
 
 @pytest.mark.parametrize("section, verdict", [
-    ("solve", "rate_bound_ok"), ("solve", "squeeze_ok"), ("solve", "monotone_ok"),
+    ("solve", "rate_bound_ok"), ("solve", "monotone_ok"),
     ("nemytsky_solve", "increase_ok"), ("nemytsky_solve", "envelope_ok"),
     ("nemytsky_solve", "sandwich_ok"),
 ])
@@ -538,9 +538,31 @@ def test_table_round_trips_through_report(tmp_path, capsys):
     config = load_config(cfg)
     solve = solve_picard(discretise(config.kernel, config.grid).operator,
                          config.nonlinearity, tol=config.tol, max_iter=config.max_iter)
-    expected = emit_convergence_table(
-        solve.sup_diffs, rate_envelope(solve, config.nonlinearity.rate_exponent))
+    expected = emit_convergence_table(solve.sup_diffs, rate_envelope(
+        solve.sigma0, solve.eta, config.nonlinearity.rate_exponent, len(solve.sup_diffs)))
     assert capsys.readouterr().out == expected
+
+
+def test_table_is_the_same_for_a_report_with_a_stored_envelope(tmp_path, capsys):
+    # reports written before the envelope left them hold it under solve, as
+    # [None, eta * a**(n-1) * log(1/sigma0) for n >= 1], and a squeeze_ok;
+    # the table derived from sigma0, eta and a prints the same bytes as the
+    # table read from that stored envelope
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write_config(tmp_path)), "--out-dir", str(out)]) == 0
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    solve = report["solve"]
+    stored = [solve["eta"] * solve["rate_exponent"] ** (n - 1) * math.log(1.0 / solve["sigma0"])
+              for n in range(1, len(solve["sup_diffs"]))]
+    solve.update(envelope=[None] + stored, squeeze_ok=True)
+    older = tmp_path / "older.yaml"
+    older.write_text(yaml.safe_dump(report))
+    capsys.readouterr()
+    assert main(["table", "--report", str(out / "report.yaml")]) == 0
+    table = capsys.readouterr().out
+    assert main(["table", "--report", str(older)]) == 0
+    assert capsys.readouterr().out == table == emit_convergence_table(solve["sup_diffs"], stored)
+    assert len(table.splitlines()) == len(solve["sup_diffs"])
 
 
 def test_table_on_non_converged_report(tmp_path, capsys):
@@ -557,7 +579,8 @@ def test_table_on_non_converged_report(tmp_path, capsys):
 IO_ERROR_CASES = {
     "report-missing": ("table", "report.yaml", None),
     "report-empty": ("table", "report.yaml", ""),
-    "report-no-envelope": ("table", "report.yaml", "solve:\n  sup_diffs: [1.0, 0.5]\n"),
+    "report-no-sigma0": ("table", "report.yaml",
+                         "solve:\n  sup_diffs: [1.0, 0.5]\n  eta: 1.0\n  rate_exponent: 0.5\n"),
     "report-malformed-yaml": ("table", "report.yaml", "solve: [1.0,\n"),
     "report-not-a-mapping": ("table", "report.yaml", "- 1\n- 2\n"),
     "solve-out-dir-is-a-file": ("solve", "out", "not a directory\n"),
@@ -752,16 +775,12 @@ def test_import_keeps_a_callers_blas_thread_timeout():
 
 
 def test_convergence_table_degenerate_and_empty():
-    flat = SolveReport(iterations=3, sup_diffs=[0.3, 0.0, 0.0], sigma0=1.0,
-                       rate_bound_ok=True, monotone_ok=True, residual_inf=0.0,
-                       profile=np.ones(2), eta=1.0)
-    table = emit_convergence_table(flat.sup_diffs, rate_envelope(flat, 0.5))
+    # a unit ratio floor gives a zero envelope, and no steps a header alone
+    flat = [0.3, 0.0, 0.0]
+    table = emit_convergence_table(flat, rate_envelope(1.0, 1.0, 0.5, len(flat)))
     rows = table.strip().splitlines()
     assert [row.split()[2] for row in rows[1:]] == ["0", "0"]
-    empty = SolveReport(iterations=0, sup_diffs=[], sigma0=1.0,
-                        rate_bound_ok=True, monotone_ok=True, residual_inf=0.0,
-                        profile=np.ones(2), eta=1.0)
-    assert (emit_convergence_table(empty.sup_diffs, rate_envelope(empty, 0.5)).strip()
+    assert (emit_convergence_table([], rate_envelope(1.0, 1.0, 0.5, 0)).strip()
             == "n sup_diff envelope ratio")
 
 

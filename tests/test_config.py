@@ -106,95 +106,116 @@ FAMILY_II = {"nonlinearity.family": "II", "nonlinearity.alpha": DROP}
 FAMILY_III = {"nonlinearity.family": "III", "nonlinearity.alpha": DROP,
               "nonlinearity.alpha_star": 0.75}
 
-# (overrides of BASE by dotted path, the path the error names)
+# (overrides of BASE by dotted path, the path the error names, the test id).
+# Each id is written out, so deleting a row renames no other test.  The ids
+# of these rows keep the names of the positional scheme they replaced; a new
+# row names its overrides instead, e.g. "checks.tol=1e-09".
 ERRORS = [
     # an unknown key in each section
-    ({"bogus": 1}, "bogus"),
-    ({"kernel.bogus": 1}, "kernel.bogus"),
-    ({"kernel.base.bogus": 1}, "kernel.base.bogus"),
-    ({"nonlinearity.bogus": 1}, "nonlinearity.bogus"),
-    ({"grid.bogus": 1}, "grid.bogus"),
-    ({"solver.bogus": 1}, "solver.bogus"),
-    ({"checks": {"tol": 1.0e-9}}, "checks"),      # takes no settings: kernels.CHECK_TOL
-    ({"nemytsky.bogus": 1}, "nemytsky.bogus"),
-    ({"certificates.bogus": 1}, "certificates.bogus"),
+    ({"bogus": 1}, "bogus", "bogus-0"),
+    ({"kernel.bogus": 1}, "kernel.bogus", "kernel.bogus-1"),
+    ({"kernel.base.bogus": 1}, "kernel.base.bogus", "kernel.base.bogus-2"),
+    ({"nonlinearity.bogus": 1}, "nonlinearity.bogus", "nonlinearity.bogus-3"),
+    ({"grid.bogus": 1}, "grid.bogus", "grid.bogus-4"),
+    ({"solver.bogus": 1}, "solver.bogus", "solver.bogus-5"),
+    # takes no settings: kernels.CHECK_TOL
+    ({"checks": {"tol": 1.0e-9}}, "checks", "checks-6"),
+    ({"nemytsky.bogus": 1}, "nemytsky.bogus", "nemytsky.bogus-7"),
+    ({"certificates.bogus": 1}, "certificates.bogus", "certificates.bogus-8"),
     # sections missing or not mappings
-    ({"kernel": DROP}, "kernel"),
-    ({"nonlinearity": DROP}, "nonlinearity"),
-    ({"grid": DROP}, "grid"),
-    ({"solver": 3}, "solver"),
-    ({"kernel.base": "gaussian"}, "kernel.base"),
-    ({"nemytsky": None}, "nemytsky"),
-    ({"certificates": [1]}, "certificates"),
+    ({"kernel": DROP}, "kernel", "kernel-9"),
+    ({"nonlinearity": DROP}, "nonlinearity", "nonlinearity-10"),
+    ({"grid": DROP}, "grid", "grid-11"),
+    ({"solver": 3}, "solver", "solver-12"),
+    ({"kernel.base": "gaussian"}, "kernel.base", "kernel.base-13"),
+    ({"nemytsky": None}, "nemytsky", "nemytsky-14"),
+    ({"certificates": [1]}, "certificates", "certificates-15"),
     # family-specific keys on the wrong family
-    ({"kernel.delta": 0.5}, "kernel.delta"),
-    ({"kernel.family": "A"}, "kernel.epsilon"),
-    ({**FAMILY_B, "kernel.epsilon": 0.5}, "kernel.epsilon"),
-    ({"kernel.base.atoms": [[1, 2]]}, "kernel.base.atoms"),
-    ({"nonlinearity.alpha_star": 0.5}, "nonlinearity.alpha_star"),
-    ({"nonlinearity.alpha_tilde": 0.25}, "nonlinearity.alpha_tilde"),
-    ({"nonlinearity.family": "II"}, "nonlinearity.alpha"),
-    ({**FAMILY_III, "nonlinearity.alpha": 0.5}, "nonlinearity.alpha"),
-    ({**FAMILY_II, "nonlinearity.alpha_tilde": 0.25}, "nonlinearity.alpha_tilde"),
-    ({**MIXTURE, "grid.rule": "trapezoid"}, "grid.rule"),
+    ({"kernel.delta": 0.5}, "kernel.delta", "kernel.delta-16"),
+    ({"kernel.family": "A"}, "kernel.epsilon", "kernel.epsilon-17"),
+    ({**FAMILY_B, "kernel.epsilon": 0.5}, "kernel.epsilon", "kernel.epsilon-18"),
+    ({"kernel.base.atoms": [[1, 2]]}, "kernel.base.atoms", "kernel.base.atoms-19"),
+    ({"nonlinearity.alpha_star": 0.5}, "nonlinearity.alpha_star", "nonlinearity.alpha_star-20"),
+    ({"nonlinearity.alpha_tilde": 0.25}, "nonlinearity.alpha_tilde",
+     "nonlinearity.alpha_tilde-21"),
+    ({"nonlinearity.family": "II"}, "nonlinearity.alpha", "nonlinearity.alpha-22"),
+    ({**FAMILY_III, "nonlinearity.alpha": 0.5}, "nonlinearity.alpha", "nonlinearity.alpha-23"),
+    ({**FAMILY_II, "nonlinearity.alpha_tilde": 0.25}, "nonlinearity.alpha_tilde",
+     "nonlinearity.alpha_tilde-24"),
+    ({**MIXTURE, "grid.rule": "trapezoid"}, "grid.rule", "grid.rule-25"),
     # mixture atoms
-    ({"kernel.base.variant": "exp-mixture"}, "kernel.base.atoms"),
-    ({**MIXTURE, "kernel.base.atoms": []}, "kernel.base.atoms"),
-    ({**MIXTURE, "kernel.base.atoms": "1, 2"}, "kernel.base.atoms"),
-    ({**MIXTURE, "kernel.base.atoms": [[1]]}, "kernel.base.atoms"),
-    ({**MIXTURE, "kernel.base.atoms": [[0.25, 1.0]]}, "kernel.base"),
-    ({**MIXTURE, "kernel.base.atoms": [[-0.5, -1.0]]}, "kernel.base"),
+    ({"kernel.base.variant": "exp-mixture"}, "kernel.base.atoms", "kernel.base.atoms-26"),
+    ({**MIXTURE, "kernel.base.atoms": []}, "kernel.base.atoms", "kernel.base.atoms-27"),
+    ({**MIXTURE, "kernel.base.atoms": "1, 2"}, "kernel.base.atoms", "kernel.base.atoms-28"),
+    ({**MIXTURE, "kernel.base.atoms": [[1]]}, "kernel.base.atoms", "kernel.base.atoms-29"),
+    ({**MIXTURE, "kernel.base.atoms": [[0.25, 1.0]]}, "kernel.base", "kernel.base-30"),
+    ({**MIXTURE, "kernel.base.atoms": [[-0.5, -1.0]]}, "kernel.base", "kernel.base-31"),
     # ranges
-    ({"grid.x_max": 0.0}, "grid.x_max"),
-    ({"grid.n_panels": 0}, "grid.n_panels"),
-    ({"grid.points_per_panel": 0}, "grid.points_per_panel"),
-    ({"kernel.d_star": 0.0}, "kernel.d_star"),
-    ({"kernel.d_star": 1.5}, "kernel.d_star"),
-    ({"kernel.l": 0.0}, "kernel.l"),
-    ({"kernel.l": 1.0}, "kernel.l"),
-    ({"kernel.epsilon": 1.0}, "kernel.epsilon"),
-    ({**FAMILY_B, "kernel.delta": 0.0}, "kernel.delta"),
-    ({"nonlinearity.alpha": 1.2}, "nonlinearity.alpha"),
-    ({"nonlinearity.alpha": 0.0}, "nonlinearity.alpha"),
-    ({**FAMILY_II, "nonlinearity.alpha_star": 1.0}, "nonlinearity.alpha_star"),
-    ({**FAMILY_III, "nonlinearity.alpha_tilde": 0.0}, "nonlinearity.alpha_tilde"),
-    ({**FAMILY_III, "nonlinearity.alpha_tilde": 0.75}, "nonlinearity.alpha_tilde"),
-    ({"solver.tol": 0.0}, "solver.tol"),
-    ({"solver.max_iter": 0}, "solver.max_iter"),
-    ({"certificates.probe_trials": 0}, "certificates.probe_trials"),
-    ({"certificates.probe_scale": 0.0}, "certificates.probe_scale"),
-    ({"nemytsky.xi": 0.5}, "nemytsky.xi"),
-    ({"nemytsky.xi": 0.0}, "nemytsky.xi"),
-    ({"nemytsky.eps_star_fraction": 1.5}, "nemytsky.eps_star_fraction"),
-    ({"nemytsky.eps_star_fraction": -0.1}, "nemytsky.eps_star_fraction"),
-    ({"certificates.probe_trials": -1}, "certificates.probe_trials"),
-    ({"certificates.probe_scale": -0.1}, "certificates.probe_scale"),
-    ({"certificates.seed": -1}, "certificates.seed"),
+    ({"grid.x_max": 0.0}, "grid.x_max", "grid.x_max-32"),
+    ({"grid.n_panels": 0}, "grid.n_panels", "grid.n_panels-33"),
+    ({"grid.points_per_panel": 0}, "grid.points_per_panel", "grid.points_per_panel-34"),
+    ({"kernel.d_star": 0.0}, "kernel.d_star", "kernel.d_star-35"),
+    ({"kernel.d_star": 1.5}, "kernel.d_star", "kernel.d_star-36"),
+    ({"kernel.l": 0.0}, "kernel.l", "kernel.l-37"),
+    ({"kernel.l": 1.0}, "kernel.l", "kernel.l-38"),
+    ({"kernel.epsilon": 1.0}, "kernel.epsilon", "kernel.epsilon-39"),
+    ({**FAMILY_B, "kernel.delta": 0.0}, "kernel.delta", "kernel.delta-40"),
+    ({"nonlinearity.alpha": 1.2}, "nonlinearity.alpha", "nonlinearity.alpha-41"),
+    ({"nonlinearity.alpha": 0.0}, "nonlinearity.alpha", "nonlinearity.alpha-42"),
+    ({**FAMILY_II, "nonlinearity.alpha_star": 1.0}, "nonlinearity.alpha_star",
+     "nonlinearity.alpha_star-43"),
+    ({**FAMILY_III, "nonlinearity.alpha_tilde": 0.0}, "nonlinearity.alpha_tilde",
+     "nonlinearity.alpha_tilde-44"),
+    ({**FAMILY_III, "nonlinearity.alpha_tilde": 0.75}, "nonlinearity.alpha_tilde",
+     "nonlinearity.alpha_tilde-45"),
+    ({"solver.tol": 0.0}, "solver.tol", "solver.tol-46"),
+    ({"solver.max_iter": 0}, "solver.max_iter", "solver.max_iter-47"),
+    ({"certificates.probe_trials": 0}, "certificates.probe_trials",
+     "certificates.probe_trials-48"),
+    ({"certificates.probe_scale": 0.0}, "certificates.probe_scale", "certificates.probe_scale-49"),
+    ({"nemytsky.xi": 0.5}, "nemytsky.xi", "nemytsky.xi-50"),
+    ({"nemytsky.xi": 0.0}, "nemytsky.xi", "nemytsky.xi-51"),
+    ({"nemytsky.eps_star_fraction": 1.5}, "nemytsky.eps_star_fraction",
+     "nemytsky.eps_star_fraction-52"),
+    ({"nemytsky.eps_star_fraction": -0.1}, "nemytsky.eps_star_fraction",
+     "nemytsky.eps_star_fraction-53"),
+    ({"certificates.probe_trials": -1}, "certificates.probe_trials",
+     "certificates.probe_trials-54"),
+    ({"certificates.probe_scale": -0.1}, "certificates.probe_scale",
+     "certificates.probe_scale-55"),
+    ({"certificates.seed": -1}, "certificates.seed", "certificates.seed-56"),
     # wrong types: number, integer, boolean, choice
-    ({"grid.x_max": "big"}, "grid.x_max"),
-    ({"kernel.l": True}, "kernel.l"),
-    ({"grid.n_panels": 2.5}, "grid.n_panels"),
-    ({"certificates.seed": "7"}, "certificates.seed"),
-    ({"certificates.jensen": "yes"}, "certificates.jensen"),
-    ({"certificates.uniqueness_probe": 1}, "certificates.uniqueness_probe"),
-    ({"kernel.family": "D"}, "kernel.family"),
-    ({"nonlinearity.family": DROP}, "nonlinearity.family"),
-    ({"grid.rule": "simpson"}, "grid.rule"),
-    ({"kernel.base.variant": "cauchy"}, "kernel.base.variant"),
-    ({"kernel.lambda_form": "gap"}, "kernel.lambda_form"),
-    ({"nemytsky.pointwise": "linear"}, "nemytsky.pointwise"),
-    ({"nemytsky.integrand": "plain"}, "nemytsky.integrand"),
-    ({"nemytsky.damping_profile": "two"}, "nemytsky.damping_profile"),
+    ({"grid.x_max": "big"}, "grid.x_max", "grid.x_max-57"),
+    ({"kernel.l": True}, "kernel.l", "kernel.l-58"),
+    ({"grid.n_panels": 2.5}, "grid.n_panels", "grid.n_panels-59"),
+    ({"certificates.seed": "7"}, "certificates.seed", "certificates.seed-60"),
+    ({"certificates.jensen": "yes"}, "certificates.jensen", "certificates.jensen-61"),
+    ({"certificates.uniqueness_probe": 1}, "certificates.uniqueness_probe",
+     "certificates.uniqueness_probe-62"),
+    ({"kernel.family": "D"}, "kernel.family", "kernel.family-63"),
+    ({"nonlinearity.family": DROP}, "nonlinearity.family", "nonlinearity.family-64"),
+    ({"grid.rule": "simpson"}, "grid.rule", "grid.rule-65"),
+    ({"kernel.base.variant": "cauchy"}, "kernel.base.variant", "kernel.base.variant-66"),
+    ({"kernel.lambda_form": "gap"}, "kernel.lambda_form", "kernel.lambda_form-67"),
+    ({"nemytsky.pointwise": "linear"}, "nemytsky.pointwise", "nemytsky.pointwise-68"),
+    ({"nemytsky.integrand": "plain"}, "nemytsky.integrand", "nemytsky.integrand-69"),
+    ({"nemytsky.damping_profile": "two"}, "nemytsky.damping_profile",
+     "nemytsky.damping_profile-70"),
     # non-finite numbers
-    ({"grid.x_max": math.inf}, "grid.x_max"),
-    ({"solver.tol": math.inf}, "solver.tol"),
-    ({"nemytsky.eps_star_fraction": math.inf}, "nemytsky.eps_star_fraction"),
-    ({"certificates.probe_scale": math.nan}, "certificates.probe_scale"),
-    ({"certificates.probe_scale": math.inf}, "certificates.probe_scale"),
-    ({"kernel.d_star": math.nan}, "kernel.d_star"),
-    ({"nemytsky.xi": math.nan}, "nemytsky.xi"),
-    ({**MIXTURE, "kernel.base.atoms": [[math.nan, 1.0]]}, "kernel.base.atoms"),
-    ({**MIXTURE, "kernel.base.atoms": [[0.5, 1.0], [1.0, math.inf]]}, "kernel.base.atoms"),
+    ({"grid.x_max": math.inf}, "grid.x_max", "grid.x_max-71"),
+    ({"solver.tol": math.inf}, "solver.tol", "solver.tol-72"),
+    ({"nemytsky.eps_star_fraction": math.inf}, "nemytsky.eps_star_fraction",
+     "nemytsky.eps_star_fraction-73"),
+    ({"certificates.probe_scale": math.nan}, "certificates.probe_scale",
+     "certificates.probe_scale-74"),
+    ({"certificates.probe_scale": math.inf}, "certificates.probe_scale",
+     "certificates.probe_scale-75"),
+    ({"kernel.d_star": math.nan}, "kernel.d_star", "kernel.d_star-76"),
+    ({"nemytsky.xi": math.nan}, "nemytsky.xi", "nemytsky.xi-77"),
+    ({**MIXTURE, "kernel.base.atoms": [[math.nan, 1.0]]}, "kernel.base.atoms",
+     "kernel.base.atoms-78"),
+    ({**MIXTURE, "kernel.base.atoms": [[0.5, 1.0], [1.0, math.inf]]}, "kernel.base.atoms",
+     "kernel.base.atoms-79"),
 ]
 
 
@@ -208,8 +229,8 @@ def _override(tree, dotted, value):
         tree[key] = value
 
 
-@pytest.mark.parametrize("overrides,path", ERRORS,
-                         ids=[f"{path}-{i}" for i, (_, path) in enumerate(ERRORS)])
+@pytest.mark.parametrize("overrides,path",
+                         [pytest.param(overrides, path, id=id_) for overrides, path, id_ in ERRORS])
 def test_single_error_names_its_path(overrides, path):
     tree = copy.deepcopy(BASE)
     for dotted, value in overrides.items():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 import hammerstein as hs
-from hammerstein.kernels import (BLOCK_ENTRIES, POSITIVITY_FLOOR, BaseKernel,
+from hammerstein.kernels import (BLOCK_ENTRIES, CHECK_TOL, POSITIVITY_FLOOR, BaseKernel,
                                  ConditionReport, KernelSpec, ModulationSet,
                                  check_kernel_conditions, cusp_correction,
                                  eval_kernel, gamma_profile, kernel_matrix,
@@ -230,8 +230,7 @@ def test_catalog_conditions_pass(small_grid, family):
     report = check_kernel_conditions(make_kernel(family), small_grid)
     assert report.passed
     assert report.sup_row_mass <= 1.0 + 1e-9
-    assert report.gamma_min >= -1e-9
-    assert report.gamma_integral > 0.0
+    assert report.gamma_max > 1e-9 and report.gamma_integral > 0.0
 
 
 # --- domination, proven in the kernels module docstring --------------------
@@ -337,7 +336,7 @@ def test_base_half_line_moments_match_quadrature(base):
 def test_conservative_kernel_flagged():
     # a row mass identically 1 gives gamma == 0 everywhere: rejected
     report = ConditionReport(
-        sup_row_mass=1.0, gamma_min=0.0, gamma_max=0.0, gamma_tail=0.0,
+        sup_row_mass=1.0, gamma_max=0.0, gamma_tail=0.0,
         gamma_integral=0.0, lambda_star_excess_integral=1.0,
         kstar_total_mass=1.0, kstar_abs_moment=0.5)
     assert not report.passed
@@ -347,7 +346,7 @@ def test_coarse_grid_fails_checks():
     coarse = hs.build_grid(40.0, 20, hs.TRAPEZOID)
     report = check_kernel_conditions(make_kernel("B", delta=0.999999), coarse)
     assert not report.passed
-    assert report.sup_row_mass > 1.0 + 1e-9 or report.gamma_min < -1e-9
+    assert report.sup_row_mass > 1.0 + 1e-9
 
 
 # --- kernels with a cusp --------------------------------------------------
@@ -375,7 +374,7 @@ def test_cusp_kernel_passes_checks(family, lambda_form, n_panels):
     spec = _mixture_kernel(family, lambda_form)
     report = check_kernel_conditions(spec, grid)
     assert report.passed
-    assert report.sup_row_mass <= 1.0 + report.tol
+    assert report.sup_row_mass <= 1.0 + CHECK_TOL
     disc = discretise(spec, grid)
     assert disc.report == report
     gamma = gamma_profile(spec, grid)
