@@ -228,13 +228,11 @@ def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
         raise ValueError("trials must be at least 1 and perturbation_scale positive, "
                          f"got {trials!r} and {perturbation_scale!r}")
     fstar = np.asarray(fstar, dtype=float)
-    eta = G.eta
     deviations: list[float] = []
     inconclusive = False
     for trial in range(trials):
         bump = perturbation_scale * _uniform_stream(seed, trial, fstar.size)
-        start = np.clip(fstar + bump, 0.0, eta)
-        profile, _, ok = fixed_point_iterate(A, G, start, tol, max_iter)
+        profile, _, ok = fixed_point_iterate(A, G, fstar + bump, tol, max_iter)
         if not ok:
             inconclusive = True
             deviations.append(math.nan)

@@ -16,10 +16,11 @@ Exit codes: 0 every verdict passed; 1 a verdict of the iteration, the
 combined solve or a certificate failed (a ``passed``, ``*_passed`` or
 ``*_ok`` key reads false; report still written, the key's path on stderr);
 2 config error, or an I/O error on ``--report`` or ``--out-dir`` (one
-``error:`` line naming the path); 3 condition checks failed or the
-cusp-corrected operator was refused (report still written); 4
-non-convergence; 5 numerical failure (report still written, the message
-under ``status.numerical_error``).
+``error:`` line naming the path); 3 condition checks failed (report still
+written, each failed key's path on stderr) or the cusp-corrected operator
+was refused (report still written, an ``error:`` line); 4 non-convergence
+(an ``error:`` line); 5 numerical failure (report still written, the
+message under ``status.numerical_error`` and on stderr).
 Codes 2-5 are the ``exit_code`` of the classes in :mod:`hammerstein.errors`.
 """
 
@@ -154,6 +155,7 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
         payload["conditions"] = {"kernel": {**_plain(exc.report), "passed": False,
                                             "operator_refused": str(exc)}}
         payload["status"] = {"conditions_passed": False}
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONDITIONS
     kernel_report = disc.report
     payload["conditions"] = {
@@ -170,6 +172,8 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
     payload["status"] = {"conditions_passed": conditions_passed}
 
     if mode == "check" or not conditions_passed:
+        for path in _failed_verdicts(payload["conditions"], "conditions"):
+            print(f"verdict failed: {path}", file=sys.stderr)
         return EXIT_OK if conditions_passed else EXIT_CONDITIONS
 
     operator, gamma = disc.operator, disc.gamma
@@ -177,6 +181,7 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
         solve = solve_picard(operator, config.nonlinearity,
                              tol=config.tol, max_iter=config.max_iter)
     except NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         solve = exc.report      # the partial report is written all the same
     payload["solve"] = {
         **_plain(solve, drop=("profile",)),     # profiles live in profile.csv
@@ -192,6 +197,7 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
             nem_report = solve_nemytsky(nem_spec, solve.profile, tol=config.tol,
                                         max_iter=10 * config.max_iter, operator=operator)
         except NonConvergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             nem_report = exc.report
         payload["nemytsky_solve"] = _plain(nem_report, drop=("profile",))
         if not nem_report.converged:

@@ -11,9 +11,12 @@ so, as 1 - s**c <= c log(1/s) and f_n <= eta, the geometric envelope
 
     |f_n - f_{n+1}| <= eta * a**(n-1) * log(1 / sigma0),   n >= 1.
 
-The upper half, pointwise decrease, is asserted at every step
-(:func:`iterate`).  The lower half holds for every accepted spec, so no run
-measures it.  With T(f) = diag(row_scale) (W + diag(d)) G(f) + G(f_N) tail:
+The upper half, pointwise decrease, is asserted at every step by
+:func:`iterate`, the package's one monotone loop, through its one per-step
+guard :func:`_within`, which also bounds the combined solve's iterates and
+every application's domain.  The lower half holds for every accepted spec,
+so no run measures it.  With
+T(f) = diag(row_scale) (W + diag(d)) G(f) + G(f_N) tail:
 
 * Start: sigma0 <= min f_2 / f_1 (:func:`estimate_sigma0`'s clamp lowers a
   quotient above 1 and raises one only where f_2 underflows), so
@@ -64,7 +67,7 @@ def assemble_operator(spec: KernelSpec, grid: HalfLineGrid, *,
 
 
 def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
-    """One application f -> A G(f) + G(f[last]) * tail mass; f inside [0, eta] up to 1e-9.
+    """One application f -> A G(f) + G(f[last]) * tail mass, for f in [0, eta].
 
     The tail term closes the integral past x_max with the last node's value
     (profiles are flat to the kernel-tail scale out there), so the ceiling
@@ -75,9 +78,7 @@ def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     eta = G.eta
-    if f.min() < -1e-9 or f.max() > eta + 1e-9:
-        raise NumericalBreakdownError(
-            f"iterate leaves [0, {eta}]: min={f.min():.17g}, max={f.max():.17g}")
+    _within(max(-float(f.min()), float(f.max()) - eta), f"iterate leaves [0, {eta}]")
     g = eval_G(G, np.clip(f, 0.0, eta))
     return A @ g + g[-1] * A.tail_mass
 
@@ -88,8 +89,8 @@ class SolveReport:
 
     ``sup_diffs[k]`` is the sup norm of iterate k minus iterate k+1 (the
     start step is k = 0).  ``monotone_ok`` is the upper half of the squeeze
-    f_{n+1} <= f_n within 1e-12 at every step taken; the lower half is
-    proven (module docstring).  No iterate history is kept.
+    f_{n+1} <= f_n at every step taken, up to :func:`_within`; the lower
+    half is proven (module docstring).  No iterate history is kept.
     """
 
     iterations: int
@@ -141,35 +142,46 @@ def verify_rate_bound(report: SolveReport, rate_exponent: float) -> bool:
     return all(d <= env + 1e-12 for d, env in zip(diffs, envelope))
 
 
-def iterate(step, start: np.ndarray, *, direction: int, tol: float,
-            max_iter: int) -> tuple[np.ndarray, list[float], bool, bool]:
-    """Apply ``step`` from ``start`` until a sup-norm difference reaches ``tol``.
+def _within(excess: float, what: str) -> bool:
+    """The per-step guard: True iff ``excess`` is rounding, at most 1e-12;
+    past 1e-9 it raises, naming ``what`` and the size of the breach."""
+    if excess > 1e-9:
+        raise NumericalBreakdownError(f"{what} by {excess:.3e}")
+    return excess <= 1e-12
+
+
+def iterate(step, start: np.ndarray, *, direction: int, tol: float, max_iter: int,
+            upper: np.ndarray | None = None
+            ) -> tuple[np.ndarray, list[float], bool, bool, bool]:
+    """Apply ``step`` from ``start`` until a sup-norm difference reaches ``tol`` > 0.
 
     Direction -1 (+1) asserts pointwise decrease (increase), a theorem, not a
-    heuristic: drift the wrong way past 1e-12 clears ``monotone_ok``, past
-    1e-9 raises.  Direction 0 checks nothing.  Returns (last iterate,
-    sup differences, monotone_ok, converged).
+    heuristic; direction 0 checks nothing.  An ``upper`` envelope is asserted
+    first: every iterate stays under it.  Each check goes through
+    :func:`_within`, which clears the check's flag or raises.
+    Returns (last iterate, sup differences, monotone_ok, envelope_ok,
+    converged).
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    crossed = "iterate crossed the upper envelope"
+    moved = f"iterate {'increased' if direction < 0 else 'decreased'} pointwise"
     cur = start
     sup_diffs: list[float] = []
-    monotone_ok = True
+    monotone_ok = envelope_ok = True
     for _ in range(max_iter):
         nxt = step(cur)
+        if upper is not None:
+            envelope_ok &= _within(float((nxt - upper).max()), crossed)
         diff = nxt - cur
         if direction:
-            wrong = -float((direction * diff).min())
-            if wrong > 1e-9:
-                moved = "increased" if direction < 0 else "decreased"
-                raise NumericalBreakdownError(
-                    f"iterate {moved} pointwise by {wrong:.3e}")
-            if wrong > 1e-12:
-                monotone_ok = False
+            monotone_ok &= _within(-float((direction * diff).min()), moved)
         sup = float(np.abs(diff).max())
         sup_diffs.append(sup)
         cur = nxt
         if sup <= tol:
-            return cur, sup_diffs, monotone_ok, True
-    return cur, sup_diffs, monotone_ok, False
+            return cur, sup_diffs, monotone_ok, envelope_ok, True
+    return cur, sup_diffs, monotone_ok, envelope_ok, False
 
 
 def solve_picard(A: OperatorMatrix, G: NonlinearitySpec, tol: float = 1e-10,
@@ -183,8 +195,6 @@ def solve_picard(A: OperatorMatrix, G: NonlinearitySpec, tol: float = 1e-10,
     operator application, and the envelope verdict.
     Hitting ``max_iter`` raises with the partial report attached.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     eta = G.eta
     j, sigma0 = 0, 1.0
 
@@ -197,7 +207,7 @@ def solve_picard(A: OperatorMatrix, G: NonlinearitySpec, tol: float = 1e-10,
         j += 1
         return nxt
 
-    f, sup_diffs, monotone_ok, converged = iterate(
+    f, sup_diffs, monotone_ok, _, converged = iterate(
         step, np.full(A.size, eta), direction=-1, tol=tol, max_iter=max_iter)
     residual_inf = float(np.abs(f - apply_hammerstein(A, G, f)).max())
     report = SolveReport(
@@ -226,7 +236,7 @@ def fixed_point_iterate(A: OperatorMatrix, G: NonlinearitySpec, f0, tol: float,
     Returns (profile, iterations, converged).
     """
     start = np.clip(np.asarray(f0, dtype=float), 0.0, G.eta)
-    f, sup_diffs, _, converged = iterate(
+    f, sup_diffs, _, _, converged = iterate(
         lambda g: apply_hammerstein(A, G, g), start, direction=0, tol=tol,
         max_iter=max_iter)
     return f, len(sup_diffs), converged

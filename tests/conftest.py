@@ -2,11 +2,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import hammerstein as hs
+from hammerstein.config import load_config
 from hammerstein.kernels import (apply_kernel, cusp_correction, kernel_matrix,
                                  tail_row_mass)
-from hammerstein.picard import apply_hammerstein, iterate
+from hammerstein.picard import apply_hammerstein
 
 # catalog defaults: delta = epsilon = d_star = l = 0.5; alpha = 0.5;
 # alpha_star = 0.5 (II); alpha_tilde = 0.25, alpha_star = 0.75 (III)
@@ -81,12 +83,8 @@ def ceiling_iterates(A, G, count):
     ``solve_picard`` (which keeps no history) for the offline oracles of its
     online monotone verdict and of the proven squeeze."""
     history = [np.full(A.size, G.eta)]
-
-    def step(f):
-        history.append(apply_hammerstein(A, G, f))
-        return history[-1]
-
-    iterate(step, history[0], direction=0, tol=0.0, max_iter=count)
+    for _ in range(count):
+        history.append(apply_hammerstein(A, G, history[-1]))
     return history
 
 
@@ -105,6 +103,22 @@ def make_G(family):
     return hs.NonlinearitySpec(family=family, **G_PARAMS[family])
 
 
+# constructor keywords of admissible specs; every rate exponent a is at most 0.95
+kernel_specs = st.one_of(
+    st.builds(dict, family=st.just("A")),
+    st.builds(dict, family=st.just("B"),
+              delta=st.floats(min_value=0.01, max_value=1.0 - 2.0 ** -53)),
+    st.builds(dict, family=st.just("C"), epsilon=st.floats(min_value=0.01, max_value=0.99)))
+nonlinearities = st.one_of(
+    st.builds(dict, family=st.just("I"), alpha=st.floats(min_value=0.05, max_value=0.95)),
+    st.builds(dict, family=st.just("II"),
+              alpha_star=st.floats(min_value=0.05, max_value=0.9)),
+    st.tuples(st.floats(min_value=0.05, max_value=0.9),
+              st.floats(min_value=0.05, max_value=0.99))
+    .filter(lambda p: p[0] < p[1] and p[0] + p[1] <= 1.9)
+    .map(lambda p: dict(family="III", alpha_tilde=p[0], alpha_star=p[1])))
+
+
 def power_linear_scaling_ratio(sigma, alpha_star):
     """(sigma**alpha_star - sigma**a) / (sigma**a - sigma) with a = (1 + alpha_star) / 2.
 
@@ -116,6 +130,17 @@ def power_linear_scaling_ratio(sigma, alpha_star):
         raise ValueError("sigma must lie strictly inside (0, 1)")
     a = 0.5 * (1.0 + alpha_star)
     return (sigma ** alpha_star - sigma ** a) / (sigma ** a - sigma)
+
+
+@pytest.fixture(scope="session")
+def readme_run(tmp_path_factory):
+    """The README config, its operator and its ceiling solve."""
+    path = tmp_path_factory.mktemp("readme") / "readme.yaml"
+    path.write_text(readme_config())
+    config = load_config(path)
+    A = hs.discretise(config.kernel, config.grid).operator
+    solve = hs.solve_picard(A, config.nonlinearity, tol=config.tol, max_iter=config.max_iter)
+    return config, A, solve
 
 
 @pytest.fixture(scope="session")

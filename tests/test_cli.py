@@ -123,7 +123,7 @@ def test_exp_mixture_on_trapezoid_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_refused_operator_exits_3_with_report(tmp_path, monkeypatch):
+def test_refused_operator_exits_3_with_report(tmp_path, monkeypatch, capsys):
     spec_correction = hammerstein.kernels.cusp_correction
 
     def oversized(spec, grid, x):
@@ -136,8 +136,10 @@ def test_refused_operator_exits_3_with_report(tmp_path, monkeypatch):
     assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 3
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["conditions"]["kernel"]["passed"] is False
-    assert "is not positive" in report["conditions"]["kernel"]["operator_refused"]
+    refused = report["conditions"]["kernel"]["operator_refused"]
+    assert "is not positive" in refused
     assert report["status"]["conditions_passed"] is False
+    assert capsys.readouterr().err.splitlines() == [f"error: {refused}"]
 
 
 def test_bad_mixture_atoms_exit_2(tmp_path, capsys):
@@ -231,7 +233,7 @@ def test_missing_nemytsky_section_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_condition_failure_exits_3_with_report(tmp_path):
+def test_condition_failure_exits_3_with_report(tmp_path, capsys):
     # near-unit image-term weight on a coarse trapezoid grid: the row-mass
     # and mass-defect checks genuinely fail at this resolution
     text = """\
@@ -253,15 +255,32 @@ grid:
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["conditions"]["kernel"]["passed"] is False
     assert report["status"]["conditions_passed"] is False
+    assert capsys.readouterr().err.splitlines() == ["verdict failed: conditions.kernel.passed"]
 
 
-def test_non_convergence_exits_4(tmp_path):
+def test_non_convergence_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.replace("max_iter: 300", "max_iter: 3"))
     out = tmp_path / "out"
     code = main(["solve", "--config", str(cfg), "--out-dir", str(out)])
     assert code == 4
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["status"]["converged"] is False
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no convergence to 1e-10 within 3 iterations"]
+
+
+# The README config capped or coarsened: each exit 4 and 3 names its cause on
+# one stderr line, as every other nonzero exit does, check included.
+@pytest.mark.parametrize("mode, change, code, line", [
+    pytest.param("solve-nemytsky", ("max_iter: 500", "max_iter: 5"), 4,
+                 "error: no convergence to 1e-10 within 5 iterations", id="max_iter-5"),
+    pytest.param("check", ("n_panels: 400", "n_panels: 3"), 3,
+                 "verdict failed: conditions.kernel.passed", id="n_panels-3"),
+])
+def test_readme_exits_3_and_4_print_why(tmp_path, capsys, mode, change, code, line):
+    cfg = write_config(tmp_path, readme_config().replace(*change))
+    assert main([mode, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def _list_lengths(tree):
@@ -275,7 +294,7 @@ def _list_lengths(tree):
             yield from _list_lengths(val)
 
 
-def test_combined_non_convergence_exits_4_without_profiles(tmp_path, monkeypatch):
+def test_combined_non_convergence_exits_4_without_profiles(tmp_path, monkeypatch, capsys):
     # the ceiling iteration converges, the combined solve is capped at 3 steps
     original = hammerstein.cli.solve_nemytsky
     monkeypatch.setattr(hammerstein.cli, "solve_nemytsky",
@@ -288,6 +307,8 @@ def test_combined_non_convergence_exits_4_without_profiles(tmp_path, monkeypatch
     assert report["nemytsky_solve"]["converged"] is False
     assert report["nemytsky_solve"]["iterations"] == 3
     assert max(_list_lengths(report)) < load_config(cfg).grid.size
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no convergence to 1e-10 within 3 iterations"]
 
 
 def test_reports_byte_identical_for_same_seed(tmp_path):
@@ -316,6 +337,29 @@ def test_reports_independent_of_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append([(out / name).read_bytes() for name in ("report.yaml", "profile.csv")])
     assert outputs[0] == outputs[1]
+
+
+def _key_paths(tree, prefix=""):
+    """Dotted path of every mapping key of a plain report tree, at any depth;
+    the config echo is not walked."""
+    for key, val in tree.items():
+        yield prefix + key
+        if isinstance(val, dict) and prefix + key != "config":
+            yield from _key_paths(val, f"{prefix}{key}.")
+
+
+def test_readme_report_key_trees(tmp_path):
+    # every key each mode writes, against the checked-in list: a key that
+    # leaves the report, or one that comes back (positivity_ok, squeeze_ok,
+    # envelope, phi_at_xmax, tail.degenerate, solve under check, ...), fails
+    expected = yaml.safe_load(Path(__file__).with_name("report_keys.yaml").read_text())
+    cfg = write_config(tmp_path, readme_config())
+    for mode in ("check", "solve", "solve-nemytsky"):
+        out = tmp_path / mode
+        assert main([mode, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        assert sorted(_key_paths(report)) == expected[mode], mode
+        assert report["config"] == yaml.safe_load(readme_config())
 
 
 def _inject_breakdown(monkeypatch):
@@ -418,7 +462,7 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     pytest.param(math.nextafter(1.0, 2.0), "gamma_max",
                  id="monotone_ok-eval_G1-_falls_at_the_top"),
 ])
-def test_failed_nemytsky_condition_exits_3(tmp_path, monkeypatch, bad_gamma, key):
+def test_failed_nemytsky_condition_exits_3(tmp_path, monkeypatch, capsys, bad_gamma, key):
     # conditions 1)-4) are proven from 0 <= gamma <= 1 alone (the nemytsky
     # module docstring), so a gamma outside it at one node is what fails them
     real = hammerstein.cli.discretise
@@ -442,6 +486,7 @@ def test_failed_nemytsky_condition_exits_3(tmp_path, monkeypatch, bad_gamma, key
     assert "nonlinearity" not in conditions and conditions["kernel"]["passed"]
     assert report["status"]["conditions_passed"] is False
     assert "solve" not in report
+    assert capsys.readouterr().err.splitlines() == ["verdict failed: conditions.nemytsky.passed"]
 
 
 # Accepted exponents far below 2e-14: the nonlinearity's conditions are

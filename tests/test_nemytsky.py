@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hammerstein as hs
-from hammerstein.errors import NonConvergenceError
+from hammerstein.errors import NonConvergenceError, NumericalBreakdownError
 from hammerstein.nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES,
                                   POINTWISE_FAMILIES, NemytskySpec,
                                   check_nemytsky_conditions, damping_values,
@@ -14,7 +14,7 @@ from hammerstein.nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES,
 from hammerstein.nonlinearity import NonlinearitySpec, eval_G
 from hammerstein.quadrature import integrate
 
-from conftest import make_G, make_kernel
+from conftest import kernel_specs, make_G, make_kernel, nonlinearities
 
 
 def make_nem(small_ci, **overrides):
@@ -264,3 +264,49 @@ def test_non_convergence_raises(small_ci):
         solve_nemytsky(spec, small_ci["solve"].profile,
                        tol=1e-10, max_iter=2, operator=small_ci["A"])
     assert err.value.report is not None and not err.value.report.converged
+
+
+# f_star raised by delta lowers the upper envelope eta - f_star by delta;
+# the README solution comes within 1.2e-14 of it
+@pytest.mark.parametrize("delta, sandwich_ok", [(1e-11, True), (5e-10, False)])
+def test_lowered_envelope_clears_the_verdicts(readme_run, delta, sandwich_ok):
+    config, A, solve = readme_run
+    report = solve_nemytsky(config.nemytsky, solve.profile + delta, tol=config.tol,
+                            operator=A)
+    assert report.converged and report.increase_ok
+    assert report.envelope_ok is False and report.sandwich_ok is sandwich_ok
+
+
+def test_iterate_over_the_envelope_aborts(readme_run):
+    config, A, solve = readme_run
+    with pytest.raises(NumericalBreakdownError,
+                       match="iterate crossed the upper envelope by 1.000e-08"):
+        solve_nemytsky(config.nemytsky, solve.profile + 1e-8, tol=config.tol, operator=A)
+
+
+@given(kernel=kernel_specs, nonlinearity=nonlinearities,
+       d_star=st.floats(min_value=0.05, max_value=1.0),
+       lambda_form=st.sampled_from(["exp-gap", "rational-gap"]),
+       n_panels=st.integers(min_value=40, max_value=100),
+       xi=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       pointwise=st.sampled_from(POINTWISE_FAMILIES),
+       integrand=st.sampled_from(INTEGRAND_FAMILIES),
+       damping=st.sampled_from(DAMPING_PROFILES),
+       fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_combined_solve_holds_every_verdict(kernel, nonlinearity, d_star, lambda_form,
+                                            n_panels, xi, pointwise, integrand, damping,
+                                            fraction):
+    # every spec NemytskySpec accepts, on an operator whose checks pass and
+    # whose gamma lies in [0, 1], N <= 400 nodes: no abort, every verdict true
+    grid = hs.build_grid(20.0, n_panels, hs.GAUSS, 4)
+    disc = hs.discretise(make_kernel(d_star=d_star, lambda_form=lambda_form, **kernel), grid)
+    assume(disc.operator is not None and check_nemytsky_conditions(disc.gamma).passed)
+    G = NonlinearitySpec(**nonlinearity)
+    fstar = hs.solve_picard(disc.operator, G, tol=1e-10, max_iter=2000).profile
+    spec = NemytskySpec(base_G=G, xi=xi * G.eta, pointwise_family=pointwise,
+                        integrand_family=integrand, eps_star_fraction=fraction,
+                        damping_profile=damping)
+    report = solve_nemytsky(spec, fstar, tol=1e-10, operator=disc.operator)
+    assert report.converged and report.increase_ok
+    assert report.envelope_ok and report.sandwich_ok

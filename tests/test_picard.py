@@ -15,8 +15,8 @@ from hammerstein.picard import (SolveReport, apply_hammerstein,
                                 evaluate_profile, fixed_point_iterate, iterate,
                                 rate_envelope, solve_picard, verify_rate_bound)
 
-from conftest import (MIXTURE_ATOMS, ceiling_iterates, dense_operator, make_G,
-                      make_kernel, squeeze_breach)
+from conftest import (MIXTURE_ATOMS, ceiling_iterates, dense_operator, kernel_specs,
+                      make_G, make_kernel, nonlinearities, squeeze_breach)
 
 
 # --- assembly ---------------------------------------------------------------
@@ -281,22 +281,6 @@ def test_rate_bound_requires_convergence(small_ci):
 
 # --- squeeze and restarts -------------------------------------------------------
 
-# constructor keywords of admissible specs; every rate exponent a is at most 0.95
-kernel_specs = st.one_of(
-    st.builds(dict, family=st.just("A")),
-    st.builds(dict, family=st.just("B"),
-              delta=st.floats(min_value=0.01, max_value=1.0 - 2.0 ** -53)),
-    st.builds(dict, family=st.just("C"), epsilon=st.floats(min_value=0.01, max_value=0.99)))
-nonlinearities = st.one_of(
-    st.builds(dict, family=st.just("I"), alpha=st.floats(min_value=0.05, max_value=0.95)),
-    st.builds(dict, family=st.just("II"),
-              alpha_star=st.floats(min_value=0.05, max_value=0.9)),
-    st.tuples(st.floats(min_value=0.05, max_value=0.9),
-              st.floats(min_value=0.05, max_value=0.99))
-    .filter(lambda p: p[0] < p[1] and p[0] + p[1] <= 1.9)
-    .map(lambda p: dict(family="III", alpha_tilde=p[0], alpha_star=p[1])))
-
-
 @given(kernel=kernel_specs, nonlinearity=nonlinearities,
        d_star=st.floats(min_value=0.05, max_value=1.0),
        lambda_form=st.sampled_from(["exp-gap", "rational-gap"]),
@@ -334,19 +318,45 @@ def test_iterate_flags_and_aborts_drift(direction):
         moves = iter([against * drift, 0.0])
         return lambda cur: cur + next(moves)
 
-    last, sup_diffs, monotone_ok, converged = iterate(
+    last, sup_diffs, monotone_ok, envelope_ok, converged = iterate(
         drifting(1e-11), np.zeros(3), direction=direction, tol=1e-12, max_iter=5)
     assert converged and sup_diffs == [1e-11, 0.0]
     assert np.array_equal(last, np.full(3, against * 1e-11))
-    assert monotone_ok is (direction == 0)
+    assert monotone_ok is (direction == 0) and envelope_ok
     if direction:
         with pytest.raises(NumericalBreakdownError):
             iterate(drifting(1e-8), np.zeros(3), direction=direction, tol=1e-12,
                     max_iter=5)
     else:
-        _, _, monotone_ok, converged = iterate(
+        _, _, monotone_ok, _, converged = iterate(
             drifting(1e-8), np.zeros(3), direction=0, tol=1e-12, max_iter=5)
         assert monotone_ok and converged
+
+
+@pytest.mark.parametrize("direction", [-1, 0, 1])
+def test_iterate_flags_and_aborts_an_upper_crossing(direction):
+    # one step lifts the iterate over its envelope, zero, then it stays; the
+    # envelope is checked before, and apart from, the direction
+    def crossing(over):
+        moves = iter([over, 0.0])
+        return lambda cur: cur + next(moves)
+
+    last, sup_diffs, monotone_ok, envelope_ok, converged = iterate(
+        crossing(1e-11), np.zeros(3), direction=direction, tol=1e-12, max_iter=5,
+        upper=np.zeros(3))
+    assert converged and sup_diffs == [1e-11, 0.0]
+    assert np.array_equal(last, np.full(3, 1e-11))
+    assert envelope_ok is False and monotone_ok is (direction >= 0)
+    with pytest.raises(NumericalBreakdownError,
+                       match="iterate crossed the upper envelope by 1.000e-08"):
+        iterate(crossing(1e-8), np.zeros(3), direction=direction, tol=1e-12,
+                max_iter=5, upper=np.zeros(3))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_iterate_refuses_a_tolerance_that_never_stops(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        iterate(lambda cur: cur, np.zeros(3), direction=0, tol=tol, max_iter=5)
 
 
 def test_fixed_point_iterate_from_solution(small_ci):
@@ -373,3 +383,32 @@ def test_restarts_return_to_fixed_point(small_ci, scale):
     profile, _, ok = fixed_point_iterate(A, G, start, 1e-10, 500)
     assert ok
     assert np.abs(profile - solve.profile).max() <= 1e-9
+
+
+# d(f, g) = max |log(f / g)|, Thompson's part metric; the rounding of a
+# step d near 1e-9 moves the ratio of two steps by about 1e-6
+PART_METRIC_SLACK = 1e-6
+
+
+@pytest.mark.parametrize("family", ["I", "II", "III"])
+def test_floor_restart_returns_to_the_ceiling_solution(readme_run, family):
+    # from the subsolution 1e-6 f* the iteration increases to a fixed point;
+    # the discrete solution is unique, so it is the ceiling's, and each step
+    # contracts the part metric by the rate exponent a while it is above rounding
+    _, A, _ = readme_run
+    G = make_G(family)
+    fstar = solve_picard(A, G, tol=1e-13, max_iter=2000).profile
+    steps = []
+
+    def step(f):
+        nxt = apply_hammerstein(A, G, f)
+        steps.append(float(np.abs(np.log(nxt / f)).max()))
+        return nxt
+
+    f, _, increase_ok, _, converged = iterate(step, 1e-6 * fstar, direction=1,
+                                              tol=1e-13, max_iter=2000)
+    assert converged and increase_ok
+    assert np.abs(f - fstar).max() <= 1e-12
+    ratios = [nxt / cur for cur, nxt in zip(steps, steps[1:]) if nxt > 1e-9]
+    assert len(ratios) >= 10
+    assert max(ratios) <= G.rate_exponent + PART_METRIC_SLACK
