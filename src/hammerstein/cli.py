@@ -18,10 +18,11 @@ combined solve or a certificate failed (a ``passed``, ``*_passed`` or
 2 config error, or an I/O error on ``--report`` or ``--out-dir`` (one
 ``error:`` line naming the path); 3 condition checks failed (report still
 written, each failed key's path on stderr) or the cusp-corrected operator
-was refused (report still written, an ``error:`` line); 4 non-convergence
-(an ``error:`` line); 5 numerical failure (report still written, the
-message under ``status.numerical_error`` and on stderr).
-Codes 2-5 are the ``exit_code`` of the classes in :mod:`hammerstein.errors`.
+was refused (report still written, an ``error:`` line); 4 a solve's report
+reads ``converged: false`` (report still written, an ``error:`` line naming
+the solve); 5 numerical failure (report still written, the message under
+``status.numerical_error`` and on stderr).  Codes 2, 3 and 5 are the
+``exit_code`` of the classes in :mod:`hammerstein.errors`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .analysis import (asymptote_certificate, excess_integral_certificate,
                        jensen_certificate, tail_integral_certificate,
                        uniqueness_probe)
 from .config import SAFE_LOADER, RunConfig, load_config
-from .errors import (ConfigError, HammersteinError, NonConvergenceError,
-                     NumericalBreakdownError, SpecRejectedError)
+from .errors import (ConfigError, HammersteinError, NumericalBreakdownError,
+                     SpecRejectedError)
 from .kernels import discretise
 from .nemytsky import check_nemytsky_conditions, solve_nemytsky
 from .picard import rate_envelope, solve_picard
@@ -51,7 +52,7 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = ConfigError.exit_code
 EXIT_CONDITIONS = SpecRejectedError.exit_code
-EXIT_NO_CONVERGENCE = NonConvergenceError.exit_code
+EXIT_NO_CONVERGENCE = 4
 VERDICT_SECTIONS = ("solve", "nemytsky_solve", "certificates")
 PROFILE_BLOCK_ROWS = 256
 # libyaml's C emitter where available: the same bytes as SafeDumper, faster
@@ -146,6 +147,14 @@ def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
     return code
 
 
+def _not_converged(payload: dict, tol: float, report, solve_name: str) -> int:
+    """The one exit-4 ``error:`` line, naming the solve that hit ``max_iter``."""
+    print(f"error: no convergence to {tol} within {report.iterations} iterations "
+          f"in {solve_name}", file=sys.stderr)
+    payload["status"]["converged"] = False
+    return EXIT_NO_CONVERGENCE
+
+
 def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
     """Every stage of a run, filling ``payload``; returns the exit code."""
     try:
@@ -177,32 +186,22 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
         return EXIT_OK if conditions_passed else EXIT_CONDITIONS
 
     operator, gamma = disc.operator, disc.gamma
-    try:
-        solve = solve_picard(operator, config.nonlinearity,
-                             tol=config.tol, max_iter=config.max_iter)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        solve = exc.report      # the partial report is written all the same
+    solve = solve_picard(operator, config.nonlinearity,
+                         tol=config.tol, max_iter=config.max_iter)
     payload["solve"] = {
         **_plain(solve, drop=("profile",)),     # profiles live in profile.csv
         "rate_exponent": config.nonlinearity.rate_exponent,
     }
     if not solve.converged:
-        payload["status"]["converged"] = False
-        return EXIT_NO_CONVERGENCE
+        return _not_converged(payload, config.tol, solve, "the ceiling solve")
 
     nem_report = None
     if nem_spec is not None:
-        try:
-            nem_report = solve_nemytsky(nem_spec, solve.profile, tol=config.tol,
-                                        max_iter=10 * config.max_iter, operator=operator)
-        except NonConvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            nem_report = exc.report
+        nem_report = solve_nemytsky(nem_spec, solve.profile, tol=config.tol,
+                                    max_iter=10 * config.max_iter, operator=operator)
         payload["nemytsky_solve"] = _plain(nem_report, drop=("profile",))
         if not nem_report.converged:
-            payload["status"]["converged"] = False
-            return EXIT_NO_CONVERGENCE
+            return _not_converged(payload, config.tol, nem_report, "the combined solve")
 
     certs = config.certificates
     results: dict = dict.fromkeys(("excess", "tail", "jensen_min_margin",

@@ -1,4 +1,5 @@
-"""Exception types, one per CLI exit code: the class's ``exit_code``."""
+"""Exception types for CLI exit codes 2, 3 and 5, each the class's ``exit_code``;
+exit 4 is a solve report's ``converged`` flag, which nothing raises."""
 
 
 class HammersteinError(Exception):
@@ -21,16 +22,6 @@ class SpecRejectedError(HammersteinError):
     """A kernel spec failed its numerical condition checks."""
 
     exit_code = 3
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
-
-class NonConvergenceError(HammersteinError):
-    """The iteration hit max_iter before the stopping tolerance; carries the partial report."""
-
-    exit_code = 4
 
     def __init__(self, message: str, report=None):
         super().__init__(message)

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
 from .kernels import OperatorMatrix
 from .nonlinearity import NonlinearitySpec, eval_G
 from .picard import iterate
@@ -107,29 +106,33 @@ def _check_u(u, eta):
     return np.clip(u, 0.0, eta)
 
 
-def eval_G0(spec: NemytskySpec, gamma, u):
-    """Pointwise term G0 at mass defect gamma; zero at u = 0 by construction."""
-    eta = spec.base_G.eta
-    u = _check_u(u, eta)
-    gamma = np.asarray(gamma, dtype=float)
+def _G0(spec: NemytskySpec, gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
     s = spec.xi * gamma
     num, den = np.broadcast_arrays(2.0 * s * u, u + s)
     core = np.zeros(den.shape)
     np.divide(num, den, out=core, where=den > 0.0)
     if spec.pointwise_family == "saturating-quadratic":
         core = core + eps_star_values(spec, gamma) * u * u
+    return core
+
+
+def _G1(spec: NemytskySpec, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    eta = spec.base_G.eta
+    val = eta - eval_G(spec.base_G, np.clip(eta - u, 0.0, eta))
+    if spec.integrand_family == "scaled-reflected":
+        return damping_values(spec, x) * val
+    return np.ones_like(x) * val  # broadcast against x; the plain form ignores it
+
+
+def eval_G0(spec: NemytskySpec, gamma, u):
+    """Pointwise term G0 at mass defect gamma; zero at u = 0 by construction."""
+    core = _G0(spec, np.asarray(gamma, dtype=float), _check_u(u, spec.base_G.eta))
     return core if core.ndim else core[()]
 
 
 def eval_G1(spec: NemytskySpec, x, u):
     """Integrand term G1(x, u); bounded by the reflected envelope eta - G(eta - u)."""
-    eta = spec.base_G.eta
-    u = _check_u(u, eta)
-    x = np.asarray(x, dtype=float)
-    val = eta - eval_G(spec.base_G, np.clip(eta - u, 0.0, eta))
-    if spec.integrand_family == "scaled-reflected":
-        return damping_values(spec, x) * val
-    return np.ones_like(x) * val  # broadcast against x; the plain form ignores it
+    return _G1(spec, np.asarray(x, dtype=float), _check_u(u, spec.base_G.eta))
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,7 @@ def solve_nemytsky(spec: NemytskySpec, fstar, tol: float = 1e-10,
     ``fstar`` provides the upper envelope.  Pointwise increase and the
     envelope are asserted at every step by ``picard.iterate``'s one guard.
     The final profile is checked against the two-sided sandwich at 1e-10.
+    Hitting ``max_iter`` returns the partial report, ``converged`` false.
     """
     fstar = np.asarray(fstar, dtype=float)
     nodes = operator.grid.nodes
@@ -189,16 +193,18 @@ def solve_nemytsky(spec: NemytskySpec, fstar, tol: float = 1e-10,
     upper = eta - fstar
 
     def step(cur: np.ndarray) -> np.ndarray:
-        # integral term closed past x_max with the last node's integrand value,
-        # mirroring the operator's own tail closure
-        g1 = eval_G1(spec, nodes, cur)
-        return eval_G0(spec, gamma, cur) + operator @ g1 + g1[-1] * operator.tail_mass
+        # no range check: picard.iterate's guard holds cur in [xi gamma,
+        # eta - f_star], inside [0, eta], as each step's output is >= 0 and the
+        # upper envelope aborts past 1e-9; the integral term is closed past
+        # x_max with the last node's integrand value, as the operator's is
+        g1 = _G1(spec, nodes, cur)
+        return _G0(spec, gamma, cur) + operator @ g1 + g1[-1] * operator.tail_mass
 
     phi, sup_diffs, increase_ok, envelope_ok, converged = iterate(
         step, lower, direction=1, tol=tol, max_iter=max_iter, upper=upper)
     residual_inf = float(np.abs(phi - step(phi)).max())
     sandwich_ok = bool((phi - lower).min() >= -1e-10 and (upper - phi).min() >= -1e-10)
-    report = NemytskyReport(
+    return NemytskyReport(
         iterations=len(sup_diffs),
         sup_diffs=sup_diffs,
         profile=phi,
@@ -208,7 +214,3 @@ def solve_nemytsky(spec: NemytskySpec, fstar, tol: float = 1e-10,
         residual_inf=residual_inf,
         converged=converged,
     )
-    if not converged:
-        raise NonConvergenceError(
-            f"no convergence to {tol} within {max_iter} iterations", report)
-    return report

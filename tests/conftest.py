@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import hammerstein as hs
+import hammerstein.picard
 from hammerstein.config import load_config
 from hammerstein.kernels import (apply_kernel, cusp_correction, kernel_matrix,
                                  tail_row_mass)
@@ -99,6 +101,45 @@ def squeeze_breach(A, G, sigma0, steps):
                 for n in range(1, steps)), default=0.0)
 
 
+# one node moved by this against a monotone iteration's direction: between
+# the per-step guard's 1e-12 flag and its 1e-9 abort (picard._within)
+WRONG_WAY = 5e-10
+
+
+def lift_third_ceiling_iterate(monkeypatch):
+    """Wrap ``picard.apply_hammerstein`` so that its third application, the
+    ceiling iterate f_3, comes out ``WRONG_WAY`` high at the last node, where
+    f_2 - f_3 is rounding: one step against the ceiling's decrease."""
+    original = hammerstein.picard.apply_hammerstein
+    calls = itertools.count(1)
+
+    def lifted(A, G, f):
+        out = original(A, G, f)
+        if next(calls) == 3:
+            out[-1] += WRONG_WAY
+        return out
+
+    monkeypatch.setattr(hammerstein.picard, "apply_hammerstein", lifted)
+
+
+class LoweredProduct:
+    """``operator`` whose product on call ``step`` comes out ``WRONG_WAY`` low
+    at node 0.  On the combined solve's converging step, where Phi_{n+1} -
+    Phi_n is below 1e-10, that is one step against its increase."""
+
+    def __init__(self, operator, step):
+        self.operator, self.step, self.calls = operator, step, itertools.count(1)
+
+    def __getattr__(self, name):
+        return getattr(self.operator, name)
+
+    def __matmul__(self, v):
+        out = self.operator @ v
+        if next(self.calls) == self.step:
+            out[0] -= WRONG_WAY
+        return out
+
+
 def make_G(family):
     return hs.NonlinearitySpec(family=family, **G_PARAMS[family])
 
@@ -140,6 +181,7 @@ def readme_run(tmp_path_factory):
     config = load_config(path)
     A = hs.discretise(config.kernel, config.grid).operator
     solve = hs.solve_picard(A, config.nonlinearity, tol=config.tol, max_iter=config.max_iter)
+    assert solve.converged
     return config, A, solve
 
 
@@ -158,6 +200,7 @@ def small_ci(small_grid):
     G = make_G("I")
     A = hs.assemble_operator(spec, small_grid, report=report)
     solve = hs.solve_picard(A, G, tol=1e-10, max_iter=400)
+    assert solve.converged
     gamma = hs.gamma_profile(spec, small_grid)
     return {"spec": spec, "report": report, "G": G, "A": A,
             "solve": solve, "gamma": gamma, "grid": small_grid}

@@ -46,6 +46,7 @@ def catalog():
         for gf in G_FAMILIES:
             G = make_G(gf)
             solve = hs.solve_picard(A, G, tol=TOL, max_iter=500)
+            assert solve.converged, f"no convergence for {kf}+{gf}"
             runs[(kf, gf)] = SimpleNamespace(spec=spec, report=report, A=A,
                                              G=G, solve=solve)
     wall = time.perf_counter() - start
@@ -118,6 +119,7 @@ def test_criterion_08_quadrature_refinement(catalog):
     fine_report = hs.check_kernel_conditions(run.spec, fine)
     fine_A = hs.assemble_operator(run.spec, fine, report=fine_report)
     fine_solve = hs.solve_picard(fine_A, run.G, tol=TOL, max_iter=500)
+    assert fine_solve.converged
     extended = hs.evaluate_profile(run.spec, fine, run.G, fine_solve.profile,
                                    catalog.grid.nodes)
     diff = float(np.abs(extended - run.solve.profile).max())

@@ -128,8 +128,9 @@ def test_jensen_on_solution_for_any_exponents(small_ci, family, a, b):
     else:
         assume(a != b)
         G = NonlinearitySpec(family="III", alpha_tilde=min(a, b), alpha_star=max(a, b))
-    fstar = solve_picard(small_ci["A"], G, tol=1e-10, max_iter=2000).profile
-    assert jensen_certificate(small_ci["A"], G, fstar) >= -1e-12
+    solve = solve_picard(small_ci["A"], G, tol=1e-10, max_iter=2000)
+    assert solve.converged
+    assert jensen_certificate(small_ci["A"], G, solve.profile) >= -1e-12
 
 
 def test_jensen_domain_checked(small_ci):

@@ -14,10 +14,11 @@ import hammerstein.analysis
 import hammerstein.cli
 import hammerstein.kernels
 import hammerstein.picard
-from conftest import readme_config
+from conftest import LoweredProduct, lift_third_ceiling_iterate, readme_config
 from hammerstein.cli import emit_convergence_table, main, run
 from hammerstein.config import load_config
 from hammerstein.errors import NumericalBreakdownError
+from hammerstein.nemytsky import solve_nemytsky
 from hammerstein.picard import discretise, rate_envelope, solve_picard
 
 BASE_CONFIG = """\
@@ -266,14 +267,15 @@ def test_non_convergence_exits_4(tmp_path, capsys):
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["status"]["converged"] is False
     assert capsys.readouterr().err.splitlines() == [
-        "error: no convergence to 1e-10 within 3 iterations"]
+        "error: no convergence to 1e-10 within 3 iterations in the ceiling solve"]
 
 
 # The README config capped or coarsened: each exit 4 and 3 names its cause on
 # one stderr line, as every other nonzero exit does, check included.
 @pytest.mark.parametrize("mode, change, code, line", [
     pytest.param("solve-nemytsky", ("max_iter: 500", "max_iter: 5"), 4,
-                 "error: no convergence to 1e-10 within 5 iterations", id="max_iter-5"),
+                 "error: no convergence to 1e-10 within 5 iterations in the ceiling solve",
+                 id="max_iter-5"),
     pytest.param("check", ("n_panels: 400", "n_panels: 3"), 3,
                  "verdict failed: conditions.kernel.passed", id="n_panels-3"),
 ])
@@ -308,7 +310,7 @@ def test_combined_non_convergence_exits_4_without_profiles(tmp_path, monkeypatch
     assert report["nemytsky_solve"]["iterations"] == 3
     assert max(_list_lengths(report)) < load_config(cfg).grid.size
     assert capsys.readouterr().err.splitlines() == [
-        "error: no convergence to 1e-10 within 3 iterations"]
+        "error: no convergence to 1e-10 within 3 iterations in the combined solve"]
 
 
 def test_reports_byte_identical_for_same_seed(tmp_path):
@@ -583,6 +585,7 @@ def test_table_round_trips_through_report(tmp_path, capsys):
     config = load_config(cfg)
     solve = solve_picard(discretise(config.kernel, config.grid).operator,
                          config.nonlinearity, tol=config.tol, max_iter=config.max_iter)
+    assert solve.converged
     expected = emit_convergence_table(solve.sup_diffs, rate_envelope(
         solve.sigma0, solve.eta, config.nonlinearity.rate_exponent, len(solve.sup_diffs)))
     assert capsys.readouterr().out == expected
@@ -742,6 +745,7 @@ LIBRARY_RUN = ("import sys, hammerstein as hs; "
                "disc = hs.discretise(kernel, grid); "
                "G = hs.NonlinearitySpec(family='I', alpha=0.5); "
                "solve = hs.solve_picard(disc.operator, G); "
+               "assert solve.converged; "
                "hs.uniqueness_probe(disc.operator, G, solve.profile, trials=1); ")
 
 
@@ -833,3 +837,25 @@ def test_run_entry_point(tmp_path):
     cfg = write_config(tmp_path)
     assert run(cfg, tmp_path / "out", mode="check") == 0
     assert run(tmp_path / "missing.yaml", tmp_path / "out2") == 2
+
+
+@pytest.mark.parametrize("verdict", ["solve.monotone_ok", "nemytsky_solve.increase_ok"])
+def test_wrong_way_step_exits_1(tmp_path, monkeypatch, capsys, readme_run, verdict):
+    # one node moved 5e-10 against its solve's direction on one step, inside
+    # the solver: the README run writes the verdict false and exits 1
+    if verdict == "solve.monotone_ok":
+        lift_third_ceiling_iterate(monkeypatch)
+    else:
+        config, A, solve = readme_run
+        step = solve_nemytsky(config.nemytsky, solve.profile, tol=config.tol,
+                              operator=A).iterations
+        original = hammerstein.cli.solve_nemytsky
+        monkeypatch.setattr(hammerstein.cli, "solve_nemytsky",
+                            lambda *args, operator, **kwargs: original(
+                                *args, operator=LoweredProduct(operator, step), **kwargs))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, readme_config())
+    assert main(["solve-nemytsky", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    section, key = verdict.split(".")
+    assert yaml.safe_load((out / "report.yaml").read_text())[section][key] is False
+    assert capsys.readouterr().err.splitlines() == [f"verdict failed: {verdict}"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hammerstein as hs
-from hammerstein.errors import NonConvergenceError, NumericalBreakdownError
+from hammerstein.errors import NumericalBreakdownError
 from hammerstein.nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES,
                                   POINTWISE_FAMILIES, NemytskySpec,
                                   check_nemytsky_conditions, damping_values,
@@ -14,7 +14,7 @@ from hammerstein.nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES,
 from hammerstein.nonlinearity import NonlinearitySpec, eval_G
 from hammerstein.quadrature import integrate
 
-from conftest import kernel_specs, make_G, make_kernel, nonlinearities
+from conftest import LoweredProduct, kernel_specs, make_G, make_kernel, nonlinearities
 
 
 def make_nem(small_ci, **overrides):
@@ -198,6 +198,7 @@ def nem_solution(small_ci):
     spec = NemytskySpec(base_G=small_ci["G"], xi=0.25)
     report = solve_nemytsky(spec, small_ci["solve"].profile,
                             tol=1e-10, max_iter=5000, operator=small_ci["A"])
+    assert report.converged
     return spec, report
 
 
@@ -226,7 +227,7 @@ def test_first_step_moves_up(small_ci):
     report = solve_nemytsky(spec, small_ci["solve"].profile,
                             tol=1e-10, max_iter=5000, operator=small_ci["A"])
     # the recorded first difference is the sup of Phi_1 - Phi_0 >= 0
-    assert report.sup_diffs[0] > 0.0
+    assert report.converged and report.sup_diffs[0] > 0.0
 
 
 def test_scaled_variant_converges(small_ci):
@@ -235,7 +236,7 @@ def test_scaled_variant_converges(small_ci):
                         damping_profile="exp-decay")
     report = solve_nemytsky(spec, small_ci["solve"].profile,
                             tol=1e-10, max_iter=5000, operator=small_ci["A"])
-    assert report.sandwich_ok and report.profile[-1] <= 1e-6
+    assert report.converged and report.sandwich_ok and report.profile[-1] <= 1e-6
 
 
 def test_integral_stable_under_refinement(small_ci):
@@ -247,9 +248,10 @@ def test_integral_stable_under_refinement(small_ci):
         G = make_G("I")
         rep = hs.check_kernel_conditions(spec, g)
         A = hs.assemble_operator(spec, g, report=rep)
-        fstar = hs.solve_picard(A, G, tol=1e-10, max_iter=400).profile
-        nspec = NemytskySpec(base_G=G, xi=0.25)
-        nrep = solve_nemytsky(nspec, fstar, tol=1e-10, operator=A)
+        solve = hs.solve_picard(A, G, tol=1e-10, max_iter=400)
+        nrep = solve_nemytsky(NemytskySpec(base_G=G, xi=0.25), solve.profile,
+                              tol=1e-10, operator=A)
+        assert solve.converged and nrep.converged
         total = integrate(g, nrep.profile)
         if coarse_val is None:
             coarse_val = total
@@ -259,11 +261,25 @@ def test_integral_stable_under_refinement(small_ci):
 
 
 def test_non_convergence_raises(small_ci):
+    # max_iter raises nothing: the partial report comes back, flagged
     spec = NemytskySpec(base_G=small_ci["G"], xi=0.25)
-    with pytest.raises(NonConvergenceError) as err:
-        solve_nemytsky(spec, small_ci["solve"].profile,
-                       tol=1e-10, max_iter=2, operator=small_ci["A"])
-    assert err.value.report is not None and not err.value.report.converged
+    partial = solve_nemytsky(spec, small_ci["solve"].profile,
+                             tol=1e-10, max_iter=2, operator=small_ci["A"])
+    assert partial.converged is False
+    assert partial.iterations == 2 and len(partial.sup_diffs) == 2
+
+
+def test_wrong_way_step_fails_the_increase_verdict(readme_run):
+    # the converging step's product lowered 5e-10 at node 0, through
+    # solve_nemytsky itself: the verdict reads false, nothing aborts, and the
+    # solve converges to the same sandwiched profile
+    config, A, solve = readme_run
+    clean = solve_nemytsky(config.nemytsky, solve.profile, tol=config.tol, operator=A)
+    nudged = solve_nemytsky(config.nemytsky, solve.profile, tol=config.tol,
+                            operator=LoweredProduct(A, clean.iterations))
+    assert clean.increase_ok and nudged.increase_ok is False
+    assert nudged.converged and nudged.envelope_ok and nudged.sandwich_ok
+    assert np.abs(nudged.profile - clean.profile).max() <= 1e-10
 
 
 # f_star raised by delta lowers the upper envelope eta - f_star by delta;
@@ -303,7 +319,9 @@ def test_combined_solve_holds_every_verdict(kernel, nonlinearity, d_star, lambda
     disc = hs.discretise(make_kernel(d_star=d_star, lambda_form=lambda_form, **kernel), grid)
     assume(disc.operator is not None and check_nemytsky_conditions(disc.gamma).passed)
     G = NonlinearitySpec(**nonlinearity)
-    fstar = hs.solve_picard(disc.operator, G, tol=1e-10, max_iter=2000).profile
+    solve = hs.solve_picard(disc.operator, G, tol=1e-10, max_iter=2000)
+    assert solve.converged
+    fstar = solve.profile
     spec = NemytskySpec(base_G=G, xi=xi * G.eta, pointwise_family=pointwise,
                         integrand_family=integrand, eps_star_fraction=fraction,
                         damping_profile=damping)

@@ -6,8 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 
 import hammerstein as hs
-from hammerstein.errors import (NonConvergenceError, NumericalBreakdownError,
-                                SpecRejectedError)
+from hammerstein.errors import NumericalBreakdownError, SpecRejectedError
 import hammerstein.picard
 from hammerstein.kernels import cusp_correction, kernel_matrix
 from hammerstein.picard import (SolveReport, apply_hammerstein,
@@ -16,7 +15,8 @@ from hammerstein.picard import (SolveReport, apply_hammerstein,
                                 rate_envelope, solve_picard, verify_rate_bound)
 
 from conftest import (MIXTURE_ATOMS, ceiling_iterates, dense_operator, kernel_specs,
-                      make_G, make_kernel, nonlinearities, squeeze_breach)
+                      lift_third_ceiling_iterate, make_G, make_kernel, nonlinearities,
+                      squeeze_breach)
 
 
 # --- assembly ---------------------------------------------------------------
@@ -210,12 +210,22 @@ def test_monotone_pointwise_across_history(small_ci):
 
 
 def test_non_convergence_carries_partial_report(small_ci):
+    # max_iter raises nothing: the partial report comes back, flagged
     A, G = small_ci["A"], small_ci["G"]
-    with pytest.raises(NonConvergenceError) as err:
-        solve_picard(A, G, tol=1e-10, max_iter=3)
-    partial = err.value.report
-    assert partial is not None and not partial.converged
-    assert partial.iterations == 3
+    partial = solve_picard(A, G, tol=1e-10, max_iter=3)
+    assert partial.converged is False and partial.rate_bound_ok is False
+    assert partial.iterations == 3 and len(partial.sup_diffs) == 3
+
+
+def test_wrong_way_step_fails_the_monotone_verdict(readme_run, monkeypatch):
+    # f_3 lifted 5e-10 at its last node, through solve_picard itself: the
+    # verdict reads false, nothing aborts, and the solve still converges
+    config, A, solve = readme_run
+    lift_third_ceiling_iterate(monkeypatch)
+    nudged = solve_picard(A, config.nonlinearity, tol=config.tol, max_iter=config.max_iter)
+    assert solve.monotone_ok and nudged.monotone_ok is False
+    assert nudged.converged and nudged.rate_bound_ok
+    assert np.abs(nudged.profile - solve.profile).max() <= 1e-10
 
 
 # --- ratio floor and rate bound ------------------------------------------------
@@ -295,7 +305,7 @@ def test_squeeze_inequalities(kernel, nonlinearity, d_star, lambda_form, n_panel
     assume(disc.operator is not None)
     G = hs.NonlinearitySpec(**nonlinearity)
     solve = solve_picard(disc.operator, G, tol=1e-10, max_iter=2000)
-    assert solve.monotone_ok and 0.0 < solve.sigma0 < 1.0
+    assert solve.converged and solve.monotone_ok and 0.0 < solve.sigma0 < 1.0
     assert squeeze_breach(disc.operator, G, solve.sigma0, solve.iterations) <= 1e-12
 
 
@@ -397,7 +407,9 @@ def test_floor_restart_returns_to_the_ceiling_solution(readme_run, family):
     # contracts the part metric by the rate exponent a while it is above rounding
     _, A, _ = readme_run
     G = make_G(family)
-    fstar = solve_picard(A, G, tol=1e-13, max_iter=2000).profile
+    solve = solve_picard(A, G, tol=1e-13, max_iter=2000)
+    assert solve.converged
+    fstar = solve.profile
     steps = []
 
     def step(f):
