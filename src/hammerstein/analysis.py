@@ -214,7 +214,7 @@ class UniquenessProbeReport:
 def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
                      perturbation_scale: float = 0.1, trials: int = 5, *,
                      seed: int = 0, tol: float = 1e-10,
-                     max_iter: int = 2000) -> UniquenessProbeReport:
+                     max_iter: int = 500) -> UniquenessProbeReport:
     """Re-run the iteration from perturbed starts; all must return to f*.
 
     Each trial restarts from clip(f* + positive bump, 0, eta) on the

@@ -15,12 +15,13 @@ certificates, then writes
 Exit codes: 0 every verdict passed; 1 a verdict of the iteration, the
 combined solve or a certificate failed (a ``passed``, ``*_passed`` or
 ``*_ok`` key reads false; report still written, the key's path on stderr);
-2 config error, or an I/O error on ``--report`` or ``--out-dir`` (one
-``error:`` line naming the path); 3 condition checks failed (report still
-written, each failed key's path on stderr) or the cusp-corrected operator
-was refused (report still written, an ``error:`` line); 4 a solve's report
-reads ``converged: false`` (report still written, an ``error:`` line naming
-the solve); 5 numerical failure (report still written, the message under
+2 config error, or an I/O error on ``--report``, ``--out-dir`` or any file
+written there (one ``error:`` line naming the path, or ``--out-dir`` when
+the OS names none); 3 condition checks failed (report still written, each
+failed key's path on stderr) or the cusp-corrected operator was refused
+(report still written, an ``error:`` line); 4 a solve's report reads
+``converged: false`` (report still written, an ``error:`` line naming the
+solve); 5 numerical failure (report still written, the message under
 ``status.numerical_error`` and on stderr).  Codes 2, 3 and 5 are the
 ``exit_code`` of the classes in :mod:`hammerstein.errors`.
 """
@@ -50,7 +51,6 @@ from .picard import rate_envelope, solve_picard
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
-EXIT_CONFIG = ConfigError.exit_code
 EXIT_CONDITIONS = SpecRejectedError.exit_code
 EXIT_NO_CONVERGENCE = 4
 VERDICT_SECTIONS = ("solve", "nemytsky_solve", "certificates")
@@ -119,34 +119,6 @@ def _write_profile(path: Path, grid, fstar, gamma, phi=None) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _run(mode: str, config: RunConfig, out_dir: Path) -> int:
-    """Run ``mode`` and write its report, also when a numerical failure (exit
-    5) stops the run part way: the report then holds every stage finished
-    before it and ``status.numerical_error``, the failure's message."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(str(out_dir),
-                          f"cannot create the output directory: {exc.strerror}") from exc
-    started = time.perf_counter()
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    payload: dict = {"tool": {"name": "hammerstein", "version": __version__},
-                     "config": config.echo}
-    try:
-        code = _stages(mode, config, out_dir, payload)
-    except NumericalBreakdownError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        payload.setdefault("status", {})["numerical_error"] = str(exc)
-        code = exc.exit_code
-    (out_dir / "report.yaml").write_text(
-        yaml.dump(_plain(payload), Dumper=SAFE_DUMPER, sort_keys=True,
-                  default_flow_style=False))
-    elapsed = time.perf_counter() - started
-    (out_dir / "run_meta.txt").write_text(
-        f"started_utc: {stamp}\nwall_seconds: {elapsed:.3f}\n")
-    return code
-
-
 def _not_converged(payload: dict, tol: float, report, solve_name: str) -> int:
     """The one exit-4 ``error:`` line, naming the solve that hit ``max_iter``."""
     print(f"error: no convergence to {tol} within {report.iterations} iterations "
@@ -164,8 +136,7 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
         payload["conditions"] = {"kernel": {**_plain(exc.report), "passed": False,
                                             "operator_refused": str(exc)}}
         payload["status"] = {"conditions_passed": False}
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONDITIONS
+        raise
     kernel_report = disc.report
     payload["conditions"] = {
         "kernel": {**_plain(kernel_report), "passed": kernel_report.passed}}
@@ -198,7 +169,7 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
     nem_report = None
     if nem_spec is not None:
         nem_report = solve_nemytsky(nem_spec, solve.profile, tol=config.tol,
-                                    max_iter=10 * config.max_iter, operator=operator)
+                                    max_iter=config.max_iter, operator=operator)
         payload["nemytsky_solve"] = _plain(nem_report, drop=("profile",))
         if not nem_report.converged:
             return _not_converged(payload, config.tol, nem_report, "the combined solve")
@@ -223,7 +194,7 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
         results["uniqueness"] = uniqueness_probe(
             operator, config.nonlinearity, solve.profile,
             perturbation_scale=certs.probe_scale, trials=certs.probe_trials,
-            seed=certs.seed, tol=config.tol, max_iter=10 * config.max_iter)
+            seed=certs.seed, tol=config.tol, max_iter=config.max_iter)
     payload["certificates"] = _plain(results)
     failed = [path for section in VERDICT_SECTIONS if section in payload
               for path in _failed_verdicts(payload[section], section)]
@@ -238,16 +209,44 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
     return EXIT_VERDICT if failed else EXIT_OK
 
 
+def _error(exc: HammersteinError) -> int:
+    """The one ``error:`` line of a failure; returns its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return exc.exit_code
+
+
 def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> int:
-    """Programmatic entry point; returns the CLI exit code."""
+    """Programmatic entry point; returns the CLI exit code, each failure on
+    one ``error:`` line.  A refused operator (3) or a numerical failure (5,
+    under ``status.numerical_error``) still writes the report of the stages
+    before it; an output path that cannot be written exits 2, naming it."""
+    out_dir = Path(out_dir)
     try:
         config = load_config(config_path, seed=seed)
         if mode == "solve-nemytsky" and config.nemytsky is None:
             raise ConfigError("nemytsky", "section is missing")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return _run(mode, config, Path(out_dir))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        started = time.perf_counter()
+        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        payload: dict = {"tool": {"name": "hammerstein", "version": __version__},
+                         "config": config.echo}
+        try:
+            return _stages(mode, config, out_dir, payload)
+        except NumericalBreakdownError as exc:
+            payload.setdefault("status", {})["numerical_error"] = str(exc)
+            raise
+        finally:
+            (out_dir / "report.yaml").write_text(
+                yaml.dump(_plain(payload), Dumper=SAFE_DUMPER, sort_keys=True,
+                          default_flow_style=False))
+            elapsed = time.perf_counter() - started
+            (out_dir / "run_meta.txt").write_text(
+                f"started_utc: {stamp}\nwall_seconds: {elapsed:.3f}\n")
+    except OSError as exc:      # load_config turns its own into a ConfigError
+        return _error(ConfigError(str(exc.filename or "--out-dir"),
+                                  f"cannot write: {exc.strerror or exc}"))
+    except HammersteinError as exc:
+        return _error(exc)
 
 
 def _table_command(report_path: Path) -> int:
@@ -261,8 +260,8 @@ def _table_command(report_path: Path) -> int:
         table = emit_convergence_table(sup_diffs, envelope)
     except (OSError, yaml.YAMLError, LookupError, TypeError, ValueError) as exc:
         reason = " ".join(str(exc).split())     # a YAML error spans lines
-        raise ConfigError(str(report_path), "not a report with a solve section "
-                                            f"({type(exc).__name__}: {reason})") from exc
+        return _error(ConfigError(str(report_path), "not a report with a solve section "
+                                                    f"({type(exc).__name__}: {reason})"))
     sys.stdout.write(table)
     return EXIT_OK
 
@@ -292,13 +291,9 @@ def main(argv=None) -> int:
     table_cmd.add_argument("--report", required=True, type=Path)
 
     args = parser.parse_args(argv)
-    try:
-        if args.command == "table":
-            return _table_command(args.report)
-        return run(args.config, args.out_dir, mode=args.command, seed=args.seed)
-    except HammersteinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    if args.command == "table":
+        return _table_command(args.report)
+    return run(args.config, args.out_dir, mode=args.command, seed=args.seed)
 
 
 if __name__ == "__main__":

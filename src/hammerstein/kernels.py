@@ -536,8 +536,8 @@ class OperatorMatrix:
     half-line integral there with the last node's integrand value (profiles
     are flat past x_max to the kernel-tail scale).  ``quad_mass`` is
     ``A @ ones`` bit for bit, and ``row_mass`` = quad_mass + tail_mass the
-    full half-line row mass, 1 - gamma at the nodes: the ceiling maps to eta
-    times ``row_mass`` bit for bit.
+    full half-line row mass, ``gamma`` = 1 - row_mass the mass defect at the
+    nodes: the ceiling maps to eta times ``row_mass`` bit for bit.
     """
 
     entries: StructuredKernel
@@ -560,6 +560,10 @@ class OperatorMatrix:
     def row_mass(self) -> np.ndarray:
         return self.quad_mass + self.tail_mass
 
+    @property
+    def gamma(self) -> np.ndarray:
+        return 1.0 - self.row_mass
+
     def __matmul__(self, v) -> np.ndarray:
         return self.row_scale * (self.entries @ v + self.diagonal * v)
 
@@ -568,9 +572,8 @@ class OperatorMatrix:
 class Discretisation:
     """One kernel evaluation on one grid and everything built from it.
 
-    ``gamma`` is the mass defect 1 - row_mass of the capped masses, set
-    whether or not the report passes; it is ``1 - operator.row_mass`` bit
-    for bit.  ``operator`` is None when the report fails.
+    ``gamma`` is ``OperatorMatrix.gamma``, set whether or not the report
+    passes; ``operator`` is None when the report fails.
     """
 
     report: ConditionReport
@@ -590,7 +593,7 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
     on the diagonal: (3p + 1) N values.
 
     The closure caps the masses under 1 - MASS_MARGIN, and gamma is read
-    from the capped ones.  The operator is assembled only when the report
+    from the capped ones.  The operator is returned only when the report
     passes; a corrected diagonal entry max(w_i K(x_i, x_i), floor) +
     correction_i at or below 0 then raises :class:`SpecRejectedError`.
     """
@@ -630,10 +633,10 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
     row_scale = np.where(quad > cap, cap / quad, 1.0)
     quad_mass = row_scale * quad
     tail = np.clip(tail, 0.0, np.maximum(cap - quad_mass, 0.0))
-    operator = (OperatorMatrix(entries=kernel, diagonal=diagonal, row_scale=row_scale,
-                               tail_mass=tail, quad_mass=quad_mass, grid=grid, kernel=spec)
-                if report.passed else None)
-    return Discretisation(report=report, gamma=1.0 - (quad_mass + tail), operator=operator)
+    operator = OperatorMatrix(entries=kernel, diagonal=diagonal, row_scale=row_scale,
+                              tail_mass=tail, quad_mass=quad_mass, grid=grid, kernel=spec)
+    return Discretisation(report=report, gamma=operator.gamma,
+                          operator=operator if report.passed else None)
 
 
 def check_kernel_conditions(spec: KernelSpec, grid: HalfLineGrid) -> ConditionReport:

@@ -169,11 +169,11 @@ class NemytskyReport:
     envelope_ok: bool
     sandwich_ok: bool
     residual_inf: float
-    converged: bool = True
+    converged: bool
 
 
 def solve_nemytsky(spec: NemytskySpec, fstar, tol: float = 1e-10,
-                   max_iter: int = 5000, *, operator: OperatorMatrix) -> NemytskyReport:
+                   max_iter: int = 500, *, operator: OperatorMatrix) -> NemytskyReport:
     """Iterate Phi_{n+1} = G0(x, Phi_n) + A G1(t, Phi_n) from Phi_0 = xi * gamma.
 
     ``fstar`` must be a converged ceiling-iteration profile for the same
@@ -188,7 +188,7 @@ def solve_nemytsky(spec: NemytskySpec, fstar, tol: float = 1e-10,
     if fstar.shape != nodes.shape:
         raise ValueError("fstar must hold one value per grid node")
     eta = spec.base_G.eta
-    gamma = 1.0 - operator.row_mass
+    gamma = operator.gamma
     lower = spec.xi * gamma
     upper = eta - fstar
 

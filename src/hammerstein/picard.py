@@ -101,7 +101,7 @@ class SolveReport:
     residual_inf: float
     profile: np.ndarray
     eta: float
-    converged: bool = True
+    converged: bool
 
 
 def estimate_sigma0(f1, f2) -> float:

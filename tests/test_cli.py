@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import math
 import os
 import subprocess
@@ -276,6 +277,9 @@ def test_non_convergence_exits_4(tmp_path, capsys):
     pytest.param("solve-nemytsky", ("max_iter: 500", "max_iter: 5"), 4,
                  "error: no convergence to 1e-10 within 5 iterations in the ceiling solve",
                  id="max_iter-5"),
+    pytest.param("solve-nemytsky", ("max_iter: 500", "max_iter: 35"), 4,
+                 "error: no convergence to 1e-10 within 35 iterations in the combined solve",
+                 id="max_iter-35"),
     pytest.param("check", ("n_panels: 400", "n_panels: 3"), 3,
                  "verdict failed: conditions.kernel.passed", id="n_panels-3"),
 ])
@@ -623,7 +627,8 @@ def test_table_on_non_converged_report(tmp_path, capsys):
     assert lines[0] == "n sup_diff envelope ratio" and len(lines) == 3
 
 
-# each case: (command, the path it names, the file's text or None for no file)
+# each case: (command, the path it names, the file's text, None for no file or
+# "dir" for a directory)
 IO_ERROR_CASES = {
     "report-missing": ("table", "report.yaml", None),
     "report-empty": ("table", "report.yaml", ""),
@@ -633,6 +638,9 @@ IO_ERROR_CASES = {
     "report-not-a-mapping": ("table", "report.yaml", "- 1\n- 2\n"),
     "solve-out-dir-is-a-file": ("solve", "out", "not a directory\n"),
     "check-out-dir-is-a-file": ("check", "out", "not a directory\n"),
+    "report-is-a-directory": ("solve", "out/report.yaml", "dir"),
+    "profile-is-a-directory": ("solve", "out/profile.csv", "dir"),
+    "run-meta-is-a-directory": ("check", "out/run_meta.txt", "dir"),
 }
 
 
@@ -640,16 +648,31 @@ IO_ERROR_CASES = {
 def test_io_errors_exit_2_naming_the_path(tmp_path, capsys, case):
     command, name, text = IO_ERROR_CASES[case]
     path = tmp_path / name
-    if text is not None:
+    if text == "dir":
+        path.mkdir(parents=True)
+    elif text is not None:
         path.write_text(text)
     if command == "table":
         argv = ["table", "--report", str(path)]
     else:
-        argv = [command, "--config", str(write_config(tmp_path)), "--out-dir", str(path)]
+        out = tmp_path / "out"
+        argv = [command, "--config", str(write_config(tmp_path)), "--out-dir", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
+def test_write_error_without_a_file_name_names_the_out_dir(tmp_path, monkeypatch, capsys):
+    # a full disk: the OS error carries no file name
+    def full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    cfg = write_config(tmp_path)
+    monkeypatch.setattr(Path, "write_text", full)
+    assert main(["check", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out-dir: cannot write: {os.strerror(errno.ENOSPC)}"]
 
 
 def _record_kernel_work(monkeypatch):
@@ -837,6 +860,7 @@ def test_run_entry_point(tmp_path):
     cfg = write_config(tmp_path)
     assert run(cfg, tmp_path / "out", mode="check") == 0
     assert run(tmp_path / "missing.yaml", tmp_path / "out2") == 2
+    assert run(cfg, cfg) == 2
 
 
 @pytest.mark.parametrize("verdict", ["solve.monotone_ok", "nemytsky_solve.increase_ok"])

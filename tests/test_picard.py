@@ -263,19 +263,19 @@ def test_rate_bound_negative_control(small_ci):
         iterations=solve.iterations,
         sup_diffs=[solve.sup_diffs[0], 10.0 * solve.eta] + solve.sup_diffs[2:],
         sigma0=solve.sigma0, rate_bound_ok=False, monotone_ok=True,
-        residual_inf=solve.residual_inf, profile=solve.profile, eta=solve.eta)
+        residual_inf=solve.residual_inf, profile=solve.profile, eta=solve.eta, converged=True)
     assert not verify_rate_bound(tampered, small_ci["G"].rate_exponent)
 
 
 def test_rate_bound_degenerate_unit_ratio():
     quiet = SolveReport(iterations=3, sup_diffs=[0.5, 0.0, 0.0], sigma0=1.0,
                         rate_bound_ok=False, monotone_ok=True, residual_inf=0.0,
-                        profile=np.ones(3), eta=1.0)
+                        profile=np.ones(3), eta=1.0, converged=True)
     assert verify_rate_bound(quiet, 0.5)
     assert rate_envelope(quiet.sigma0, quiet.eta, 0.5, len(quiet.sup_diffs)) == [0.0, 0.0]
     noisy = SolveReport(iterations=3, sup_diffs=[0.5, 1e-3, 0.0], sigma0=1.0,
                         rate_bound_ok=False, monotone_ok=True, residual_inf=0.0,
-                        profile=np.ones(3), eta=1.0)
+                        profile=np.ones(3), eta=1.0, converged=True)
     with pytest.raises(NumericalBreakdownError, match="unit ratio floor"):
         verify_rate_bound(noisy, 0.5)
 
