@@ -12,17 +12,16 @@ certificates, then writes
   and seed (timestamps go to a sidecar);
 * ``run_meta.txt``  timestamp and wall time, kept out of the report.
 
-Exit codes: 0 every verdict passed; 1 a verdict of the iteration, the
-combined solve or a certificate failed (a ``passed``, ``*_passed`` or
-``*_ok`` key reads false; report still written, the key's path on stderr);
-2 config error, or an I/O error on ``--report``, ``--out-dir`` or any file
-written there (one ``error:`` line naming the path, or ``--out-dir`` when
-the OS names none); 3 condition checks failed (report still written, each
-failed key's path on stderr) or the cusp-corrected operator was refused
-(report still written, an ``error:`` line); 4 a solve's report reads
-``converged: false`` (report still written, an ``error:`` line naming the
-solve); 5 numerical failure (report still written, the message under
-``status.numerical_error`` and on stderr).  Codes 2, 3 and 5 are the
+One function, ``_verdict``, reads the finished report for its ``status``,
+exit code and stderr lines: 0 every verdict passed; 1 a ``passed``,
+``*_passed`` or ``*_ok`` key of the iteration, the combined solve or a
+certificate reads false (its path on stderr); 3 a condition check failed
+(likewise) or the operator was refused (an ``error:`` line); 4 a solve's
+report reads ``converged: false`` (an ``error:`` line naming the solve).
+2 is a config error or an I/O error on ``--config``, ``--report``,
+``--out-dir`` or a file written there, and 5 a numerical failure ending
+``in <stage>``, also under ``status.numerical_error``: one ``error:`` line
+each.  Every code but 2 writes the report; 2, 3 and 5 are the
 ``exit_code`` of the classes in :mod:`hammerstein.errors`.
 """
 
@@ -42,7 +41,7 @@ from . import __version__
 from .analysis import (asymptote_certificate, excess_integral_certificate,
                        jensen_certificate, tail_integral_certificate,
                        uniqueness_probe)
-from .config import SAFE_LOADER, RunConfig, load_config
+from .config import RunConfig, load_config, read_yaml
 from .errors import (ConfigError, HammersteinError, NumericalBreakdownError,
                      SpecRejectedError)
 from .kernels import discretise
@@ -53,7 +52,8 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONDITIONS = SpecRejectedError.exit_code
 EXIT_NO_CONVERGENCE = 4
-VERDICT_SECTIONS = ("solve", "nemytsky_solve", "certificates")
+# each monotone solve's report section and its name as a stage
+SOLVES = {"solve": "the ceiling solve", "nemytsky_solve": "the combined solve"}
 PROFILE_BLOCK_ROWS = 256
 # libyaml's C emitter where available: the same bytes as SafeDumper, faster
 SAFE_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
@@ -119,94 +119,94 @@ def _write_profile(path: Path, grid, fstar, gamma, phi=None) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _not_converged(payload: dict, tol: float, report, solve_name: str) -> int:
-    """The one exit-4 ``error:`` line, naming the solve that hit ``max_iter``."""
-    print(f"error: no convergence to {tol} within {report.iterations} iterations "
-          f"in {solve_name}", file=sys.stderr)
-    payload["status"]["converged"] = False
-    return EXIT_NO_CONVERGENCE
-
-
-def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict) -> int:
-    """Every stage of a run, filling ``payload``; returns the exit code."""
+def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict):
+    """Every stage of a run, filling ``payload``; yields each one's name as it starts."""
+    yield "the discretisation"
     try:
         disc = discretise(config.kernel, config.grid)
-    except SpecRejectedError as exc:
-        # the checks passed but the cusp-corrected operator is not positive
+    except SpecRejectedError as exc:    # the cusp-corrected operator is not positive
         payload["conditions"] = {"kernel": {**_plain(exc.report), "passed": False,
                                             "operator_refused": str(exc)}}
-        payload["status"] = {"conditions_passed": False}
         raise
-    kernel_report = disc.report
-    payload["conditions"] = {
-        "kernel": {**_plain(kernel_report), "passed": kernel_report.passed}}
-    conditions_passed = kernel_report.passed
-
+    payload["conditions"] = {"kernel": {**_plain(disc.report), "passed": disc.report.passed}}
     nem_spec = config.nemytsky if mode == "solve-nemytsky" else None
     if nem_spec is not None:
         nem_conditions = check_nemytsky_conditions(disc.gamma)
         payload["conditions"]["nemytsky"] = {**_plain(nem_conditions),
                                              "passed": nem_conditions.passed}
-        conditions_passed = conditions_passed and nem_conditions.passed
+    if mode == "check" or any(_failed_verdicts(payload["conditions"], "conditions")):
+        return
 
-    payload["status"] = {"conditions_passed": conditions_passed}
-
-    if mode == "check" or not conditions_passed:
-        for path in _failed_verdicts(payload["conditions"], "conditions"):
-            print(f"verdict failed: {path}", file=sys.stderr)
-        return EXIT_OK if conditions_passed else EXIT_CONDITIONS
-
-    operator, gamma = disc.operator, disc.gamma
-    solve = solve_picard(operator, config.nonlinearity,
+    yield SOLVES["solve"]
+    solve = solve_picard(disc.operator, config.nonlinearity,
                          tol=config.tol, max_iter=config.max_iter)
     payload["solve"] = {
         **_plain(solve, drop=("profile",)),     # profiles live in profile.csv
         "rate_exponent": config.nonlinearity.rate_exponent,
     }
     if not solve.converged:
-        return _not_converged(payload, config.tol, solve, "the ceiling solve")
+        return
 
     nem_report = None
     if nem_spec is not None:
+        yield SOLVES["nemytsky_solve"]
         nem_report = solve_nemytsky(nem_spec, solve.profile, tol=config.tol,
-                                    max_iter=config.max_iter, operator=operator)
+                                    max_iter=config.max_iter, operator=disc.operator)
         payload["nemytsky_solve"] = _plain(nem_report, drop=("profile",))
         if not nem_report.converged:
-            return _not_converged(payload, config.tol, nem_report, "the combined solve")
+            return
 
+    yield "the certificates"
     certs = config.certificates
     results: dict = dict.fromkeys(("excess", "tail", "jensen_min_margin",
                                    "jensen_passed", "asymptote", "uniqueness"))
     if certs.excess_integral:
         results["excess"] = excess_integral_certificate(
-            solve.profile, kernel_report, config.nonlinearity, config.grid)
+            solve.profile, disc.report, config.nonlinearity, config.grid)
     if certs.tail_integral:
         results["tail"] = tail_integral_certificate(
-            solve.profile, config.grid, config.nonlinearity, kernel_report)
+            solve.profile, config.grid, config.nonlinearity, disc.report)
     if certs.jensen:
-        margin = jensen_certificate(operator, config.nonlinearity, solve.profile)
+        margin = jensen_certificate(disc.operator, config.nonlinearity, solve.profile)
         results["jensen_min_margin"] = margin
         results["jensen_passed"] = margin >= -1e-12
     if certs.asymptote:
-        results["asymptote"] = asymptote_certificate(solve.profile, gamma,
+        results["asymptote"] = asymptote_certificate(solve.profile, disc.gamma,
                                                      config.nonlinearity.eta)
     if certs.uniqueness_probe:
+        yield "the uniqueness probe"
         results["uniqueness"] = uniqueness_probe(
-            operator, config.nonlinearity, solve.profile,
+            disc.operator, config.nonlinearity, solve.profile,
             perturbation_scale=certs.probe_scale, trials=certs.probe_trials,
             seed=certs.seed, tol=config.tol, max_iter=config.max_iter)
     payload["certificates"] = _plain(results)
-    failed = [path for section in VERDICT_SECTIONS if section in payload
-              for path in _failed_verdicts(payload[section], section)]
-    payload["status"]["converged"] = True
-    payload["status"]["certificates_passed"] = not any(
-        path.startswith("certificates.") for path in failed)
-    for path in failed:
-        print(f"verdict failed: {path}", file=sys.stderr)
 
-    _write_profile(out_dir / "profile.csv", config.grid, solve.profile, gamma,
+    yield "the profile"
+    _write_profile(out_dir / "profile.csv", config.grid, solve.profile, disc.gamma,
                    None if nem_report is None else nem_report.profile)
-    return EXIT_VERDICT if failed else EXIT_OK
+
+
+def _verdict(payload: dict, tol: float) -> tuple[int, list[str]]:
+    """Write ``status`` from the report as far as the run filled it; return
+    the exit code (3, then 4, then 1, then 0) and its stderr lines."""
+    failed = {section: list(_failed_verdicts(payload[section], section))
+              for section in ("conditions", *SOLVES, "certificates") if section in payload}
+    unconverged = next((section for section in SOLVES
+                        if section in payload and not payload[section]["converged"]), None)
+    status = payload.setdefault("status", {})
+    for section in ("conditions", "certificates"):
+        if section in failed:
+            status[f"{section}_passed"] = not failed[section]
+    if unconverged or "certificates" in failed:
+        status["converged"] = unconverged is None
+    lines = [f"verdict failed: {path}" for paths in failed.values() for path in paths]
+    if failed.get("conditions"):
+        return EXIT_CONDITIONS, lines
+    if unconverged:
+        return EXIT_NO_CONVERGENCE, [
+            f"error: no convergence to {tol} within {payload[unconverged]['iterations']} "
+            f"iterations in {SOLVES[unconverged]}"]
+    return (EXIT_VERDICT if lines else EXIT_OK), lines
 
 
 def _error(exc: HammersteinError) -> int:
@@ -216,10 +216,10 @@ def _error(exc: HammersteinError) -> int:
 
 
 def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> int:
-    """Programmatic entry point; returns the CLI exit code, each failure on
-    one ``error:`` line.  A refused operator (3) or a numerical failure (5,
-    under ``status.numerical_error``) still writes the report of the stages
-    before it; an output path that cannot be written exits 2, naming it."""
+    """Programmatic entry point: the one loop over the stages, then the exit
+    code and stderr lines of :func:`_verdict`, or a failure's one ``error:``
+    line.  A refused operator (3) or a numerical failure (5, naming its stage)
+    writes the report of the stages before it; an unwritable output exits 2."""
     out_dir = Path(out_dir)
     try:
         config = load_config(config_path, seed=seed)
@@ -228,20 +228,22 @@ def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> i
         out_dir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        payload: dict = {"tool": {"name": "hammerstein", "version": __version__},
-                         "config": config.echo}
+        payload = {"tool": {"name": "hammerstein", "version": __version__}, "config": config.echo}
         try:
-            return _stages(mode, config, out_dir, payload)
+            for stage in _stages(mode, config, out_dir, payload):
+                pass
         except NumericalBreakdownError as exc:
-            payload.setdefault("status", {})["numerical_error"] = str(exc)
-            raise
+            payload["status"] = {"numerical_error": f"{exc} in {stage}"}
+            raise NumericalBreakdownError(payload["status"]["numerical_error"]) from exc
         finally:
+            code, lines = _verdict(payload, config.tol)
             (out_dir / "report.yaml").write_text(
                 yaml.dump(_plain(payload), Dumper=SAFE_DUMPER, sort_keys=True,
                           default_flow_style=False))
-            elapsed = time.perf_counter() - started
             (out_dir / "run_meta.txt").write_text(
-                f"started_utc: {stamp}\nwall_seconds: {elapsed:.3f}\n")
+                f"started_utc: {stamp}\nwall_seconds: {time.perf_counter() - started:.3f}\n")
+        sys.stderr.writelines(f"{line}\n" for line in lines)
+        return code
     except OSError as exc:      # load_config turns its own into a ConfigError
         return _error(ConfigError(str(exc.filename or "--out-dir"),
                                   f"cannot write: {exc.strerror or exc}"))
@@ -253,15 +255,16 @@ def _table_command(report_path: Path) -> int:
     """Print a written report's convergence table, its envelope derived from the
     solve section; an unreadable report or solve section is a config error."""
     try:
-        solve = yaml.load(report_path.read_text(), Loader=SAFE_LOADER)["solve"]
+        solve = read_yaml(report_path)["solve"]
         sup_diffs = [float(d) for d in solve["sup_diffs"]]
         envelope = rate_envelope(float(solve["sigma0"]), float(solve["eta"]),
                                  float(solve["rate_exponent"]), len(sup_diffs))
         table = emit_convergence_table(sup_diffs, envelope)
-    except (OSError, yaml.YAMLError, LookupError, TypeError, ValueError) as exc:
-        reason = " ".join(str(exc).split())     # a YAML error spans lines
+    except ConfigError as exc:      # unreadable, or not YAML
+        return _error(exc)
+    except (LookupError, TypeError, ValueError) as exc:
         return _error(ConfigError(str(report_path), "not a report with a solve section "
-                                                    f"({type(exc).__name__}: {reason})"))
+                                                    f"({type(exc).__name__}: {exc})"))
     sys.stdout.write(table)
     return EXIT_OK
 

@@ -228,18 +228,22 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
                      certificates=certificates, echo=root.echo)
 
 
-def load_config(path, seed: int | None = None) -> RunConfig:
-    """Read and validate a YAML configuration file (see :func:`parse_config`)."""
-    path = Path(path)
+def read_yaml(path):
+    """The YAML tree of a file; one that cannot be read or parsed is a ConfigError."""
     try:
-        text = path.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(str(path), f"cannot read config file: {exc}") from exc
+        raise ConfigError(str(path), f"cannot read: {exc.strerror or exc}") from exc
     try:
-        tree = yaml.load(text, Loader=SAFE_LOADER)
+        return yaml.load(text, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:
         reason = " ".join(str(exc).split())     # a YAML error spans lines
         raise ConfigError(str(path), f"invalid YAML: {reason}") from exc
+
+
+def load_config(path, seed: int | None = None) -> RunConfig:
+    """Read and validate a YAML configuration file (see :func:`parse_config`)."""
+    tree = read_yaml(path)
     if tree is None:
         raise ConfigError(str(path), "config file is empty")
     return parse_config(tree, seed)

@@ -112,7 +112,7 @@ class GConditionReport:
 def check_G_conditions(spec: NonlinearitySpec) -> GConditionReport:
     """Check nothing: the five conditions on G hold for every spec that
     ``NonlinearitySpec`` accepts (module docstring), so ``passed`` is always
-    true.  The wrapper stays for the benchmark's callers; ROADMAP item 10
+    true.  The wrapper stays for the benchmark's callers; ROADMAP item 13
     removes it with the other benchmark-pinned wrappers.
     """
     return GConditionReport()

@@ -48,6 +48,16 @@ def test_excess_zero_for_flat_ceiling(small_ci):
     assert cert.lhs == 0.0 and cert.passed
 
 
+def test_excess_fails_for_a_half_ceiling_constant(small_ci):
+    # G(1/2) - 1/2 = sqrt(1/2) - 1/2 over all of x_max = 30: lhs 6.21 > rhs 4.10
+    half = np.full(small_ci["grid"].size, 0.5)
+    cert = excess_integral_certificate(half, small_ci["report"], small_ci["G"],
+                                       small_ci["grid"])
+    assert cert.passed is False
+    assert cert.lhs == pytest.approx(30.0 * (math.sqrt(0.5) - 0.5), rel=1e-12)
+    assert cert.lhs > cert.rhs + 2.0
+
+
 # --- tail integral --------------------------------------------------------------
 
 def test_tail_integral_certificate_passes(small_ci):
@@ -146,6 +156,16 @@ def test_asymptote_certificate(small_ci):
                                  small_ci["G"].eta)
     assert cert.passed
     assert cert.gap <= 1e-6
+
+
+def test_asymptote_fails_for_a_lowered_last_node(small_ci):
+    # the ceiling profile 1e-3 short of eta at x_max: gap 1e-3 > bound 1e-6
+    fstar = small_ci["solve"].profile.copy()
+    fstar[-1] -= 1e-3
+    cert = asymptote_certificate(fstar, small_ci["gamma"], small_ci["G"].eta)
+    assert cert.passed is False
+    assert cert.bound == 1e-6
+    assert cert.gap == pytest.approx(1e-3, rel=1e-9)
 
 
 # --- uniqueness probe ---------------------------------------------------------------

@@ -125,7 +125,8 @@ def test_exp_mixture_on_trapezoid_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_refused_operator_exits_3_with_report(tmp_path, monkeypatch, capsys):
+def _refuse_the_operator(monkeypatch):
+    # a cusp correction that drives the corrected diagonal below 0
     spec_correction = hammerstein.kernels.cusp_correction
 
     def oversized(spec, grid, x):
@@ -133,6 +134,10 @@ def test_refused_operator_exits_3_with_report(tmp_path, monkeypatch, capsys):
         return spec_correction(spec, grid, x) - 2.0 * own
 
     monkeypatch.setattr(hammerstein.kernels, "cusp_correction", oversized)
+
+
+def test_refused_operator_exits_3_with_report(tmp_path, monkeypatch, capsys):
+    _refuse_the_operator(monkeypatch)
     cfg = write_config(tmp_path, mixture_config(180))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 3
@@ -368,11 +373,15 @@ def test_readme_report_key_trees(tmp_path):
         assert report["config"] == yaml.safe_load(readme_config())
 
 
-def _inject_breakdown(monkeypatch):
-    def broken(*args, **kwargs):
-        raise NumericalBreakdownError("injected")
+def _breakdown_in(name):
+    """A breakage that makes ``hammerstein.cli.<name>`` raise a numerical
+    breakdown."""
+    def breakage(monkeypatch):
+        def broken(*args, **kwargs):
+            raise NumericalBreakdownError("injected")
 
-    monkeypatch.setattr(hammerstein.cli, "solve_picard", broken)
+        monkeypatch.setattr(hammerstein.cli, name, broken)
+    return breakage
 
 
 def _leave_the_domain(monkeypatch):
@@ -388,26 +397,41 @@ def _unit_ratio_floor(monkeypatch):
     monkeypatch.setattr(hammerstein.picard, "estimate_sigma0", lambda f1, f2: 1.0)
 
 
-@pytest.mark.parametrize("breakage, message", [
-    pytest.param(_inject_breakdown, "injected", id="breakdown"),
-    pytest.param(_leave_the_domain, "iterate leaves", id="domain"),
-    pytest.param(_unit_ratio_floor, "unit ratio floor", id="inconsistent"),
+@pytest.mark.parametrize("breakage, mode, message", [
+    pytest.param(_breakdown_in("solve_picard"), "solve", "injected in the ceiling solve",
+                 id="breakdown"),
+    pytest.param(_leave_the_domain, "solve",
+                 "iterate leaves [0, 1.0] by 1.000e+00 in the ceiling solve", id="domain"),
+    pytest.param(_unit_ratio_floor, "solve", "unit ratio floor with nonzero differences "
+                 "past the start step in the ceiling solve", id="inconsistent"),
+    pytest.param(_breakdown_in("solve_nemytsky"), "solve-nemytsky",
+                 "injected in the combined solve", id="combined-breakdown"),
+    pytest.param(_breakdown_in("uniqueness_probe"), "solve",
+                 "injected in the uniqueness probe", id="probe-breakdown"),
 ])
-def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, breakage, message):
+def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, breakage, mode, message):
     # the report is written all the same: the stages before the failure and
-    # the failure's message, with plain numbers (no numpy reprs)
+    # the failure's message, with plain numbers (no numpy reprs), naming the
+    # stage that was running
     breakage(monkeypatch)
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
-    code = main(["solve", "--config", str(cfg), "--out-dir", str(out)])
+    code = main([mode, "--config", str(cfg), "--out-dir", str(out)])
     assert code == 5
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     report = yaml.safe_load((out / "report.yaml").read_text())
-    assert message in report["status"]["numerical_error"]
+    assert report["status"]["numerical_error"] == message
     assert "np.float64" not in report["status"]["numerical_error"]
     assert report["status"]["conditions_passed"] is True
     assert report["conditions"]["kernel"]["passed"] is True
     assert not (out / "profile.csv").exists()
+
+
+def _force(monkeypatch, name, **fields):
+    """Wrap ``hammerstein.cli.<name>`` so that its report reads ``fields``."""
+    original = getattr(hammerstein.cli, name)
+    monkeypatch.setattr(hammerstein.cli, name, lambda *args, **kwargs: dataclasses.replace(
+        original(*args, **kwargs), **fields))
 
 
 @pytest.mark.parametrize("section, verdict", [
@@ -416,15 +440,8 @@ def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, breakage, mess
     ("nemytsky_solve", "sandwich_ok"),
 ])
 def test_failed_iteration_verdict_exits_1(tmp_path, monkeypatch, capsys, section, verdict):
-    solver = "solve_picard" if section == "solve" else "solve_nemytsky"
-    original = getattr(hammerstein.cli, solver)
-
-    def forced(*args, **kwargs):
-        report = original(*args, **kwargs)
-        setattr(report, verdict, False)
-        return report
-
-    monkeypatch.setattr(hammerstein.cli, solver, forced)
+    _force(monkeypatch, "solve_picard" if section == "solve" else "solve_nemytsky",
+           **{verdict: False})
     out = tmp_path / "out"
     code = main(["solve-nemytsky", "--config", str(write_config(tmp_path)),
                  "--out-dir", str(out)])
@@ -557,6 +574,65 @@ def test_convex_G_fails_the_jensen_certificate(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == ["verdict failed: certificates.jensen_passed"]
 
 
+@pytest.mark.parametrize("certificate, path", [
+    ("excess_integral_certificate", "certificates.excess.passed"),
+    ("asymptote_certificate", "certificates.asymptote.passed"),
+    ("uniqueness_probe", "certificates.uniqueness.passed"),
+])
+def test_forced_certificate_exits_1(tmp_path, monkeypatch, capsys, certificate, path):
+    # each certificate verdict the CLI reads can fail the run on its own
+    _force(monkeypatch, certificate, passed=False)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write_config(tmp_path)), "--out-dir", str(out)]) == 1
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["status"] == {"conditions_passed": True, "converged": True,
+                                "certificates_passed": False}
+    assert capsys.readouterr().err.splitlines() == [f"verdict failed: {path}"]
+    assert (out / "profile.csv").exists()
+
+
+# each exit path: (mode, config text, breakage or None, exit code, the
+# report's status block)
+STATUS_CASES = {
+    "check-passes": ("check", BASE_CONFIG, None, 0, {"conditions_passed": True}),
+    "check-condition-fails": ("check", readme_config().replace("n_panels: 400", "n_panels: 3"),
+                              None, 3, {"conditions_passed": False}),
+    "nemytsky-condition-fails": ("solve-nemytsky",
+                                 readme_config().replace("n_panels: 400", "n_panels: 3"),
+                                 None, 3, {"conditions_passed": False}),
+    "operator-refused": ("solve", mixture_config(180), _refuse_the_operator, 3,
+                         {"conditions_passed": False}),
+    "ceiling-not-converged": ("solve-nemytsky",
+                              readme_config().replace("max_iter: 500", "max_iter: 5"), None, 4,
+                              {"conditions_passed": True, "converged": False}),
+    "combined-not-converged": ("solve-nemytsky",
+                               readme_config().replace("max_iter: 500", "max_iter: 35"), None, 4,
+                               {"conditions_passed": True, "converged": False}),
+    "numerical-failure": ("solve", BASE_CONFIG, _breakdown_in("solve_picard"), 5,
+                          {"conditions_passed": True,
+                           "numerical_error": "injected in the ceiling solve"}),
+    "passes": ("solve-nemytsky", BASE_CONFIG, None, 0,
+               {"conditions_passed": True, "converged": True, "certificates_passed": True}),
+    "certificate-fails": ("solve", Path(__file__).with_name("short_x_max.yaml").read_text(),
+                          None, 1, {"conditions_passed": True, "converged": True,
+                                    "certificates_passed": False}),
+    "iteration-verdict-fails": ("solve-nemytsky", BASE_CONFIG,
+                                lambda mp: _force(mp, "solve_picard", rate_bound_ok=False), 1,
+                                {"conditions_passed": True, "converged": True,
+                                 "certificates_passed": True}),
+}
+
+
+@pytest.mark.parametrize("case", STATUS_CASES)
+def test_status_of_every_exit_path(tmp_path, monkeypatch, case):
+    mode, text, breakage, code, status = STATUS_CASES[case]
+    if breakage is not None:
+        breakage(monkeypatch)
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(write_config(tmp_path, text)), "--out-dir", str(out)]) == code
+    assert yaml.safe_load((out / "report.yaml").read_text())["status"] == status
+
+
 def test_config_echo_round_trips(tmp_path):
     cfg = write_config(tmp_path)
     out1 = tmp_path / "first"
@@ -661,6 +737,28 @@ def test_io_errors_exit_2_naming_the_path(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--config", "--report"])
+@pytest.mark.parametrize("directory, reason", [
+    pytest.param(False, os.strerror(errno.ENOENT), id="missing"),
+    pytest.param(True, os.strerror(errno.EISDIR), id="directory"),
+])
+def test_unreadable_input_is_named_once(tmp_path, capsys, flag, directory, reason):
+    # --config and --report are read by one reader, with one message
+    path = tmp_path / "input.yaml"
+    if directory:
+        path.mkdir()
+    argv = (["table", "--report", str(path)] if flag == "--report" else
+            ["check", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: cannot read: {reason}"]
+
+
+def test_table_of_malformed_yaml_says_so(tmp_path, capsys):
+    path = write_config(tmp_path, "solve: [1.0,\n", name="report.yaml")
+    assert main(["table", "--report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid YAML: ")
 
 
 def test_write_error_without_a_file_name_names_the_out_dir(tmp_path, monkeypatch, capsys):
