@@ -1,7 +1,7 @@
 """Command-line front end: check / solve / solve-nemytsky / table.
 
-A run reads one YAML config, executes condition checks, the ceiling
-iteration, the optional combined-equation solve and the enabled
+A run reads one YAML config, executes the kernel's condition checks, the
+ceiling iteration, the optional combined-equation solve and the enabled
 certificates, then writes
 
 * ``profile.csv``   one row per node (x, f_star, gamma and, when the
@@ -45,7 +45,7 @@ from .config import RunConfig, load_config, read_yaml
 from .errors import (ConfigError, HammersteinError, NumericalBreakdownError,
                      SpecRejectedError)
 from .kernels import discretise
-from .nemytsky import check_nemytsky_conditions, solve_nemytsky
+from .nemytsky import solve_nemytsky
 from .picard import rate_envelope, solve_picard
 
 EXIT_OK = 0
@@ -129,12 +129,7 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict):
                                             "operator_refused": str(exc)}}
         raise
     payload["conditions"] = {"kernel": {**_plain(disc.report), "passed": disc.report.passed}}
-    nem_spec = config.nemytsky if mode == "solve-nemytsky" else None
-    if nem_spec is not None:
-        nem_conditions = check_nemytsky_conditions(disc.gamma)
-        payload["conditions"]["nemytsky"] = {**_plain(nem_conditions),
-                                             "passed": nem_conditions.passed}
-    if mode == "check" or any(_failed_verdicts(payload["conditions"], "conditions")):
+    if mode == "check" or not disc.report.passed:
         return
 
     yield SOLVES["solve"]
@@ -148,9 +143,9 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict):
         return
 
     nem_report = None
-    if nem_spec is not None:
+    if mode == "solve-nemytsky":
         yield SOLVES["nemytsky_solve"]
-        nem_report = solve_nemytsky(nem_spec, solve.profile, tol=config.tol,
+        nem_report = solve_nemytsky(config.nemytsky, solve.profile, tol=config.tol,
                                     max_iter=config.max_iter, operator=disc.operator)
         payload["nemytsky_solve"] = _plain(nem_report, drop=("profile",))
         if not nem_report.converged:
@@ -255,7 +250,10 @@ def _table_command(report_path: Path) -> int:
     """Print a written report's convergence table, its envelope derived from the
     solve section; an unreadable report or solve section is a config error."""
     try:
-        solve = read_yaml(report_path)["solve"]
+        report = read_yaml(report_path)
+        if not isinstance(report, dict):    # empty, or not a mapping
+            raise ConfigError(str(report_path), "not a report with a solve section")
+        solve = report["solve"]
         sup_diffs = [float(d) for d in solve["sup_diffs"]]
         envelope = rate_envelope(float(solve["sigma0"]), float(solve["eta"]),
                                  float(solve["rate_exponent"]), len(sup_diffs))

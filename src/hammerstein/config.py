@@ -229,13 +229,17 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
 
 
 def read_yaml(path):
-    """The YAML tree of a file; one that cannot be read or parsed is a ConfigError."""
+    """The YAML tree of a file; one that cannot be read or parsed is a ConfigError.
+
+    The loader decodes the bytes (UTF-8, or UTF-16 after its byte-order
+    mark), not the locale, and bytes it cannot decode are a YAML error.
+    """
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read: {exc.strerror or exc}") from exc
     try:
-        return yaml.load(text, Loader=SAFE_LOADER)
+        return yaml.load(data, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:
         reason = " ".join(str(exc).split())     # a YAML error spans lines
         raise ConfigError(str(path), f"invalid YAML: {reason}") from exc

@@ -322,14 +322,23 @@ class StructuredKernel:
         return self.spectra.nbytes + self.left.nbytes + self.right.nbytes
 
     def __matmul__(self, v) -> np.ndarray:
-        terms, p = self.left.shape[0], self.spectra.shape[0]
+        terms, (p, columns, freqs) = self.left.shape[0], self.spectra.shape
         # (terms, p, m): the scaled v, one row per Gauss point, panels along the last axis
         u = (self.right * v).reshape(terms, -1, p).transpose(0, 2, 1)
+        m = u.shape[-1]
+        # each temporary is dropped once the next step has read it, so a
+        # product holds at most about two spectra of v besides the output
         u_hat = np.fft.rfft(u, n=self.fft_size, axis=-1)
-        if self.spectra.shape[1] > p:
-            u_hat = np.concatenate([u_hat, u_hat.conj()], axis=1)
+        del u
+        if columns > p:     # then their conjugates, for the Hankel blocks, in one buffer
+            forward, u_hat = u_hat, np.empty((terms, columns, freqs), dtype=complex)
+            u_hat[:, :p] = forward
+            np.conjugate(forward, out=u_hat[:, p:])
+            del forward
         y_hat = np.einsum("kjf,rjf->rkf", self.spectra, u_hat)
-        y = np.fft.irfft(y_hat, n=self.fft_size, axis=-1)[..., :u.shape[-1]]
+        del u_hat
+        y = np.fft.irfft(y_hat, n=self.fft_size, axis=-1)[..., :m]
+        del y_hat
         return (self.left * y.transpose(0, 2, 1).reshape(terms, -1)).sum(axis=0)
 
 
@@ -532,12 +541,12 @@ class OperatorMatrix:
     1 - MASS_MARGIN, which are scaled down to it.
 
     ``tail_mass`` holds the kernel mass past the truncation point per row,
-    :func:`node_tail` clipped under the cap; applications close the
-    half-line integral there with the last node's integrand value (profiles
-    are flat past x_max to the kernel-tail scale).  ``quad_mass`` is
-    ``A @ ones`` bit for bit, and ``row_mass`` = quad_mass + tail_mass the
-    full half-line row mass, ``gamma`` = 1 - row_mass the mass defect at the
-    nodes: the ceiling maps to eta times ``row_mass`` bit for bit.
+    :func:`node_tail` clipped to keep the row mass in [0, 1 - MASS_MARGIN];
+    applications close the half-line integral there with the last node's
+    integrand value (profiles are flat past x_max to the kernel-tail scale).
+    ``quad_mass`` is ``A @ ones`` bit for bit, and ``row_mass`` = quad_mass +
+    tail_mass the full half-line row mass, ``gamma`` = 1 - row_mass the mass
+    defect at the nodes: the ceiling maps to eta times ``row_mass`` bit for bit.
     """
 
     entries: StructuredKernel
@@ -592,10 +601,24 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
     never evaluated pointwise; a cusped one is, in its cusp correction and
     on the diagonal: (3p + 1) N values.
 
-    The closure caps the masses under 1 - MASS_MARGIN, and gamma is read
-    from the capped ones.  The operator is returned only when the report
-    passes; a corrected diagonal entry max(w_i K(x_i, x_i), floor) +
+    The closure caps the masses under cap = 1 - MASS_MARGIN, and gamma is
+    read from the capped ones.  The operator is returned only when the
+    report passes; a corrected diagonal entry max(w_i K(x_i, x_i), floor) +
     correction_i at or below 0 then raises :class:`SpecRejectedError`.
+
+    The cap proves 0 <= gamma <= 1 for every spec and grid, passed or not,
+    all that the combined equation's conditions 1)-4) need (the nemytsky
+    module docstring), so no run checks it:
+
+    * ``quad`` >= 0: every entry w_j K(x_i, t_j) is positive (module
+      docstring), and the cusp correction only swaps the own panel's rule
+      for a split rule with positive weights.  A row whose mass is below the
+      FFT product's rounding (a tiny d_star, a coarse grid) reads about
+      -1e-15 at worst, and the tail's clip lifts it to 0;
+    * ``quad_mass`` = row_scale quad <= cap, and the tail is clipped into
+      [max(-quad_mass, 0), max(cap - quad_mass, 0)], so 0 <= ``row_mass``
+      <= cap, the lower end exactly and the upper to a few ulps of 1;
+    * so gamma = 1 - row_mass lies in [MASS_MARGIN, 1] up to those ulps.
     """
     n = grid.size
     tail = node_tail(spec, grid)
@@ -630,9 +653,9 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
     cap = 1.0 - MASS_MARGIN
     # rows whose true mass defect sits below double resolution; scale by
     # ~1e-14 so the projected system keeps a representable gap under eta
-    row_scale = np.where(quad > cap, cap / quad, 1.0)
+    row_scale = cap / np.maximum(quad, cap)
     quad_mass = row_scale * quad
-    tail = np.clip(tail, 0.0, np.maximum(cap - quad_mass, 0.0))
+    tail = np.clip(tail, np.maximum(-quad_mass, 0.0), np.maximum(cap - quad_mass, 0.0))
     operator = OperatorMatrix(entries=kernel, diagonal=diagonal, row_scale=row_scale,
                               tail_mass=tail, quad_mass=quad_mass, grid=grid, kernel=spec)
     return Discretisation(report=report, gamma=operator.gamma,

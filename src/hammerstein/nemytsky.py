@@ -17,8 +17,9 @@ Catalog forms:
   ``scaled-reflected`` multiplies by a damping profile d in {1, 1/2, e^(-x)}.
 
 The existence theorem's conditions 1)-4) hold for every spec that
-``NemytskySpec`` accepts once 0 <= gamma <= 1 at every node, the one
-hypothesis a run checks (:func:`check_nemytsky_conditions`).  Take eta = 1,
+``NemytskySpec`` accepts once 0 <= gamma <= 1 at every node, and the mass
+cap of ``kernels.discretise`` proves that for every gamma it gives (its
+docstring), so no run checks it.  Take eta = 1,
 s = xi gamma with xi in (0, eta/2), phi = ``eps_star_fraction`` in [0, 1],
 d in (0, 1], and eps_star = phi b(gamma), where
 b(gamma) = ((eta - 2 xi) gamma + xi gamma**2) / (eta (eta + xi gamma)):
@@ -35,7 +36,8 @@ b(gamma) = ((eta - 2 xi) gamma + xi gamma**2) / (eta (eta + xi gamma)):
   0 <= G1 <= eta - G(eta - u).
 
 gamma >= 0 gives b >= 0, and gamma <= 1 keeps s < eta/2 inside G0's domain
-[0, eta]; any nonnegative row mass gives gamma <= 1.
+[0, eta].  :func:`check_nemytsky_conditions` checks the range of a gamma
+that a caller builds some other way.
 """
 
 from __future__ import annotations
@@ -137,7 +139,8 @@ def eval_G1(spec: NemytskySpec, x, u):
 
 @dataclass(frozen=True)
 class NemytskyConditionReport:
-    """The range of gamma: conditions 1)-4) need only 0 <= gamma <= 1."""
+    """The range of gamma: conditions 1)-4) need only 0 <= gamma <= 1.  No
+    run makes one, as ``kernels.discretise`` proves the range of its gamma."""
 
     gamma_min: float
     gamma_max: float
@@ -149,9 +152,10 @@ class NemytskyConditionReport:
 
 def check_nemytsky_conditions(gamma: np.ndarray) -> NemytskyConditionReport:
     """Check 0 <= gamma <= 1 at every node in O(N), without raising; a NaN
-    fails it.  ``gamma`` is the mass defect at the grid nodes, as
-    ``kernels.discretise`` gives it.  Conditions 1)-4) then hold for every
-    spec that ``NemytskySpec`` accepts (module docstring).
+    fails it.  Conditions 1)-4) then hold for every spec that
+    ``NemytskySpec`` accepts (module docstring).  No run calls it: the gamma
+    of ``kernels.discretise`` lies in [0, 1] by its mass cap, so this checks
+    a gamma that a caller builds some other way.
     """
     gamma = np.asarray(gamma, dtype=float)
     return NemytskyConditionReport(gamma_min=float(gamma.min()),

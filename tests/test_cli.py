@@ -181,6 +181,16 @@ def test_malformed_yaml_exits_2(tmp_path, capsys):
     assert "invalid YAML" in capsys.readouterr().err
 
 
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    # the YAML loader decodes the bytes, so a 0xFF byte is invalid YAML
+    cfg = tmp_path / "run.yaml"
+    cfg.write_bytes(BASE_CONFIG.encode() + b"# \xff\n")
+    assert main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {cfg}: invalid YAML: ") and err.count("\n") == 1, err
+
+
 # each case: (command, config text or None for no file); all exit 2
 CONFIG_ERROR_CASES = {
     "unknown-key": ("solve", BASE_CONFIG + "  bogus: 1\n"),
@@ -475,43 +485,6 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-# One node's gamma outside [0, 1] per case: below, not a number, above, and
-# the next float above 1 (the check has no slack).  The ids are those of the
-# four lattice-check cases these replaced, kept so the test names stay stable.
-@pytest.mark.parametrize("bad_gamma, key", [
-    pytest.param(-1e-3, "gamma_min", id="criticality_ok-eval_G0-_lifted_at_zero"),
-    pytest.param(math.nan, "gamma_min", id="lower_crossing_ok-eval_G0-<lambda>"),
-    pytest.param(1.5, "gamma_max", id="upper_crossing_ok-eval_G0-<lambda>"),
-    pytest.param(math.nextafter(1.0, 2.0), "gamma_max",
-                 id="monotone_ok-eval_G1-_falls_at_the_top"),
-])
-def test_failed_nemytsky_condition_exits_3(tmp_path, monkeypatch, capsys, bad_gamma, key):
-    # conditions 1)-4) are proven from 0 <= gamma <= 1 alone (the nemytsky
-    # module docstring), so a gamma outside it at one node is what fails them
-    real = hammerstein.cli.discretise
-
-    def broken_gamma(*args):
-        disc = real(*args)
-        gamma = disc.gamma.copy()
-        gamma[3] = bad_gamma
-        return dataclasses.replace(disc, gamma=gamma)
-
-    monkeypatch.setattr(hammerstein.cli, "discretise", broken_gamma)
-    out = tmp_path / "out"
-    code = main(["solve-nemytsky", "--config", str(write_config(tmp_path)),
-                 "--out-dir", str(out)])
-    assert code == 3
-    report = yaml.safe_load((out / "report.yaml").read_text())
-    conditions = report["conditions"]
-    assert conditions["nemytsky"]["passed"] is False
-    reported = float(conditions["nemytsky"][key])
-    assert reported == bad_gamma or (math.isnan(reported) and math.isnan(bad_gamma))
-    assert "nonlinearity" not in conditions and conditions["kernel"]["passed"]
-    assert report["status"]["conditions_passed"] is False
-    assert "solve" not in report
-    assert capsys.readouterr().err.splitlines() == ["verdict failed: conditions.nemytsky.passed"]
-
-
 # Accepted exponents far below 2e-14: the nonlinearity's conditions are
 # proven (the nonlinearity module docstring), so no lattice can read
 # u**1e-20 as flat at neighbouring points and refuse the run.
@@ -527,7 +500,7 @@ def test_tiny_exponents_exit_0(tmp_path, nonlinearity):
                  "--out-dir", str(out)])
     assert code == 0
     report = yaml.safe_load((out / "report.yaml").read_text())
-    assert sorted(report["conditions"]) == ["kernel", "nemytsky"]
+    assert sorted(report["conditions"]) == ["kernel"]
     assert report["status"]["conditions_passed"] is True
 
 
@@ -720,6 +693,13 @@ IO_ERROR_CASES = {
 }
 
 
+# the whole stderr line past the path, where a case pins it
+IO_ERROR_REASONS = {
+    "report-empty": "not a report with a solve section",
+    "report-not-a-mapping": "not a report with a solve section",
+}
+
+
 @pytest.mark.parametrize("case", IO_ERROR_CASES)
 def test_io_errors_exit_2_naming_the_path(tmp_path, capsys, case):
     command, name, text = IO_ERROR_CASES[case]
@@ -737,6 +717,8 @@ def test_io_errors_exit_2_naming_the_path(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+    if case in IO_ERROR_REASONS:
+        assert err == f"error: {path}: {IO_ERROR_REASONS[case]}\n"
 
 
 @pytest.mark.parametrize("flag", ["--config", "--report"])

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from hammerstein.config import parse_config
+from hammerstein.config import load_config, parse_config
 from hammerstein.errors import ConfigError
+
+from conftest import readme_config
 
 # the echo of each tree in ECHO_TREES: the `config` section of its report.yaml,
 # so an edit here is a change to report bytes
@@ -261,3 +263,13 @@ def test_root_must_be_a_mapping(tree):
     with pytest.raises(ConfigError) as info:
         parse_config(tree)
     assert info.value.path == "<root>"
+
+
+def test_utf16_config_with_a_bom_reads_as_its_utf8_copy(tmp_path):
+    # the YAML loader decodes the file's bytes, not the locale: UTF-16 after
+    # its byte-order mark is the same config
+    utf8, utf16 = tmp_path / "utf8.yaml", tmp_path / "utf16.yaml"
+    utf8.write_bytes(readme_config().encode("utf-8"))
+    utf16.write_bytes(readme_config().encode("utf-16"))
+    assert utf16.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+    assert load_config(utf16).echo == load_config(utf8).echo

@@ -1,10 +1,12 @@
-"""``discretise``: the one mass defect and the views on it, and the dense
-oracle that catches a product breaking the kernel's proven symmetry."""
+"""``discretise``: the one mass defect, its proven range and the views on it,
+and the dense oracle that catches a product breaking the kernel's proven
+symmetry."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 import hammerstein as hs
 import hammerstein.kernels
@@ -12,7 +14,7 @@ from hammerstein.errors import SpecRejectedError
 from hammerstein.kernels import (StructuredKernel, cusp_correction, discretise,
                                  kernel_matrix, structured_kernel)
 
-from conftest import MIXTURE_ATOMS, SUP_TOL, make_kernel, sup_gap
+from conftest import MIXTURE_ATOMS, SUP_TOL, kernel_specs, make_kernel, sup_gap
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C"])
@@ -35,6 +37,29 @@ def test_gamma_is_set_when_the_checks_fail():
     assert disc.report.sup_row_mass > 1.0
     # the capped masses keep gamma at MASS_MARGIN or above, up to rounding
     assert disc.gamma.min() >= 0.5 * hammerstein.kernels.MASS_MARGIN
+
+
+@given(kernel=kernel_specs, mixture=st.booleans(),
+       lambda_form=st.sampled_from(["exp-gap", "rational-gap"]),
+       d_star=st.floats(0.0, 1.0, exclude_min=True),
+       rule=st.sampled_from([hs.GAUSS, hs.TRAPEZOID]), n_panels=st.integers(1, 60),
+       points=st.integers(1, 4), x_max=st.floats(1.0, 60.0))
+@example(kernel={"family": "B", "delta": 0.999999}, mixture=False, lambda_form="exp-gap",
+         d_star=0.5, rule=hs.TRAPEZOID, n_panels=20, points=1, x_max=40.0)
+@settings(max_examples=150, deadline=None)
+def test_gamma_in_the_unit_interval(kernel, mixture, lambda_form, d_star, rule, n_panels,
+                                    points, x_max):
+    # the mass cap proves 0 <= gamma <= 1 (the discretise docstring), all that
+    # the combined equation's conditions need, also on grids too coarse or
+    # short for the kernel checks, so no run checks it
+    spec = make_kernel(d_star=d_star, lambda_form=lambda_form,
+                       base=hs.BaseKernel(variant="exp-mixture", atoms=MIXTURE_ATOMS)
+                       if mixture else None, **kernel)
+    try:
+        disc = discretise(spec, hs.build_grid(x_max, n_panels, rule, points))
+    except SpecRejectedError:       # a refused operator has no gamma
+        reject()
+    assert 0.0 <= disc.gamma.min() and disc.gamma.max() <= 1.0
 
 
 def test_refused_operator_rejects_every_view(monkeypatch):
