@@ -36,4 +36,4 @@ from .nonlinearity import (GConditionReport, NonlinearitySpec,
 from .picard import (SolveReport, apply_hammerstein, assemble_operator,
                      estimate_sigma0, evaluate_profile, fixed_point_iterate,
                      rate_envelope, solve_picard, verify_rate_bound)
-from .quadrature import GAUSS, TRAPEZOID, HalfLineGrid, build_grid, integrate, refine
+from .quadrature import GAUSS, HalfLineGrid, build_grid, integrate, refine

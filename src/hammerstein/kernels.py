@@ -59,8 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecRejectedError
-from .quadrature import (GAUSS, TRAPEZOID, HalfLineGrid, build_grid, gauss_legendre,
-                         integrate)
+from .quadrature import GAUSS, HalfLineGrid, build_grid, gauss_legendre, integrate
 
 # Smallest positive normal double.  Base-kernel, kernel, and operator values
 # are floored here so strict-positivity contracts survive tail underflow
@@ -288,10 +287,10 @@ def _fft_size(n: int) -> int:
 class StructuredKernel:
     """The weighted Nystrom matrix w_j K(x_i, t_j) of an equal-panel grid, in O(N).
 
-    Node i = P p + k (panel P, point k of p; the trapezoid rule is one point
-    per panel) sits at x_i = h P + c_k, so K0(x_i - t_j) = T_kl[P - Q] and
-    K0(x_i + t_j) = H_kl[P + Q]: p^2 Toeplitz and p^2 Hankel blocks of side
-    m = N / p, each fixed by 2m - 1 values of K0.  Every family is
+    Node i = P p + k (panel P, point k of p) sits at x_i = h P + c_k, so
+    K0(x_i - t_j) = T_kl[P - Q] and K0(x_i + t_j) = H_kl[P + Q]: p^2 Toeplitz
+    and p^2 Hankel blocks of side m = N / p, each fixed by 2m - 1 values of
+    K0.  Every family is
 
         sum_r diag(left[r]) (T + image * H) diag(right[r]),
 
@@ -364,7 +363,7 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
     max(FFT_BLOCK_ENTRIES, 2m) values.  The grid must have the equal panels
     of ``build_grid``.
     """
-    p = grid.points_per_panel or 1
+    p = grid.points_per_panel
     n = grid.size
     m = n // p
     h = grid.x_max / grid.n_panels
@@ -395,11 +394,11 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
     return StructuredKernel(spectra=spectra, left=left, right=right, fft_size=size)
 
 
-def _tail_extension(base: BaseKernel, grid: HalfLineGrid) -> tuple[HalfLineGrid, np.ndarray]:
-    """The grid continued past x_max by ceil(pad / h) or more panels of its width h
-    and rule, and each node's share of the tail: 1 past x_max, 1/2 at x_max on
-    a trapezoid grid.  The panel count k grows until (h k) / k == h (a power
-    of two always passes), so the first N nodes are the grid's, bit for bit.
+def _tail_extension(base: BaseKernel, grid: HalfLineGrid) -> HalfLineGrid:
+    """The grid continued past x_max by ceil(pad / h) or more panels of its width h.
+    The panel count k grows until (h k) / k == h (a power of two always passes),
+    so the first N nodes and weights are the grid's, bit for bit; the rest lie
+    past x_max.
     """
     rate = base.min_decay_rate()
     pad = 12.0 if math.isinf(rate) else max(12.0, 40.0 / rate)
@@ -407,10 +406,7 @@ def _tail_extension(base: BaseKernel, grid: HalfLineGrid) -> tuple[HalfLineGrid,
     k = grid.n_panels + math.ceil(pad / h)
     while h * k / k != h:
         k += 1
-    extended = build_grid(h * k, k, grid.rule, grid.points_per_panel or 4)
-    share = (np.arange(extended.size) >= grid.size).astype(float)
-    share[grid.size - 1] = 0.5 if grid.rule == TRAPEZOID else 0.0
-    return extended, share
+    return build_grid(h * k, k, GAUSS, grid.points_per_panel)
 
 
 def tail_row_mass(spec: KernelSpec, grid: HalfLineGrid, x):
@@ -422,9 +418,8 @@ def tail_row_mass(spec: KernelSpec, grid: HalfLineGrid, x):
     continued (:func:`_tail_extension`).  This row-by-row form serves
     off-grid points and is the oracle of the structured :func:`node_tail`.
     """
-    extended, share = _tail_extension(spec.base, grid)
-    past = share > 0.0
-    return apply_kernel(spec, x, extended.nodes[past], (share * extended.weights)[past])
+    extended, n = _tail_extension(spec.base, grid), grid.size
+    return apply_kernel(spec, x, extended.nodes[n:], extended.weights[n:])
 
 
 def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
@@ -438,10 +433,9 @@ def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
     the integrand is smooth (singularity subtraction at a located kink).
     Points past x_max get 0: their cusp lies in the tail quadrature.
 
-    Returns None for a smooth base kernel, and on trapezoid grids, where the
-    cusp of a node's row sits at a panel end and no split changes the rule.
+    Returns None for a smooth base kernel.
     """
-    if not spec.base.has_cusp or grid.rule != GAUSS:
+    if not spec.base.has_cusp:
         return None
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
@@ -463,10 +457,12 @@ def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
 
 
 def node_tail(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
-    """int_{x_max}^inf K(x_i, t) dt at the nodes: (extended kernel @ share)[:N] on
-    the continued grid of :func:`_tail_extension`, one structured product."""
-    extended, share = _tail_extension(spec.base, grid)
-    return (structured_kernel(spec, extended) @ share)[:grid.size]
+    """int_{x_max}^inf K(x_i, t) dt at the nodes: (extended kernel @ past)[:N] on
+    the continued grid of :func:`_tail_extension`, past = 1 at its nodes past
+    x_max and 0 at the grid's, one structured product."""
+    extended = _tail_extension(spec.base, grid)
+    past = (np.arange(extended.size) >= grid.size).astype(float)
+    return (structured_kernel(spec, extended) @ past)[:grid.size]
 
 
 @dataclass(frozen=True)

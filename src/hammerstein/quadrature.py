@@ -1,12 +1,11 @@
 """Composite quadrature on a truncated half-line [0, x_max].
 
-Two fixed (non-adaptive) rules are provided: the closed composite trapezoid
-rule and composite Gauss-Legendre panels, whose rule on [-1, 1]
-:func:`gauss_legendre` computes with no LAPACK call, so grids do not depend
-on the BLAS build.  Every consumer in this package integrates against these
-grids, so the summation order is pinned: weights are stored in ascending
-node order and :func:`integrate` accumulates in that order, which makes
-results bit-identical across runs and thread counts.
+One fixed (non-adaptive) rule is provided: composite Gauss-Legendre panels,
+whose rule on [-1, 1] :func:`gauss_legendre` computes with no LAPACK call,
+so grids do not depend on the BLAS build.  Every consumer in this package
+integrates against these grids, so the summation order is pinned: weights
+are stored in ascending node order and :func:`integrate` accumulates in
+that order, which makes results bit-identical across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TRAPEZOID = "trapezoid"
 GAUSS = "gauss"
-
-_RULES = (TRAPEZOID, GAUSS)
 
 MAX_NEWTON_STEPS = 10
 NEWTON_STEP_TOL = math.sqrt(np.finfo(float).eps) / 1000.0
@@ -96,20 +92,17 @@ class HalfLineGrid:
     weights : ndarray
         Positive quadrature weights, same length as ``nodes``; they sum to
         ``x_max`` to machine accuracy.
-    rule : str
-        ``"trapezoid"`` or ``"gauss"``.
     n_panels : int
         Number of equal panels the interval is split into.
-    points_per_panel : int or None
-        Gauss points per panel; ``None`` for the trapezoid rule.
+    points_per_panel : int
+        Gauss points per panel.
     """
 
     x_max: float
     nodes: np.ndarray
     weights: np.ndarray
-    rule: str
     n_panels: int
-    points_per_panel: int | None = None
+    points_per_panel: int
 
     def __post_init__(self) -> None:
         # frozen, so the grid an operator was built on cannot change under it
@@ -123,54 +116,30 @@ class HalfLineGrid:
 
 def build_grid(x_max: float, n_panels: int, rule: str = GAUSS,
                points_per_panel: int = 4) -> HalfLineGrid:
-    """Build a quadrature grid on [0, x_max].
+    """Composite Gauss-Legendre on [0, x_max]: ``n_panels`` equal panels of
+    ``points_per_panel`` nodes each, exact for polynomials of degree
+    ``2 * points_per_panel - 1`` on each panel.  ``rule`` must be ``"gauss"``,
+    the one rule, which configs and callers name.
 
-    Parameters
-    ----------
-    x_max : float
-        Truncation point, must be positive.
-    n_panels : int
-        Number of equal panels, at least 1.
-    rule : str
-        ``"trapezoid"`` (closed, node count ``n_panels + 1``) or ``"gauss"``
-        (composite Gauss-Legendre, node count ``n_panels * points_per_panel``).
-    points_per_panel : int
-        Gauss points per panel; exact for polynomials of degree
-        ``2 * points_per_panel - 1`` on each panel.  Ignored by the
-        trapezoid rule.
-
-    Raises
-    ------
-    ValueError
-        On non-positive ``x_max``/``n_panels`` or an unknown rule.
+    Raises ValueError on an ``x_max`` that is not positive and finite, on an
+    ``n_panels`` or ``points_per_panel`` below 1 and on any other rule.
     """
     if not (isinstance(x_max, (int, float)) and math.isfinite(x_max) and x_max > 0):
         raise ValueError(f"x_max must be a positive finite number, got {x_max!r}")
     if not (isinstance(n_panels, (int, np.integer)) and n_panels >= 1):
         raise ValueError(f"n_panels must be a positive integer, got {n_panels!r}")
-    if rule not in _RULES:
-        raise ValueError(f"rule must be one of {_RULES}, got {rule!r}")
-
-    x_max = float(x_max)
-    n_panels = int(n_panels)
-    h = x_max / n_panels
-
-    if rule == TRAPEZOID:
-        nodes = np.linspace(0.0, x_max, n_panels + 1)
-        weights = np.full(n_panels + 1, h)
-        weights[0] = 0.5 * h
-        weights[-1] = 0.5 * h
-        return HalfLineGrid(x_max, nodes, weights, TRAPEZOID, n_panels, None)
-
+    if rule != GAUSS:
+        raise ValueError(f"rule must be {GAUSS!r}, got {rule!r}")
     if not (isinstance(points_per_panel, (int, np.integer)) and points_per_panel >= 1):
         raise ValueError(
             f"points_per_panel must be a positive integer, got {points_per_panel!r}")
-    p = int(points_per_panel)
+    x_max, n_panels, p = float(x_max), int(n_panels), int(points_per_panel)
+    h = x_max / n_panels
     xi, wi = gauss_legendre(p)
     starts = h * np.arange(n_panels)
     nodes = (starts[:, None] + 0.5 * h * (xi[None, :] + 1.0)).ravel()
     weights = np.tile(0.5 * h * wi, n_panels)
-    return HalfLineGrid(x_max, nodes, weights, GAUSS, n_panels, p)
+    return HalfLineGrid(x_max, nodes, weights, n_panels, p)
 
 
 def integrate(grid: HalfLineGrid, samples) -> float:
@@ -189,5 +158,4 @@ def integrate(grid: HalfLineGrid, samples) -> float:
 
 def refine(grid: HalfLineGrid) -> HalfLineGrid:
     """Return the same grid with the panel count doubled."""
-    return build_grid(grid.x_max, 2 * grid.n_panels, grid.rule,
-                      grid.points_per_panel or 4)
+    return build_grid(grid.x_max, 2 * grid.n_panels, GAUSS, grid.points_per_panel)

@@ -120,8 +120,10 @@ def test_exp_mixture_on_trapezoid_exits_2(tmp_path, capsys):
     text = mixture_config(360).replace("rule: gauss", "rule: trapezoid")
     cfg = write_config(tmp_path, text)
     code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    # Gauss panels are the one rule: any other is a config error, one line
     assert code == 2
-    assert "grid.rule" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: grid.rule: must be one of ['gauss'], got 'trapezoid'"]
     assert not (tmp_path / "o").exists()
 
 
@@ -251,8 +253,8 @@ def test_missing_nemytsky_section_exits_2(tmp_path, capsys):
 
 
 def test_condition_failure_exits_3_with_report(tmp_path, capsys):
-    # near-unit image-term weight on a coarse trapezoid grid: the row-mass
-    # and mass-defect checks genuinely fail at this resolution
+    # near-unit image-term weight on a coarse one-point (midpoint) grid: the
+    # row-mass and mass-defect checks genuinely fail at this resolution
     text = """\
 kernel:
   family: B
@@ -263,7 +265,8 @@ nonlinearity:
 grid:
   x_max: 40.0
   n_panels: 20
-  rule: trapezoid
+  rule: gauss
+  points_per_panel: 1
 """
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"

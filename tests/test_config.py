@@ -58,8 +58,6 @@ def _echo_trees():
     trees["mixture-integer-atoms"]["kernel"]["base"]["atoms"] = [[1, 2]]
     trees["nemytsky-empty"] = {**_defaults("C", "I"), "nemytsky": {}}
     trees["nemytsky-partial"] = {**_defaults("B", "II"), "nemytsky": {"xi": 0.1}}
-    trees["trapezoid"] = {**_defaults("C", "III"), "grid": {"rule": "trapezoid"},
-                          "nemytsky": {}}
     trees["empty-optional-sections"] = {**_defaults("A", "II"), "solver": {},
                                         "certificates": {}}
     return trees
@@ -218,6 +216,8 @@ ERRORS = [
      "kernel.base.atoms-78"),
     ({**MIXTURE, "kernel.base.atoms": [[0.5, 1.0], [1.0, math.inf]]}, "kernel.base.atoms",
      "kernel.base.atoms-79"),
+    # 1e-10 has no dot, so YAML 1.1 reads it as a string
+    ({"solver.tol": "1e-10"}, "solver.tol", "solver.tol=1e-10"),
 ]
 
 
@@ -240,6 +240,40 @@ def test_single_error_names_its_path(overrides, path):
     with pytest.raises(ConfigError) as info:
         parse_config(tree)
     assert info.value.path == path
+
+
+@pytest.mark.parametrize("text, spelling", [
+    pytest.param("1e-10", "1.0e-10", id="no-dot"),
+    pytest.param("1E5", "100000.0", id="capital-e"),
+    pytest.param("1.0e10", "10000000000.0", id="unsigned-exponent"),
+    pytest.param("'0.5'", "0.5", id="quoted"),
+    pytest.param('"2"', "2.0", id="quoted-integer"),
+    pytest.param("1e-300", "1.0e-300", id="tiny"),
+])
+def test_number_read_as_a_string_names_its_spelling(tmp_path, text, spelling):
+    # the value is still rejected; the message names the cause and the fix,
+    # and the fix reads back as the same float
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(BASE).replace("tol: 1.0e-10", f"tol: {text}"))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.path == "solver.tol"
+    assert str(info.value) == (
+        f"solver.tol: must be a finite number, got the string {yaml.safe_load(text)!r}; "
+        f"YAML 1.1 reads a float only unquoted, with a dot and any exponent signed: "
+        f"write {spelling}")
+    assert yaml.safe_load(spelling) == float(yaml.safe_load(text))
+    path.write_text(path.read_text().replace(f"tol: {text}", f"tol: {spelling}"))
+    assert load_config(path).tol == float(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("text", ["big", "inf", "nan", "1e999"])
+def test_non_number_string_keeps_the_plain_message(text):
+    tree = copy.deepcopy(BASE)
+    tree["solver"]["tol"] = text
+    with pytest.raises(ConfigError) as info:
+        parse_config(tree)
+    assert str(info.value) == f"solver.tol: must be a finite number, got {text!r}"
 
 
 def test_base_tree_parses():

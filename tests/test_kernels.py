@@ -262,15 +262,14 @@ open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
                                   min_size=1, max_size=3),
        lambda_form=st.sampled_from(["exp-gap", "rational-gap"]),
        d_star=st.floats(0.0, 1.0, exclude_min=True), l=open_unit, weight=open_unit,
-       rule=st.sampled_from([hs.GAUSS, hs.TRAPEZOID]), n_panels=st.integers(1, 80),
-       points=st.integers(1, 5), x_max=st.floats(0.5, 80.0))
+       n_panels=st.integers(1, 80), points=st.integers(1, 5), x_max=st.floats(0.5, 80.0))
 @settings(max_examples=200, deadline=None)
 def test_kernel_dominated_on_every_node_pair(family, atoms, lambda_form, d_star, l, weight,
-                                             rule, n_panels, points, x_max):
+                                             n_panels, points, x_max):
     image = {"A": {}, "B": {"delta": weight}, "C": {"epsilon": weight}}[family]
     spec = make_kernel(family, d_star=d_star, l=l, lambda_form=lambda_form,
                        base=None if atoms is None else _mixture(atoms), **image)
-    nodes = np.concatenate([[0.0], hs.build_grid(x_max, n_panels, rule, points).nodes])
+    nodes = np.concatenate([[0.0], hs.build_grid(x_max, n_panels, hs.GAUSS, points).nodes])
     x, t = nodes[:, None], nodes[None, :]
     # within 4 ulps of the envelope: 1 + epsilon and lam_star are rounded
     slack = 1.0 + 4.0 * np.finfo(float).eps
@@ -282,21 +281,19 @@ def test_kernel_dominated_on_every_node_pair(family, atoms, lambda_form, d_star,
 @given(family=st.sampled_from(["A", "B", "C"]), mixture=st.booleans(),
        lambda_form=st.sampled_from(["exp-gap", "rational-gap"]),
        d_star=st.floats(0.0, 1.0, exclude_min=True), weight=open_unit,
-       rule=st.sampled_from([hs.GAUSS, hs.TRAPEZOID]), n_panels=st.integers(1, 40),
-       points=st.integers(1, 4))
+       n_panels=st.integers(1, 40), points=st.integers(1, 4))
 @example(family="B", mixture=False, lambda_form="exp-gap", d_star=0.5,
-         weight=1.0 - 2.0 ** -53, rule=hs.TRAPEZOID, n_panels=30, points=1)
+         weight=1.0 - 2.0 ** -53, n_panels=30, points=1)
 @settings(max_examples=150, deadline=None)
 def test_kernel_positive_and_symmetric_on_every_node_pair(family, mixture, lambda_form,
-                                                          d_star, weight, rule, n_panels,
-                                                          points):
+                                                          d_star, weight, n_panels, points):
     # weight is delta for family B and epsilon for family C, up to 1 - 2**-53
     image = {"A": {}, "B": {"delta": weight}, "C": {"epsilon": weight}}[family]
     spec = make_kernel(family, d_star=d_star, lambda_form=lambda_form,
                        base=BaseKernel(variant="exp-mixture", atoms=MIXTURE_ATOMS)
                        if mixture else None, **image)
     # x_max 30: a Gaussian K0 underflows past 27 at the far node pairs
-    grid = hs.build_grid(30.0, n_panels, rule, points)
+    grid = hs.build_grid(30.0, n_panels, hs.GAUSS, points)
     dense = kernel_matrix(spec, grid)
     assert (dense > 0.0).all()
     assert np.array_equal(dense, dense.T)
@@ -343,7 +340,7 @@ def test_conservative_kernel_flagged():
 
 
 def test_coarse_grid_fails_checks():
-    coarse = hs.build_grid(40.0, 20, hs.TRAPEZOID)
+    coarse = hs.build_grid(40.0, 20, hs.GAUSS, 1)
     report = check_kernel_conditions(make_kernel("B", delta=0.999999), coarse)
     assert not report.passed
     assert report.sup_row_mass > 1.0 + 1e-9
@@ -354,11 +351,8 @@ def test_coarse_grid_fails_checks():
 def test_only_the_mixture_has_a_cusp(small_grid):
     assert not BaseKernel().has_cusp
     assert BaseKernel(variant="exp-mixture", atoms=MIXTURE_ATOMS).has_cusp
-    # smooth kernels and trapezoid grids get no split-panel correction
+    # smooth kernels get no split-panel correction
     assert cusp_correction(make_kernel("C"), small_grid, small_grid.nodes) is None
-    mixture = make_kernel("C", base=BaseKernel(variant="exp-mixture", atoms=MIXTURE_ATOMS))
-    trapezoid = hs.build_grid(90.0, 360, hs.TRAPEZOID)
-    assert cusp_correction(mixture, trapezoid, trapezoid.nodes) is None
 
 
 def _mixture_kernel(family, lambda_form):

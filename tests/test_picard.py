@@ -55,7 +55,7 @@ def test_entries_positive_row_mass_bounded(small_ci):
 
 
 def test_failing_spec_rejected():
-    coarse = hs.build_grid(40.0, 20, hs.TRAPEZOID)
+    coarse = hs.build_grid(40.0, 20, hs.GAUSS, 1)
     with pytest.raises(SpecRejectedError) as err:
         assemble_operator(make_kernel("C"), coarse)
     assert err.value.report is not None and not err.value.report.passed
@@ -77,7 +77,7 @@ def test_discretise_matches_separate_steps(small_grid):
 
 
 def test_discretise_skips_assembly_on_failed_checks():
-    coarse = hs.build_grid(40.0, 20, hs.TRAPEZOID)
+    coarse = hs.build_grid(40.0, 20, hs.GAUSS, 1)
     disc = discretise(make_kernel("B", delta=0.999999), coarse)
     assert not disc.report.passed and disc.operator is None
 

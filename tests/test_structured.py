@@ -20,9 +20,12 @@ from hammerstein.picard import discretise
 
 from conftest import MIXTURE_ATOMS, SUP_TOL, dense_operator, make_kernel, sup_gap
 
+# "trapezoid" and "trapezoid-20" are one-point (midpoint) Gauss grids, the
+# structured form's p = 1 path, on the panels of the closed trapezoid grids
+# whose test ids they keep
 GRIDS = {
     "gauss-4": hs.build_grid(40.0, 400, hs.GAUSS, 4),      # the acceptance catalog's grid
-    "trapezoid": hs.build_grid(30.0, 300, hs.TRAPEZOID),
+    "trapezoid": hs.build_grid(30.0, 300, hs.GAUSS, 1),
     "one-node": hs.build_grid(1.0, 1, hs.GAUSS, 1),
 }
 
@@ -68,13 +71,13 @@ def test_cusp_operator_matches_dense_oracle():
        weight=st.floats(min_value=0.01, max_value=0.99),
        d_star=st.floats(min_value=0.05, max_value=1.0),
        n_panels=st.integers(min_value=1, max_value=120),
-       rule=st.sampled_from([hs.GAUSS, hs.TRAPEZOID]))
+       points=st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
-def test_structured_kernel_sweep(family, lambda_form, weight, d_star, n_panels, rule):
+def test_structured_kernel_sweep(family, lambda_form, weight, d_star, n_panels, points):
     # weight is delta for family B and epsilon for family C
     overrides = {"A": {}, "B": {"delta": weight}, "C": {"epsilon": weight}}[family]
     spec = make_kernel(family, d_star=d_star, lambda_form=lambda_form, **overrides)
-    grid = hs.build_grid(30.0, n_panels, rule, 4)
+    grid = hs.build_grid(30.0, n_panels, hs.GAUSS, points)
     dense = kernel_matrix(spec, grid) * grid.weights
     assert sup_gap(structured_kernel(spec, grid), dense, grid.size) <= SUP_TOL
 
@@ -87,7 +90,7 @@ def test_positivity_bound_holds_on_the_catalog(family):
     # kernel values themselves are floored again, so they cannot show it)
     spec = make_kernel(family)
     for grid in GRIDS.values():
-        p = grid.points_per_panel or 1
+        p = grid.points_per_panel
         m = grid.size // p
         h = grid.x_max / grid.n_panels
         offsets = grid.nodes[:p]
@@ -126,8 +129,8 @@ def test_structured_kernel_needs_equal_panels():
     grid = GRIDS["gauss-4"]
     nodes = grid.nodes.copy()
     nodes[5] += 1e-3
-    uneven = hs.HalfLineGrid(grid.x_max, nodes, grid.weights.copy(), grid.rule,
-                             grid.n_panels, grid.points_per_panel)
+    uneven = hs.HalfLineGrid(grid.x_max, nodes, grid.weights.copy(), grid.n_panels,
+                             grid.points_per_panel)
     with pytest.raises(ValueError):
         structured_kernel(make_kernel("C"), uneven)
 
@@ -148,7 +151,7 @@ TAIL_GRIDS = {
     "trapezoid": GRIDS["trapezoid"],
     "one-panel": hs.build_grid(3.0, 1, hs.GAUSS, 4),
     "one-node": GRIDS["one-node"],
-    "trapezoid-20": hs.build_grid(40.0, 20, hs.TRAPEZOID),     # h = 2
+    "trapezoid-20": hs.build_grid(40.0, 20, hs.GAUSS, 1),      # h = 2
     # h = 10 / 22, where (h k) / k != h at the first continued panel count k = 49
     "gauss-rounded": hs.build_grid(10.0, 22, hs.GAUSS, 4),
 }
@@ -173,17 +176,14 @@ def test_node_tail_matches_row_by_row_tail(family, base, grid_name):
 def test_tail_extension_continues_the_grid(grid_name):
     grid = TAIL_GRIDS[grid_name]
     for base in BASES.values():
-        extended, share = _tail_extension(base, grid)
-        n = grid.size
-        assert extended.rule == grid.rule
+        extended, n = _tail_extension(base, grid), grid.size
+        assert extended.points_per_panel == grid.points_per_panel
         assert extended.x_max / extended.n_panels == grid.x_max / grid.n_panels
         assert extended.x_max >= grid.x_max + 12.0
-        # the grid's nodes bit for bit, but for a closed trapezoid grid's last
-        # node: x_max itself there, n h on the continued grid
-        assert np.array_equal(extended.nodes[:n - 1], grid.nodes[:n - 1])
-        assert abs(extended.nodes[n - 1] - grid.nodes[n - 1]) <= 4 * np.spacing(grid.x_max)
-        assert np.all(share[n:] == 1.0) and np.all(share[:n - 1] == 0.0)
-        assert share[n - 1] == (0.5 if grid.rule == hs.TRAPEZOID else 0.0)
+        # the grid's nodes and weights bit for bit, then nodes past x_max only
+        assert np.array_equal(extended.nodes[:n], grid.nodes)
+        assert np.array_equal(extended.weights[:n], grid.weights)
+        assert extended.nodes[n] > grid.x_max
 
 
 def test_node_tail_carries_half_the_bump_at_x_max():
@@ -201,10 +201,10 @@ def test_node_tail_carries_half_the_bump_at_x_max():
        d_star=st.floats(min_value=0.05, max_value=1.0),
        x_max=st.floats(min_value=5.0, max_value=40.0),
        n_panels=st.integers(min_value=1, max_value=120),
-       rule=st.sampled_from([hs.GAUSS, hs.TRAPEZOID]))
+       points=st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
-def test_node_tail_sweep(family, base, lambda_form, weight, d_star, x_max, n_panels, rule):
+def test_node_tail_sweep(family, base, lambda_form, weight, d_star, x_max, n_panels, points):
     overrides = {"A": {}, "B": {"delta": weight}, "C": {"epsilon": weight}}[family]
     spec = make_kernel(family, d_star=d_star, lambda_form=lambda_form, base=BASES[base],
                        **overrides)
-    assert tail_gap(spec, hs.build_grid(x_max, n_panels, rule, 4)) <= TAIL_TOL
+    assert tail_gap(spec, hs.build_grid(x_max, n_panels, hs.GAUSS, points)) <= TAIL_TOL
