@@ -11,9 +11,10 @@ solve path and reports whether the bound holds:
 * Jensen margin: Jensen's inequality for the concave nonlinearity under
   the operator's positive weights, row by row at the profile;
 * asymptote: the profile's gap to eta at the last node;
-* uniqueness probe: perturbed restarts of the iteration on the solve's own
-  operator must all return to the same profile (a heuristic check -- the
-  underlying uniqueness argument is non-constructive).  The probe evaluates
+* uniqueness probe: ``PROBE_TRIALS`` perturbed restarts of the iteration on
+  the solve's own operator, each from f* plus a bump in [0, ``PROBE_SCALE``),
+  must all return to the same profile (a heuristic check -- the underlying
+  uniqueness argument is non-constructive).  The probe evaluates
   no kernel; convergence under grid refinement is a separate question.  Its
   bumps are numpy's PCG64 stream, computed here bit for bit, so a run never
   imports ``numpy.random`` (nor OpenSSL, which comes with it).
@@ -35,6 +36,9 @@ from .quadrature import HalfLineGrid, integrate
 
 # Additive slack of the excess and tail integral bounds.
 INTEGRAL_TOL = 1e-8
+# Restarts of the uniqueness probe, and the width of each restart's bump.
+PROBE_TRIALS = 5
+PROBE_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -211,33 +215,26 @@ class UniquenessProbeReport:
     passed: bool
 
 
-def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar,
-                     perturbation_scale: float = 0.1, trials: int = 5, *,
-                     seed: int = 0, tol: float = 1e-10,
-                     max_iter: int = 500) -> UniquenessProbeReport:
-    """Re-run the iteration from perturbed starts; all must return to f*.
+def uniqueness_probe(A: OperatorMatrix, G: NonlinearitySpec, fstar, *, seed: int = 0,
+                     tol: float = 1e-10, max_iter: int = 500) -> UniquenessProbeReport:
+    """Re-run the iteration from ``PROBE_TRIALS`` perturbed starts; all must
+    return to f*.
 
     Each trial restarts from clip(f* + positive bump, 0, eta) on the
-    operator's own grid, the bump scaled from the PCG64 stream that numpy's
-    ``default_rng([seed, trial]).random`` draws (``_uniform_stream``); the
+    operator's own grid, the bump ``PROBE_SCALE`` times the PCG64 stream that
+    numpy's ``default_rng([seed, trial]).random`` draws (``_uniform_stream``); the
     probe passes iff every deviation stays within 10 * tol.  Only the
     operator is applied; no kernel is evaluated.  A restart that fails to
     converge marks the probe inconclusive.
     """
-    if trials < 1 or not perturbation_scale > 0.0:
-        raise ValueError("trials must be at least 1 and perturbation_scale positive, "
-                         f"got {trials!r} and {perturbation_scale!r}")
     fstar = np.asarray(fstar, dtype=float)
     deviations: list[float] = []
     inconclusive = False
-    for trial in range(trials):
-        bump = perturbation_scale * _uniform_stream(seed, trial, fstar.size)
+    for trial in range(PROBE_TRIALS):
+        bump = PROBE_SCALE * _uniform_stream(seed, trial, fstar.size)
         profile, _, ok = fixed_point_iterate(A, G, fstar + bump, tol, max_iter)
-        if not ok:
-            inconclusive = True
-            deviations.append(math.nan)
-            continue
-        deviations.append(float(np.abs(profile - fstar).max()))
+        inconclusive |= not ok
+        deviations.append(float(np.abs(profile - fstar).max()) if ok else math.nan)
 
     finite = [d for d in deviations if not math.isnan(d)]
     max_dev = max(finite) if finite else math.nan

@@ -1,15 +1,15 @@
 """Command-line front end: check / solve / solve-nemytsky / table.
 
 A run reads one YAML config, executes the kernel's condition checks, the
-ceiling iteration, the optional combined-equation solve and the enabled
-certificates, then writes
+ceiling iteration, the optional combined-equation solve, the four
+certificates and the optional uniqueness probe, then writes
 
 * ``profile.csv``   one row per node (x, f_star, gamma and, when the
   combined solve ran, phi: between xi * gamma and eta - f_star = 1 - f_star);
 * ``report.yaml``   conditions, solve data (``table`` derives the rate
-  envelope from its sigma0, eta and rate exponent), the enabled
-  certificates and the config echo -- byte-identical for identical config
-  and seed (timestamps go to a sidecar);
+  envelope from its sigma0, eta and rate exponent), the certificates and
+  the config echo -- byte-identical for identical config and seed
+  (timestamps go to a sidecar);
 * ``run_meta.txt``  timestamp and wall time, kept out of the report.
 
 One function, ``_verdict``, reads the finished report for its ``status``,
@@ -19,10 +19,11 @@ certificate reads false (its path on stderr); 3 a condition check failed
 (likewise) or the operator was refused (an ``error:`` line); 4 a solve's
 report reads ``converged: false`` (an ``error:`` line naming the solve).
 2 is a config error or an I/O error on ``--config``, ``--report``,
-``--out-dir`` or a file written there, and 5 a numerical failure ending
-``in <stage>``, also under ``status.numerical_error``: one ``error:`` line
-each.  Every code but 2 writes the report; 2, 3 and 5 are the
-``exit_code`` of the classes in :mod:`hammerstein.errors`.
+``--out-dir`` or a file written there, and 5 a numerical failure or a
+stage out of memory, ending ``in <stage>``, also under
+``status.numerical_error``: one ``error:`` line each.  Every code but 2
+writes the report; 2, 3 and 5 are the ``exit_code`` of the classes in
+:mod:`hammerstein.errors`.
 """
 
 from __future__ import annotations
@@ -152,28 +153,20 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict):
             return
 
     yield "the certificates"
-    certs = config.certificates
-    results: dict = dict.fromkeys(("excess", "tail", "jensen_min_margin",
-                                   "jensen_passed", "asymptote", "uniqueness"))
-    if certs.excess_integral:
-        results["excess"] = excess_integral_certificate(
-            solve.profile, disc.report, config.nonlinearity, config.grid)
-    if certs.tail_integral:
-        results["tail"] = tail_integral_certificate(
-            solve.profile, config.grid, config.nonlinearity, disc.report)
-    if certs.jensen:
-        margin = jensen_certificate(disc.operator, config.nonlinearity, solve.profile)
-        results["jensen_min_margin"] = margin
-        results["jensen_passed"] = margin >= -1e-12
-    if certs.asymptote:
-        results["asymptote"] = asymptote_certificate(solve.profile, disc.gamma,
-                                                     config.nonlinearity.eta)
-    if certs.uniqueness_probe:
+    G = config.nonlinearity
+    results = {
+        "excess": excess_integral_certificate(solve.profile, disc.report, G, config.grid),
+        "tail": tail_integral_certificate(solve.profile, config.grid, G, disc.report),
+        "jensen_min_margin": (margin := jensen_certificate(disc.operator, G, solve.profile)),
+        "jensen_passed": margin >= -1e-12,
+        "asymptote": asymptote_certificate(solve.profile, disc.gamma, G.eta),
+        "uniqueness": None,
+    }
+    if config.certificates.uniqueness_probe:
         yield "the uniqueness probe"
         results["uniqueness"] = uniqueness_probe(
-            disc.operator, config.nonlinearity, solve.profile,
-            perturbation_scale=certs.probe_scale, trials=certs.probe_trials,
-            seed=certs.seed, tol=config.tol, max_iter=config.max_iter)
+            disc.operator, G, solve.profile, seed=config.certificates.seed,
+            tol=config.tol, max_iter=config.max_iter)
     payload["certificates"] = _plain(results)
 
     yield "the profile"
@@ -213,8 +206,8 @@ def _error(exc: HammersteinError) -> int:
 def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> int:
     """Programmatic entry point: the one loop over the stages, then the exit
     code and stderr lines of :func:`_verdict`, or a failure's one ``error:``
-    line.  A refused operator (3) or a numerical failure (5, naming its stage)
-    writes the report of the stages before it; an unwritable output exits 2."""
+    line.  A refused operator (3), or a numerical failure or exhausted memory
+    (5, naming its stage), writes the report of the stages before it."""
     out_dir = Path(out_dir)
     try:
         config = load_config(config_path, seed=seed)
@@ -227,8 +220,8 @@ def run(config_path, out_dir, mode: str = "solve", seed: int | None = None) -> i
         try:
             for stage in _stages(mode, config, out_dir, payload):
                 pass
-        except NumericalBreakdownError as exc:
-            payload["status"] = {"numerical_error": f"{exc} in {stage}"}
+        except (NumericalBreakdownError, MemoryError) as exc:
+            payload["status"] = {"numerical_error": f"{str(exc) or 'out of memory'} in {stage}"}
             raise NumericalBreakdownError(payload["status"]["numerical_error"]) from exc
         finally:
             code, lines = _verdict(payload, config.tol)

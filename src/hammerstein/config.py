@@ -5,6 +5,8 @@ violations raise :class:`~hammerstein.errors.ConfigError` carrying the dotted
 path of the offending key (e.g. ``nonlinearity.alpha``).  The normalised
 tree (defaults filled in) is echoed into reports so a run can be reproduced
 from its own report: it is exactly the set of values the parser read.
+Every run computes the same certificates, so the keys of ``_CERT_FIXED`` are
+read and echoed at their one value, type included.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import yaml
 
+from .analysis import PROBE_SCALE, PROBE_TRIALS
 from .errors import ConfigError
 from .kernels import FAMILIES as KERNEL_FAMILIES, BaseKernel, KernelSpec, ModulationSet
 from .nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES, POINTWISE_FAMILIES,
@@ -25,8 +28,9 @@ from .quadrature import GAUSS, HalfLineGrid, build_grid
 
 # libyaml's C parser where PyYAML was built with it, the pure-python one otherwise
 SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_CERT_SWITCHES = ("excess_integral", "tail_integral", "jensen", "asymptote",
-                  "uniqueness_probe")
+# the certificates keys that select nothing, each with the one value it takes
+_CERT_FIXED = {"excess_integral": True, "tail_integral": True, "jensen": True,
+               "asymptote": True, "probe_trials": PROBE_TRIALS, "probe_scale": PROBE_SCALE}
 
 
 def _is_number(val) -> bool:
@@ -104,9 +108,6 @@ class _Section:
                           "must be an integer"),
                          (lambda v: v >= least, f"must be at least {least}"))
 
-    def boolean(self, key: str, default: bool) -> bool:
-        return self.read(key, default, (lambda v: isinstance(v, bool), "must be a boolean"))
-
     def choice(self, key: str, allowed, default=None) -> str:
         return self.read(key, default,
                          (lambda v: v in allowed, f"must be one of {sorted(allowed)}"))
@@ -120,13 +121,7 @@ class _Section:
 
 @dataclass
 class CertificateSettings:
-    excess_integral: bool
-    tail_integral: bool
-    jensen: bool
-    asymptote: bool
     uniqueness_probe: bool
-    probe_trials: int
-    probe_scale: float
     seed: int
 
 
@@ -157,7 +152,10 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
     rule = g.choice("rule", (GAUSS,), GAUSS)
     points = g.integer("points_per_panel", 4, least=1)
     g.close()
-    grid = build_grid(x_max, n_panels, rule, points)
+    try:
+        grid = build_grid(x_max, n_panels, rule, points)
+    except (ValueError, MemoryError) as exc:    # refused, or too large to allocate
+        raise ConfigError("grid", str(exc) or "out of memory") from exc
 
     k = root.section("kernel", required=True)
     family = k.choice("family", KERNEL_FAMILIES)
@@ -224,11 +222,11 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
     c = root.section("certificates")
     if seed is not None:
         c.raw = {**c.raw, "seed": seed}
-    certificates = CertificateSettings(
-        **{name: c.boolean(name, True) for name in _CERT_SWITCHES},
-        probe_trials=c.integer("probe_trials", 5, least=1),
-        probe_scale=c.number("probe_scale", 0.1, _POSITIVE),
-        seed=c.integer("seed", 12345, least=0))
+    for key, value in _CERT_FIXED.items():      # type included: 1 is not true
+        c.read(key, value, (lambda v: type(v) is type(value) and v == value,
+                            f"takes only the value {value!r}, fixed in every run"))
+    probe = c.read("uniqueness_probe", True, (lambda v: isinstance(v, bool), "must be a boolean"))
+    certificates = CertificateSettings(probe, seed=c.integer("seed", 12345, least=0))
     c.close()
     root.close(checks="the kernel checks take no settings (their tolerance is "
                       "kernels.CHECK_TOL, domination is proven); remove this section")

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecRejectedError
+from .errors import NumericalBreakdownError, SpecRejectedError
 from .quadrature import GAUSS, HalfLineGrid, build_grid, gauss_legendre, integrate
 
 # Smallest positive normal double.  Base-kernel, kernel, and operator values
@@ -398,11 +398,16 @@ def _tail_extension(base: BaseKernel, grid: HalfLineGrid) -> HalfLineGrid:
     """The grid continued past x_max by ceil(pad / h) or more panels of its width h.
     The panel count k grows until (h k) / k == h (a power of two always passes),
     so the first N nodes and weights are the grid's, bit for bit; the rest lie
-    past x_max.
+    past x_max.  No memory holds 2**53 nodes, nor would the search for k end
+    past them, so such a continuation is a :class:`NumericalBreakdownError`.
     """
     rate = base.min_decay_rate()
     pad = 12.0 if math.isinf(rate) else max(12.0, 40.0 / rate)
     h = grid.x_max / grid.n_panels
+    nodes = (grid.n_panels + pad / h) * grid.points_per_panel     # inf past float range
+    if not nodes < 2.0 ** 53:
+        raise NumericalBreakdownError(f"the tail continuation past x_max = {grid.x_max!r} "
+                                      f"needs {nodes:.3g} nodes at panel width {h!r}")
     k = grid.n_panels + math.ceil(pad / h)
     while h * k / k != h:
         k += 1

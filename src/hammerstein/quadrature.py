@@ -122,7 +122,9 @@ def build_grid(x_max: float, n_panels: int, rule: str = GAUSS,
     the one rule, which configs and callers name.
 
     Raises ValueError on an ``x_max`` that is not positive and finite, on an
-    ``n_panels`` or ``points_per_panel`` below 1 and on any other rule.
+    ``n_panels`` or ``points_per_panel`` below 1, on any other rule, on more
+    nodes than a float array can hold and on a panel width that is not a
+    positive normal float.
     """
     if not (isinstance(x_max, (int, float)) and math.isfinite(x_max) and x_max > 0):
         raise ValueError(f"x_max must be a positive finite number, got {x_max!r}")
@@ -134,7 +136,11 @@ def build_grid(x_max: float, n_panels: int, rule: str = GAUSS,
         raise ValueError(
             f"points_per_panel must be a positive integer, got {points_per_panel!r}")
     x_max, n_panels, p = float(x_max), int(n_panels), int(points_per_panel)
+    if n_panels * p > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ValueError(f"{n_panels} panels of {p} points: too many nodes for a float array")
     h = x_max / n_panels
+    if not h >= np.finfo(float).tiny:
+        raise ValueError(f"panel width x_max / n_panels = {h!r} is not a positive normal float")
     xi, wi = gauss_legendre(p)
     starts = h * np.arange(n_panels)
     nodes = (starts[:, None] + 0.5 * h * (xi[None, :] + 1.0)).ravel()

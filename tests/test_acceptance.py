@@ -130,7 +130,6 @@ def test_criterion_09_uniqueness_probe(catalog):
     run = catalog.runs[("C", "I")]
     start = time.perf_counter()
     probe = hs.uniqueness_probe(run.A, run.G, run.solve.profile,
-                                perturbation_scale=0.1 * run.G.eta, trials=5,
                                 seed=2024, tol=TOL, max_iter=2000)
     wall = time.perf_counter() - start
     ok = (probe.passed and not probe.inconclusive

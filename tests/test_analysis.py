@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hammerstein.kernels
-from hammerstein.analysis import (UniquenessProbeReport, _uniform_stream,
+from hammerstein.analysis import (PROBE_TRIALS, UniquenessProbeReport, _uniform_stream,
                                   asymptote_certificate,
                                   excess_integral_certificate,
                                   jensen_certificate,
@@ -198,22 +198,12 @@ def test_probe_stream_refuses_a_negative_seed_as_numpy_does():
         _uniform_stream(-1, 0, 3)
 
 
-@pytest.mark.parametrize("kwargs", [dict(trials=0), dict(perturbation_scale=0.0)],
-                         ids=["no-restart", "zero-scale"])
-def test_probe_rejects_meaningless_settings(small_ci, kwargs):
-    # no restart tests nothing, and a zero bump restarts from f* itself
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        uniqueness_probe(small_ci["A"], small_ci["G"], small_ci["solve"].profile,
-                         **kwargs)
-
-
 def test_probe_perturbed_restarts(small_ci):
     probe = uniqueness_probe(small_ci["A"], small_ci["G"],
-                             small_ci["solve"].profile, perturbation_scale=0.1,
-                             trials=3, seed=2, tol=1e-10)
+                             small_ci["solve"].profile, seed=2, tol=1e-10)
     assert probe.passed and not probe.inconclusive
     assert probe.max_dev <= 1e-9
-    assert len(probe.deviations) == 3
+    assert len(probe.deviations) == PROBE_TRIALS
     # restarts only: no refined-grid rerun is reported
     assert "refined_dev" not in {f.name for f in dataclasses.fields(UniquenessProbeReport)}
 
@@ -224,13 +214,12 @@ def test_probe_evaluates_no_kernel(small_ci, monkeypatch):
 
     monkeypatch.setattr(hammerstein.kernels, "eval_kernel", refuse)
     probe = uniqueness_probe(small_ci["A"], small_ci["G"],
-                             small_ci["solve"].profile, perturbation_scale=0.1,
-                             trials=2, seed=4, tol=1e-10)
+                             small_ci["solve"].profile, seed=4, tol=1e-10)
     assert probe.passed and not probe.inconclusive
 
 
 def test_probe_deterministic_under_seed(small_ci):
-    kwargs = dict(perturbation_scale=0.1, trials=2, seed=9, tol=1e-10)
+    kwargs = dict(seed=9, tol=1e-10)
     a = uniqueness_probe(small_ci["A"], small_ci["G"], small_ci["solve"].profile,
                          **kwargs)
     b = uniqueness_probe(small_ci["A"], small_ci["G"], small_ci["solve"].profile,
@@ -240,6 +229,5 @@ def test_probe_deterministic_under_seed(small_ci):
 
 def test_probe_inconclusive_when_budget_too_small(small_ci):
     probe = uniqueness_probe(small_ci["A"], small_ci["G"],
-                             small_ci["solve"].profile, perturbation_scale=0.1,
-                             trials=1, seed=3, tol=1e-10, max_iter=1)
+                             small_ci["solve"].profile, seed=3, tol=1e-10, max_iter=1)
     assert probe.inconclusive and not probe.passed

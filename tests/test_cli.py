@@ -15,7 +15,7 @@ import hammerstein.analysis
 import hammerstein.cli
 import hammerstein.kernels
 import hammerstein.picard
-from conftest import LoweredProduct, lift_third_ceiling_iterate, readme_config
+from conftest import LoweredProduct, lift_third_ceiling_iterate, readme_block, readme_config
 from hammerstein.cli import emit_convergence_table, main, run
 from hammerstein.config import load_config
 from hammerstein.errors import NumericalBreakdownError
@@ -40,7 +40,6 @@ solver:
 nemytsky:
   xi: 0.25
 certificates:
-  probe_trials: 2
   seed: 7
 """
 
@@ -203,8 +202,14 @@ CONFIG_ERROR_CASES = {
     # settings that take no value, or under which the uniqueness verdict
     # could only fail (no restart) or only pass (no bump)
     "checks-section": ("solve", BASE_CONFIG + "checks:\n  tol: 1.0e-9\n"),
-    "no-probe-restart": ("solve", BASE_CONFIG.replace("probe_trials: 2", "probe_trials: 0")),
+    "no-probe-restart": ("solve", BASE_CONFIG + "  probe_trials: 0\n"),
     "zero-probe-scale": ("solve", BASE_CONFIG + "  probe_scale: 0.0\n"),
+    # every run computes the same certificates: each of these keys takes one
+    # value, type included (1 is not true, 5.0 is not 5)
+    **{f"{key}={value}": ("solve", BASE_CONFIG + f"  {key}: {value}\n") for key, value in [
+        ("excess_integral", "false"), ("tail_integral", "1"), ("jensen", "false"),
+        ("asymptote", "0"), ("probe_trials", "2"), ("probe_trials", "5.0"),
+        ("probe_scale", "0.2"), ("probe_scale", "'0.1'")]},
 }
 
 
@@ -217,6 +222,7 @@ def test_config_errors_print_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o" / "report.yaml").exists()
 
 
 # values a report can hold that a YAML emitter might quote or round differently
@@ -386,12 +392,12 @@ def test_readme_report_key_trees(tmp_path):
         assert report["config"] == yaml.safe_load(readme_config())
 
 
-def _breakdown_in(name):
-    """A breakage that makes ``hammerstein.cli.<name>`` raise a numerical
-    breakdown."""
+def _breakdown_in(name, error=NumericalBreakdownError("injected")):
+    """A breakage that makes ``hammerstein.cli.<name>`` raise ``error``, a
+    numerical breakdown unless given."""
     def breakage(monkeypatch):
         def broken(*args, **kwargs):
-            raise NumericalBreakdownError("injected")
+            raise error
 
         monkeypatch.setattr(hammerstein.cli, name, broken)
     return breakage
@@ -421,6 +427,8 @@ def _unit_ratio_floor(monkeypatch):
                  "injected in the combined solve", id="combined-breakdown"),
     pytest.param(_breakdown_in("uniqueness_probe"), "solve",
                  "injected in the uniqueness probe", id="probe-breakdown"),
+    pytest.param(_breakdown_in("uniqueness_probe", MemoryError()), "solve",
+                 "out of memory in the uniqueness probe", id="probe-out-of-memory"),
 ])
 def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, breakage, mode, message):
     # the report is written all the same: the stages before the failure and
@@ -438,6 +446,38 @@ def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, breakage, mode
     assert report["status"]["conditions_passed"] is True
     assert report["conditions"]["kernel"]["passed"] is True
     assert not (out / "profile.csv").exists()
+
+
+def _allocation_fails_past_x_max(monkeypatch):
+    # the continuation grid past x_max is the discretisation's first allocation
+    # (kernels._tail_extension); it fails as numpy's does when memory runs out
+    def build_grid(*args, **kwargs):
+        raise MemoryError("Unable to allocate 35.8 GiB for an array")
+
+    monkeypatch.setattr(hammerstein.kernels, "build_grid", build_grid)
+
+
+@pytest.mark.parametrize("breakage, x_max, message", [
+    pytest.param(_allocation_fails_past_x_max, "25.0",
+                 "Unable to allocate 35.8 GiB for an array", id="out-of-memory"),
+    # 1.2e303 continuation panels: more nodes than any float array holds
+    pytest.param(None, "1.0e-300", "the tail continuation past x_max = 1e-300 needs 4.8e+303 "
+                 "nodes at panel width 1e-302", id="refused-continuation"),
+])
+def test_discretisation_that_cannot_be_built_exits_5(tmp_path, monkeypatch, capsys, breakage,
+                                                     x_max, message):
+    # a grid the config accepts whose tail continuation cannot be allocated:
+    # one error: line naming the stage and a report, not a traceback and exit 1
+    if breakage is not None:
+        breakage(monkeypatch)
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("x_max: 25.0", f"x_max: {x_max}"))
+    out = tmp_path / "o"
+    assert main(["check", "--config", str(cfg), "--out-dir", str(out)]) == 5
+    line = f"{message} in the discretisation"
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    report = yaml.safe_load((out / "report.yaml").read_text())
+    assert report["status"] == {"numerical_error": line}
+    assert "conditions" not in report
 
 
 def _force(monkeypatch, name, **fields):
@@ -537,12 +577,19 @@ def test_small_exponent_passes_the_jensen_certificate(tmp_path):
 
 
 def test_convex_G_fails_the_jensen_certificate(tmp_path, monkeypatch, capsys):
-    # Jensen's inequality turns over for a convex G, here u**2 in the
-    # certificates; the tail certificate reads the same G and is switched off
-    monkeypatch.setattr(hammerstein.analysis, "eval_G", lambda spec, u: np.asarray(u) ** 2)
-    text = BASE_CONFIG.replace("certificates:\n", "certificates:\n  tail_integral: false\n")
+    # Jensen's inequality turns over for a convex G, here u**2 in the Jensen
+    # certificate alone; the tail certificate reads G too, and every run
+    # computes it, so it keeps the concave G
+    jensen = hammerstein.cli.jensen_certificate
+
+    def convex_jensen(A, G, u):
+        with monkeypatch.context() as patch:
+            patch.setattr(hammerstein.analysis, "eval_G", lambda spec, v: np.asarray(v) ** 2)
+            return jensen(A, G, u)
+
+    monkeypatch.setattr(hammerstein.cli, "jensen_certificate", convex_jensen)
     out = tmp_path / "out"
-    code = main(["solve-nemytsky", "--config", str(write_config(tmp_path, text)),
+    code = main(["solve-nemytsky", "--config", str(write_config(tmp_path)),
                  "--out-dir", str(out)])
     assert code == 1
     report = yaml.safe_load((out / "report.yaml").read_text())
@@ -843,7 +890,20 @@ def test_cli_imports_without_scipy():
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
-# a library run in a child: discretise, the ceiling iteration, a probe restart
+def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # the README's one python block, as written: its calls cannot drift from
+    # the code; it prints the solve's numbers and two passing certificates
+    monkeypatch.chdir(tmp_path)
+    exec(compile(readme_block("python"), "README.md", "exec"), {"__name__": "__main__"})
+    solve, excess, asymptote = capsys.readouterr().out.splitlines()
+    iterations, sigma0, rate_bound_ok = solve.split()
+    assert int(iterations) > 0 and 0.0 < float(sigma0) < 1.0 and rate_bound_ok == "True"
+    assert excess.startswith("ExcessIntegralCertificate(") and excess.endswith("passed=True)")
+    assert asymptote.startswith("AsymptoteCertificate(") and asymptote.endswith("passed=True)")
+    assert not any(tmp_path.iterdir())      # a library run writes no file
+
+
+# a library run in a child: discretise, the ceiling iteration, the probe's restarts
 LIBRARY_RUN = ("import sys, hammerstein as hs; "
                "grid = hs.build_grid(20.0, 50, hs.GAUSS, 4); "
                "kernel = hs.KernelSpec(family='C', base=hs.BaseKernel(), "
@@ -852,7 +912,7 @@ LIBRARY_RUN = ("import sys, hammerstein as hs; "
                "G = hs.NonlinearitySpec(family='I', alpha=0.5); "
                "solve = hs.solve_picard(disc.operator, G); "
                "assert solve.converged; "
-               "hs.uniqueness_probe(disc.operator, G, solve.profile, trials=1); ")
+               "hs.uniqueness_probe(disc.operator, G, solve.profile); ")
 
 
 def test_discretise_and_solve_do_not_import_numpy_ma():

@@ -1,13 +1,16 @@
 """``parse_config``: the echo it records and the path each bad key is named by."""
 
 import copy
+import dataclasses
 import math
 from pathlib import Path
 
 import pytest
 import yaml
 
-from hammerstein.config import load_config, parse_config
+import hammerstein.config
+from hammerstein.analysis import PROBE_SCALE, PROBE_TRIALS
+from hammerstein.config import CertificateSettings, load_config, parse_config
 from hammerstein.errors import ConfigError
 
 from conftest import readme_config
@@ -29,7 +32,8 @@ def _defaults(kfam, gfam):
 
 
 def _every_key(kfam, gfam):
-    """Every optional key set, away from its default where it has room to."""
+    """Every optional key set, away from its default where it has room to:
+    the six certificates keys that take one value are set to it."""
     return {
         "kernel": {"family": kfam, "lambda_form": "rational-gap", "d_star": 1.0,
                    "l": 0.3, "base": {"variant": "gaussian"}, **K_VALUES[kfam]},
@@ -38,9 +42,9 @@ def _every_key(kfam, gfam):
         "solver": {"tol": 1.0e-9, "max_iter": 100},
         "nemytsky": {"pointwise": "saturating-quadratic", "integrand": "scaled-reflected",
                      "xi": 0.3, "eps_star_fraction": 0.5, "damping_profile": "exp-decay"},
-        "certificates": {"excess_integral": False, "tail_integral": True, "jensen": False,
-                         "asymptote": True, "uniqueness_probe": False, "probe_trials": 1,
-                         "probe_scale": 0.05, "seed": 0},
+        "certificates": {"excess_integral": True, "tail_integral": True, "jensen": True,
+                         "asymptote": True, "uniqueness_probe": False, "probe_trials": 5,
+                         "probe_scale": 0.1, "seed": 0},
     }
 
 
@@ -96,7 +100,7 @@ BASE = {
     "grid": {"x_max": 40.0, "n_panels": 100, "rule": "gauss", "points_per_panel": 4},
     "solver": {"tol": 1.0e-10, "max_iter": 300},
     "nemytsky": {"xi": 0.25},
-    "certificates": {"probe_trials": 2, "seed": 7},
+    "certificates": {"seed": 7},
 }
 DROP = object()
 MIXTURE = {"kernel.base.variant": "exp-mixture",
@@ -218,6 +222,23 @@ ERRORS = [
      "kernel.base.atoms-79"),
     # 1e-10 has no dot, so YAML 1.1 reads it as a string
     ({"solver.tol": "1e-10"}, "solver.tol", "solver.tol=1e-10"),
+    # every run computes the same certificates: each of these keys takes one
+    # value, type included
+    ({"certificates.excess_integral": False}, "certificates.excess_integral",
+     "certificates.excess_integral=false"),
+    ({"certificates.tail_integral": False}, "certificates.tail_integral",
+     "certificates.tail_integral=false"),
+    ({"certificates.jensen": False}, "certificates.jensen", "certificates.jensen=false"),
+    ({"certificates.asymptote": 1}, "certificates.asymptote", "certificates.asymptote=1"),
+    ({"certificates.probe_trials": 2}, "certificates.probe_trials",
+     "certificates.probe_trials=2"),
+    ({"certificates.probe_trials": 5.0}, "certificates.probe_trials",
+     "certificates.probe_trials=5.0"),
+    ({"certificates.probe_scale": 0.05}, "certificates.probe_scale",
+     "certificates.probe_scale=0.05"),
+    # grids build_grid refuses: a subnormal panel width, too many nodes
+    ({"grid.x_max": 5e-324}, "grid", "grid.x_max=5e-324"),
+    ({"grid.n_panels": 2 ** 62}, "grid", "grid.n_panels=2**62"),
 ]
 
 
@@ -274,6 +295,33 @@ def test_non_number_string_keeps_the_plain_message(text):
     with pytest.raises(ConfigError) as info:
         parse_config(tree)
     assert str(info.value) == f"solver.tol: must be a finite number, got {text!r}"
+
+
+def test_grid_out_of_memory_is_a_config_error(monkeypatch):
+    # a grid too large to allocate (n_panels: 100000000000 asks for 745 GiB)
+    # fails while the config is parsed, as numpy fails an allocation
+    def build_grid(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(hammerstein.config, "build_grid", build_grid)
+    with pytest.raises(ConfigError) as info:
+        parse_config(copy.deepcopy(BASE))
+    assert info.value.path == "grid"
+    assert str(info.value) == "grid: Unable to allocate 745. GiB for an array"
+
+
+def test_fixed_certificate_keys_echo_their_one_value():
+    # the probe's constants are the one source of the values the keys accept
+    echo = parse_config(copy.deepcopy(BASE)).echo["certificates"]
+    fixed = {"excess_integral": True, "tail_integral": True, "jensen": True,
+             "asymptote": True, "probe_trials": PROBE_TRIALS, "probe_scale": PROBE_SCALE}
+    assert {key: echo[key] for key in fixed} == fixed
+    assert type(echo["probe_trials"]) is int and type(echo["probe_scale"]) is float
+    tree = copy.deepcopy(BASE)
+    tree["certificates"].update(fixed)
+    assert parse_config(tree).echo["certificates"] == echo
+    assert [field.name for field in dataclasses.fields(CertificateSettings)] == [
+        "uniqueness_probe", "seed"]
 
 
 def test_base_tree_parses():

@@ -14,9 +14,9 @@ from hammerstein.picard import (SolveReport, apply_hammerstein,
                                 evaluate_profile, fixed_point_iterate, iterate,
                                 rate_envelope, solve_picard, verify_rate_bound)
 
-from conftest import (MIXTURE_ATOMS, ceiling_iterates, dense_operator, kernel_specs,
-                      lift_third_ceiling_iterate, make_G, make_kernel, nonlinearities,
-                      squeeze_breach)
+from conftest import (MIXTURE_ATOMS, ceiling_iterates, dense_operator, exact_fixed_point,
+                      kernel_specs, lift_third_ceiling_iterate, make_G, make_kernel,
+                      nonlinearities, squeeze_breach)
 
 
 # --- assembly ---------------------------------------------------------------
@@ -317,6 +317,59 @@ def test_squeeze_verdict_can_fail(small_ci, monkeypatch):
     solve = solve_picard(A, G, tol=1e-10, max_iter=400)
     assert solve.converged and solve.monotone_ok and solve.sigma0 == 0.999
     assert squeeze_breach(A, G, solve.sigma0, solve.iterations) > 1e-12
+
+
+# the exact-oracle cases: one per family, a = 0.5 (I), 0.75 (II), 0.9 (III)
+ORACLE_CASES = {
+    "I-0.5": {"family": "I", "alpha": 0.5},
+    "II-0.75": {"family": "II", "alpha_star": 0.5},
+    "III-0.9": {"family": "III", "alpha_tilde": 0.85, "alpha_star": 0.95},
+}
+# slack of both proven bounds against rounding: the per-step guard's flag
+# level (picard._within), which squeeze_breach's replays also allow
+ORACLE_SLACK = 1e-12
+
+
+def oracle_breaches(iterates, fstar, sigma0, a):
+    """Worst breach, over every ceiling iterate, of f_n >= f*_h and of the
+    squeeze's lower half sigma0**(a**(n-1)) f_n <= f_{n+1}, n >= 1."""
+    above = max(float((fstar - f).max()) for f in iterates)
+    squeeze = max(float((sigma0 ** (a ** (n - 1)) * iterates[n] - iterates[n + 1]).max())
+                  for n in range(1, len(iterates) - 1))
+    return above, squeeze
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
+def oracle_run(request):
+    """Family C on 8 panels of 4 Gauss points (N = 32): the ceiling solve,
+    its rebuilt iterates and the exact discrete fixed point."""
+    G = hs.NonlinearitySpec(**ORACLE_CASES[request.param])
+    A = discretise(make_kernel("C"), hs.build_grid(10.0, 8, hs.GAUSS, 4)).operator
+    solve = solve_picard(A, G, tol=1e-10, max_iter=2000)
+    assert solve.converged
+    return (ceiling_iterates(A, G, solve.iterations), exact_fixed_point(A, G),
+            solve.sigma0, G.rate_exponent)
+
+
+def test_ceiling_iterates_bracket_the_exact_fixed_point(oracle_run):
+    # the picard docstring proves both bounds; the 40-digit oracle measures
+    # them against the exact discrete solution, not a float solve at a tighter tol
+    above, squeeze = oracle_breaches(*oracle_run)
+    assert above <= ORACLE_SLACK and squeeze <= ORACLE_SLACK
+
+
+@pytest.mark.parametrize("bound", ["above", "squeeze"])
+def test_oracle_bounds_fail_past_their_slack(oracle_run, bound):
+    # one node of one iterate moved across either bound by twice the slack
+    iterates, fstar, sigma0, a = oracle_run
+    iterates = [f.copy() for f in iterates]
+    n = len(iterates) // 2
+    if bound == "above":
+        iterates[n][0] = fstar[0] - 2.0 * ORACLE_SLACK
+    else:
+        iterates[n + 1][0] = sigma0 ** (a ** (n - 1)) * iterates[n][0] - 2.0 * ORACLE_SLACK
+    breaches = dict(zip(("above", "squeeze"), oracle_breaches(iterates, fstar, sigma0, a)))
+    assert breaches[bound] > ORACLE_SLACK
 
 
 @pytest.mark.parametrize("direction", [-1, 0, 1])

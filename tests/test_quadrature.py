@@ -75,6 +75,10 @@ def test_refine_doubles_panels():
     lambda: build_grid(1.0, 3, "simpson"),
     lambda: build_grid(1.0, 3, GAUSS, 0),
     lambda: build_grid(40.0, 20, "trapezoid"),     # Gauss panels are the one rule
+    lambda: build_grid(5e-324, 400),                # the panel width underflows to 0
+    lambda: build_grid(1e-300, 10 ** 9),            # a subnormal panel width
+    lambda: build_grid(1.0, 2 ** 62),               # 2**64 nodes: no float array holds them
+    lambda: build_grid(1.0, 10 ** 400),             # past float range, checked before x_max / n
 ])
 def test_invalid_arguments(bad):
     with pytest.raises(ValueError):
