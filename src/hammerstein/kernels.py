@@ -39,8 +39,9 @@ With gap = 1 - lam in [0, 1 - d_star], mu = 1 - gap(x) gap(t).
   C: 0.5 (lam(x) + lam(t)) (K0(x - t) + epsilon K0(x + t)) <= (1 + epsilon) K0(x - t).
   The floors keep this order, and rounding keeps it to a few ulps.
 
-Each family is a diagonal scaling of ``K0(x - t)`` and ``K0(x + t)``, so on
-the equal panels of a quadrature grid its Nystrom matrix is block-Toeplitz
+Each family is a diagonal scaling of ``K0(x - t)`` and ``K0(x + t)`` (its
+row of the one family table, ``_factors``), so on the equal panels every
+quadrature grid has its Nystrom matrix is block-Toeplitz
 plus block-Hankel.  :func:`structured_kernel` keeps it as the real-FFT
 spectra of those blocks (O(N) memory) and applies it in O(N log N), also
 for the tail past x_max at the nodes; :func:`kernel_matrix`, the dense
@@ -219,22 +220,29 @@ class KernelSpec:
         return 1.0 + self.epsilon if self.family == "C" else 1.0
 
 
+def _factors(spec: KernelSpec, x: np.ndarray):
+    """The family table: (image, left(x), right(x)), two terms each, with
+    K(x, t) = sum_r left_r(x) right_r(t) (K0(x - t) + image * K0(x + t))."""
+    if spec.family == "C":
+        lam = spec.modulation.lam(x)
+        return spec.epsilon, (0.5 * lam, np.full_like(x, 0.5)), (np.ones_like(x), lam)
+    gap = spec.modulation.lam_gap(x)
+    image = 0.0 if spec.family == "A" else -spec.delta
+    return image, (np.ones_like(x), -gap), (np.ones_like(x), gap)
+
+
 def eval_kernel(spec: KernelSpec, x, t):
     """Evaluate K(x, t) for x, t >= 0 (arrays broadcast); strictly positive."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(x < 0.0) or np.any(t < 0.0):
         raise ValueError("kernel arguments must be nonnegative")
-    base = spec.base
-    k_diff = base.eval(x - t)
-    if spec.family == "A":
-        val = spec.modulation.mu(x, t) * k_diff
-    elif spec.family == "B":
-        val = spec.modulation.mu(x, t) * (k_diff - spec.delta * base.eval(x + t))
-    else:
-        lam = spec.modulation.lam
-        val = 0.5 * (lam(x) + lam(t)) * (k_diff + spec.epsilon * base.eval(x + t))
-    return np.maximum(val, POSITIVITY_FLOOR)
+    (image, left, _), (_, _, right) = _factors(spec, x), _factors(spec, t)
+    # 1 * 1 + (-gap(x)) gap(t) rounds as mu, 0.5 lam(x) + 0.5 lam(t) as 0.5 (lam(x) + lam(t))
+    k = spec.base.eval(x - t)
+    if image:
+        k = k + image * spec.base.eval(x + t)
+    return np.maximum((left[0] * right[0] + left[1] * right[1]) * k, POSITIVITY_FLOOR)
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -344,14 +352,8 @@ class StructuredKernel:
 def _scalings(spec: KernelSpec, grid: HalfLineGrid):
     """(image weight, left, right) of the family's
     ``sum_r diag(left[r]) (T + image * H) diag(right[r])`` form."""
-    w = grid.weights
-    if spec.family == "C":
-        lam = spec.modulation.lam(grid.nodes)
-        return (spec.epsilon, np.stack((0.5 * lam, np.full(grid.size, 0.5))),
-                np.stack((w, lam * w)))
-    gap = spec.modulation.lam_gap(grid.nodes)
-    image = 0.0 if spec.family == "A" else -spec.delta
-    return image, np.stack((np.ones(grid.size), -gap)), np.stack((w, gap * w))
+    image, left, right = _factors(spec, grid.nodes)
+    return image, np.stack(left), np.stack(right) * grid.weights
 
 
 def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
@@ -360,17 +362,10 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
     K0 is evaluated at the 2 (2m - 1) p^2 distinct arguments only, never on
     the N x N node pairs, and a few block pairs (k, l) at a time: the memory
     beyond the returned spectra and scalings is a few tables of at most
-    max(FFT_BLOCK_ENTRIES, 2m) values.  The grid must have the equal panels
-    of ``build_grid``.
+    max(FFT_BLOCK_ENTRIES, 2m) values.
     """
-    p = grid.points_per_panel
-    n = grid.size
-    m = n // p
-    h = grid.x_max / grid.n_panels
+    p, m, h = grid.points_per_panel, grid.n_panels, grid.h
     offsets = grid.nodes[:p]
-    if m * p != n or np.abs((h * np.arange(m)[:, None] + offsets).ravel()
-                            - grid.nodes).max() > 1e-12 * grid.x_max:
-        raise ValueError("structured_kernel needs the equal-panel grid of build_grid")
     image, left, right = _scalings(spec, grid)
 
     # the p x p block pairs (k, l) are tabulated a few at a time, at most
@@ -403,7 +398,7 @@ def _tail_extension(base: BaseKernel, grid: HalfLineGrid) -> HalfLineGrid:
     """
     rate = base.min_decay_rate()
     pad = 12.0 if math.isinf(rate) else max(12.0, 40.0 / rate)
-    h = grid.x_max / grid.n_panels
+    h = grid.h
     nodes = (grid.n_panels + pad / h) * grid.points_per_panel     # inf past float range
     if not nodes < 2.0 ** 53:
         raise NumericalBreakdownError(f"the tail continuation past x_max = {grid.x_max!r} "
@@ -445,7 +440,7 @@ def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     p = grid.points_per_panel
-    h = grid.x_max / grid.n_panels
+    h = grid.h
     panel = np.clip(np.floor(flat / h).astype(int), 0, grid.n_panels - 1)
     a = h * panel
     left = np.clip(flat - a, 0.0, h)[:, None]

@@ -6,6 +6,8 @@ so grids do not depend on the BLAS build.  Every consumer in this package
 integrates against these grids, so the summation order is pinned: weights
 are stored in ascending node order and :func:`integrate` accumulates in
 that order, which makes results bit-identical across runs and thread counts.
+A grid is its panels: :class:`HalfLineGrid` derives its nodes and weights
+from ``(x_max, n_panels, points_per_panel)``, is immutable and compares by value.
 """
 
 from __future__ import annotations
@@ -81,33 +83,45 @@ def _legendre_near_one(p: int, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class HalfLineGrid:
-    """Nodes and positive weights for integration over [0, x_max].
+    """Composite Gauss-Legendre on [0, x_max]: ``n_panels`` equal panels of
+    width ``h = x_max / n_panels``, ``points_per_panel`` nodes each, exact for
+    polynomials of degree ``2 * points_per_panel - 1`` on each panel.
 
-    Attributes
-    ----------
-    x_max : float
-        Truncation point of the half-line.
-    nodes : ndarray
-        Strictly increasing abscissae, all inside [0, x_max].
-    weights : ndarray
-        Positive quadrature weights, same length as ``nodes``; they sum to
-        ``x_max`` to machine accuracy.
-    n_panels : int
-        Number of equal panels the interval is split into.
-    points_per_panel : int
-        Gauss points per panel.
+    A grid is its panels: the three fields fix it, so grids compare and hash
+    by value.  It is immutable; ``h`` and the read-only ``nodes`` (ascending,
+    node ``P p + k`` at ``h P + nodes[k]``) and positive ``weights`` derive
+    from the fields.  ValueError on an ``x_max`` that is not positive and
+    finite, on ``n_panels`` or ``points_per_panel`` below 1, on more nodes
+    than a float array holds and on an ``h`` that is not a positive normal float.
     """
 
     x_max: float
-    nodes: np.ndarray
-    weights: np.ndarray
     n_panels: int
     points_per_panel: int
 
     def __post_init__(self) -> None:
-        # frozen, so the grid an operator was built on cannot change under it
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        x_max, n_panels, p = self.x_max, self.n_panels, self.points_per_panel
+        if not (isinstance(x_max, (int, float)) and math.isfinite(x_max) and x_max > 0):
+            raise ValueError(f"x_max must be a positive finite number, got {x_max!r}")
+        if not (isinstance(n_panels, (int, np.integer)) and n_panels >= 1):
+            raise ValueError(f"n_panels must be a positive integer, got {n_panels!r}")
+        if not (isinstance(p, (int, np.integer)) and p >= 1):
+            raise ValueError(f"points_per_panel must be a positive integer, got {p!r}")
+        x_max, n_panels, p = float(x_max), int(n_panels), int(p)
+        if n_panels * p > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+            raise ValueError(f"{n_panels} panels of {p} points: too many nodes for a float array")
+        h = x_max / n_panels
+        if not h >= np.finfo(float).tiny:
+            raise ValueError(f"panel width x_max / n_panels = {h!r} is not a positive normal float")
+        xi, wi = gauss_legendre(p)
+        starts = h * np.arange(n_panels)
+        nodes = (starts[:, None] + 0.5 * h * (xi[None, :] + 1.0)).ravel()
+        weights = np.tile(0.5 * h * wi, n_panels)
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        for name, value in (("x_max", x_max), ("n_panels", n_panels), ("points_per_panel", p),
+                            ("h", h), ("nodes", nodes), ("weights", weights)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -116,36 +130,12 @@ class HalfLineGrid:
 
 def build_grid(x_max: float, n_panels: int, rule: str = GAUSS,
                points_per_panel: int = 4) -> HalfLineGrid:
-    """Composite Gauss-Legendre on [0, x_max]: ``n_panels`` equal panels of
-    ``points_per_panel`` nodes each, exact for polynomials of degree
-    ``2 * points_per_panel - 1`` on each panel.  ``rule`` must be ``"gauss"``,
-    the one rule, which configs and callers name.
-
-    Raises ValueError on an ``x_max`` that is not positive and finite, on an
-    ``n_panels`` or ``points_per_panel`` below 1, on any other rule, on more
-    nodes than a float array can hold and on a panel width that is not a
-    positive normal float.
-    """
-    if not (isinstance(x_max, (int, float)) and math.isfinite(x_max) and x_max > 0):
-        raise ValueError(f"x_max must be a positive finite number, got {x_max!r}")
-    if not (isinstance(n_panels, (int, np.integer)) and n_panels >= 1):
-        raise ValueError(f"n_panels must be a positive integer, got {n_panels!r}")
+    """The :class:`HalfLineGrid` of these panels.  ``rule`` must be ``"gauss"``,
+    the one rule, which configs name; ValueError on any other, or as the grid
+    raises it."""
     if rule != GAUSS:
         raise ValueError(f"rule must be {GAUSS!r}, got {rule!r}")
-    if not (isinstance(points_per_panel, (int, np.integer)) and points_per_panel >= 1):
-        raise ValueError(
-            f"points_per_panel must be a positive integer, got {points_per_panel!r}")
-    x_max, n_panels, p = float(x_max), int(n_panels), int(points_per_panel)
-    if n_panels * p > np.iinfo(np.intp).max // np.dtype(float).itemsize:
-        raise ValueError(f"{n_panels} panels of {p} points: too many nodes for a float array")
-    h = x_max / n_panels
-    if not h >= np.finfo(float).tiny:
-        raise ValueError(f"panel width x_max / n_panels = {h!r} is not a positive normal float")
-    xi, wi = gauss_legendre(p)
-    starts = h * np.arange(n_panels)
-    nodes = (starts[:, None] + 0.5 * h * (xi[None, :] + 1.0)).ravel()
-    weights = np.tile(0.5 * h * wi, n_panels)
-    return HalfLineGrid(x_max, nodes, weights, n_panels, p)
+    return HalfLineGrid(x_max, n_panels, points_per_panel)
 
 
 def integrate(grid: HalfLineGrid, samples) -> float:
@@ -164,4 +154,4 @@ def integrate(grid: HalfLineGrid, samples) -> float:
 
 def refine(grid: HalfLineGrid) -> HalfLineGrid:
     """Return the same grid with the panel count doubled."""
-    return build_grid(grid.x_max, 2 * grid.n_panels, GAUSS, grid.points_per_panel)
+    return HalfLineGrid(grid.x_max, 2 * grid.n_panels, grid.points_per_panel)

@@ -1,12 +1,15 @@
+import dataclasses
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hammerstein as hs
-from hammerstein.quadrature import GAUSS, build_grid, gauss_legendre, integrate, refine
+from hammerstein.quadrature import (GAUSS, HalfLineGrid, build_grid, gauss_legendre, integrate,
+                                    refine)
 
 
 @pytest.mark.parametrize("rule,n_panels,p", [
@@ -59,6 +62,36 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
     samples = np.cos(a.nodes)
     assert integrate(a, samples) == integrate(b, samples)
+
+
+def test_grids_compare_and_hash_by_value():
+    a, b = build_grid(40.0, 10), build_grid(40.0, 10)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "first", b: "second"} == {a: "second"}
+    # the fields are normalised, so the same panels given as int or np.int64 agree
+    assert HalfLineGrid(40, np.int64(10), np.int64(4)) == a
+    assert type(a.x_max) is float and type(a.n_panels) is int
+    assert a != build_grid(40.0, 20) and a != build_grid(40.0, 10, GAUSS, 2)
+    assert refine(a) == build_grid(40.0, 20)
+
+
+def test_grid_is_immutable():
+    g = build_grid(3.0, 2, GAUSS, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.n_panels = 4
+    with pytest.raises(ValueError, match="read-only"):
+        g.nodes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.weights[0] = 0.0
+
+
+@pytest.mark.parametrize("args", [(-1.0, 3, 2), (40.0, 3, 0), (5e-324, 1, 1)])
+def test_grid_refuses_what_build_grid_refuses(args):
+    x_max, n_panels, p = args
+    with pytest.raises(ValueError) as refused:
+        build_grid(x_max, n_panels, GAUSS, p)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        HalfLineGrid(*args)
 
 
 def test_refine_doubles_panels():

@@ -8,6 +8,8 @@ at the nodes, a structured product on the continued grid, has the
 row-by-row ``tail_row_mass`` as its oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,13 +128,20 @@ def test_table_chunking_changes_no_bit(family, monkeypatch):
 
 
 def test_structured_kernel_needs_equal_panels():
+    # structured_kernel reads node P p + k as h P + nodes[k]; a grid is its
+    # panels, so it takes no node or weight arrays that could break this
     grid = GRIDS["gauss-4"]
-    nodes = grid.nodes.copy()
-    nodes[5] += 1e-3
-    uneven = hs.HalfLineGrid(grid.x_max, nodes, grid.weights.copy(), grid.n_panels,
-                             grid.points_per_panel)
-    with pytest.raises(ValueError):
-        structured_kernel(make_kernel("C"), uneven)
+    assert [f.name for f in dataclasses.fields(hs.HalfLineGrid)] == [
+        "x_max", "n_panels", "points_per_panel"]
+    with pytest.raises(TypeError):
+        hs.HalfLineGrid(grid.x_max, grid.nodes.copy(), grid.weights.copy(), grid.n_panels,
+                        grid.points_per_panel)
+    for x_max in (1.0, 10.0 / 3.0, 40.0, 1e6):
+        for n_panels in (1, 7, 22, 400):
+            for p in (1, 2, 4, 7):
+                g = hs.HalfLineGrid(x_max, n_panels, p)
+                panel_starts = g.h * np.arange(n_panels)[:, None]
+                assert np.array_equal((panel_starts + g.nodes[:p]).ravel(), g.nodes)
 
 
 def test_storage_is_linear_in_the_grid():
