@@ -5,8 +5,8 @@ violations raise :class:`~hammerstein.errors.ConfigError` carrying the dotted
 path of the offending key (e.g. ``nonlinearity.alpha``).  The normalised
 tree (defaults filled in) is echoed into reports so a run can be reproduced
 from its own report: it is exactly the set of values the parser read.
-Every run computes the same certificates, so the keys of ``_CERT_FIXED`` are
-read and echoed at their one value, type included.
+The keys of ``_FIXED`` select nothing, so each is read and echoed at its
+one value, type included.
 """
 
 from __future__ import annotations
@@ -21,16 +21,18 @@ import yaml
 from .analysis import PROBE_SCALE, PROBE_TRIALS
 from .errors import ConfigError
 from .kernels import FAMILIES as KERNEL_FAMILIES, BaseKernel, KernelSpec, ModulationSet
-from .nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES, POINTWISE_FAMILIES,
-                       NemytskySpec)
+from .nemytsky import DAMPING_PROFILES, NemytskySpec
 from .nonlinearity import FAMILIES as G_FAMILIES, NonlinearitySpec
 from .quadrature import GAUSS, HalfLineGrid, build_grid
 
 # libyaml's C parser where PyYAML was built with it, the pure-python one otherwise
 SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-# the certificates keys that select nothing, each with the one value it takes
-_CERT_FIXED = {"excess_integral": True, "tail_integral": True, "jensen": True,
-               "asymptote": True, "probe_trials": PROBE_TRIALS, "probe_scale": PROBE_SCALE}
+# the keys that select nothing, by section, each with the one value it takes
+_FIXED = {"grid": {"rule": GAUSS},
+          "nemytsky": {"pointwise": "saturating", "integrand": "reflected"},
+          "certificates": {"excess_integral": True, "tail_integral": True, "jensen": True,
+                           "asymptote": True, "probe_trials": PROBE_TRIALS,
+                           "probe_scale": PROBE_SCALE}}
 
 
 def _is_number(val) -> bool:
@@ -61,6 +63,7 @@ class _Section:
 
     Each read validates one key, fills its default and records the value it
     returns in ``echo``; :meth:`close` rejects every key that was never read.
+    :meth:`section` reads the new section's keys of ``_FIXED`` as it opens it.
     """
 
     def __init__(self, raw: dict, path: str, echo: dict):
@@ -78,7 +81,11 @@ class _Section:
         if not isinstance(raw, dict):
             raise ConfigError(self._where(key), "must be a mapping")
         self.echo[key] = {}
-        return _Section(raw, self._where(key), self.echo[key])
+        section = _Section(raw, self._where(key), self.echo[key])
+        for name, value in _FIXED.get(section.path, {}).items():  # type included: 1 is not true
+            section.read(name, value, (lambda v: type(v) is type(value) and v == value,
+                                       f"takes only the value {value!r}, fixed in every run"))
+        return section
 
     def read(self, key: str, default, *checks, cast=None):
         """The value of ``key``, ``default`` when absent.  Each check is a
@@ -149,11 +156,10 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
     g = root.section("grid", required=True)
     x_max = g.number("x_max", 40.0, _POSITIVE)
     n_panels = g.integer("n_panels", 400, least=1)
-    rule = g.choice("rule", (GAUSS,), GAUSS)
     points = g.integer("points_per_panel", 4, least=1)
     g.close()
     try:
-        grid = build_grid(x_max, n_panels, rule, points)
+        grid = build_grid(x_max, n_panels, GAUSS, points)
     except (ValueError, MemoryError) as exc:    # refused, or too large to allocate
         raise ConfigError("grid", str(exc) or "out of memory") from exc
 
@@ -210,8 +216,6 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
         half_eta = 0.5 * nonlinearity.eta
         nemytsky = NemytskySpec(
             base_G=nonlinearity,
-            pointwise_family=m.choice("pointwise", POINTWISE_FAMILIES, "saturating"),
-            integrand_family=m.choice("integrand", INTEGRAND_FAMILIES, "reflected"),
             xi=m.number("xi", 0.25, (lambda v: 0.0 < v < half_eta,
                                      f"must lie in (0, eta/2) = (0, {half_eta})")),
             eps_star_fraction=m.number("eps_star_fraction", 0.0,
@@ -222,9 +226,6 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
     c = root.section("certificates")
     if seed is not None:
         c.raw = {**c.raw, "seed": seed}
-    for key, value in _CERT_FIXED.items():      # type included: 1 is not true
-        c.read(key, value, (lambda v: type(v) is type(value) and v == value,
-                            f"takes only the value {value!r}, fixed in every run"))
     probe = c.read("uniqueness_probe", True, (lambda v: isinstance(v, bool), "must be a boolean"))
     certificates = CertificateSettings(probe, seed=c.integer("seed", 12345, least=0))
     c.close()

@@ -551,7 +551,6 @@ class OperatorMatrix:
     tail_mass: np.ndarray
     quad_mass: np.ndarray
     grid: HalfLineGrid
-    kernel: KernelSpec
 
     def __post_init__(self) -> None:
         for array in (self.diagonal, self.row_scale, self.tail_mass, self.quad_mass):
@@ -653,7 +652,7 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
     quad_mass = row_scale * quad
     tail = np.clip(tail, np.maximum(-quad_mass, 0.0), np.maximum(cap - quad_mass, 0.0))
     operator = OperatorMatrix(entries=kernel, diagonal=diagonal, row_scale=row_scale,
-                              tail_mass=tail, quad_mass=quad_mass, grid=grid, kernel=spec)
+                              tail_mass=tail, quad_mass=quad_mass, grid=grid)
     return Discretisation(report=report, gamma=operator.gamma,
                           operator=operator if report.passed else None)
 

@@ -9,12 +9,12 @@ integral equation for the same kernel and base nonlinearity; the limit is
 sandwiched as xi * gamma(x) <= Phi(x) <= eta - f_star(x) and decays to zero
 at infinity.
 
-Catalog forms:
+The two terms, each one parametric formula:
 
-* pointwise term (G0): ``saturating``  2 xi gamma u / (u + xi gamma);
-  ``saturating-quadratic`` adds eps_star(x) * u**2 (eps_star below).
-* integrand term (G1): ``reflected``  eta - G(eta - u);
-  ``scaled-reflected`` multiplies by a damping profile d in {1, 1/2, e^(-x)}.
+* pointwise term: G0(x, u) = 2 xi gamma u / (u + xi gamma) + eps_star(x) u**2,
+  eps_star = ``eps_star_fraction`` of its bound (below); 0 drops the square;
+* integrand term: G1(x, u) = d(x) (eta - G(eta - u)), d the
+  ``damping_profile`` in {1, 1/2, e^(-x)}; ``one`` leaves eta - G(eta - u).
 
 The existence theorem's conditions 1)-4) hold for every spec that
 ``NemytskySpec`` accepts once 0 <= gamma <= 1 at every node, and the mass
@@ -50,8 +50,6 @@ from .kernels import OperatorMatrix
 from .nonlinearity import NonlinearitySpec, eval_G
 from .picard import iterate
 
-POINTWISE_FAMILIES = ("saturating", "saturating-quadratic")
-INTEGRAND_FAMILIES = ("reflected", "scaled-reflected")
 DAMPING_PROFILES = ("one", "half", "exp-decay")
 
 
@@ -61,16 +59,10 @@ class NemytskySpec:
 
     base_G: NonlinearitySpec
     xi: float
-    pointwise_family: str = "saturating"
-    integrand_family: str = "reflected"
     eps_star_fraction: float = 0.0
     damping_profile: str = "one"
 
     def __post_init__(self) -> None:
-        if self.pointwise_family not in POINTWISE_FAMILIES:
-            raise ValueError(f"pointwise_family must be one of {POINTWISE_FAMILIES}")
-        if self.integrand_family not in INTEGRAND_FAMILIES:
-            raise ValueError(f"integrand_family must be one of {INTEGRAND_FAMILIES}")
         if self.damping_profile not in DAMPING_PROFILES:
             raise ValueError(f"damping_profile must be one of {DAMPING_PROFILES}")
         eta = self.base_G.eta
@@ -108,33 +100,28 @@ def _check_u(u, eta):
     return np.clip(u, 0.0, eta)
 
 
-def _G0(spec: NemytskySpec, gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
-    s = spec.xi * gamma
+def _G0(s: np.ndarray, eps_star: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """G0 from its factors in gamma alone: s = xi gamma and eps_star(gamma)."""
     num, den = np.broadcast_arrays(2.0 * s * u, u + s)
     core = np.zeros(den.shape)
     np.divide(num, den, out=core, where=den > 0.0)
-    if spec.pointwise_family == "saturating-quadratic":
-        core = core + eps_star_values(spec, gamma) * u * u
-    return core
+    return core + eps_star * u * u
 
 
-def _G1(spec: NemytskySpec, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    eta = spec.base_G.eta
-    val = eta - eval_G(spec.base_G, np.clip(eta - u, 0.0, eta))
-    if spec.integrand_family == "scaled-reflected":
-        return damping_values(spec, x) * val
-    return np.ones_like(x) * val  # broadcast against x; the plain form ignores it
+def _G1(G: NonlinearitySpec, damping: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return damping * (G.eta - eval_G(G, np.clip(G.eta - u, 0.0, G.eta)))
 
 
 def eval_G0(spec: NemytskySpec, gamma, u):
     """Pointwise term G0 at mass defect gamma; zero at u = 0 by construction."""
-    core = _G0(spec, np.asarray(gamma, dtype=float), _check_u(u, spec.base_G.eta))
+    gamma = np.asarray(gamma, dtype=float)
+    core = _G0(spec.xi * gamma, eps_star_values(spec, gamma), _check_u(u, spec.base_G.eta))
     return core if core.ndim else core[()]
 
 
 def eval_G1(spec: NemytskySpec, x, u):
     """Integrand term G1(x, u); bounded by the reflected envelope eta - G(eta - u)."""
-    return _G1(spec, np.asarray(x, dtype=float), _check_u(u, spec.base_G.eta))
+    return _G1(spec.base_G, damping_values(spec, x), _check_u(u, spec.base_G.eta))
 
 
 @dataclass(frozen=True)
@@ -195,14 +182,16 @@ def solve_nemytsky(spec: NemytskySpec, fstar, tol: float = 1e-10,
     gamma = operator.gamma
     lower = spec.xi * gamma
     upper = eta - fstar
+    eps_star = eps_star_values(spec, gamma)
+    damping = damping_values(spec, nodes)
 
     def step(cur: np.ndarray) -> np.ndarray:
         # no range check: picard.iterate's guard holds cur in [xi gamma,
         # eta - f_star], inside [0, eta], as each step's output is >= 0 and the
         # upper envelope aborts past 1e-9; the integral term is closed past
         # x_max with the last node's integrand value, as the operator's is
-        g1 = _G1(spec, nodes, cur)
-        return _G0(spec, gamma, cur) + operator @ g1 + g1[-1] * operator.tail_mass
+        g1 = _G1(spec.base_G, damping, cur)
+        return _G0(lower, eps_star, cur) + operator @ g1 + g1[-1] * operator.tail_mass
 
     phi, sup_diffs, increase_ok, envelope_ok, converged = iterate(
         step, lower, direction=1, tol=tol, max_iter=max_iter, upper=upper)

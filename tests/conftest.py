@@ -67,10 +67,10 @@ def sup_gap(structured, dense, n):
     return max(float(np.abs(structured @ v - dense @ v).max()) for v in probe_vectors(n))
 
 
-def dense_operator(A):
-    """Dense oracle of a structured operator: kernel_matrix * w, plus the
-    cusp correction on the diagonal, then the over-cap row rescale."""
-    dense = kernel_matrix(A.kernel, A.grid) * A.grid.weights
+def dense_operator(spec, A):
+    """Dense oracle of the structured operator A of ``spec``: kernel_matrix * w,
+    plus the cusp correction on the diagonal, then the over-cap row rescale."""
+    dense = kernel_matrix(spec, A.grid) * A.grid.weights
     dense[np.diag_indices(A.size)] += A.diagonal
     return A.row_scale[:, None] * dense
 
@@ -118,7 +118,7 @@ def _exact_G(G):
     return G_exact
 
 
-def exact_fixed_point(operator, G):
+def exact_fixed_point(spec, operator, G):
     """The exact fixed point f*_h of the discrete equation a float run solves,
     rounded once to float.
 
@@ -135,7 +135,7 @@ def exact_fixed_point(operator, G):
         assert operator.size <= 32, "the decimal oracle is sized for N <= 32"
         with decimal.localcontext() as ctx:
             ctx.prec = ORACLE_DIGITS
-            rows = [[Decimal(v) for v in row] for row in dense_operator(operator).tolist()]
+            rows = [[Decimal(v) for v in row] for row in dense_operator(spec, operator).tolist()]
             tail = [Decimal(v) for v in operator.tail_mass.tolist()]
             G_exact = _exact_G(G)
             f = [Decimal(G.eta)] * operator.size

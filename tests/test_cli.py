@@ -122,7 +122,22 @@ def test_exp_mixture_on_trapezoid_exits_2(tmp_path, capsys):
     # Gauss panels are the one rule: any other is a config error, one line
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: grid.rule: must be one of ['gauss'], got 'trapezoid'"]
+        "error: grid.rule: takes only the value 'gauss', fixed in every run, got 'trapezoid'"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, fixed, other", [("pointwise", "saturating", "saturating-quadratic"),
+                                               ("integrand", "reflected", "scaled-reflected")])
+def test_combined_term_family_exits_2(tmp_path, capsys, key, fixed, other):
+    # each combined-equation term is one formula: eps_star_fraction and
+    # damping_profile set it, and the key naming another is a config error
+    text = readme_config().replace(f"{key}: {fixed}", f"{key}: {other}")
+    cfg = write_config(tmp_path, text)
+    code = main(["solve-nemytsky", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: nemytsky.{key}: takes only the value {fixed!r}, fixed in every run, "
+        f"got {other!r}"]
     assert not (tmp_path / "o").exists()
 
 

@@ -33,14 +33,15 @@ def _defaults(kfam, gfam):
 
 def _every_key(kfam, gfam):
     """Every optional key set, away from its default where it has room to:
-    the six certificates keys that take one value are set to it."""
+    the keys that take one value (grid.rule, nemytsky.pointwise and
+    nemytsky.integrand, six certificates keys) are set to it."""
     return {
         "kernel": {"family": kfam, "lambda_form": "rational-gap", "d_star": 1.0,
                    "l": 0.3, "base": {"variant": "gaussian"}, **K_VALUES[kfam]},
         "nonlinearity": {"family": gfam, **G_VALUES[gfam]},
         "grid": {"x_max": 30, "n_panels": 50, "rule": "gauss", "points_per_panel": 3},
         "solver": {"tol": 1.0e-9, "max_iter": 100},
-        "nemytsky": {"pointwise": "saturating-quadratic", "integrand": "scaled-reflected",
+        "nemytsky": {"pointwise": "saturating", "integrand": "reflected",
                      "xi": 0.3, "eps_star_fraction": 0.5, "damping_profile": "exp-decay"},
         "certificates": {"excess_integral": True, "tail_integral": True, "jensen": True,
                          "asymptote": True, "uniqueness_probe": False, "probe_trials": 5,
@@ -239,6 +240,11 @@ ERRORS = [
     # grids build_grid refuses: a subnormal panel width, too many nodes
     ({"grid.x_max": 5e-324}, "grid", "grid.x_max=5e-324"),
     ({"grid.n_panels": 2 ** 62}, "grid", "grid.n_panels=2**62"),
+    # each combined-equation term is one formula, whatever the key names
+    ({"nemytsky.pointwise": "saturating-quadratic"}, "nemytsky.pointwise",
+     "nemytsky.pointwise=saturating-quadratic"),
+    ({"nemytsky.integrand": "scaled-reflected"}, "nemytsky.integrand",
+     "nemytsky.integrand=scaled-reflected"),
 ]
 
 

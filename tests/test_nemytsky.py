@@ -6,15 +6,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 import hammerstein as hs
 from hammerstein.errors import NumericalBreakdownError
-from hammerstein.nemytsky import (DAMPING_PROFILES, INTEGRAND_FAMILIES,
-                                  POINTWISE_FAMILIES, NemytskySpec,
+from hammerstein.config import load_config
+from hammerstein.nemytsky import (DAMPING_PROFILES, NemytskySpec,
                                   check_nemytsky_conditions, damping_values,
                                   eps_star_bound, eps_star_values, eval_G0,
                                   eval_G1, solve_nemytsky)
 from hammerstein.nonlinearity import NonlinearitySpec, eval_G
 from hammerstein.quadrature import integrate
 
-from conftest import LoweredProduct, kernel_specs, make_G, make_kernel, nonlinearities
+from conftest import (LoweredProduct, kernel_specs, make_G, make_kernel, nonlinearities,
+                      readme_config)
 
 
 def make_nem(small_ci, **overrides):
@@ -40,13 +41,13 @@ def test_G0_vanishes_at_zero(small_ci):
 
 
 def test_G0_quadratic_with_zero_fraction_matches_saturating(small_ci):
-    plain = make_nem(small_ci)
-    quad = make_nem(small_ci, pointwise_family="saturating-quadratic",
-                    eps_star_fraction=0.0)
-    gamma = small_ci["gamma"]
-    u = np.linspace(0.0, 1.0, 17)
-    assert np.array_equal(eval_G0(plain, gamma[:, None], u[None, :]),
-                          eval_G0(quad, gamma[:, None], u[None, :]))
+    # phi = 0 drops the square: G0 is 2 xi gamma u / (u + xi gamma), bit for bit
+    spec = make_nem(small_ci, eps_star_fraction=0.0)
+    gamma = small_ci["gamma"][:, None]
+    u = np.linspace(0.0, 1.0, 17)[None, :]
+    assert gamma.min() > 0.0                # so u + xi gamma > 0 everywhere
+    s = spec.xi * gamma
+    assert np.array_equal(eval_G0(spec, gamma, u), 2.0 * s * u / (u + s))
 
 
 def test_G0_upper_crossing(small_ci):
@@ -75,13 +76,13 @@ def test_G1_reflected_values(small_ci):
 
 
 def test_G1_scaled_with_unit_profile_matches_reflected(small_ci):
-    plain = make_nem(small_ci)
-    scaled = make_nem(small_ci, integrand_family="scaled-reflected",
-                      damping_profile="one")
-    x = small_ci["grid"].nodes
+    # damping_profile one leaves eta - G(eta - u), bit for bit, at every x
+    spec = make_nem(small_ci, damping_profile="one")
+    G, x = spec.base_G, small_ci["grid"].nodes
     u = np.linspace(0.0, 1.0, 9)
-    assert np.array_equal(eval_G1(plain, x[:, None], u[None, :]),
-                          eval_G1(scaled, x[:, None], u[None, :]))
+    reflected = G.eta - eval_G(G, G.eta - u)
+    assert np.array_equal(eval_G1(spec, x[:, None], u[None, :]),
+                          np.broadcast_to(reflected, (x.size, u.size)))
 
 
 def test_damping_profiles(small_ci):
@@ -98,7 +99,7 @@ def test_spec_validation(small_ci):
     with pytest.raises(ValueError):
         make_nem(small_ci, xi=0.0)
     with pytest.raises(ValueError):
-        make_nem(small_ci, pointwise_family="linear")
+        make_nem(small_ci, damping_profile="two")
 
 
 # --- condition checks -------------------------------------------------------
@@ -112,7 +113,7 @@ def test_catalog_conditions_pass(small_ci):
 
 def test_quadratic_fraction_within_bound_passes(small_ci):
     # the spec is accepted, and gamma's range is all the check reads
-    make_nem(small_ci, pointwise_family="saturating-quadratic", eps_star_fraction=0.5)
+    make_nem(small_ci, eps_star_fraction=0.5)
     assert check_nemytsky_conditions(small_ci["gamma"]).passed
 
 
@@ -142,19 +143,16 @@ PROOF_TOL = 1e-12
 
 @given(family=st.sampled_from(["I", "II", "III"]), a=box_exponent, b=box_exponent,
        xi=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
-       pointwise=st.sampled_from(POINTWISE_FAMILIES),
-       integrand=st.sampled_from(INTEGRAND_FAMILIES),
        damping=st.sampled_from(DAMPING_PROFILES),
        fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
        gamma=st.lists(gamma_entry, min_size=1, max_size=40), x_max=st.floats(0.0, 80.0))
 @settings(max_examples=200, deadline=None)
-def test_conditions_hold_for_every_accepted_spec(family, a, b, xi, pointwise, integrand,
-                                                 damping, fraction, gamma, x_max):
+def test_conditions_hold_for_every_accepted_spec(family, a, b, xi, damping, fraction,
+                                                 gamma, x_max):
     # the module docstring's proof, on an x-by-u lattice: every spec
     # NemytskySpec accepts meets conditions 1)-4) once 0 <= gamma <= 1
     G = _base_G(family, a, b)
-    spec = NemytskySpec(base_G=G, xi=xi, pointwise_family=pointwise,
-                        integrand_family=integrand, eps_star_fraction=fraction,
+    spec = NemytskySpec(base_G=G, xi=xi, eps_star_fraction=fraction,
                         damping_profile=damping)
     gamma = np.array(gamma)
     x = np.linspace(0.0, x_max, gamma.size)
@@ -180,12 +178,11 @@ def test_quadratic_fraction_over_one_rejected(small_ci):
     # eps_star is this fraction of its bound, so the spec keeps it within the
     # bound; the upper crossing G0(eta) <= eta gamma is that same bound
     with pytest.raises(ValueError, match="eps_star_fraction"):
-        make_nem(small_ci, pointwise_family="saturating-quadratic", eps_star_fraction=1.1)
+        make_nem(small_ci, eps_star_fraction=1.1)
 
 
 def test_eps_star_values_fraction_of_bound(small_ci):
-    spec = make_nem(small_ci, pointwise_family="saturating-quadratic",
-                    eps_star_fraction=0.25)
+    spec = make_nem(small_ci, eps_star_fraction=0.25)
     gamma = small_ci["gamma"]
     assert np.array_equal(eps_star_values(spec, gamma),
                           0.25 * eps_star_bound(spec, gamma))
@@ -231,9 +228,7 @@ def test_first_step_moves_up(small_ci):
 
 
 def test_scaled_variant_converges(small_ci):
-    spec = NemytskySpec(base_G=small_ci["G"], xi=0.2,
-                        integrand_family="scaled-reflected",
-                        damping_profile="exp-decay")
+    spec = NemytskySpec(base_G=small_ci["G"], xi=0.2, damping_profile="exp-decay")
     report = solve_nemytsky(spec, small_ci["solve"].profile,
                             tol=1e-10, max_iter=5000, operator=small_ci["A"])
     assert report.converged and report.sandwich_ok and report.profile[-1] <= 1e-6
@@ -305,14 +300,11 @@ def test_iterate_over_the_envelope_aborts(readme_run):
        lambda_form=st.sampled_from(["exp-gap", "rational-gap"]),
        n_panels=st.integers(min_value=40, max_value=100),
        xi=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
-       pointwise=st.sampled_from(POINTWISE_FAMILIES),
-       integrand=st.sampled_from(INTEGRAND_FAMILIES),
        damping=st.sampled_from(DAMPING_PROFILES),
        fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_combined_solve_holds_every_verdict(kernel, nonlinearity, d_star, lambda_form,
-                                            n_panels, xi, pointwise, integrand, damping,
-                                            fraction):
+                                            n_panels, xi, damping, fraction):
     # every spec NemytskySpec accepts, on an operator whose checks pass (its
     # gamma lies in [0, 1] by the mass cap), N <= 400 nodes: no abort, every
     # verdict true
@@ -323,9 +315,26 @@ def test_combined_solve_holds_every_verdict(kernel, nonlinearity, d_star, lambda
     solve = hs.solve_picard(disc.operator, G, tol=1e-10, max_iter=2000)
     assert solve.converged
     fstar = solve.profile
-    spec = NemytskySpec(base_G=G, xi=xi * G.eta, pointwise_family=pointwise,
-                        integrand_family=integrand, eps_star_fraction=fraction,
+    spec = NemytskySpec(base_G=G, xi=xi * G.eta, eps_star_fraction=fraction,
                         damping_profile=damping)
     report = solve_nemytsky(spec, fstar, tol=1e-10, operator=disc.operator)
     assert report.converged and report.increase_ok
     assert report.envelope_ok and report.sandwich_ok
+
+
+@pytest.mark.parametrize("key, value", [("eps_star_fraction: 0.0", "eps_star_fraction: 0.5"),
+                                        ("damping_profile: one", "damping_profile: half")])
+def test_readme_parameters_change_the_solution(readme_run, tmp_path, key, value):
+    # both terms are one formula each, so the README config's phi and damping
+    # profile always reach the combined solve, next to its fixed
+    # pointwise: saturating and integrand: reflected
+    config, A, solve = readme_run
+    text = readme_config()
+    assert text.count(key) == 1
+    path = tmp_path / "changed.yaml"
+    path.write_text(text.replace(key, value))
+    changed = load_config(path).nemytsky
+    base = solve_nemytsky(config.nemytsky, solve.profile, tol=config.tol, operator=A)
+    other = solve_nemytsky(changed, solve.profile, tol=config.tol, operator=A)
+    assert base.converged and other.converged and other.sandwich_ok
+    assert np.abs(other.profile - base.profile).max() > 1e-6

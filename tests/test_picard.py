@@ -34,7 +34,7 @@ def test_degenerate_single_node_grid():
     grid = hs.build_grid(1.0, 1, hs.GAUSS, 1)
     spec = make_kernel("C")
     A = assemble_operator(spec, grid)
-    dense = dense_operator(A)
+    dense = dense_operator(spec, A)
     assert dense.shape == (1, 1)
     expected = grid.weights[0] * float(hs.eval_kernel(spec, grid.nodes[0], grid.nodes[0]))
     assert dense[0, 0] == expected
@@ -43,13 +43,13 @@ def test_degenerate_single_node_grid():
 def test_weighted_symmetry(small_ci):
     A = small_ci["A"]
     w = A.grid.weights
-    weighted = dense_operator(A) * w[:, None]
+    weighted = dense_operator(small_ci["spec"], A) * w[:, None]
     assert np.abs(weighted - weighted.T).max() <= 1e-12
 
 
 def test_entries_positive_row_mass_bounded(small_ci):
     A = small_ci["A"]
-    assert dense_operator(A).min() > 0.0
+    assert dense_operator(small_ci["spec"], A).min() > 0.0
     assert A.row_mass.min() > 0.0
     assert A.row_mass.max() <= 1.0 + 1e-9
 
@@ -92,7 +92,7 @@ def mixture_disc():
 def test_cusp_correction_sits_on_the_diagonal(mixture_disc):
     spec, grid, disc = mixture_disc
     A, n, w = disc.operator, grid.size, grid.weights
-    dense = dense_operator(A)
+    dense = dense_operator(spec, A)
     # the rows close on the checked mass 1 - gamma
     closed = dense @ np.ones(n) + A.tail_mass
     assert np.abs(closed - (1.0 - disc.gamma)).max() <= n * np.finfo(float).eps
@@ -133,7 +133,7 @@ def test_blas_application_matches_broadcast_sum(small_ci):
     # pairwise row sums of the dense oracle, kept as the reference; both sides
     # sum N terms of one row, so they agree to N * eps * row mass
     A, G = small_ci["A"], small_ci["G"]
-    dense = dense_operator(A)
+    dense = dense_operator(small_ci["spec"], A)
     bound = A.size * np.finfo(float).eps * A.row_mass.max() * G.eta
     rng = np.random.default_rng(5)
     for f in [np.full(A.size, G.eta), small_ci["solve"].profile,
@@ -344,10 +344,11 @@ def oracle_run(request):
     """Family C on 8 panels of 4 Gauss points (N = 32): the ceiling solve,
     its rebuilt iterates and the exact discrete fixed point."""
     G = hs.NonlinearitySpec(**ORACLE_CASES[request.param])
-    A = discretise(make_kernel("C"), hs.build_grid(10.0, 8, hs.GAUSS, 4)).operator
+    spec = make_kernel("C")
+    A = discretise(spec, hs.build_grid(10.0, 8, hs.GAUSS, 4)).operator
     solve = solve_picard(A, G, tol=1e-10, max_iter=2000)
     assert solve.converged
-    return (ceiling_iterates(A, G, solve.iterations), exact_fixed_point(A, G),
+    return (ceiling_iterates(A, G, solve.iterations), exact_fixed_point(spec, A, G),
             solve.sigma0, G.rate_exponent)
 
 

@@ -46,18 +46,20 @@ def test_structured_kernel_matches_dense_oracle(family, lambda_form, grid_name):
 @pytest.mark.parametrize("family", ["A", "B", "C"])
 def test_operator_matches_dense_oracle(family, grid_name):
     grid = GRIDS[grid_name]
-    A = discretise(make_kernel(family), grid).operator
+    spec = make_kernel(family)
+    A = discretise(spec, grid).operator
     assert A is not None
     if family == "A":
         # rows whose mass defect sits below double resolution are rescaled
         assert A.row_scale.min() < 1.0
-    assert sup_gap(A, dense_operator(A), grid.size) <= SUP_TOL
+    assert sup_gap(A, dense_operator(spec, A), grid.size) <= SUP_TOL
 
 
 def test_single_node_operator_matches_dense_oracle():
     grid = GRIDS["one-node"]
-    A = hs.assemble_operator(make_kernel("C"), grid)
-    assert sup_gap(A, dense_operator(A), 1) <= SUP_TOL
+    spec = make_kernel("C")
+    A = hs.assemble_operator(spec, grid)
+    assert sup_gap(A, dense_operator(spec, A), 1) <= SUP_TOL
 
 
 def test_cusp_operator_matches_dense_oracle():
@@ -65,7 +67,7 @@ def test_cusp_operator_matches_dense_oracle():
     spec = make_kernel("C", base=hs.BaseKernel(variant="exp-mixture", atoms=MIXTURE_ATOMS))
     A = discretise(spec, grid).operator
     assert np.abs(A.diagonal).max() > 1e-6          # the cusp correction is there
-    assert sup_gap(A, dense_operator(A), grid.size) <= SUP_TOL
+    assert sup_gap(A, dense_operator(spec, A), grid.size) <= SUP_TOL
 
 
 @given(family=st.sampled_from(["A", "B", "C"]),
