@@ -22,8 +22,8 @@ from .analysis import (AsymptoteCertificate, ExcessIntegralCertificate,
                        asymptote_certificate, excess_integral_certificate,
                        jensen_certificate, tail_integral_certificate,
                        uniqueness_probe)
-from .errors import (ConfigError, HammersteinError, NumericalBreakdownError,
-                     SpecRejectedError)
+from .errors import (ConfigError, FieldError, HammersteinError,
+                     NumericalBreakdownError, SpecRejectedError)
 from .kernels import (BaseKernel, ConditionReport, Discretisation, KernelSpec,
                       ModulationSet, OperatorMatrix, check_kernel_conditions,
                       discretise, eval_kernel, gamma_profile, kernel_matrix,

@@ -1,8 +1,9 @@
 """Run configuration: a YAML key-value tree, validated with named paths.
 
-Every parameter is checked against its admissible interval at parse time;
-violations raise :class:`~hammerstein.errors.ConfigError` carrying the dotted
-path of the offending key (e.g. ``nonlinearity.alpha``).  The normalised
+The spec each section builds checks its parameters' admissible ranges; the
+config checks each value's type and turns a refusal into a
+:class:`~hammerstein.errors.ConfigError` carrying the dotted path of the
+offending key (e.g. ``nonlinearity.alpha``).  The normalised
 tree (defaults filled in) is echoed into reports so a run can be reproduced
 from its own report: it is exactly the set of values the parser read.
 The keys of ``_FIXED`` select nothing, so each is read and echoed at its
@@ -19,9 +20,9 @@ from pathlib import Path
 import yaml
 
 from .analysis import PROBE_SCALE, PROBE_TRIALS
-from .errors import ConfigError
-from .kernels import FAMILIES as KERNEL_FAMILIES, BaseKernel, KernelSpec, ModulationSet
-from .nemytsky import DAMPING_PROFILES, NemytskySpec
+from .errors import ConfigError, FieldError
+from .kernels import FAMILIES as KERNEL_FAMILIES, VARIANTS, BaseKernel, KernelSpec, ModulationSet
+from .nemytsky import NemytskySpec
 from .nonlinearity import FAMILIES as G_FAMILIES, NonlinearitySpec
 from .quadrature import GAUSS, HalfLineGrid, build_grid
 
@@ -36,8 +37,11 @@ _FIXED = {"grid": {"rule": GAUSS},
 
 
 def _is_number(val) -> bool:
-    return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and math.isfinite(val))
+    try:
+        return (isinstance(val, (int, float)) and not isinstance(val, bool)
+                and math.isfinite(val))
+    except OverflowError:       # an int beyond float range, which no float holds
+        return False
 
 
 def _is_atom(val) -> bool:
@@ -54,16 +58,13 @@ def _float_spelling(val) -> str | None:
     return re.sub(r"^(-?\d+)(?=e|$)", r"\1.0", repr(value)) if math.isfinite(value) else None
 
 
-_POSITIVE = (lambda v: v > 0.0, "must be positive")
-_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in the open interval (0.0, 1.0)")
-
-
 class _Section:
     """One mapping of the tree, read key by key.
 
     Each read validates one key, fills its default and records the value it
     returns in ``echo``; :meth:`close` rejects every key that was never read.
-    :meth:`section` reads the new section's keys of ``_FIXED`` as it opens it.
+    :meth:`section` reads the new section's keys of ``_FIXED`` as it opens it,
+    and :meth:`build` builds a spec from the values read.
     """
 
     def __init__(self, raw: dict, path: str, echo: dict):
@@ -109,11 +110,10 @@ class _Section:
         return self.read(key, default, (_is_number, "must be a finite number"), *checks,
                          cast=float)
 
-    def integer(self, key: str, default: int, least: int) -> int:
+    def integer(self, key: str, default: int, *checks) -> int:
         return self.read(key, default,
                          (lambda v: isinstance(v, int) and not isinstance(v, bool),
-                          "must be an integer"),
-                         (lambda v: v >= least, f"must be at least {least}"))
+                          "must be an integer"), *checks)
 
     def choice(self, key: str, allowed, default=None) -> str:
         return self.read(key, default,
@@ -124,6 +124,17 @@ class _Section:
         for key in self.raw:
             if key not in self.echo:
                 raise ConfigError(self._where(key), reasons.get(key, "unknown key"))
+
+    def build(self, make, *args, **fields):
+        """The spec ``make(*args, **fields)``.  A field it refuses is a ConfigError at
+        that key; a rule on the fields together, or a MemoryError, one at this section."""
+        try:
+            return make(*args, **fields)
+        except FieldError as exc:
+            raise ConfigError(self._where(exc.field) if exc.field else self.path,
+                              exc.rule) from exc
+        except MemoryError as exc:
+            raise ConfigError(self.path, str(exc) or "out of memory") from exc
 
 
 @dataclass
@@ -154,19 +165,16 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
     root = _Section(tree, "", {})
 
     g = root.section("grid", required=True)
-    x_max = g.number("x_max", 40.0, _POSITIVE)
-    n_panels = g.integer("n_panels", 400, least=1)
-    points = g.integer("points_per_panel", 4, least=1)
+    x_max = g.number("x_max", 40.0)
+    n_panels = g.integer("n_panels", 400)
+    points = g.integer("points_per_panel", 4)
     g.close()
-    try:
-        grid = build_grid(x_max, n_panels, GAUSS, points)
-    except (ValueError, MemoryError) as exc:    # refused, or too large to allocate
-        raise ConfigError("grid", str(exc) or "out of memory") from exc
+    grid = g.build(build_grid, x_max, n_panels, GAUSS, points)
 
     k = root.section("kernel", required=True)
     family = k.choice("family", KERNEL_FAMILIES)
     b = k.section("base")
-    variant = b.choice("variant", ("gaussian", "exp-mixture"), "gaussian")
+    variant = b.choice("variant", VARIANTS, "gaussian")
     atoms = None
     if variant == "exp-mixture":
         atoms = b.read("atoms", None,
@@ -174,60 +182,50 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
                         "must be a non-empty list of [c, s] pairs of finite numbers"),
                        cast=lambda v: [[float(c), float(s)] for c, s in v])
     b.close(atoms="only the exp-mixture variant takes atoms")
-    try:
-        base = BaseKernel(variant=variant, atoms=atoms)
-    except ValueError as exc:
-        raise ConfigError("kernel.base", str(exc)) from exc
-    modulation = ModulationSet(
-        lambda_form=k.choice("lambda_form", ("exp-gap", "rational-gap"), "exp-gap"),
-        d_star=k.number("d_star", 0.5, (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")),
-        l=k.number("l", 0.5, _OPEN_UNIT))
-    delta = k.number("delta", 0.5, _OPEN_UNIT) if family == "B" else None
-    epsilon = k.number("epsilon", 0.5, _OPEN_UNIT) if family == "C" else None
+    base = b.build(BaseKernel, variant=variant, atoms=atoms)
+    modulation = k.build(ModulationSet, lambda_form=k.read("lambda_form", "exp-gap"),
+                         d_star=k.number("d_star", 0.5), l=k.number("l", 0.5))
+    delta = k.number("delta", 0.5) if family == "B" else None
+    epsilon = k.number("epsilon", 0.5) if family == "C" else None
     k.close(delta="only family B takes delta", epsilon="only family C takes epsilon")
-    kernel = KernelSpec(family=family, base=base, modulation=modulation,
-                        delta=delta, epsilon=epsilon)
+    kernel = k.build(KernelSpec, family=family, base=base, modulation=modulation,
+                     delta=delta, epsilon=epsilon)
 
     n = root.section("nonlinearity", required=True)
     gfam = n.choice("family", G_FAMILIES)
     alpha = alpha_star = alpha_tilde = None
     if gfam == "I":
-        alpha = n.number("alpha", 0.5, _OPEN_UNIT)
+        alpha = n.number("alpha", 0.5)
     else:
-        alpha_star = n.number("alpha_star", 0.5 if gfam == "II" else 0.75, _OPEN_UNIT)
+        alpha_star = n.number("alpha_star", 0.5 if gfam == "II" else 0.75)
     if gfam == "III":
-        alpha_tilde = n.number("alpha_tilde", 0.25, (
-            lambda v: 0.0 < v < alpha_star,
-            f"must lie in (0, alpha_star) = (0, {alpha_star})"))
+        alpha_tilde = n.number("alpha_tilde", 0.25)
     n.close(alpha="only family I takes alpha",
             alpha_star="only families II and III take alpha_star",
             alpha_tilde="only family III takes alpha_tilde")
-    nonlinearity = NonlinearitySpec(family=gfam, alpha=alpha, alpha_star=alpha_star,
-                                    alpha_tilde=alpha_tilde)
+    nonlinearity = n.build(NonlinearitySpec, family=gfam, alpha=alpha, alpha_star=alpha_star,
+                           alpha_tilde=alpha_tilde)
 
     s = root.section("solver")
-    tol = s.number("tol", 1e-10, _POSITIVE)
-    max_iter = s.integer("max_iter", 500, least=1)
+    tol = s.number("tol", 1e-10, (lambda v: v > 0.0, "must be positive"))
+    max_iter = s.integer("max_iter", 500, (lambda v: v >= 1, "must be at least 1"))
     s.close()
 
     nemytsky = None
     if "nemytsky" in tree:
         m = root.section("nemytsky", required=True)
-        half_eta = 0.5 * nonlinearity.eta
-        nemytsky = NemytskySpec(
-            base_G=nonlinearity,
-            xi=m.number("xi", 0.25, (lambda v: 0.0 < v < half_eta,
-                                     f"must lie in (0, eta/2) = (0, {half_eta})")),
-            eps_star_fraction=m.number("eps_star_fraction", 0.0,
-                                       (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
-            damping_profile=m.choice("damping_profile", DAMPING_PROFILES, "one"))
+        xi, fraction = m.number("xi", 0.25), m.number("eps_star_fraction", 0.0)
+        profile = m.read("damping_profile", "one")
         m.close()
+        nemytsky = m.build(NemytskySpec, base_G=nonlinearity, xi=xi,
+                           eps_star_fraction=fraction, damping_profile=profile)
 
     c = root.section("certificates")
     if seed is not None:
         c.raw = {**c.raw, "seed": seed}
     probe = c.read("uniqueness_probe", True, (lambda v: isinstance(v, bool), "must be a boolean"))
-    certificates = CertificateSettings(probe, seed=c.integer("seed", 12345, least=0))
+    certificates = CertificateSettings(
+        probe, seed=c.integer("seed", 12345, (lambda v: v >= 0, "must be at least 0")))
     c.close()
     root.close(checks="the kernel checks take no settings (their tolerance is "
                       "kernels.CHECK_TOL, domination is proven); remove this section")

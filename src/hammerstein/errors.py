@@ -1,5 +1,6 @@
 """Exception types for CLI exit codes 2, 3 and 5, each the class's ``exit_code``;
-exit 4 is a solve report's ``converged`` flag, which nothing raises."""
+exit 4 is a solve report's ``converged`` flag, which nothing raises.
+:class:`FieldError` is the ValueError of a spec that refuses a value."""
 
 
 class HammersteinError(Exception):
@@ -16,6 +17,15 @@ class ConfigError(HammersteinError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+class FieldError(ValueError):
+    """A spec refuses a value: ``field`` names it, or is None when ``rule`` is
+    about the fields together.  The message is ``"<field> <rule>"``."""
+
+    def __init__(self, field: str | None, rule: str):
+        super().__init__(f"{field} {rule}" if field else rule)
+        self.field, self.rule = field, rule
 
 
 class SpecRejectedError(HammersteinError):

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdownError, SpecRejectedError
+from .errors import FieldError, NumericalBreakdownError, SpecRejectedError
 from .quadrature import GAUSS, HalfLineGrid, build_grid, gauss_legendre, integrate
 
 # Smallest positive normal double.  Base-kernel, kernel, and operator values
@@ -86,6 +86,8 @@ FFT_BLOCK_ENTRIES = 1 << 13
 CHECK_TOL = 1e-9
 
 FAMILIES = ("A", "B", "C")
+VARIANTS = ("gaussian", "exp-mixture")
+LAMBDA_FORMS = ("exp-gap", "rational-gap")
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -105,22 +107,21 @@ class BaseKernel:
     def __post_init__(self) -> None:
         if self.variant == "gaussian":
             if self.atoms is not None:
-                raise ValueError("gaussian base kernel takes no atoms")
+                raise FieldError("atoms", "are taken only by the exp-mixture variant")
             return
-        if self.variant != "exp-mixture":
-            raise ValueError(f"unknown base kernel variant {self.variant!r}")
+        if self.variant not in VARIANTS:
+            raise FieldError("variant", f"must be one of {VARIANTS}, got {self.variant!r}")
         if not self.atoms:
-            raise ValueError("exp-mixture base kernel needs at least one (c, s) atom")
+            raise FieldError("atoms", "must hold at least one (c, s) pair for an exp-mixture")
         atoms = tuple((float(c), float(s)) for c, s in self.atoms)
         for c, s in atoms:
             if not (0.0 < c < math.inf and 0.0 < s < math.inf):
-                raise ValueError(
-                    f"mixture atoms need finite c > 0 and s > 0, got ({c}, {s})")
+                raise FieldError(
+                    None, f"mixture atoms need finite c > 0 and s > 0, got ({c}, {s})")
         object.__setattr__(self, "atoms", atoms)
         mass = math.fsum(2.0 * c / s for c, s in atoms)
         if abs(mass - 1.0) > 1e-12:
-            raise ValueError(
-                f"mixture half-line mass must be 1/2: sum 2c/s = {mass!r} != 1")
+            raise FieldError(None, f"mixture half-line mass must be 1/2: sum 2c/s = {mass!r} != 1")
 
     def eval(self, x):
         """Evaluate the base kernel; even in x, floored to stay positive."""
@@ -170,12 +171,13 @@ class ModulationSet:
     l: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.lambda_form not in ("exp-gap", "rational-gap"):
-            raise ValueError(f"unknown lambda form {self.lambda_form!r}")
+        if self.lambda_form not in LAMBDA_FORMS:
+            raise FieldError("lambda_form",
+                             f"must be one of {LAMBDA_FORMS}, got {self.lambda_form!r}")
         if not 0.0 < self.d_star <= 1.0:
-            raise ValueError(f"d_star must lie in (0, 1], got {self.d_star!r}")
+            raise FieldError("d_star", f"must lie in (0, 1], got {self.d_star!r}")
         if not 0.0 < self.l < 1.0:
-            raise ValueError(f"l must lie in (0, 1), got {self.l!r}")
+            raise FieldError("l", f"must lie in (0, 1), got {self.l!r}")
 
     def lam_gap(self, x):
         """1 - lam(x), evaluated in closed form to keep the mu identity exact."""
@@ -207,13 +209,11 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.family == "B":
-            if self.delta is None or not 0.0 < self.delta < 1.0:
-                raise ValueError(f"family B needs delta in (0, 1), got {self.delta!r}")
-        if self.family == "C":
-            if self.epsilon is None or not 0.0 < self.epsilon < 1.0:
-                raise ValueError(f"family C needs epsilon in (0, 1), got {self.epsilon!r}")
+            raise FieldError("family", f"must be one of {FAMILIES}, got {self.family!r}")
+        if self.family == "B" and (self.delta is None or not 0.0 < self.delta < 1.0):
+            raise FieldError("delta", f"must lie in (0, 1), got {self.delta!r}")
+        if self.family == "C" and (self.epsilon is None or not 0.0 < self.epsilon < 1.0):
+            raise FieldError("epsilon", f"must lie in (0, 1), got {self.epsilon!r}")
 
     def kstar_scale(self) -> float:
         """Scale of the dominating difference kernel: (1 + epsilon) K0 for family C, K0 otherwise."""
@@ -349,13 +349,6 @@ class StructuredKernel:
         return (self.left * y.transpose(0, 2, 1).reshape(terms, -1)).sum(axis=0)
 
 
-def _scalings(spec: KernelSpec, grid: HalfLineGrid):
-    """(image weight, left, right) of the family's
-    ``sum_r diag(left[r]) (T + image * H) diag(right[r])`` form."""
-    image, left, right = _factors(spec, grid.nodes)
-    return image, np.stack(left), np.stack(right) * grid.weights
-
-
 def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
     """The grid's weighted Nystrom matrix from K0 at its Toeplitz and Hankel arguments.
 
@@ -366,7 +359,8 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
     """
     p, m, h = grid.points_per_panel, grid.n_panels, grid.h
     offsets = grid.nodes[:p]
-    image, left, right = _scalings(spec, grid)
+    image, left, right = _factors(spec, grid.nodes)
+    left, right = np.stack(left), np.stack(right) * grid.weights
 
     # the p x p block pairs (k, l) are tabulated a few at a time, at most
     # FFT_BLOCK_ENTRIES values per table; pocketfft transforms each sequence

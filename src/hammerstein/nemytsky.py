@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError
 from .kernels import OperatorMatrix
 from .nonlinearity import NonlinearitySpec, eval_G
 from .picard import iterate
@@ -63,13 +64,13 @@ class NemytskySpec:
     damping_profile: str = "one"
 
     def __post_init__(self) -> None:
-        if self.damping_profile not in DAMPING_PROFILES:
-            raise ValueError(f"damping_profile must be one of {DAMPING_PROFILES}")
-        eta = self.base_G.eta
+        eta, phi, d = self.base_G.eta, self.eps_star_fraction, self.damping_profile
         if not 0.0 < self.xi < 0.5 * eta:
-            raise ValueError(f"xi must lie in (0, eta/2) = (0, {0.5 * eta}), got {self.xi!r}")
-        if not 0.0 <= self.eps_star_fraction <= 1.0:
-            raise ValueError(f"eps_star_fraction must lie in [0, 1], got {self.eps_star_fraction!r}")
+            raise FieldError("xi", f"must lie in (0, eta/2) = (0, {0.5 * eta}), got {self.xi!r}")
+        if not 0.0 <= phi <= 1.0:
+            raise FieldError("eps_star_fraction", f"must lie in [0, 1], got {phi!r}")
+        if d not in DAMPING_PROFILES:
+            raise FieldError("damping_profile", f"must be one of {DAMPING_PROFILES}, got {d!r}")
 
 
 def eps_star_bound(spec: NemytskySpec, gamma):

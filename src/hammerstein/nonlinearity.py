@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError
+
 FAMILIES = ("I", "II", "III")
 
 
@@ -54,18 +56,14 @@ class NonlinearitySpec:
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.family == "I":
-            _check_open_unit("alpha", self.alpha)
-        elif self.family == "II":
-            _check_open_unit("alpha_star", self.alpha_star)
-        else:
-            _check_open_unit("alpha_tilde", self.alpha_tilde)
-            _check_open_unit("alpha_star", self.alpha_star)
-            if not self.alpha_tilde < self.alpha_star:
-                raise ValueError(
-                    f"family III needs alpha_tilde < alpha_star, "
-                    f"got {self.alpha_tilde!r} >= {self.alpha_star!r}")
+            raise FieldError("family", f"must be one of {FAMILIES}, got {self.family!r}")
+        name = "alpha" if self.family == "I" else "alpha_star"     # the exponent in (0, 1)
+        value, tilde = getattr(self, name), self.alpha_tilde
+        if value is None or not 0.0 < value < 1.0:
+            raise FieldError(name, f"must lie in (0, 1), got {value!r}")
+        if self.family == "III" and (tilde is None or not 0.0 < tilde < value):
+            raise FieldError("alpha_tilde", f"must lie in (0, alpha_star) = (0, {value}), "
+                                            f"got {tilde!r}")
 
     @property
     def eta(self) -> float:
@@ -81,11 +79,6 @@ class NonlinearitySpec:
         if self.family == "II":
             return 0.5 * (1.0 + self.alpha_star)
         return 0.5 * (self.alpha_tilde + self.alpha_star)
-
-
-def _check_open_unit(name: str, value) -> None:
-    if value is None or not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 def eval_G(spec: NonlinearitySpec, u):

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError
+
 GAUSS = "gauss"
 
 MAX_NEWTON_STEPS = 10
@@ -90,9 +92,10 @@ class HalfLineGrid:
     A grid is its panels: the three fields fix it, so grids compare and hash
     by value.  It is immutable; ``h`` and the read-only ``nodes`` (ascending,
     node ``P p + k`` at ``h P + nodes[k]``) and positive ``weights`` derive
-    from the fields.  ValueError on an ``x_max`` that is not positive and
-    finite, on ``n_panels`` or ``points_per_panel`` below 1, on more nodes
-    than a float array holds and on an ``h`` that is not a positive normal float.
+    from the fields.  FieldError on an ``x_max`` that is not positive and
+    finite, on ``n_panels`` or ``points_per_panel`` below 1 and, naming no
+    field, on more nodes than a float array holds or an ``h`` below the least
+    normal float.
     """
 
     x_max: float
@@ -102,17 +105,17 @@ class HalfLineGrid:
     def __post_init__(self) -> None:
         x_max, n_panels, p = self.x_max, self.n_panels, self.points_per_panel
         if not (isinstance(x_max, (int, float)) and math.isfinite(x_max) and x_max > 0):
-            raise ValueError(f"x_max must be a positive finite number, got {x_max!r}")
+            raise FieldError("x_max", f"must be a positive finite number, got {x_max!r}")
         if not (isinstance(n_panels, (int, np.integer)) and n_panels >= 1):
-            raise ValueError(f"n_panels must be a positive integer, got {n_panels!r}")
+            raise FieldError("n_panels", f"must be a positive integer, got {n_panels!r}")
         if not (isinstance(p, (int, np.integer)) and p >= 1):
-            raise ValueError(f"points_per_panel must be a positive integer, got {p!r}")
+            raise FieldError("points_per_panel", f"must be a positive integer, got {p!r}")
         x_max, n_panels, p = float(x_max), int(n_panels), int(p)
         if n_panels * p > np.iinfo(np.intp).max // np.dtype(float).itemsize:
-            raise ValueError(f"{n_panels} panels of {p} points: too many nodes for a float array")
+            raise FieldError(None, f"{n_panels} panels of {p} points: too many for a float array")
         h = x_max / n_panels
         if not h >= np.finfo(float).tiny:
-            raise ValueError(f"panel width x_max / n_panels = {h!r} is not a positive normal float")
+            raise FieldError(None, f"panel width x_max / n_panels = {h!r} is not a normal float")
         xi, wi = gauss_legendre(p)
         starts = h * np.arange(n_panels)
         nodes = (starts[:, None] + 0.5 * h * (xi[None, :] + 1.0)).ravel()
@@ -131,10 +134,10 @@ class HalfLineGrid:
 def build_grid(x_max: float, n_panels: int, rule: str = GAUSS,
                points_per_panel: int = 4) -> HalfLineGrid:
     """The :class:`HalfLineGrid` of these panels.  ``rule`` must be ``"gauss"``,
-    the one rule, which configs name; ValueError on any other, or as the grid
+    the one rule, which configs name; FieldError on any other, or as the grid
     raises it."""
     if rule != GAUSS:
-        raise ValueError(f"rule must be {GAUSS!r}, got {rule!r}")
+        raise FieldError("rule", f"must be {GAUSS!r}, got {rule!r}")
     return HalfLineGrid(x_max, n_panels, points_per_panel)
 
 

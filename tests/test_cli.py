@@ -183,6 +183,16 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys):
     assert "nonlinearity.alpha" in capsys.readouterr().err
 
 
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    # no float holds 10**400, so it is rejected like .inf: one error line, no report
+    cfg = write_config(tmp_path, readme_config().replace("x_max: 40.0", f"x_max: {10 ** 400}"))
+    code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: grid.x_max: must be a finite number, got {10 ** 400}"]
+    assert not (tmp_path / "o" / "report.yaml").exists()
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG + "  bogus: 1\n")
     code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])

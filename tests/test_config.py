@@ -7,11 +7,16 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import hammerstein.config
 from hammerstein.analysis import PROBE_SCALE, PROBE_TRIALS
 from hammerstein.config import CertificateSettings, load_config, parse_config
-from hammerstein.errors import ConfigError
+from hammerstein.errors import ConfigError, FieldError
+from hammerstein.kernels import BaseKernel, KernelSpec, ModulationSet
+from hammerstein.nemytsky import NemytskySpec
+from hammerstein.nonlinearity import NonlinearitySpec
+from hammerstein.quadrature import HalfLineGrid
 
 from conftest import readme_config
 
@@ -245,6 +250,11 @@ ERRORS = [
      "nemytsky.pointwise=saturating-quadratic"),
     ({"nemytsky.integrand": "scaled-reflected"}, "nemytsky.integrand",
      "nemytsky.integrand=scaled-reflected"),
+    # an integer beyond float range is no finite number, like .inf
+    ({"grid.x_max": 10 ** 400}, "grid.x_max", "grid.x_max=10**400"),
+    ({"nemytsky.xi": 10 ** 400}, "nemytsky.xi", "nemytsky.xi=10**400"),
+    ({**MIXTURE, "kernel.base.atoms": [[10 ** 400, 1.0]]}, "kernel.base.atoms",
+     "kernel.base.atoms=[[10**400,1.0]]"),
 ]
 
 
@@ -267,6 +277,60 @@ def test_single_error_names_its_path(overrides, path):
     with pytest.raises(ConfigError) as info:
         parse_config(tree)
     assert info.value.path == path
+
+
+# each spec checks its own ranges; the config maps a refused field to its key
+SPEC_REFUSALS = {
+    "grid-x_max": (lambda: HalfLineGrid(-1.0, 3, 2), "x_max"),
+    "grid-subnormal-h": (lambda: HalfLineGrid(5e-324, 1, 1), None),
+    "base-variant": (lambda: BaseKernel("cauchy"), "variant"),
+    "base-mass": (lambda: BaseKernel("exp-mixture", ((0.25, 1.0),)), None),
+    "modulation-l": (lambda: ModulationSet(l=1.0), "l"),
+    "kernel-delta": (lambda: KernelSpec("B", BaseKernel(), ModulationSet()), "delta"),
+    "G-alpha_tilde": (lambda: NonlinearitySpec("III", alpha_star=0.5, alpha_tilde=0.5),
+                      "alpha_tilde"),
+    "nemytsky-damping": (lambda: NemytskySpec(NonlinearitySpec("I", alpha=0.5), 0.25,
+                                              damping_profile="two"), "damping_profile"),
+}
+
+
+@pytest.mark.parametrize("case", SPEC_REFUSALS)
+def test_spec_refusal_names_its_field(case):
+    make, field = SPEC_REFUSALS[case]
+    with pytest.raises(FieldError) as info:
+        make()
+    # still a ValueError, whose message starts with the field it names
+    assert isinstance(info.value, ValueError) and info.value.field == field
+    assert str(info.value) == (f"{field} {info.value.rule}" if field else info.value.rule)
+
+
+README_TREE = yaml.safe_load(readme_config())
+# every number key of the README tree, integers and floats alike
+NUMBER_KEYS = sorted(f"{section}.{key}" for section, keys in README_TREE.items()
+                     for key, value in keys.items()
+                     if isinstance(value, (int, float)) and not isinstance(value, bool))
+ODD_VALUES = st.one_of(
+    st.sampled_from([10 ** 400, -10 ** 400, math.inf, -math.inf, math.nan, True, False,
+                     0, 0.0, -1, -0.5, "0.5", "1e-10", "big", None, [0.5], {}]),
+    st.integers(-3, 64),             # in and around the integer ranges, on grids kept small
+    st.floats(-2.0, 2.0),            # in and around the unit intervals
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(NUMBER_KEYS), ODD_VALUES,
+                                 min_size=1, max_size=3))
+def test_parse_config_raises_only_config_errors(overrides):
+    # whatever a number key holds, the config is read or refused with a
+    # ConfigError: no spec's ValueError, no OverflowError, no RuntimeWarning
+    tree = copy.deepcopy(README_TREE)
+    for dotted, value in overrides.items():
+        _override(tree, dotted, value)
+    try:
+        parse_config(tree)
+    except ConfigError:
+        pass
 
 
 @pytest.mark.parametrize("text, spelling", [
