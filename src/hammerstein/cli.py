@@ -67,10 +67,6 @@ def _plain(obj, drop=()):
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return _plain(obj.item())
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, dict):
@@ -78,7 +74,7 @@ def _plain(obj, drop=()):
     if hasattr(obj, "__dataclass_fields__"):
         return {name: _plain(getattr(obj, name))
                 for name in obj.__dataclass_fields__ if name not in drop}
-    return repr(obj)
+    raise TypeError(f"a report holds no {type(obj).__name__}: {obj!r}")
 
 
 def _failed_verdicts(tree: dict, path: str):

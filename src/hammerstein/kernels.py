@@ -113,7 +113,10 @@ class BaseKernel:
             raise FieldError("variant", f"must be one of {VARIANTS}, got {self.variant!r}")
         if not self.atoms:
             raise FieldError("atoms", "must hold at least one (c, s) pair for an exp-mixture")
-        atoms = tuple((float(c), float(s)) for c, s in self.atoms)
+        try:
+            atoms = tuple((float(c), float(s)) for c, s in self.atoms)
+        except OverflowError:       # an integer beyond float range
+            raise FieldError("atoms", f"must be finite numbers, got {self.atoms!r}") from None
         for c, s in atoms:
             if not (0.0 < c < math.inf and 0.0 < s < math.inf):
                 raise FieldError(

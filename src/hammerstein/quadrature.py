@@ -13,6 +13,7 @@ from ``(x_max, n_panels, points_per_panel)``, is immutable and compares by value
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ GAUSS = "gauss"
 
 MAX_NEWTON_STEPS = 10
 NEWTON_STEP_TOL = math.sqrt(np.finfo(float).eps) / 1000.0
+# the most points a panel takes; HalfLineGrid.__post_init__ derives it
+MAX_POINTS_PER_PANEL = 1024
 
 
 def gauss_legendre(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +96,10 @@ class HalfLineGrid:
     by value.  It is immutable; ``h`` and the read-only ``nodes`` (ascending,
     node ``P p + k`` at ``h P + nodes[k]``) and positive ``weights`` derive
     from the fields.  FieldError on an ``x_max`` that is not positive and
-    finite, on ``n_panels`` or ``points_per_panel`` below 1 and, naming no
-    field, on more nodes than a float array holds or an ``h`` below the least
-    normal float.
+    finite (an integer beyond float range is not), on ``n_panels`` below 1,
+    on ``points_per_panel`` outside [1, ``MAX_POINTS_PER_PANEL``] and, naming
+    no field, on more nodes than a float array holds or an ``h`` below the
+    least normal float.
     """
 
     x_max: float
@@ -104,12 +108,22 @@ class HalfLineGrid:
 
     def __post_init__(self) -> None:
         x_max, n_panels, p = self.x_max, self.n_panels, self.points_per_panel
-        if not (isinstance(x_max, (int, float)) and math.isfinite(x_max) and x_max > 0):
+        # int-float comparisons are exact, so 10**400 fails the upper bound
+        if not (isinstance(x_max, (int, float)) and 0 < x_max <= sys.float_info.max):
             raise FieldError("x_max", f"must be a positive finite number, got {x_max!r}")
         if not (isinstance(n_panels, (int, np.integer)) and n_panels >= 1):
             raise FieldError("n_panels", f"must be a positive integer, got {n_panels!r}")
-        if not (isinstance(p, (int, np.integer)) and p >= 1):
-            raise FieldError("points_per_panel", f"must be a positive integer, got {p!r}")
+        # The ceiling on p: gauss_legendre(p) takes O(p^2) time, about 60 ms
+        # at p = 1024 and 0.3 s at 4096 (2 cores), and the structured spectra
+        # hold p x 2p x (about N / p) complex values, 32 p N bytes, at least
+        # 32 p^2 on one panel: 32 MiB at 1024.  There the rule alone costs
+        # about the README run's whole in-process solve (44 ms), and one
+        # panel's spectra about the process's own peak RSS.  Past it both grow
+        # fourfold per doubling of p, while more panels buy accuracy at a cost
+        # linear in N.
+        if not (isinstance(p, (int, np.integer)) and 1 <= p <= MAX_POINTS_PER_PANEL):
+            raise FieldError("points_per_panel", f"must be an integer in "
+                                                 f"[1, {MAX_POINTS_PER_PANEL}], got {p!r}")
         x_max, n_panels, p = float(x_max), int(n_panels), int(p)
         if n_panels * p > np.iinfo(np.intp).max // np.dtype(float).itemsize:
             raise FieldError(None, f"{n_panels} panels of {p} points: too many for a float array")

@@ -222,6 +222,7 @@ CONFIG_ERROR_CASES = {
     "unknown-key": ("solve", BASE_CONFIG + "  bogus: 1\n"),
     "malformed-yaml": ("solve", BASE_CONFIG + "grid: [unclosed\n"),
     "missing-file": ("solve", None),
+    "empty-file": ("solve", ""),
     "no-nemytsky-section": ("solve-nemytsky",
                             BASE_CONFIG.replace("nemytsky:\n  xi: 0.25\n", "")),
     # settings that take no value, or under which the uniqueness verdict
@@ -235,6 +236,11 @@ CONFIG_ERROR_CASES = {
         ("excess_integral", "false"), ("tail_integral", "1"), ("jensen", "false"),
         ("asymptote", "0"), ("probe_trials", "2"), ("probe_trials", "5.0"),
         ("probe_scale", "0.2"), ("probe_scale", "'0.1'")]},
+    # grids that cannot be built: the panel width underflows, or a panel
+    # takes more points than its ceiling
+    "subnormal-panel-width": ("check", BASE_CONFIG.replace("x_max: 25.0", "x_max: 5.0e-324")),
+    "points-per-panel-1e6": ("check", BASE_CONFIG.replace("points_per_panel: 4",
+                                                          "points_per_panel: 1000000")),
 }
 
 
@@ -266,6 +272,12 @@ def test_c_emitter_writes_the_safe_dumper_bytes():
                             default_flow_style=False)
             for name in ("SafeDumper", "CSafeDumper")}
     assert dump["CSafeDumper"] == dump["SafeDumper"]
+
+
+def test_plain_refuses_a_value_no_report_holds():
+    # a numpy bool written as its repr would be a verdict no walk reads as false
+    with pytest.raises(TypeError, match="bool"):
+        hammerstein.cli._plain({"passed": np.bool_(False)})
 
 
 def test_report_is_the_safe_dumper_bytes(tmp_path):
@@ -318,6 +330,7 @@ def test_non_convergence_exits_4(tmp_path, capsys):
     assert report["status"]["converged"] is False
     assert capsys.readouterr().err.splitlines() == [
         "error: no convergence to 1e-10 within 3 iterations in the ceiling solve"]
+    assert not hasattr(hammerstein, "NonConvergenceError")     # exit 4 is a report flag
 
 
 # The README config capped or coarsened: each exit 4 and 3 names its cause on
@@ -331,6 +344,8 @@ def test_non_convergence_exits_4(tmp_path, capsys):
                  id="max_iter-35"),
     pytest.param("check", ("n_panels: 400", "n_panels: 3"), 3,
                  "verdict failed: conditions.kernel.passed", id="n_panels-3"),
+    pytest.param("solve-nemytsky", ("n_panels: 400", "n_panels: 3"), 3,
+                 "verdict failed: conditions.kernel.passed", id="n_panels-3-nemytsky"),
 ])
 def test_readme_exits_3_and_4_print_why(tmp_path, capsys, mode, change, code, line):
     cfg = write_config(tmp_path, readme_config().replace(*change))
@@ -376,22 +391,25 @@ def test_reports_byte_identical_for_same_seed(tmp_path):
 
 
 def test_reports_independent_of_blas_threads(tmp_path):
-    # each child sets its BLAS thread count before numpy loads
+    # each child sets its BLAS thread count before numpy loads; a caller's
+    # own OpenBLAS thread timeout changes no byte either
     cfg = write_config(tmp_path)
     src = str(Path(hammerstein.__file__).resolve().parents[1])
+    blas = [dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), n)
+            for n in ("1", "2")]
+    blas.append({**blas[1], "OPENBLAS_THREAD_TIMEOUT": "30"})
     outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
+    for run_number, settings in enumerate(blas):
+        env = dict(os.environ, **settings,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = tmp_path / f"threads-{threads}"
+        out = tmp_path / f"run-{run_number}"
         proc = subprocess.run(
             [sys.executable, "-m", "hammerstein.cli", "solve-nemytsky",
              "--config", str(cfg), "--out-dir", str(out)],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append([(out / name).read_bytes() for name in ("report.yaml", "profile.csv")])
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _key_paths(tree, prefix=""):
@@ -542,6 +560,7 @@ def test_short_x_max_fails_the_tail_certificate(tmp_path, capsys):
     assert report["status"]["certificates_passed"] is False
     assert "certificates.tail.passed" in capsys.readouterr().err
     assert (out / "profile.csv").exists()
+    assert main(["table", "--report", str(out / "report.yaml")]) == 0
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):
@@ -599,6 +618,7 @@ def test_small_exponent_passes_the_jensen_certificate(tmp_path):
     report = yaml.safe_load((out / "report.yaml").read_text())
     assert report["certificates"]["jensen_passed"] is True
     assert report["status"]["certificates_passed"] is True
+    assert not hasattr(hammerstein, "eval_Q")       # the package has no inverse G
 
 
 def test_convex_G_fails_the_jensen_certificate(tmp_path, monkeypatch, capsys):

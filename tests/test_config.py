@@ -245,6 +245,9 @@ ERRORS = [
     # grids build_grid refuses: a subnormal panel width, too many nodes
     ({"grid.x_max": 5e-324}, "grid", "grid.x_max=5e-324"),
     ({"grid.n_panels": 2 ** 62}, "grid", "grid.n_panels=2**62"),
+    # a panel of more points than the ceiling on their cost
+    ({"grid.points_per_panel": 10 ** 6}, "grid.points_per_panel",
+     "grid.points_per_panel=10**6"),
     # each combined-equation term is one formula, whatever the key names
     ({"nemytsky.pointwise": "saturating-quadratic"}, "nemytsky.pointwise",
      "nemytsky.pointwise=saturating-quadratic"),
@@ -283,10 +286,15 @@ def test_single_error_names_its_path(overrides, path):
 SPEC_REFUSALS = {
     "grid-x_max": (lambda: HalfLineGrid(-1.0, 3, 2), "x_max"),
     "grid-subnormal-h": (lambda: HalfLineGrid(5e-324, 1, 1), None),
+    "grid-x_max-beyond-float": (lambda: HalfLineGrid(10 ** 400, 1, 1), "x_max"),
     "base-variant": (lambda: BaseKernel("cauchy"), "variant"),
+    "base-gaussian-atoms": (lambda: BaseKernel("gaussian", ((0.5, 1.0),)), "atoms"),
     "base-mass": (lambda: BaseKernel("exp-mixture", ((0.25, 1.0),)), None),
+    "base-atom-beyond-float": (lambda: BaseKernel("exp-mixture", ((10 ** 400, 1.0),)),
+                               "atoms"),
     "modulation-l": (lambda: ModulationSet(l=1.0), "l"),
     "kernel-delta": (lambda: KernelSpec("B", BaseKernel(), ModulationSet()), "delta"),
+    "G-family": (lambda: NonlinearitySpec("IV", alpha=0.5), "family"),
     "G-alpha_tilde": (lambda: NonlinearitySpec("III", alpha_star=0.5, alpha_tilde=0.5),
                       "alpha_tilde"),
     "nemytsky-damping": (lambda: NemytskySpec(NonlinearitySpec("I", alpha=0.5), 0.25,

@@ -100,6 +100,9 @@ def test_spec_validation(small_ci):
         make_nem(small_ci, xi=0.0)
     with pytest.raises(ValueError):
         make_nem(small_ci, damping_profile="two")
+    with pytest.raises(ValueError, match="one value per grid node"):
+        solve_nemytsky(make_nem(small_ci), small_ci["solve"].profile[:-1],
+                       operator=small_ci["A"])
 
 
 # --- condition checks -------------------------------------------------------
