@@ -96,11 +96,13 @@ def tail_integral_certificate(fstar, grid: HalfLineGrid, G: NonlinearitySpec,
 
 def jensen_certificate(A: OperatorMatrix, G: NonlinearitySpec, u) -> float:
     """Minimum over rows of  w_i G(sum_j A_ij u_j / w_i) - sum_j A_ij G(u_j),
-    with w_i = sum_j A_ij the row weight (no tail term).
+    with A the closed operator the solves iterate and w_i = sum_j A_ij its
+    row mass ``A.row_mass``.
 
     Jensen's inequality for concave G under positive weights makes it
     nonnegative up to rounding: G is concave (``nonlinearity`` module
-    docstring) and every A_ij is positive (``kernels`` module docstring).
+    docstring) and every A_ij is positive (``kernels`` module docstring;
+    the tail closure only adds tail_i >= 0 to the last column).
     Row by row it is G, which increases, applied to both sides of the
     inverse form sum_j A_ij Q(g_j) >= w_i Q(sum_j A_ij g_j / w_i) at
     g = G(u), Q = G^{-1}; Q's slope 1 / G'(eta) near eta (1 / alpha for
@@ -110,7 +112,7 @@ def jensen_certificate(A: OperatorMatrix, G: NonlinearitySpec, u) -> float:
     eta = G.eta
     if u.min() <= 0.0 or u.max() >= eta:
         raise ValueError(f"u must lie strictly inside (0, {eta})")
-    weight = A.quad_mass
+    weight = A.row_mass
     mean = (A @ u) / weight
     return float((weight * eval_G(G, np.clip(mean, 0.0, eta)) - A @ eval_G(G, u)).min())
 

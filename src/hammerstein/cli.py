@@ -65,7 +65,7 @@ def _plain(obj, drop=()):
     dataclass's ``drop`` fields are left out unwalked."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
+    if type(obj) is float:          # a numpy scalar is refused below
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]

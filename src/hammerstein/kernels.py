@@ -517,56 +517,53 @@ MASS_MARGIN = 1e-14
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Nystrom operator A = diag(row_scale) (W + diag(diagonal)), applied as ``A @ v``.
+    """Closed Nystrom operator L = diag(row_scale) (W + diag(diagonal)) + tail e_N^T,
+    applied as ``L @ v``; the iterated map is T(f) = L G(f).
 
     ``entries`` is the weighted kernel W[i, j] = w_j * K(x_i, t_j) as a
     :class:`StructuredKernel`: block-Toeplitz and block-Hankel spectra, O(N)
     memory and one O(N log N) FFT product per application.  No N x N matrix
-    exists.  The kernel is symmetric, so the weighted operator satisfies
-    w_i A[i, j] == w_j A[j, i] up to rounding.
+    exists.  The kernel is symmetric, so the open part A = diag(row_scale)
+    (W + diag(diagonal)) satisfies w_i A[i, j] == w_j A[j, i] up to rounding.
 
     ``diagonal`` is the split-panel correction of :func:`cusp_correction`
     (the checked mass minus the Nystrom row sum) for a cusped base kernel,
-    zeros otherwise, so ``A @ ones + tail_mass`` is the checked row mass.
-    The corrected diagonal w_i K(x_i, x_i) + diagonal_i must stay positive;
-    an operator whose diagonal does not is refused, never floored.
-    ``row_scale`` is 1 except on rows whose quadrature mass exceeded
-    1 - MASS_MARGIN, which are scaled down to it.
+    zeros otherwise.  The corrected diagonal w_i K(x_i, x_i) + diagonal_i
+    must stay positive; an operator whose diagonal does not is refused,
+    never floored.  ``row_scale`` is 1 except on rows whose quadrature mass
+    exceeded 1 - MASS_MARGIN, which are scaled down to it.
 
     ``tail_mass`` holds the kernel mass past the truncation point per row,
     :func:`node_tail` clipped to keep the row mass in [0, 1 - MASS_MARGIN];
-    applications close the half-line integral there with the last node's
-    integrand value (profiles are flat past x_max to the kernel-tail scale).
-    ``quad_mass`` is ``A @ ones`` bit for bit, and ``row_mass`` = quad_mass +
-    tail_mass the full half-line row mass, ``gamma`` = 1 - row_mass the mass
-    defect at the nodes: the ceiling maps to eta times ``row_mass`` bit for bit.
+    the product closes the half-line integral there with the last entry of
+    ``v`` (profiles are flat past x_max to the kernel-tail scale), so every
+    entry of L is positive and zero stays a fixed point of T.
+    ``row_mass`` is ``L @ ones`` bit for bit, the full half-line row mass,
+    and ``gamma`` = 1 - row_mass the mass defect at the nodes: the ceiling
+    maps to eta times ``row_mass`` bit for bit.
     """
 
     entries: StructuredKernel
     diagonal: np.ndarray
     row_scale: np.ndarray
     tail_mass: np.ndarray
-    quad_mass: np.ndarray
+    row_mass: np.ndarray
     grid: HalfLineGrid
 
     def __post_init__(self) -> None:
-        for array in (self.diagonal, self.row_scale, self.tail_mass, self.quad_mass):
+        for array in (self.diagonal, self.row_scale, self.tail_mass, self.row_mass):
             array.setflags(write=False)
 
     @property
     def size(self) -> int:
-        return int(self.quad_mass.size)
-
-    @property
-    def row_mass(self) -> np.ndarray:
-        return self.quad_mass + self.tail_mass
+        return self.grid.size
 
     @property
     def gamma(self) -> np.ndarray:
         return 1.0 - self.row_mass
 
     def __matmul__(self, v) -> np.ndarray:
-        return self.row_scale * (self.entries @ v + self.diagonal * v)
+        return self.row_scale * (self.entries @ v + self.diagonal * v) + v[-1] * self.tail_mass
 
 
 @dataclass(frozen=True)
@@ -608,8 +605,9 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
       FFT product's rounding (a tiny d_star, a coarse grid) reads about
       -1e-15 at worst, and the tail's clip lifts it to 0;
     * ``quad_mass`` = row_scale quad <= cap, and the tail is clipped into
-      [max(-quad_mass, 0), max(cap - quad_mass, 0)], so 0 <= ``row_mass``
-      <= cap, the lower end exactly and the upper to a few ulps of 1;
+      [max(-quad_mass, 0), max(cap - quad_mass, 0)], so ``row_mass`` =
+      quad_mass + tail, which is ``operator @ ones`` bit for bit, lies in
+      [0, cap], the lower end exactly and the upper to a few ulps of 1;
     * so gamma = 1 - row_mass lies in [MASS_MARGIN, 1] up to those ulps.
     """
     n = grid.size
@@ -617,7 +615,7 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
     kernel = structured_kernel(spec, grid)
     correction = cusp_correction(spec, grid, grid.nodes)
     diagonal = np.zeros(n) if correction is None else correction
-    # A @ ones before the row rescale, as OperatorMatrix.__matmul__ forms it
+    # the open part of operator @ ones before the row rescale, as __matmul__ forms it
     quad = kernel @ np.ones(n) + diagonal
     masses = quad + tail
     raw_gamma = 1.0 - masses
@@ -649,7 +647,7 @@ def discretise(spec: KernelSpec, grid: HalfLineGrid) -> Discretisation:
     quad_mass = row_scale * quad
     tail = np.clip(tail, np.maximum(-quad_mass, 0.0), np.maximum(cap - quad_mass, 0.0))
     operator = OperatorMatrix(entries=kernel, diagonal=diagonal, row_scale=row_scale,
-                              tail_mass=tail, quad_mass=quad_mass, grid=grid)
+                              tail_mass=tail, row_mass=quad_mass + tail, grid=grid)
     return Discretisation(report=report, gamma=operator.gamma,
                           operator=operator if report.passed else None)
 

@@ -189,10 +189,8 @@ def solve_nemytsky(spec: NemytskySpec, fstar, tol: float = 1e-10,
     def step(cur: np.ndarray) -> np.ndarray:
         # no range check: picard.iterate's guard holds cur in [xi gamma,
         # eta - f_star], inside [0, eta], as each step's output is >= 0 and the
-        # upper envelope aborts past 1e-9; the integral term is closed past
-        # x_max with the last node's integrand value, as the operator's is
-        g1 = _G1(spec.base_G, damping, cur)
-        return _G0(lower, eps_star, cur) + operator @ g1 + g1[-1] * operator.tail_mass
+        # upper envelope aborts past 1e-9
+        return _G0(lower, eps_star, cur) + operator @ _G1(spec.base_G, damping, cur)
 
     phi, sup_diffs, increase_ok, envelope_ok, converged = iterate(
         step, lower, direction=1, tol=tol, max_iter=max_iter, upper=upper)

@@ -15,8 +15,8 @@ The upper half, pointwise decrease, is asserted at every step by
 :func:`iterate`, the package's one monotone loop, through its one per-step
 guard :func:`_within`, which also bounds the combined solve's iterates and
 every application's domain.  The lower half holds for every accepted spec,
-so no run measures it.  With
-T(f) = diag(row_scale) (W + diag(d)) G(f) + G(f_N) tail:
+so no run measures it.  With T(f) = L G(f), L = diag(row_scale)
+(W + diag(d)) + tail e_N^T the closed operator ``kernels.OperatorMatrix``:
 
 * Start: sigma0 <= min f_2 / f_1 (:func:`estimate_sigma0`'s clamp lowers a
   quotient above 1 and raises one only where f_2 underflows), so
@@ -67,20 +67,18 @@ def assemble_operator(spec: KernelSpec, grid: HalfLineGrid, *,
 
 
 def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
-    """One application f -> A G(f) + G(f[last]) * tail mass, for f in [0, eta].
+    """One application T(f) = A @ G(f) of the closed operator, for f in [0, eta].
 
-    The tail term closes the integral past x_max with the last node's value
-    (profiles are flat to the kernel-tail scale out there), so the ceiling
-    maps to eta times the full row mass and zero stays a fixed point; the
-    tail mass is >= 0, so the squeeze proof (module docstring) covers it.
-    The product is one structured FFT application (``A @ g``); its result
-    does not depend on the BLAS thread count.
+    The operator closes the integral past x_max with the last node's value,
+    so the ceiling maps to eta times the full row mass and zero stays a
+    fixed point.  The product is one structured FFT application; its
+    result does not depend on the BLAS thread count.
     """
     f = np.asarray(f, dtype=float)
     eta = G.eta
     _within(max(-float(f.min()), float(f.max()) - eta), f"iterate leaves [0, {eta}]")
     g = eval_G(G, np.clip(f, 0.0, eta))
-    return A @ g + g[-1] * A.tail_mass
+    return A @ g
 
 
 @dataclass

@@ -67,12 +67,21 @@ def sup_gap(structured, dense, n):
     return max(float(np.abs(structured @ v - dense @ v).max()) for v in probe_vectors(n))
 
 
-def dense_operator(spec, A):
-    """Dense oracle of the structured operator A of ``spec``: kernel_matrix * w,
-    plus the cusp correction on the diagonal, then the over-cap row rescale."""
+def open_operator(spec, A):
+    """Dense oracle of the open part of the structured operator A of ``spec``:
+    kernel_matrix * w, plus the cusp correction on the diagonal, then the
+    over-cap row rescale."""
     dense = kernel_matrix(spec, A.grid) * A.grid.weights
     dense[np.diag_indices(A.size)] += A.diagonal
     return A.row_scale[:, None] * dense
+
+
+def dense_operator(spec, A):
+    """Dense oracle of the closed operator A: ``open_operator`` with
+    ``tail_mass`` added to the last column, the closure past x_max."""
+    dense = open_operator(spec, A)
+    dense[:, -1] += A.tail_mass
+    return dense
 
 
 def row_mass_at(spec, grid, x):
@@ -122,10 +131,12 @@ def exact_fixed_point(spec, operator, G):
     """The exact fixed point f*_h of the discrete equation a float run solves,
     rounded once to float.
 
-    The float operator's own entries are taken as exact: L = diag(row_scale)
-    (kernel_matrix * weights + diag(diagonal)), ``dense_operator``, and
-    ``tail_mass``.  The ceiling iteration f <- L G(f) + G(f_N) tail runs from
-    eta in ``ORACLE_DIGITS``-digit decimal arithmetic until a step is below
+    The float operator's own entries are taken as exact: its open part
+    diag(row_scale) (kernel_matrix * weights + diag(diagonal)),
+    ``open_operator``, and ``tail_mass``, a separate term, as the float sum
+    of the last column and the tail would round once more.  The ceiling
+    iteration f <- L G(f) = open G(f) + G(f_N) tail runs from eta in
+    ``ORACLE_DIGITS``-digit decimal arithmetic until a step is below
     ``ORACLE_STOP``, so iteration and float rounding are the only distances
     between a float iterate and the result.  N**2 per step: at N <= 32 a
     case takes 0.2 s (a = 0.5) to 2 s (a = 0.9).  Cached per (operator, G).
@@ -135,7 +146,7 @@ def exact_fixed_point(spec, operator, G):
         assert operator.size <= 32, "the decimal oracle is sized for N <= 32"
         with decimal.localcontext() as ctx:
             ctx.prec = ORACLE_DIGITS
-            rows = [[Decimal(v) for v in row] for row in dense_operator(spec, operator).tolist()]
+            rows = [[Decimal(v) for v in row] for row in open_operator(spec, operator).tolist()]
             tail = [Decimal(v) for v in operator.tail_mass.tolist()]
             G_exact = _exact_G(G)
             f = [Decimal(G.eta)] * operator.size

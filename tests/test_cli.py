@@ -278,6 +278,10 @@ def test_plain_refuses_a_value_no_report_holds():
     # a numpy bool written as its repr would be a verdict no walk reads as false
     with pytest.raises(TypeError, match="bool"):
         hammerstein.cli._plain({"passed": np.bool_(False)})
+    # a numpy float would be written as its repr, or refused by the dumper
+    for value in (np.float64("nan"), np.float64(1.5)):
+        with pytest.raises(TypeError, match="float64"):
+            hammerstein.cli._plain({"a": value})
 
 
 def test_report_is_the_safe_dumper_bytes(tmp_path):

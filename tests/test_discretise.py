@@ -13,8 +13,9 @@ import hammerstein.kernels
 from hammerstein.errors import SpecRejectedError
 from hammerstein.kernels import (StructuredKernel, cusp_correction, discretise,
                                  kernel_matrix, structured_kernel)
+from hammerstein.picard import apply_hammerstein
 
-from conftest import MIXTURE_ATOMS, SUP_TOL, kernel_specs, make_kernel, sup_gap
+from conftest import MIXTURE_ATOMS, SUP_TOL, kernel_specs, make_G, make_kernel, sup_gap
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C"])
@@ -23,9 +24,13 @@ def test_one_gamma(small_grid, family):
     spec = make_kernel(family)
     disc = discretise(spec, small_grid)
     assert np.array_equal(disc.gamma, 1.0 - disc.operator.row_mass)
-    # the stored quadrature mass is the operator's own product with ones
+    # the stored row mass is the closed operator's own product with ones,
+    # and a ceiling step from eta maps to eta times it
     ones = np.ones(small_grid.size)
-    assert np.array_equal(disc.operator.quad_mass, disc.operator @ ones)
+    assert np.array_equal(disc.operator.row_mass, disc.operator @ ones)
+    G = make_G("I")
+    assert np.array_equal(apply_hammerstein(disc.operator, G, G.eta * ones),
+                          G.eta * disc.operator.row_mass)
     assert np.array_equal(hs.gamma_profile(spec, small_grid), disc.gamma)
     assert disc.gamma.min() > 0.0
 

@@ -16,7 +16,7 @@ from hammerstein.picard import (SolveReport, apply_hammerstein,
 
 from conftest import (MIXTURE_ATOMS, ceiling_iterates, dense_operator, exact_fixed_point,
                       kernel_specs, lift_third_ceiling_iterate, make_G, make_kernel,
-                      nonlinearities, squeeze_breach)
+                      nonlinearities, open_operator, squeeze_breach)
 
 
 # --- assembly ---------------------------------------------------------------
@@ -36,14 +36,16 @@ def test_degenerate_single_node_grid():
     A = assemble_operator(spec, grid)
     dense = dense_operator(spec, A)
     assert dense.shape == (1, 1)
+    # the one node is also the last, so its entry carries the tail closure
     expected = grid.weights[0] * float(hs.eval_kernel(spec, grid.nodes[0], grid.nodes[0]))
-    assert dense[0, 0] == expected
+    assert dense[0, 0] == expected + A.tail_mass[0]
 
 
 def test_weighted_symmetry(small_ci):
     A = small_ci["A"]
     w = A.grid.weights
-    weighted = dense_operator(small_ci["spec"], A) * w[:, None]
+    # the open part; the tail closure on the last column is not symmetric
+    weighted = open_operator(small_ci["spec"], A) * w[:, None]
     assert np.abs(weighted - weighted.T).max() <= 1e-12
 
 
@@ -67,7 +69,7 @@ def test_discretise_matches_separate_steps(small_grid):
     report = hs.check_kernel_conditions(spec, small_grid)
     assert disc.report == report
     A = assemble_operator(spec, small_grid, report=report)
-    for name in ("diagonal", "row_scale", "tail_mass", "quad_mass"):
+    for name in ("diagonal", "row_scale", "tail_mass", "row_mass"):
         assert np.array_equal(getattr(disc.operator, name), getattr(A, name))
     for name in ("spectra", "left", "right"):
         assert np.array_equal(getattr(disc.operator.entries, name),
@@ -92,13 +94,13 @@ def mixture_disc():
 def test_cusp_correction_sits_on_the_diagonal(mixture_disc):
     spec, grid, disc = mixture_disc
     A, n, w = disc.operator, grid.size, grid.weights
-    dense = dense_operator(spec, A)
-    # the rows close on the checked mass 1 - gamma
-    closed = dense @ np.ones(n) + A.tail_mass
+    # the closed rows sum to the checked mass 1 - gamma
+    closed = dense_operator(spec, A) @ np.ones(n)
     assert np.abs(closed - (1.0 - disc.gamma)).max() <= n * np.finfo(float).eps
+    dense = open_operator(spec, A)
     assert np.diag(dense).min() > 0.0
-    # off the diagonal the entries are the plain Nystrom ones, up to the
-    # over-cap rescale, so the weight symmetry is kept
+    # off the diagonal the open entries are the plain Nystrom ones, up to
+    # the over-cap rescale, so the weight symmetry is kept
     off = ~np.eye(n, dtype=bool)
     plain = kernel_matrix(spec, grid) * w
     assert np.allclose(dense[off], plain[off], rtol=1e-13, atol=0.0)
@@ -139,7 +141,7 @@ def test_blas_application_matches_broadcast_sum(small_ci):
     for f in [np.full(A.size, G.eta), small_ci["solve"].profile,
               *rng.uniform(0.0, G.eta, (3, A.size))]:
         g = hs.eval_G(G, f)
-        reference = (dense * g[None, :]).sum(axis=1) + g[-1] * A.tail_mass
+        reference = (dense * g[None, :]).sum(axis=1)
         assert np.abs(apply_hammerstein(A, G, f) - reference).max() <= bound
 
 

@@ -1,7 +1,8 @@
 """The structured (block-Toeplitz + block-Hankel FFT) operator against the dense oracle.
 
-The oracle is ``kernel_matrix(spec, grid) * w`` (plus the cusp diagonal and
-the over-cap row rescale for an assembled operator, ``dense_operator``);
+The oracle is ``kernel_matrix(spec, grid) * w`` (plus the cusp diagonal,
+the over-cap row rescale and the tail closure on the last column for an
+assembled operator, ``dense_operator``);
 every product of the program goes through the structured form, so these
 tests tie it to the definition of the Nystrom matrix.  The tail past x_max
 at the nodes, a structured product on the continued grid, has the
