@@ -11,11 +11,11 @@ from hammerstein.analysis import (PROBE_TRIALS, UniquenessProbeReport, _uniform_
                                   excess_integral_certificate,
                                   jensen_certificate,
                                   tail_integral_certificate, uniqueness_probe)
-from hammerstein.nonlinearity import NonlinearitySpec
+from hammerstein.nonlinearity import NonlinearitySpec, eval_G
 from hammerstein.picard import solve_picard
 from hammerstein.quadrature import integrate
 
-from conftest import make_G
+from conftest import SUP_TOL, dense_operator, make_G
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -117,10 +117,18 @@ def test_jensen_on_solution(small_ci):
 
 
 def test_jensen_random_profiles(small_ci):
+    A, G = small_ci["A"], small_ci["G"]
+    # the margin of the closed operator, tail on the last column, as a dense oracle
+    dense = dense_operator(small_ci["spec"], A)
+    weight = dense.sum(axis=1)
     rng = np.random.default_rng(5)
     for _ in range(100):
-        g = rng.uniform(1e-6, 1.0 - 1e-6, small_ci["A"].size)
-        assert jensen_certificate(small_ci["A"], small_ci["G"], g) >= -1e-12
+        g = rng.uniform(1e-6, 1.0 - 1e-6, A.size)
+        margin = jensen_certificate(A, G, g)
+        assert margin >= -1e-12
+        mean = np.clip(dense @ g / weight, 0.0, G.eta)
+        oracle = (weight * eval_G(G, mean) - dense @ eval_G(G, g)).min()
+        assert abs(margin - oracle) <= SUP_TOL
 
 
 # exponents log-uniform in [1e-12, 0.9]; near eta the inverse Q = G^{-1}
