@@ -28,8 +28,7 @@ from .kernels import (BaseKernel, ConditionReport, Discretisation, KernelSpec,
                       ModulationSet, OperatorMatrix, check_kernel_conditions,
                       discretise, eval_kernel, gamma_profile, kernel_matrix,
                       lambda_star_excess_integral)
-from .nemytsky import (NemytskyConditionReport, NemytskyReport, NemytskySpec,
-                       check_nemytsky_conditions, eval_G0, eval_G1,
+from .nemytsky import (NemytskyReport, NemytskySpec, check_nemytsky_conditions,
                        solve_nemytsky)
 from .nonlinearity import (GConditionReport, NonlinearitySpec,
                            check_G_conditions, eval_G)

@@ -13,13 +13,25 @@ solve path and reports whether the bound holds:
 * asymptote: the profile's gap to eta at the last node;
 * uniqueness probe: ``PROBE_TRIALS`` perturbed restarts of the iteration on
   the solve's own operator, each from f* plus a bump in [0, ``PROBE_SCALE``),
-  must all return to the same profile (a heuristic check -- the underlying
-  uniqueness argument is non-constructive).  The probe evaluates
-  no kernel; convergence under grid refinement is a separate question.  Its
-  bumps are numpy's PCG64 stream, computed here bit for bit, so a run never
-  imports ``numpy.random`` (nor OpenSSL, which comes with it).
+  must all return to the same profile.  It evaluates no kernel; convergence
+  under grid refinement is a separate question.  Its bumps are numpy's PCG64
+  stream, computed here bit for bit, so a run never imports ``numpy.random``
+  (nor OpenSSL, which comes with it).
 
 A certificate whose hypotheses fail reports ``passed: False``; none raises.
+
+The probe tests a theorem: the discrete system has one nonzero solution.
+The solves iterate T(f) = L G(f), L the product ``kernels.OperatorMatrix @``,
+whose entries the FFT applies up to rounding.  They are positive: W > 0
+(``kernels`` module docstring), a corrected diagonal that is not positive is
+refused, and row_scale > 0, tail >= 0 (``kernels.discretise``).  As G
+increases with G(sigma u) >= sigma**a G(u), a < 1 (``nonlinearity`` module
+docstring), a nonzero solution f in [0, eta]^N is positive, and for two,
+sigma = max{s <= 1 : s g <= f} gives f >= L G(sigma g) >= sigma**a g, so
+sigma**a <= sigma, sigma = 1, and f = g by symmetry.  None exceeds eta: row
+mass <= 1 - MASS_MARGIN (``kernels.discretise``) and G(u) <= u above eta.
+See Krasnosel'skii (1964); Lemmens & Nussbaum (2012), ch. 2.  The probe
+stays only because ``perfbench/gate.py`` reads its ``passed`` and ``max_dev``.
 """
 
 from __future__ import annotations

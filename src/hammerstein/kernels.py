@@ -136,12 +136,6 @@ class BaseKernel:
             val = sum(c * np.exp(-ax * s) for c, s in self.atoms)
         return np.maximum(val, POSITIVITY_FLOOR)
 
-    def tail_mass(self, x: float) -> float:
-        """Closed form of the tail integral of the base kernel from x to infinity (x >= 0)."""
-        if self.variant == "gaussian":
-            return 0.5 * math.erfc(float(x))
-        return math.fsum((c / s) * math.exp(-float(x) * s) for c, s in self.atoms)
-
     @property
     def has_cusp(self) -> bool:
         """True when K0 has a derivative jump at 0, so K0(x - t) has one at t = x.
@@ -160,7 +154,7 @@ class BaseKernel:
 
 @dataclass(frozen=True)
 class ModulationSet:
-    """Modulation profile lambda, the derived mu, and the envelope exponent l.
+    """Modulation profile lambda and the envelope exponent l.
 
     ``lambda_form="exp-gap"`` takes ``lam(x) = 1 - (1 - d_star) * exp(-x)``;
     ``"rational-gap"`` takes ``lam(x) = 1 - (1 - d_star) / (1 + x^2)``.  Both
@@ -191,13 +185,6 @@ class ModulationSet:
 
     def lam(self, x):
         return 1.0 - self.lam_gap(x)
-
-    def one_minus_mu(self, x, t):
-        # the defining identity: 1 - mu = (1 - lam(x)) * (1 - lam(t))
-        return self.lam_gap(x) * self.lam_gap(t)
-
-    def mu(self, x, t):
-        return 1.0 - self.one_minus_mu(x, t)
 
 
 @dataclass(frozen=True)

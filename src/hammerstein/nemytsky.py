@@ -36,8 +36,8 @@ b(gamma) = ((eta - 2 xi) gamma + xi gamma**2) / (eta (eta + xi gamma)):
   0 <= G1 <= eta - G(eta - u).
 
 gamma >= 0 gives b >= 0, and gamma <= 1 keeps s < eta/2 inside G0's domain
-[0, eta].  :func:`check_nemytsky_conditions` checks the range of a gamma
-that a caller builds some other way.
+[0, eta].  :func:`check_nemytsky_conditions` returns whether a gamma that a
+caller builds some other way lies in [0, 1].
 """
 
 from __future__ import annotations
@@ -94,13 +94,6 @@ def damping_values(spec: NemytskySpec, x):
     return np.exp(-x)
 
 
-def _check_u(u, eta):
-    u = np.asarray(u, dtype=float)
-    if np.any(u < -1e-9) or np.any(u > eta + 1e-9):
-        raise ValueError(f"u must lie in [0, {eta}]")
-    return np.clip(u, 0.0, eta)
-
-
 def _G0(s: np.ndarray, eps_star: np.ndarray, u: np.ndarray) -> np.ndarray:
     """G0 from its factors in gamma alone: s = xi gamma and eps_star(gamma)."""
     num, den = np.broadcast_arrays(2.0 * s * u, u + s)
@@ -113,41 +106,10 @@ def _G1(G: NonlinearitySpec, damping: np.ndarray, u: np.ndarray) -> np.ndarray:
     return damping * (G.eta - eval_G(G, np.clip(G.eta - u, 0.0, G.eta)))
 
 
-def eval_G0(spec: NemytskySpec, gamma, u):
-    """Pointwise term G0 at mass defect gamma; zero at u = 0 by construction."""
+def check_nemytsky_conditions(gamma: np.ndarray) -> bool:
+    """True iff 0 <= gamma <= 1 at every node, a NaN failing (module docstring)."""
     gamma = np.asarray(gamma, dtype=float)
-    core = _G0(spec.xi * gamma, eps_star_values(spec, gamma), _check_u(u, spec.base_G.eta))
-    return core if core.ndim else core[()]
-
-
-def eval_G1(spec: NemytskySpec, x, u):
-    """Integrand term G1(x, u); bounded by the reflected envelope eta - G(eta - u)."""
-    return _G1(spec.base_G, damping_values(spec, x), _check_u(u, spec.base_G.eta))
-
-
-@dataclass(frozen=True)
-class NemytskyConditionReport:
-    """The range of gamma: conditions 1)-4) need only 0 <= gamma <= 1.  No
-    run makes one, as ``kernels.discretise`` proves the range of its gamma."""
-
-    gamma_min: float
-    gamma_max: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(0.0 <= self.gamma_min and self.gamma_max <= 1.0)   # NaN fails
-
-
-def check_nemytsky_conditions(gamma: np.ndarray) -> NemytskyConditionReport:
-    """Check 0 <= gamma <= 1 at every node in O(N), without raising; a NaN
-    fails it.  Conditions 1)-4) then hold for every spec that
-    ``NemytskySpec`` accepts (module docstring).  No run calls it: the gamma
-    of ``kernels.discretise`` lies in [0, 1] by its mass cap, so this checks
-    a gamma that a caller builds some other way.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    return NemytskyConditionReport(gamma_min=float(gamma.min()),
-                                   gamma_max=float(gamma.max()))
+    return bool(0.0 <= gamma.min() and gamma.max() <= 1.0)
 
 
 @dataclass

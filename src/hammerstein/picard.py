@@ -118,8 +118,8 @@ def estimate_sigma0(f1, f2) -> float:
 def rate_envelope(sigma0: float, eta: float, rate_exponent: float, steps: int) -> list[float]:
     """Envelope values eta * a**(n-1) * log(1/sigma0) for n = 1 .. steps-1, the
     bounds on the sup differences of ``steps`` iterations past the start step."""
-    if sigma0 >= 1.0:
-        return [0.0] * max(steps - 1, 0)
+    if not 0.0 < sigma0 <= 1.0:     # estimate_sigma0's clamp; a NaN fails
+        raise ValueError(f"sigma0 must lie in (0, 1], got {sigma0!r}")
     return [eta * rate_exponent ** (n - 1) * math.log(1.0 / sigma0)
             for n in range(1, steps)]
 

@@ -54,6 +54,13 @@ def make_kernel(family, d_star=0.5, l=0.5, lambda_form="exp-gap", base=None, **o
     )
 
 
+def kernel_mu(spec, x, t):
+    """mu(x, t) as a run computes it: ``eval_kernel`` of the family-A ``spec``
+    over its base K0(x - t)."""
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    return hs.eval_kernel(spec, x, t) / spec.base.eval(x - t)
+
+
 # sup gap a structured product may keep from its dense oracle
 SUP_TOL = 1e-13
 

@@ -17,8 +17,8 @@ import pytest
 
 import hammerstein as hs
 
-from conftest import (G_PARAMS, KERNEL_PARAMS, ceiling_iterates, make_G, make_kernel,
-                      power_linear_scaling_ratio, squeeze_breach)
+from conftest import (G_PARAMS, KERNEL_PARAMS, ceiling_iterates, kernel_mu, make_G,
+                      make_kernel, power_linear_scaling_ratio, squeeze_breach)
 
 TOL = 1e-10
 KERNEL_FAMILIES = ("A", "B", "C")
@@ -187,11 +187,11 @@ def test_criterion_12_closed_form_spot_checks(catalog):
     for l in (0.25, 0.5, 0.75):
         value = hs.lambda_star_excess_integral(hs.ModulationSet(l=l))
         ok = ok and abs(value - math.gamma(1.0 - l)) <= 1e-8
-    mod = hs.ModulationSet(d_star=0.5)
+    spec = make_kernel("A", d_star=0.5)
     t = np.linspace(0.0, 18.0, 50)
     for x in np.linspace(0.0, 18.0, 10):
         # sup over t of 1 - mu(x, t), reached at t = 0
         expected = (1.0 - 0.5) ** 2 * math.exp(-x)
-        ok = ok and abs(float(mod.one_minus_mu(x, t).max()) - expected) <= 1e-12
+        ok = ok and abs(float((1.0 - kernel_mu(spec, x, t)).max()) - expected) <= 1e-12
     report_line(12, "closed-form spot checks", ok,
                 f"half-line mass error {half_mass_err:.1e}")

@@ -775,6 +775,19 @@ def test_table_on_non_converged_report(tmp_path, capsys):
     assert lines[0] == "n sup_diff envelope ratio" and len(lines) == 3
 
 
+@pytest.mark.parametrize("sigma0", ["0.0", "2.0", ".nan"])
+def test_table_refuses_sigma0_out_of_range(tmp_path, capsys, sigma0):
+    # the envelope needs 0 < sigma0 <= 1, which every run's clamp gives
+    path = write_config(tmp_path, "solve:\n  sup_diffs: [1.0, 0.5]\n  eta: 1.0\n"
+                                  f"  rate_exponent: 0.5\n  sigma0: {sigma0}\n",
+                        name="report.yaml")
+    assert main(["table", "--report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: not a report with a solve section (ValueError: ")
+    assert err.count("\n") == 1
+
+
 # each case: (command, the path it names, the file's text, None for no file or
 # "dir" for a directory)
 IO_ERROR_CASES = {

@@ -11,10 +11,10 @@ from hammerstein.kernels import (BLOCK_ENTRIES, CHECK_TOL, POSITIVITY_FLOOR, Bas
                                  check_kernel_conditions, cusp_correction,
                                  eval_kernel, gamma_profile, kernel_matrix,
                                  _base_half_line_moments,
-                                 lambda_star_excess_integral, tail_row_mass)
+                                 lambda_star_excess_integral, node_tail, tail_row_mass)
 from hammerstein.picard import discretise
 
-from conftest import MIXTURE_ATOMS, make_kernel, row_mass_at
+from conftest import MIXTURE_ATOMS, kernel_mu, make_kernel, row_mass_at
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -43,15 +43,21 @@ def test_mixture_single_atom():
 
 
 def test_mixture_two_atoms_tail():
-    base = BaseKernel(variant="exp-mixture", atoms=((0.25, 1.0), (0.125, 0.5)))
-    expected = 0.25 * math.exp(-2.0) + 0.25 * math.exp(-1.0)
-    assert base.tail_mass(2.0) == pytest.approx(expected, rel=1e-14)
+    # family A with d_star = 1 has mu == 1, so K = K0(x - t) and the tail
+    # past x_max is sum (c/s) exp(-s (x_max - x)) at every node
+    grid = hs.build_grid(90.0, 360, hs.GAUSS, 4)
+    spec = make_kernel("A", d_star=1.0,
+                       base=BaseKernel(variant="exp-mixture", atoms=MIXTURE_ATOMS))
+    gap = grid.x_max - grid.nodes
+    expected = sum((c / s) * np.exp(-s * gap) for c, s in MIXTURE_ATOMS)
+    assert np.abs(node_tail(spec, grid) - expected).max() <= 1e-13
 
 
-def test_gaussian_tail_matches_erfc():
-    base = BaseKernel()
-    for x in (0.0, 0.5, 3.0):
-        assert base.tail_mass(x) == pytest.approx(0.5 * special.erfc(x), rel=1e-14)
+def test_gaussian_tail_matches_erfc(small_grid):
+    # family A with d_star = 1: K = K0(x - t), whose tail is erfc(x_max - x) / 2
+    spec = make_kernel("A", d_star=1.0)
+    expected = 0.5 * special.erfc(small_grid.x_max - small_grid.nodes)
+    assert np.abs(node_tail(spec, small_grid) - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("atoms", [
@@ -79,9 +85,8 @@ def test_lambda_bounds():
 
 
 def test_mu_symmetric_and_bounded():
-    mod = ModulationSet(d_star=0.5)
     x = np.linspace(0.0, 10.0, 40)
-    mu = mod.mu(x[:, None], x[None, :])
+    mu = kernel_mu(make_kernel("A", d_star=0.5), x[:, None], x[None, :])
     assert np.array_equal(mu, mu.T)
     # the lower bound of mu is d_star * (2 - d_star) = 0.75, reached at x = t = 0
     assert np.all(mu <= 1.0) and np.all(mu >= 0.5 * (2.0 - 0.5) - 1e-15)
@@ -90,17 +95,24 @@ def test_mu_symmetric_and_bounded():
 
 def test_sup_mu_gap_closed_form():
     # exp-gap profile: sup_t (1 - mu(x, t)) = (1 - d_star)^2 * exp(-x)
-    mod = ModulationSet(d_star=0.5)
+    spec = make_kernel("A", d_star=0.5)
     t = np.linspace(0.0, 18.0, 50)
     for x in np.linspace(0.0, 18.0, 10):
         expected = 0.25 * math.exp(-x)
-        assert abs(float(mod.one_minus_mu(x, t).max()) - expected) <= 1e-12
+        assert abs(float((1.0 - kernel_mu(spec, x, t)).max()) - expected) <= 1e-12
 
 
 def test_mu_identity_exact():
-    mod = ModulationSet(d_star=0.7)
-    x, t = 1.3, 4.2
-    assert float(mod.one_minus_mu(x, t)) == float(mod.lam_gap(x)) * float(mod.lam_gap(t))
+    # eval_kernel of family A is mu K0(x - t) with 1 - mu = gap(x) gap(t), bit for bit
+    x = np.linspace(0.0, 12.0, 61)[:, None]
+    t = np.array([0.0, 0.3, 1.3, 4.2, 9.5, 12.0])[None, :]
+    for form in ("exp-gap", "rational-gap"):
+        for d_star in (0.05, 0.5, 0.7, 1.0):
+            spec = make_kernel("A", d_star=d_star, lambda_form=form)
+            gap = spec.modulation.lam_gap
+            expected = np.maximum((1.0 - gap(x) * gap(t)) * spec.base.eval(x - t),
+                                  POSITIVITY_FLOOR)
+            assert np.array_equal(eval_kernel(spec, x, t), expected)
 
 
 @pytest.mark.parametrize("l", [0.25, 0.5, 0.75])
@@ -201,7 +213,7 @@ def test_gamma_at_x_max_is_tail_small(small_grid):
     for family in ("A", "B", "C"):
         spec = make_kernel(family)
         gamma = gamma_profile(spec, small_grid)
-        base_tail = spec.base.tail_mass(small_grid.x_max)
+        base_tail = 0.5 * special.erfc(small_grid.x_max)
         lam_gap = float(spec.modulation.lam_gap(small_grid.x_max))
         # true gamma at x_max is below the base tail plus the modulation gap;
         # the measured value is dominated by quadrature noise
