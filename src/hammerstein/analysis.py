@@ -5,9 +5,9 @@ solve path and reports whether the bound holds:
 
 * excess integral: int (G(f*) - f*) dx is capped by eta times the kernel's
   mass-defect constant;
-* tail integral: int_r^inf (eta - f*) dx is capped by
-  (eta - eps) eta / (G(eps) - eps) times the same constant, with r the first
-  node past which the profile stays above eta / 2 and eps its minimum there;
+* tail integral: int_r^inf (eta - f*) dx is capped by (eta - eps) eta /
+  (G(eps) - eps), formed without cancellation, times the same constant, with r
+  the first node past which the profile stays above eta / 2, eps < eta its minimum there;
 * Jensen margin: Jensen's inequality for the concave nonlinearity under
   the operator's positive weights, row by row at the profile;
 * asymptote: the profile's gap to eta at the last node;
@@ -79,30 +79,30 @@ class TailIntegralCertificate:
     rhs: float
     r: float
     epsilon: float
-    passed: bool | None         # None: eps within 1e-6 of eta, rhs not computed
+    passed: bool
 
 
 def tail_integral_certificate(fstar, grid: HalfLineGrid, G: NonlinearitySpec,
                               report: ConditionReport) -> TailIntegralCertificate:
     """Certify int_r^{x_max} (eta - f*) <= (eta - eps) eta / (G(eps) - eps) * constant.
 
-    A profile not strictly positive, or never above eta / 2 up to x_max, fails
-    with every number NaN."""
+    With eta = 1, eps - eta is exact (eps >= eta / 2), and G's powers c give
+    G(eps) - eps = eps sum_c expm1((c - 1) log1p(eps - eta)) / 2: terms of one sign, so the
+    quotient keeps its precision up to its limit eta / (1 - a) as eps -> eta.  A
+    profile not strictly positive, never above eta / 2 up to x_max, or at eta all
+    through that tail fails with every number NaN."""
     fstar = np.asarray(fstar, dtype=float)
     eta = G.eta
     suffix_all = np.logical_and.accumulate((fstar >= 0.5 * eta)[::-1])[::-1]
-    if fstar.min() <= 0.0 or not suffix_all.any():
+    i0 = int(np.argmax(suffix_all))
+    eps = float(fstar[i0:].min())
+    if fstar.min() <= 0.0 or not suffix_all.any() or eps >= eta:
         return TailIntegralCertificate(lhs=math.nan, rhs=math.nan, r=math.nan,
                                        epsilon=math.nan, passed=False)
-    i0 = int(np.argmax(suffix_all))
-    r = float(grid.nodes[i0])
-    eps = float(fstar[i0:].min())
     lhs = math.fsum(grid.weights[i0:] * (eta - fstar[i0:]))
-    if eta - eps <= 1e-6:
-        # the slope quotient degenerates to 0/0; no verdict instead of computing
-        return TailIntegralCertificate(lhs=lhs, rhs=math.nan, r=r, epsilon=eps, passed=None)
-    rhs = ((eta - eps) * eta / (float(eval_G(G, eps)) - eps)) * report.mass_defect_constant
-    return TailIntegralCertificate(lhs=lhs, rhs=rhs, r=r, epsilon=eps,
+    excess = eps * sum(math.expm1((c - 1.0) * math.log1p(eps - eta)) for c in G.powers) / 2
+    rhs = ((eta - eps) * eta / excess) * report.mass_defect_constant
+    return TailIntegralCertificate(lhs=lhs, rhs=rhs, r=float(grid.nodes[i0]), epsilon=eps,
                                    passed=bool(lhs <= rhs + INTEGRAL_TOL))
 
 

@@ -1,34 +1,30 @@
 """Concave nonlinearity catalog, with the proof of its conditions.
 
-Three families on u >= 0, each continuous, strictly increasing, concave,
-vanishing at 0 and fixing eta = 1:
+Every catalog G is the mean of two powers on u >= 0,
+``G(u) = (u**p + u**q) / 2`` with 0 < p <= q <= 1, continuous, strictly
+increasing, concave, vanishing at 0 and fixing eta = 1.  A family names
+its pair (p, q), ``NonlinearitySpec.powers``:
 
-* ``I``:   ``u**alpha``
-* ``II``:  ``(u**alpha_star + u) / 2``
-* ``III``: ``(u**alpha_tilde + u**alpha_star) / 2`` with alpha_tilde < alpha_star
+* ``I``:   (alpha, alpha), that is ``u**alpha``
+* ``II``:  (alpha_star, 1)
+* ``III``: (alpha_tilde, alpha_star) with alpha_tilde < alpha_star
 
-Each family carries a rate exponent ``a`` in (0, 1) with
-``G(sigma * u) >= sigma**a * G(u)`` for sigma in (0, 1), u in [0, eta]; it is
-``alpha`` for family I (an equality there), ``(1 + alpha_star) / 2`` for II
-and ``(alpha_tilde + alpha_star) / 2`` for III.  That exponent drives the
-geometric convergence envelope of the solver.
+Its rate exponent a = (p + q) / 2 < 1, with ``G(sigma * u) >= sigma**a * G(u)``
+for sigma in (0, 1), u in [0, eta], drives the solver's convergence envelope.
 
 The existence and uniqueness theorems' five conditions on G hold for every
 spec that ``NonlinearitySpec`` accepts, so a run samples none of them.  Take
-eta = 1 and u in [0, 1].  Family I is u**alpha with a = alpha; write II and
-III as G = (u**p + u**q) / 2 with 0 < p < q <= 1 and a = (p + q) / 2, where
-II has (p, q) = (alpha_star, 1) and III has (alpha_tilde, alpha_star):
+eta = 1 and u in [0, 1]:
 
 * fixed point: ``0.0 ** c == 0.0`` and ``1.0 ** c == 1.0`` for c > 0, so
   G(0) = 0 and G(1) = 1.0 exactly;
 * increasing and concave: each u**c with c in (0, 1] is strictly increasing
   and concave on [0, inf), and so is a mean of such powers;
-* scaling, sigma in (0, 1): family I gives equality; for the means,
-  sigma**p >= sigma**a and u**p >= u**q on [0, 1], so
+* scaling, sigma in (0, 1): sigma**p >= sigma**a and u**p >= u**q on [0, 1], so
   2 (G(sigma u) - sigma**a G(u))
   = (sigma**p - sigma**a) u**p - (sigma**a - sigma**q) u**q
   >= (sigma**p - 2 sigma**a + sigma**q) u**q
-  = (sigma**(p/2) - sigma**(q/2))**2 u**q >= 0;
+  = (sigma**(p/2) - sigma**(q/2))**2 u**q >= 0, an equality when p = q;
 * inverse scaling, u, v in [0, 1], Q = G^{-1}: put w = Q(v); as G
   increases, u Q(v) >= Q(u v) is G(u w) >= u G(w), which is concavity with
   G(0) = 0.
@@ -67,30 +63,32 @@ class NonlinearitySpec:
 
     @property
     def eta(self) -> float:
-        """The positive fixed point G(eta) = eta: 1 for every family, exactly,
-        since each G is a mean of powers of u and ``1.0 ** x == 1.0``."""
+        """The positive fixed point G(eta) = eta: 1.0 exactly, as ``1.0 ** c == 1.0``."""
         return 1.0
 
     @property
-    def rate_exponent(self) -> float:
-        """Exponent a of the scaling bound G(sigma u) >= sigma**a G(u)."""
+    def powers(self) -> tuple[float, float]:
+        """The pair (p, q), p <= q, with G(u) = (u**p + u**q) / 2."""
         if self.family == "I":
-            return self.alpha
+            return self.alpha, self.alpha
         if self.family == "II":
-            return 0.5 * (1.0 + self.alpha_star)
-        return 0.5 * (self.alpha_tilde + self.alpha_star)
+            return self.alpha_star, 1.0
+        return self.alpha_tilde, self.alpha_star
+
+    @property
+    def rate_exponent(self) -> float:
+        """Exponent a = (p + q) / 2 of the scaling bound G(sigma u) >= sigma**a G(u)."""
+        p, q = self.powers
+        return 0.5 * (p + q)
 
 
 def eval_G(spec: NonlinearitySpec, u):
-    """Evaluate G(u) for u >= 0 (scalars or arrays). G(0) = 0."""
+    """Evaluate G(u) = (u**p + u**q) / 2 for u >= 0 (scalars or arrays). G(0) = 0."""
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("G is only defined for nonnegative arguments")
-    if spec.family == "I":
-        return arr ** spec.alpha
-    if spec.family == "II":
-        return 0.5 * (arr ** spec.alpha_star + arr)
-    return 0.5 * (arr ** spec.alpha_tilde + arr ** spec.alpha_star)
+    p, q = spec.powers
+    return 0.5 * (arr ** p + arr ** q)
 
 
 @dataclass(frozen=True)

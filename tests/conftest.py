@@ -120,7 +120,7 @@ ORACLE_STOP = Decimal("1e-32")
 _exact_fixed_points = {}
 
 
-def _exact_G(G):
+def exact_G(G):
     """G in decimal arithmetic: the mean of u**p over its exponents p (one for
     family I, two for II and III), each the float exponent taken as exact and
     u**p formed as exp(p ln u), one ln per node."""
@@ -155,7 +155,7 @@ def exact_fixed_point(spec, operator, G):
             ctx.prec = ORACLE_DIGITS
             rows = [[Decimal(v) for v in row] for row in open_operator(spec, operator).tolist()]
             tail = [Decimal(v) for v in operator.tail_mass.tolist()]
-            G_exact = _exact_G(G)
+            G_exact = exact_G(G)
             f = [Decimal(G.eta)] * operator.size
             step = Decimal(1)
             while step >= ORACLE_STOP:
@@ -219,6 +219,27 @@ class LoweredProduct:
 
 def make_G(family):
     return hs.NonlinearitySpec(family=family, **G_PARAMS[family])
+
+
+def three_branch_G(G, u):
+    """G(u) spelled per family, u**alpha, (u**alpha_star + u) / 2 and
+    (u**alpha_tilde + u**alpha_star) / 2: the reference for the mean form."""
+    u = np.asarray(u, dtype=float)
+    if G.family == "I":
+        return u ** G.alpha
+    if G.family == "II":
+        return 0.5 * (u ** G.alpha_star + u)
+    return 0.5 * (u ** G.alpha_tilde + u ** G.alpha_star)
+
+
+def three_branch_rate(G):
+    """The rate exponent spelled per family: alpha, (1 + alpha_star) / 2 and
+    (alpha_tilde + alpha_star) / 2."""
+    if G.family == "I":
+        return G.alpha
+    if G.family == "II":
+        return 0.5 * (1.0 + G.alpha_star)
+    return 0.5 * (G.alpha_tilde + G.alpha_star)
 
 
 # constructor keywords of admissible specs; every rate exponent a is at most 0.95

@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,11 +13,12 @@ from hammerstein.analysis import (PROBE_TRIALS, UniquenessProbeReport, _uniform_
                                   excess_integral_certificate,
                                   jensen_certificate,
                                   tail_integral_certificate, uniqueness_probe)
+from hammerstein.kernels import ConditionReport
 from hammerstein.nonlinearity import NonlinearitySpec, eval_G
 from hammerstein.picard import solve_picard
 from hammerstein.quadrature import integrate
 
-from conftest import SUP_TOL, dense_operator, make_G
+from conftest import ORACLE_DIGITS, SUP_TOL, dense_operator, exact_G, make_G
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -79,11 +82,39 @@ def test_tail_lhs_matches_direct_quadrature(small_ci):
 
 
 def test_tail_degenerate_profile_flagged(small_ci):
-    nearly_flat = np.full(small_ci["grid"].size, small_ci["G"].eta - 1e-9)
-    cert = tail_integral_certificate(nearly_flat, small_ci["grid"],
-                                     small_ci["G"], small_ci["report"])
-    assert cert.passed is None and math.isnan(cert.rhs)
-    assert cert.epsilon == small_ci["G"].eta - 1e-9
+    # next to eta the quotient nears its limit eta / (1 - a) = 2 and decides;
+    # at eta it is 0 / 0, and the profile fails with every number NaN
+    grid, G, report = small_ci["grid"], small_ci["G"], small_ci["report"]
+    nearly_flat = np.full(grid.size, G.eta - 1e-9)
+    cert = tail_integral_certificate(nearly_flat, grid, G, report)
+    assert isinstance(cert.passed, bool) and math.isfinite(cert.rhs)
+    assert cert.rhs == pytest.approx(2.0 * report.mass_defect_constant, rel=1e-8)
+    assert cert.epsilon == G.eta - 1e-9
+    cert = tail_integral_certificate(np.full(grid.size, G.eta), grid, G, report)
+    assert cert.passed is False
+    assert all(math.isnan(v) for v in (cert.lhs, cert.rhs, cert.r, cert.epsilon))
+
+
+@pytest.mark.parametrize("G", [make_G("I"), make_G("II"), make_G("III"),
+                               NonlinearitySpec(family="I", alpha=0.999),
+                               NonlinearitySpec(family="III", alpha_tilde=1e-9,
+                                                alpha_star=1.0 - 1e-6)],
+                         ids=["I", "II", "III", "I-0.999", "III-1e-9-0.999999"])
+def test_tail_quotient_to_eight_ulps_up_to_eta(small_grid, G):
+    # (eta - eps) / (G(eps) - eps) as rhs at a unit constant, against 40
+    # digits, for eps = 1 - 2**-k up to the last double below eta
+    unit = ConditionReport(sup_row_mass=0.5, gamma_max=0.0, gamma_tail=0.0,
+                           gamma_integral=1.0, lambda_star_excess_integral=0.0,
+                           kstar_total_mass=0.0, kstar_abs_moment=0.0)
+    assert unit.mass_defect_constant == 1.0
+    G_exact = exact_G(G)
+    for k in range(1, 53):
+        eps = 1.0 - 2.0 ** -k
+        rhs = tail_integral_certificate(np.full(small_grid.size, eps), small_grid, G, unit).rhs
+        with decimal.localcontext() as ctx:
+            ctx.prec = ORACLE_DIGITS
+            exact = (1 - Decimal(eps)) / (G_exact(Decimal(eps)) - Decimal(eps))
+        assert abs(Decimal(rhs) - exact) <= 8 * Decimal(math.ulp(float(exact))), k
 
 
 def test_tail_requires_half_ceiling_plateau(small_ci):

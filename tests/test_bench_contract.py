@@ -1,12 +1,14 @@
-"""What the benchmark in ``perfbench/`` reads from the package: names and fields.
+"""What the benchmark in ``perfbench/`` reads from the package: names, fields
+and config keys.
 
 ``perfbench/tracer.py`` wraps the functions in its ``WRAPPED`` table by
-(module, name) and counts work from their arguments and results, and
+(module, name) and counts work from their arguments and results,
 ``perfbench/catalog.py`` calls ``hs.<name>`` and reads the fields of what
-they return.  A refactor that drops or moves one of those names, or a field
-a counter or the catalog reads, would break traced or catalog runs without
-failing any other test.  The files are read and executed, never imported,
-so nothing is written under ``perfbench/``.
+they return, and ``perfbench/workloads/*.yaml`` are configs the CLI must
+accept.  A refactor that drops or moves one of those names, a field a
+counter or the catalog reads, or a key a workload sets, would break the
+benchmark without failing any other test.  The files are read and executed,
+never imported, so nothing is written under ``perfbench/``.
 """
 
 import ast
@@ -17,8 +19,11 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hammerstein as hs
+from hammerstein.cli import run
+from hammerstein.config import load_config
 
 from conftest import make_G, make_kernel
 
@@ -32,6 +37,14 @@ def bench_module(name):
     module.__file__ = str(path)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+@pytest.mark.parametrize("workload", sorted((BENCH / "workloads").glob("*.yaml")),
+                         ids=lambda path: path.stem)
+def test_workload_configs_load_and_check(tmp_path, workload):
+    # the run writes under tmp_path
+    load_config(workload)
+    assert run(workload, tmp_path, mode="check") == 0
 
 
 def test_tracer_wrapped_functions_resolve():

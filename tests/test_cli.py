@@ -611,6 +611,20 @@ def test_delta_next_to_one_exits_0(tmp_path):
     assert not {"positivity_ok", "symmetry_residual"} & set(report["conditions"]["kernel"])
 
 
+def test_epsilon_next_to_one_decides_the_tail_certificate(tmp_path):
+    # d_star = 1 and epsilon = 1 - 1e-7 leave the tail's minimum within 1e-7
+    # of eta, where G(eps) - eps cancels unless it is formed as a sum of expm1
+    config = yaml.safe_load(readme_config())
+    config["kernel"].update(d_star=1.0, epsilon=0.9999999)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(write_config(tmp_path, yaml.safe_dump(config))),
+                 "--out-dir", str(out)])
+    assert code == 0
+    tail = yaml.safe_load((out / "report.yaml").read_text())["certificates"]["tail"]
+    assert 0.0 < 1.0 - tail["epsilon"] < 1e-6
+    assert tail["passed"] is True and math.isfinite(tail["rhs"])
+
+
 def test_small_exponent_passes_the_jensen_certificate(tmp_path):
     # alpha = 0.0002 brings f* within 1e-14 of eta, where Q = G^{-1} has
     # slope 1 / alpha: the inverse form of the certificate failed there by

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hammerstein.nonlinearity import NonlinearitySpec, eval_G
 
-from conftest import make_G, power_linear_scaling_ratio
+from conftest import make_G, power_linear_scaling_ratio, three_branch_G, three_branch_rate
 
 unit_open = st.floats(min_value=0.05, max_value=0.95)
 
@@ -88,6 +88,29 @@ def test_rate_exponents():
     assert make_G("I").rate_exponent == 0.5
     assert make_G("II").rate_exponent == pytest.approx(0.75)
     assert make_G("III").rate_exponent == pytest.approx(0.5)
+
+
+# every spec NonlinearitySpec admits: exponents anywhere in the open (0, 1)
+open_exponent = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+admissible_G = st.one_of(
+    st.builds(NonlinearitySpec, family=st.just("I"), alpha=open_exponent),
+    st.builds(NonlinearitySpec, family=st.just("II"), alpha_star=open_exponent),
+    st.tuples(open_exponent, open_exponent).filter(lambda p: p[0] < p[1])
+    .map(lambda p: NonlinearitySpec(family="III", alpha_tilde=p[0], alpha_star=p[1])))
+# 0, the smallest subnormal, a subnormal, the smallest normal and eta = 1
+EDGE_U = [0.0, 5e-324, 2.0 ** -1030, 2.0 ** -1022, 1.0]
+
+
+@given(G=admissible_G, u=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_mean_form_is_each_familys_formula_bit_for_bit(G, u):
+    # (u**p + u**q) / 2 with the family's pair: x + x halves exactly and
+    # u**1.0 == u, so on [0, eta] it is the family's own spelling to the bit
+    assert G.rate_exponent.hex() == three_branch_rate(G).hex()
+    arr = np.array(EDGE_U + u)
+    assert eval_G(G, arr).tobytes() == three_branch_G(G, arr).tobytes()
+    for v in arr:
+        assert np.asarray(eval_G(G, v)).tobytes() == three_branch_G(G, v).tobytes()
 
 
 # --- inverse --------------------------------------------------------------
