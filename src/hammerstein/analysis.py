@@ -147,7 +147,7 @@ def asymptote_certificate(fstar, gamma, eta: float) -> AsymptoteCertificate:
 
 # numpy's SeedSequence and PCG64 constants: numpy/random/bit_generator.pyx;
 # M. E. O'Neill, PCG, Harvey Mudd College report HMC-CS-2014-0905 (2014)
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -184,36 +184,19 @@ def _seed_state(words) -> list[int]:
     return [draw(pool[i % 4]) | draw(pool[i % 4 + 1]) << 32 for i in range(0, 8, 2)]
 
 
-def _mulhi(x: np.ndarray, y: int) -> np.ndarray:
-    """High 64 bits of each uint64 product x * y, from 32-bit halves."""
-    m32, s32 = np.uint64(_M32), np.uint64(32)
-    x0, x1, y0, y1 = x & m32, x >> s32, np.uint64(y & _M32), np.uint64(y >> 32)
-    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
-    mid = (p00 >> s32) + (p01 & m32) + (p10 & m32)
-    return x1 * y1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
-
-
 def _uniform_stream(seed: int, trial: int, n: int) -> np.ndarray:
-    """``np.random.default_rng([seed, trial]).random(n)``, bit for bit: the
-    XSL-RR outputs of PCG64's 128-bit LCG states, to 53 bits.  The states
-    are hi/lo uint64 pairs, filled by doubling: states [t, 2t) are the
-    affine map of t steps, s -> M**t s + c_t mod 2**128, of states [0, t)."""
+    """``np.random.default_rng([seed, trial]).random(n)``, bit for bit: PCG64's
+    recurrence state <- state * _PCG_MULT + inc mod 2**128 (O'Neill 2014), each new
+    state output as XSL-RR (hi ^ lo rotated right by hi >> 58) to its top 53 bits."""
     words = _seed_state([seed, trial])
     inc = (words[2] << 65 | words[3] << 1 | 1) & _M128
     state = ((inc + (words[0] << 64 | words[1])) * _PCG_MULT + inc) & _M128
-    first = (state * _PCG_MULT + inc) & _M128
-    hi, lo = np.empty(n, np.uint64), np.empty(n, np.uint64)
-    hi[:1], lo[:1] = first >> 64, first & _M64
-    mult, add, done = _PCG_MULT, inc, 1     # the map of `done` steps
-    while done < n:
-        k = min(done, n - done)
-        m_lo, m_hi = mult & _M64, np.uint64(mult >> 64)
-        prod = lo[:k] * np.uint64(m_lo)
-        new_lo = np.add(prod, np.uint64(add & _M64), out=lo[done:done + k])
-        hi[done:done + k] = (_mulhi(lo[:k], m_lo) + lo[:k] * m_hi + hi[:k] * np.uint64(m_lo)
-                             + np.uint64(add >> 64) + (new_lo < prod))
-        mult, add, done = mult * mult & _M128, (mult * add + add) & _M128, 2 * done
-    rot, xored = hi >> np.uint64(58), np.bitwise_xor(hi, lo, out=lo)
+    states = bytearray()
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        states += state.to_bytes(16, "little")
+    lo, hi = np.frombuffer(states, "<u8").reshape(n, 2).T
+    rot, xored = hi >> np.uint64(58), hi ^ lo
     rotated = xored >> rot | xored << (-rot & np.uint64(63))
     return (rotated >> np.uint64(11)) * 2.0 ** -53
 

@@ -158,10 +158,10 @@ def _stages(mode: str, config: RunConfig, out_dir: Path, payload: dict):
         "asymptote": asymptote_certificate(solve.profile, disc.gamma, G.eta),
         "uniqueness": None,
     }
-    if config.certificates.uniqueness_probe:
+    if config.uniqueness_probe:
         yield "the uniqueness probe"
         results["uniqueness"] = uniqueness_probe(
-            disc.operator, G, solve.profile, seed=config.certificates.seed,
+            disc.operator, G, solve.profile, seed=config.seed,
             tol=config.tol, max_iter=config.max_iter)
     payload["certificates"] = _plain(results)
 

@@ -138,12 +138,6 @@ class _Section:
 
 
 @dataclass
-class CertificateSettings:
-    uniqueness_probe: bool
-    seed: int
-
-
-@dataclass
 class RunConfig:
     """Validated configuration with constructed domain objects and its echo tree."""
 
@@ -152,8 +146,9 @@ class RunConfig:
     grid: HalfLineGrid
     tol: float
     max_iter: int
+    uniqueness_probe: bool
+    seed: int
     nemytsky: NemytskySpec | None
-    certificates: CertificateSettings
     echo: dict
 
 
@@ -224,15 +219,14 @@ def parse_config(tree: dict, seed: int | None = None) -> RunConfig:
     if seed is not None:
         c.raw = {**c.raw, "seed": seed}
     probe = c.read("uniqueness_probe", True, (lambda v: isinstance(v, bool), "must be a boolean"))
-    certificates = CertificateSettings(
-        probe, seed=c.integer("seed", 12345, (lambda v: v >= 0, "must be at least 0")))
+    seed = c.integer("seed", 12345, (lambda v: v >= 0, "must be at least 0"))
     c.close()
     root.close(checks="the kernel checks take no settings (their tolerance is "
                       "kernels.CHECK_TOL, domination is proven); remove this section")
 
-    return RunConfig(kernel=kernel, nonlinearity=nonlinearity, grid=grid,
-                     tol=tol, max_iter=max_iter, nemytsky=nemytsky,
-                     certificates=certificates, echo=root.echo)
+    return RunConfig(kernel=kernel, nonlinearity=nonlinearity, grid=grid, tol=tol,
+                     max_iter=max_iter, uniqueness_probe=probe, seed=seed,
+                     nemytsky=nemytsky, echo=root.echo)
 
 
 def read_yaml(path):

@@ -222,6 +222,13 @@ def test_probe_stream_is_numpys_pcg64(seed):
             assert np.array_equal(_uniform_stream(seed, trial, n), expected), (trial, n)
 
 
+def test_probe_stream_is_numpys_pcg64_at_the_largest_readme_grid():
+    # the stream the probe draws for the README kernel at N = 409600
+    expected = np.random.default_rng([12345, 0]).random(409600)
+    assert np.array_equal(_uniform_stream(12345, 0, 409600).view(np.uint64),
+                          expected.view(np.uint64))
+
+
 @given(seed=st.integers(min_value=0, max_value=2**128 - 1),
        trial=st.integers(min_value=0, max_value=2**40), n=st.integers(0, 300))
 @settings(max_examples=200, deadline=None)

@@ -1,25 +1,31 @@
+import contextlib
 import dataclasses
 import errno
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import hammerstein
 import hammerstein.analysis
 import hammerstein.cli
 import hammerstein.kernels
 import hammerstein.picard
-from conftest import LoweredProduct, lift_third_ceiling_iterate, readme_block, readme_config
+from conftest import (MIXTURE_ATOMS, LoweredProduct, lift_third_ceiling_iterate, readme_block,
+                      readme_config)
 from hammerstein.cli import emit_convergence_table, main, run
 from hammerstein.config import load_config
 from hammerstein.errors import NumericalBreakdownError
-from hammerstein.nemytsky import solve_nemytsky
+from hammerstein.kernels import LAMBDA_FORMS
+from hammerstein.nemytsky import DAMPING_PROFILES, solve_nemytsky
 from hammerstein.picard import discretise, rate_envelope, solve_picard
 
 BASE_CONFIG = """\
@@ -717,6 +723,69 @@ def test_status_of_every_exit_path(tmp_path, monkeypatch, case):
     out = tmp_path / "out"
     assert main([mode, "--config", str(write_config(tmp_path, text)), "--out-dir", str(out)]) == code
     assert yaml.safe_load((out / "report.yaml").read_text())["status"] == status
+
+
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def admissible_runs(draw):
+    """A run mode and a config tree from the ranges the specs accept: every
+    kernel and G family, both bases and lambda forms, at most 800 nodes,
+    tol in [1e-12, 10], max_iter in [1, 200], the probe on or off."""
+    kfam, gfam = draw(st.sampled_from("ABC")), draw(st.sampled_from(["I", "II", "III"]))
+    kernel = {"family": kfam, "lambda_form": draw(st.sampled_from(LAMBDA_FORMS)),
+              "d_star": draw(st.floats(0.0, 1.0, exclude_min=True)), "l": draw(OPEN_UNIT)}
+    if draw(st.booleans()):
+        kernel["base"] = {"variant": "exp-mixture", "atoms": [list(a) for a in MIXTURE_ATOMS]}
+    if kfam != "A":
+        kernel["delta" if kfam == "B" else "epsilon"] = draw(OPEN_UNIT)
+    low, high = sorted(draw(st.lists(OPEN_UNIT, min_size=2, max_size=2, unique=True)))
+    nonlinearity = {"I": {"alpha": high}, "II": {"alpha_star": high},
+                    "III": {"alpha_star": high, "alpha_tilde": low}}[gfam]
+    # up to 16 points per panel: a structured product costs O(p N), 64 ms at
+    # p = N = 800 against under 1 ms at p = 16, and a run takes hundreds
+    points = draw(st.integers(1, 16))
+    tree = {
+        "kernel": kernel,
+        "nonlinearity": {"family": gfam, **nonlinearity},
+        "grid": {"x_max": draw(st.floats(1.0, 100.0)), "points_per_panel": points,
+                 "n_panels": draw(st.integers(1, 800 // points))},
+        "solver": {"tol": 10.0 ** draw(st.floats(-12.0, 1.0)),
+                   "max_iter": draw(st.integers(1, 200))},
+        "nemytsky": {"xi": draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+                     "eps_star_fraction": draw(st.floats(0.0, 1.0)),
+                     "damping_profile": draw(st.sampled_from(DAMPING_PROFILES))},
+        "certificates": {"uniqueness_probe": draw(st.booleans()),
+                         "seed": draw(st.integers(0, 2**64))},
+    }
+    return draw(st.sampled_from(["check", "solve", "solve-nemytsky"])), tree
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=admissible_runs())
+def test_every_admissible_run_exits_with_its_status(case):
+    # a config the specs accept runs to a report whose status matches its exit
+    # code, printing only verdict and error lines; a numerical failure (5) is
+    # allowed, as a large tol can stop the ceiling solve short of the combined
+    # solve's envelope
+    mode, tree = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out, err = Path(tmp) / "run.yaml", Path(tmp) / "out", io.StringIO()
+        cfg.write_text(yaml.safe_dump(tree))
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            with contextlib.redirect_stderr(err):
+                code = run(cfg, out, mode=mode)
+        assert code in (0, 1, 3, 4, 5), err.getvalue()
+        status = yaml.safe_load((out / "report.yaml").read_text())["status"]
+    lines = err.getvalue().splitlines()
+    assert not stdout.getvalue()
+    assert all(line.startswith(("verdict failed: ", "error: ")) for line in lines)
+    assert {0: status and all(value is True for value in status.values()),
+            1: any(line.startswith("verdict failed: ") for line in lines),
+            3: status.get("conditions_passed") is False,
+            4: status.get("converged") is False,
+            5: "numerical_error" in status}[code], status
 
 
 def test_config_echo_round_trips(tmp_path):
