@@ -43,9 +43,12 @@ Each family is a diagonal scaling of ``K0(x - t)`` and ``K0(x + t)`` (its
 row of the one family table, ``_factors``), so on the equal panels every
 quadrature grid has its Nystrom matrix is block-Toeplitz
 plus block-Hankel.  :func:`structured_kernel` keeps it as the real-FFT
-spectra of those blocks (O(N) memory) and applies it in O(N log N), also
-for the tail past x_max at the nodes; :func:`kernel_matrix`, the dense
-N x N form, is kept as a test oracle.
+spectra of those blocks (O(N) memory) and applies it in O(N log N).  The
+same builder gives the tail past x_max at the nodes as one N x pad product
+whose columns continue the grid's panels (:func:`node_tail`), without the
+image term where its bound is below 2**-53: that table is at the floor
+there, and its FFT would run on subnormals.  :func:`kernel_matrix`, the
+dense N x N form, is kept as a test oracle.
 
 :func:`discretise` is the one entry from a kernel and a grid: the condition
 checks on the raw node masses, the :class:`OperatorMatrix` on the capped
@@ -285,9 +288,10 @@ def _fft_size(n: int) -> int:
 class StructuredKernel:
     """The weighted Nystrom matrix w_j K(x_i, t_j) of an equal-panel grid, in O(N).
 
-    Node i = P p + k (panel P, point k of p) sits at x_i = h P + c_k, so
+    Row node i = P p + k (panel P < m, point k of p) sits at x_i = h P + c_k
+    and column node j = Q p + l (Q < n) at t_j = h (shift + Q) + c_l, so
     K0(x_i - t_j) = T_kl[P - Q] and K0(x_i + t_j) = H_kl[P + Q]: p^2 Toeplitz
-    and p^2 Hankel blocks of side m = N / p, each fixed by 2m - 1 values of
+    and p^2 Hankel blocks of m x n panels, each fixed by m + n - 1 values of
     K0.  Every family is
 
         sum_r diag(left[r]) (T + image * H) diag(right[r]),
@@ -295,13 +299,14 @@ class StructuredKernel:
     with the quadrature weights folded into ``right``.  ``spectra[k, l]``
     holds the real FFT of the circulant embedding of T_kl and
     ``spectra[k, p + l]`` the image weight times that of the zero-padded
-    H_kl; a family without an image term has only the first p columns.
+    H_kl; a kernel without an image term has only the first p columns.
     ``kernel @ v`` takes one batch of forward real FFTs, a p x 2p
     contraction per frequency (a Hankel block acts through the conjugate
-    spectrum of v) and one batch of inverse FFTs: O(N log N) time, and no
-    BLAS call.  With the panel rule of :func:`~.quadrature.gauss_legendre`,
-    the whole run makes no BLAS or LAPACK call, so its results depend neither
-    on the BLAS build nor on its thread count.
+    spectrum of v) and one batch of inverse FFTs: O((m + n) p log(m + n))
+    time, and no BLAS call; it returns the m p row values.  With the panel
+    rule of :func:`~.quadrature.gauss_legendre`, the whole run makes no BLAS
+    or LAPACK call, so its results depend neither on the BLAS build nor on
+    its thread count.
     """
 
     spectra: np.ndarray
@@ -320,9 +325,9 @@ class StructuredKernel:
 
     def __matmul__(self, v) -> np.ndarray:
         terms, (p, columns, freqs) = self.left.shape[0], self.spectra.shape
-        # (terms, p, m): the scaled v, one row per Gauss point, panels along the last axis
+        # (terms, p, n): the scaled v, one row per Gauss point, panels along the last axis
         u = (self.right * v).reshape(terms, -1, p).transpose(0, 2, 1)
-        m = u.shape[-1]
+        m = self.left.shape[1] // p
         # each temporary is dropped once the next step has read it, so a
         # product holds at most about two spectra of v besides the output
         u_hat = np.fft.rfft(u, n=self.fft_size, axis=-1)
@@ -339,36 +344,56 @@ class StructuredKernel:
         return (self.left * y.transpose(0, 2, 1).reshape(terms, -1)).sum(axis=0)
 
 
-def structured_kernel(spec: KernelSpec, grid: HalfLineGrid) -> StructuredKernel:
-    """The grid's weighted Nystrom matrix from K0 at its Toeplitz and Hankel arguments.
+def structured_kernel(spec: KernelSpec, grid: HalfLineGrid, shift: int = 0,
+                      panels: int | None = None) -> StructuredKernel:
+    """The weighted Nystrom matrix from K0 at its Toeplitz and Hankel arguments.
 
-    K0 is evaluated at the 2 (2m - 1) p^2 distinct arguments only, never on
-    the N x N node pairs, and a few block pairs (k, l) at a time: the memory
+    The rows are the grid's nodes.  The columns are ``panels`` panels (the
+    grid's own count by default) of the grid's width and rule, starting
+    ``shift`` panels in: the default is the grid's square matrix, and
+    ``shift = grid.n_panels`` a run of panels past x_max (:func:`node_tail`).
+    K0 is evaluated at the 2 (m + n - 1) p^2 distinct arguments only, never
+    on the node pairs, and a few block pairs (k, l) at a time: the memory
     beyond the returned spectra and scalings is a few tables of at most
-    max(FFT_BLOCK_ENTRIES, 2m) values.
+    max(FFT_BLOCK_ENTRIES, m + n) values.
+
+    The image term is dropped when its bound |image| K0(h shift) n h is at
+    most 2**-53: K0 is non-increasing on R+ and every Hankel argument is at
+    least h shift, the modulation is at most 1 (mu <= 1, 0.5 (lam(x) +
+    lam(t)) <= 1) and the column weights sum to n h, so no row changes by
+    more than the product's own rounding.  Past x_max that table is at or
+    near the floor, and its FFT and contraction would run on subnormals,
+    tens of times slower than on normal values.
     """
     p, m, h = grid.points_per_panel, grid.n_panels, grid.h
+    n = m if panels is None else panels
     offsets = grid.nodes[:p]
-    image, left, right = _factors(spec, grid.nodes)
-    left, right = np.stack(left), np.stack(right) * grid.weights
+    image, left = _factors(spec, grid.nodes)[:2]
+    left = np.stack(left)
+    columns = (h * np.arange(shift, shift + n)[:, None] + offsets).ravel()
+    right = np.stack(_factors(spec, columns)[2]) * np.tile(grid.weights[:p], n)
+    del columns     # not held while the spectra are built
+    if abs(image) * float(spec.base.eval(h * shift)) * (n * h) <= 2.0 ** -53:
+        image = 0.0
 
     # the p x p block pairs (k, l) are tabulated a few at a time, at most
     # FFT_BLOCK_ENTRIES values per table; pocketfft transforms each sequence
     # on its own, so the spectra are bit for bit those of one batch
-    size = _fft_size(2 * m - 1)
+    size = _fft_size(m + n - 1)
     spectra = np.empty((p, 2 * p if image else p, size // 2 + 1), dtype=complex)
     chunk = max(1, FFT_BLOCK_ENTRIES // size)
     embedded = np.zeros((min(chunk, p * p), size))
-    shifts = h * np.arange(1 - m, m)        # h (P - Q) over the Toeplitz lags
+    lags = h * np.arange(1 - n - shift, m - shift)      # h (P - Q - shift) over the lags
     for start in range(0, p * p, chunk):
         k, l = np.divmod(np.arange(start, min(start + chunk, p * p)), p)
-        toeplitz = spec.base.eval(shifts + (offsets[k] - offsets[l])[:, None])
+        toeplitz = spec.base.eval(lags + (offsets[k] - offsets[l])[:, None])
         circulant = embedded[:k.size]
-        circulant[:, :m] = toeplitz[:, m - 1:]
-        circulant[:, size - m + 1:] = toeplitz[:, :m - 1]
+        circulant[:, :m] = toeplitz[:, n - 1:]
+        circulant[:, size - n + 1:] = toeplitz[:, :n - 1]
         spectra[k, l] = np.fft.rfft(circulant, axis=-1)
         if image:
-            hankel = spec.base.eval(h * np.arange(2 * m - 1) + (offsets[k] + offsets[l])[:, None])
+            hankel = spec.base.eval(h * np.arange(shift, shift + m + n - 1)
+                                    + (offsets[k] + offsets[l])[:, None])
             spectra[k, p + l] = image * np.fft.rfft(hankel, n=size, axis=-1)
     return StructuredKernel(spectra=spectra, left=left, right=right, fft_size=size)
 
@@ -379,6 +404,11 @@ def _tail_extension(base: BaseKernel, grid: HalfLineGrid) -> HalfLineGrid:
     so the first N nodes and weights are the grid's, bit for bit; the rest lie
     past x_max.  No memory holds 2**53 nodes, nor would the search for k end
     past them, so such a continuation is a :class:`NumericalBreakdownError`.
+
+    Its panels past x_max are the columns of :func:`node_tail`'s N x pad
+    product, which drops the image term where |image| K0(x_max) pad <=
+    2**-53 (that table's FFT would run on subnormals), and the nodes past
+    x_max of the dense :func:`tail_row_mass`.
     """
     rate = base.min_decay_rate()
     pad = 12.0 if math.isinf(rate) else max(12.0, 40.0 / rate)
@@ -400,7 +430,10 @@ def tail_row_mass(spec: KernelSpec, grid: HalfLineGrid, x):
     of the kernel bump sits past the truncation point, and dropping it would
     fake a mass defect of order 1/2 there.  The rule is the grid's own,
     continued (:func:`_tail_extension`).  This row-by-row form serves
-    off-grid points and is the oracle of the structured :func:`node_tail`.
+    off-grid points and is the oracle of :func:`node_tail`, the same sum as
+    one N x pad structured product.  It always keeps the image term, which
+    that product drops where |image| K0(x_max) pad <= 2**-53 because its
+    table there is at the floor and its FFT would run on subnormals.
     """
     extended, n = _tail_extension(spec.base, grid), grid.size
     return apply_kernel(spec, x, extended.nodes[n:], extended.weights[n:])
@@ -441,12 +474,15 @@ def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
 
 
 def node_tail(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
-    """int_{x_max}^inf K(x_i, t) dt at the nodes: (extended kernel @ past)[:N] on
-    the continued grid of :func:`_tail_extension`, past = 1 at its nodes past
-    x_max and 0 at the grid's, one structured product."""
-    extended = _tail_extension(spec.base, grid)
-    past = (np.arange(extended.size) >= grid.size).astype(float)
-    return (structured_kernel(spec, extended) @ past)[:grid.size]
+    """int_{x_max}^inf K(x_i, t) dt at the nodes: one N x pad product of
+    :func:`structured_kernel`, the grid's nodes as rows and the continuation
+    panels of :func:`_tail_extension` as columns, applied to ones.  The image
+    term is dropped where |image| K0(x_max) pad <= 2**-53, below the
+    product's rounding: there its table is at or near the floor, and its FFT
+    and contraction would run on subnormals, tens of times slower."""
+    shift, p = grid.n_panels, grid.points_per_panel
+    panels = _tail_extension(spec.base, grid).n_panels - shift
+    return structured_kernel(spec, grid, shift, panels) @ np.ones(panels * p)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 numpy reports its array buffers to tracemalloc, so a traced peak counts every
 temporary a stage allocates.  Each bound is one the stage meets by walking its
 tables in blocks or dropping its temporaries early: the structured kernel's
-block pairs, one structured product's spectra of v and the ceiling
-iteration's two-iterate window.
+block pairs, one structured product's spectra of v, the tail past x_max as
+one N x pad product and the ceiling iteration's two-iterate window.
 """
 
 import tracemalloc
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hammerstein as hs
-from hammerstein.kernels import structured_kernel
+from hammerstein.kernels import node_tail, structured_kernel
 
 from conftest import make_G, make_kernel
 
@@ -54,6 +54,18 @@ def test_structured_product_peak_near_its_spectra(family):
     _, peak = traced_peak(lambda: kernel @ np.ones(grid.size))
     assert peak <= 1.25 * kernel.spectra.nbytes, (
         f"peak {peak / MIB:.2f} MiB against spectra {kernel.spectra.nbytes / MIB:.2f} MiB")
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_node_tail_peak_below_the_grid_kernel(family):
+    # the tail's columns are its 3000 pad panels, and past x_max = 40 the
+    # image term of B and C is dropped
+    grid = hs.build_grid(40.0, 10000, hs.GAUSS, 4)       # N = 40000
+    spec = make_kernel(family)
+    spectra = structured_kernel(spec, grid).spectra.nbytes
+    _, peak = traced_peak(lambda: node_tail(spec, grid))
+    assert peak <= 2.5 * spectra, (
+        f"peak {peak / MIB:.2f} MiB against the grid's spectra {spectra / MIB:.2f} MiB")
 
 
 def test_solve_picard_peak_independent_of_iteration_count():

@@ -5,8 +5,8 @@ the over-cap row rescale and the tail closure on the last column for an
 assembled operator, ``dense_operator``);
 every product of the program goes through the structured form, so these
 tests tie it to the definition of the Nystrom matrix.  The tail past x_max
-at the nodes, a structured product on the continued grid, has the
-row-by-row ``tail_row_mass`` as its oracle.
+at the nodes, an N x pad structured product whose columns continue the grid,
+has the row-by-row ``tail_row_mass`` as its oracle.
 """
 
 import dataclasses
@@ -23,9 +23,9 @@ from hammerstein.picard import discretise
 
 from conftest import MIXTURE_ATOMS, SUP_TOL, dense_operator, make_kernel, sup_gap
 
-# "trapezoid" and "trapezoid-20" are one-point (midpoint) Gauss grids, the
-# structured form's p = 1 path, on the panels of the closed trapezoid grids
-# whose test ids they keep
+# "trapezoid" is a one-point (midpoint) Gauss grid, the structured form's
+# p = 1 path, on the panels of the closed trapezoid grid whose test ids it
+# keeps; TAIL_GRIDS names it "gauss-1"
 GRIDS = {
     "gauss-4": hs.build_grid(40.0, 400, hs.GAUSS, 4),      # the acceptance catalog's grid
     "trapezoid": hs.build_grid(30.0, 300, hs.GAUSS, 1),
@@ -85,6 +85,23 @@ def test_structured_kernel_sweep(family, lambda_form, weight, d_star, n_panels, 
     grid = hs.build_grid(30.0, n_panels, hs.GAUSS, points)
     dense = kernel_matrix(spec, grid) * grid.weights
     assert sup_gap(structured_kernel(spec, grid), dense, grid.size) <= SUP_TOL
+
+
+# (shift, panels): fewer columns than rows, a run through x_max, the tail's
+# run past it (12 / h panels) and one panel inside
+@pytest.mark.parametrize("shift, panels", [(0, 7), (0, 296), (200, 96), (57, 1)])
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_rectangular_kernel_matches_dense_oracle(family, shift, panels):
+    # h = 1/8, so a grid of shift + panels panels has the same h bit for bit
+    # and its nodes and weights are the columns'
+    grid = hs.build_grid(25.0, 200, hs.GAUSS, 4)
+    wide = hs.build_grid(grid.h * (shift + panels), shift + panels, hs.GAUSS, 4)
+    columns = slice(shift * 4, (shift + panels) * 4)
+    spec = make_kernel(family)
+    dense = (hs.eval_kernel(spec, grid.nodes[:, None], wide.nodes[None, columns])
+             * wide.weights[columns])
+    kernel = structured_kernel(spec, grid, shift, panels)
+    assert sup_gap(kernel, dense, 4 * panels) <= SUP_TOL
 
 
 @pytest.mark.parametrize("family", ["A", "B", "C"])
@@ -160,12 +177,15 @@ TAIL_TOL = 1e-14
 
 TAIL_GRIDS = {
     "gauss-4": GRIDS["gauss-4"],
-    "trapezoid": GRIDS["trapezoid"],
+    "gauss-1": GRIDS["trapezoid"],
     "one-panel": hs.build_grid(3.0, 1, hs.GAUSS, 4),
     "one-node": GRIDS["one-node"],
-    "trapezoid-20": hs.build_grid(40.0, 20, hs.GAUSS, 1),      # h = 2
+    "gauss-1-coarse": hs.build_grid(40.0, 20, hs.GAUSS, 1),    # h = 2
     # h = 10 / 22, where (h k) / k != h at the first continued panel count k = 49
     "gauss-rounded": hs.build_grid(10.0, 22, hs.GAUSS, 4),
+    # near the Gaussian's underflow, K0(26) ~ 1e-294: node_tail drops its
+    # image term there, and keeps the mixture's (K0(26) ~ 3e-7)
+    "gauss-underflow": hs.build_grid(26.0, 260, hs.GAUSS, 4),
 }
 
 BASES = {"gaussian": hs.BaseKernel(),
@@ -182,6 +202,16 @@ def tail_gap(spec, grid):
 @pytest.mark.parametrize("family", ["A", "B", "C"])
 def test_node_tail_matches_row_by_row_tail(family, base, grid_name):
     assert tail_gap(make_kernel(family, base=BASES[base]), TAIL_GRIDS[grid_name]) <= TAIL_TOL
+
+
+def test_tail_image_term_dropped_only_below_its_bound():
+    # |delta| K0(x_max) pad: about 1e-293 for the Gaussian, 1e-5 for the mixture
+    grid = TAIL_GRIDS["gauss-underflow"]
+    for base, columns in (("gaussian", 4), ("exp-mixture", 8)):
+        spec = make_kernel("B", base=BASES[base])
+        panels = _tail_extension(spec.base, grid).n_panels - grid.n_panels
+        tail = structured_kernel(spec, grid, grid.n_panels, panels)
+        assert tail.spectra.shape[:2] == (4, columns)
 
 
 @pytest.mark.parametrize("grid_name", sorted(TAIL_GRIDS))
