@@ -45,10 +45,9 @@ quadrature grid has its Nystrom matrix is block-Toeplitz
 plus block-Hankel.  :func:`structured_kernel` keeps it as the real-FFT
 spectra of those blocks (O(N) memory) and applies it in O(N log N).  The
 same builder gives the tail past x_max at the nodes as one N x pad product
-whose columns continue the grid's panels (:func:`node_tail`), without the
-image term where its bound is below 2**-53: that table is at the floor
-there, and its FFT would run on subnormals.  :func:`kernel_matrix`, the
-dense N x N form, is kept as a test oracle.
+whose columns continue the grid's panels (:func:`node_tail`; the image-term
+bound is in :func:`structured_kernel`).  :func:`kernel_matrix`, the dense
+N x N form, is kept as a test oracle.
 
 :func:`discretise` is the one entry from a kernel and a grid: the condition
 checks on the raw node masses, the :class:`OperatorMatrix` on the capped
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, NumericalBreakdownError, SpecRejectedError
-from .quadrature import GAUSS, HalfLineGrid, build_grid, gauss_legendre, integrate
+from .quadrature import HalfLineGrid, gauss_legendre, integrate
 
 # Smallest positive normal double.  Base-kernel, kernel, and operator values
 # are floored here so strict-positivity contracts survive tail underflow
@@ -148,11 +147,13 @@ class BaseKernel:
         """
         return self.variant == "exp-mixture"
 
-    def min_decay_rate(self) -> float:
-        """Slowest exponential decay rate of the base kernel (used to size internal grids)."""
+    @property
+    def tail_pad(self) -> float:
+        """Length past x_max the tail quadrature covers, where K0 has fallen below
+        1e-17 of its peak: 12 for the Gaussian, max(12, 40 / slowest rate) for a mixture."""
         if self.variant == "gaussian":
-            return math.inf
-        return min(s for _, s in self.atoms)
+            return 12.0
+        return max(12.0, 40.0 / min(s for _, s in self.atoms))
 
 
 @dataclass(frozen=True)
@@ -348,10 +349,9 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid, shift: int = 0,
                       panels: int | None = None) -> StructuredKernel:
     """The weighted Nystrom matrix from K0 at its Toeplitz and Hankel arguments.
 
-    The rows are the grid's nodes.  The columns are ``panels`` panels (the
-    grid's own count by default) of the grid's width and rule, starting
-    ``shift`` panels in: the default is the grid's square matrix, and
-    ``shift = grid.n_panels`` a run of panels past x_max (:func:`node_tail`).
+    The rows are the grid's nodes, the columns ``grid.panels(shift,
+    panels)`` (the grid's own count by default): the default is the grid's
+    square matrix, and ``shift = grid.n_panels`` a run past x_max (:func:`node_tail`).
     K0 is evaluated at the 2 (m + n - 1) p^2 distinct arguments only, never
     on the node pairs, and a few block pairs (k, l) at a time: the memory
     beyond the returned spectra and scalings is a few tables of at most
@@ -370,9 +370,10 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid, shift: int = 0,
     offsets = grid.nodes[:p]
     image, left = _factors(spec, grid.nodes)[:2]
     left = np.stack(left)
-    columns = (h * np.arange(shift, shift + n)[:, None] + offsets).ravel()
-    right = np.stack(_factors(spec, columns)[2]) * np.tile(grid.weights[:p], n)
-    del columns     # not held while the spectra are built
+    columns, weights = grid.panels(shift, n)
+    right = np.stack(_factors(spec, columns)[2])
+    right *= weights        # in place: no second 2 x n p temporary
+    del columns, weights    # not held while the spectra are built
     if abs(image) * float(spec.base.eval(h * shift)) * (n * h) <= 2.0 ** -53:
         image = 0.0
 
@@ -398,29 +399,17 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid, shift: int = 0,
     return StructuredKernel(spectra=spectra, left=left, right=right, fft_size=size)
 
 
-def _tail_extension(base: BaseKernel, grid: HalfLineGrid) -> HalfLineGrid:
-    """The grid continued past x_max by ceil(pad / h) or more panels of its width h.
-    The panel count k grows until (h k) / k == h (a power of two always passes),
-    so the first N nodes and weights are the grid's, bit for bit; the rest lie
-    past x_max.  No memory holds 2**53 nodes, nor would the search for k end
-    past them, so such a continuation is a :class:`NumericalBreakdownError`.
-
-    Its panels past x_max are the columns of :func:`node_tail`'s N x pad
-    product, which drops the image term where |image| K0(x_max) pad <=
-    2**-53 (that table's FFT would run on subnormals), and the nodes past
-    x_max of the dense :func:`tail_row_mass`.
-    """
-    rate = base.min_decay_rate()
-    pad = 12.0 if math.isinf(rate) else max(12.0, 40.0 / rate)
-    h = grid.h
+def _tail_panels(base: BaseKernel, grid: HalfLineGrid) -> int:
+    """ceil(pad / h): the panels of the grid's width h that continue it past
+    x_max over the base kernel's pad, ``grid.panels(grid.n_panels, count)``.
+    No memory holds 2**53 nodes, so a continuation that needs them is a
+    :class:`NumericalBreakdownError`."""
+    pad, h = base.tail_pad, grid.h
     nodes = (grid.n_panels + pad / h) * grid.points_per_panel     # inf past float range
     if not nodes < 2.0 ** 53:
         raise NumericalBreakdownError(f"the tail continuation past x_max = {grid.x_max!r} "
                                       f"needs {nodes:.3g} nodes at panel width {h!r}")
-    k = grid.n_panels + math.ceil(pad / h)
-    while h * k / k != h:
-        k += 1
-    return build_grid(h * k, k, GAUSS, grid.points_per_panel)
+    return math.ceil(pad / h)
 
 
 def tail_row_mass(spec: KernelSpec, grid: HalfLineGrid, x):
@@ -429,14 +418,13 @@ def tail_row_mass(spec: KernelSpec, grid: HalfLineGrid, x):
     Row masses must cover the whole half-line; for x near x_max roughly half
     of the kernel bump sits past the truncation point, and dropping it would
     fake a mass defect of order 1/2 there.  The rule is the grid's own,
-    continued (:func:`_tail_extension`).  This row-by-row form serves
+    continued past x_max (:func:`_tail_panels`).  This row-by-row form serves
     off-grid points and is the oracle of :func:`node_tail`, the same sum as
-    one N x pad structured product.  It always keeps the image term, which
-    that product drops where |image| K0(x_max) pad <= 2**-53 because its
-    table there is at the floor and its FFT would run on subnormals.
+    one N x pad structured product; it always keeps the image term, which
+    that product drops below its bound (:func:`structured_kernel`).
     """
-    extended, n = _tail_extension(spec.base, grid), grid.size
-    return apply_kernel(spec, x, extended.nodes[n:], extended.weights[n:])
+    nodes, weights = grid.panels(grid.n_panels, _tail_panels(spec.base, grid))
+    return apply_kernel(spec, x, nodes, weights)
 
 
 def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
@@ -475,14 +463,12 @@ def cusp_correction(spec: KernelSpec, grid: HalfLineGrid, x):
 
 def node_tail(spec: KernelSpec, grid: HalfLineGrid) -> np.ndarray:
     """int_{x_max}^inf K(x_i, t) dt at the nodes: one N x pad product of
-    :func:`structured_kernel`, the grid's nodes as rows and the continuation
-    panels of :func:`_tail_extension` as columns, applied to ones.  The image
-    term is dropped where |image| K0(x_max) pad <= 2**-53, below the
-    product's rounding: there its table is at or near the floor, and its FFT
-    and contraction would run on subnormals, tens of times slower."""
-    shift, p = grid.n_panels, grid.points_per_panel
-    panels = _tail_extension(spec.base, grid).n_panels - shift
-    return structured_kernel(spec, grid, shift, panels) @ np.ones(panels * p)
+    :func:`structured_kernel`, the grid's nodes as rows and the panels of
+    :func:`_tail_panels` past x_max as columns, applied to ones; its image
+    term is dropped below the bound :func:`structured_kernel` states."""
+    panels = _tail_panels(spec.base, grid)
+    return (structured_kernel(spec, grid, grid.n_panels, panels)
+            @ np.ones(panels * grid.points_per_panel))
 
 
 @dataclass(frozen=True)

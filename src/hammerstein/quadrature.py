@@ -8,6 +8,8 @@ are stored in ascending node order and :func:`integrate` accumulates in
 that order, which makes results bit-identical across runs and thread counts.
 A grid is its panels: :class:`HalfLineGrid` derives its nodes and weights
 from ``(x_max, n_panels, points_per_panel)``, is immutable and compares by value.
+One formula, :meth:`HalfLineGrid.panels`, gives any run of a grid's panels:
+the grid's own, or those that continue it past x_max.
 """
 
 from __future__ import annotations
@@ -131,18 +133,26 @@ class HalfLineGrid:
         if not h >= np.finfo(float).tiny:
             raise FieldError(None, f"panel width x_max / n_panels = {h!r} is not a normal float")
         xi, wi = gauss_legendre(p)
-        starts = h * np.arange(n_panels)
-        nodes = (starts[:, None] + 0.5 * h * (xi[None, :] + 1.0)).ravel()
-        weights = np.tile(0.5 * h * wi, n_panels)
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
+        # the first panel, from which panels() lays out every run, this grid's own too
         for name, value in (("x_max", x_max), ("n_panels", n_panels), ("points_per_panel", p),
-                            ("h", h), ("nodes", nodes), ("weights", weights)):
+                            ("h", h), ("nodes", 0.5 * h * (xi + 1.0)), ("weights", 0.5 * h * wi)):
+            object.__setattr__(self, name, value)
+        for name, value in zip(("nodes", "weights"), self.panels(0, n_panels)):
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
         return int(self.nodes.size)
+
+    def panels(self, shift: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of ``count`` panels of this grid's width and rule,
+        starting ``shift`` panels in: node ``Q p + k`` at ``h (shift + Q) +
+        nodes[k]``.  ``panels(0, n_panels)`` is the grid itself, and
+        ``panels(n_panels, count)`` continues it past x_max."""
+        p = self.points_per_panel
+        nodes = (self.h * np.arange(shift, shift + count)[:, None] + self.nodes[:p]).ravel()
+        return nodes, np.tile(self.weights[:p], count)
 
 
 def build_grid(x_max: float, n_panels: int, rule: str = GAUSS,

@@ -502,12 +502,16 @@ def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys, breakage, mode
 
 
 def _allocation_fails_past_x_max(monkeypatch):
-    # the continuation grid past x_max is the discretisation's first allocation
-    # (kernels._tail_extension); it fails as numpy's does when memory runs out
-    def build_grid(*args, **kwargs):
-        raise MemoryError("Unable to allocate 35.8 GiB for an array")
+    # the panels past x_max are the discretisation's first allocation
+    # (kernels.node_tail); it fails as numpy's does when memory runs out
+    panels = hammerstein.HalfLineGrid.panels
 
-    monkeypatch.setattr(hammerstein.kernels, "build_grid", build_grid)
+    def failing(grid, shift, count):
+        if shift >= grid.n_panels:
+            raise MemoryError("Unable to allocate 35.8 GiB for an array")
+        return panels(grid, shift, count)
+
+    monkeypatch.setattr(hammerstein.HalfLineGrid, "panels", failing)
 
 
 @pytest.mark.parametrize("breakage, x_max, message", [

@@ -5,8 +5,9 @@ the over-cap row rescale and the tail closure on the last column for an
 assembled operator, ``dense_operator``);
 every product of the program goes through the structured form, so these
 tests tie it to the definition of the Nystrom matrix.  The tail past x_max
-at the nodes, an N x pad structured product whose columns continue the grid,
-has the row-by-row ``tail_row_mass`` as its oracle.
+at the nodes, an N x pad structured product whose columns are the grid's
+panels past x_max (``HalfLineGrid.panels``), has the row-by-row
+``tail_row_mass`` as its oracle.
 """
 
 import dataclasses
@@ -17,18 +18,15 @@ from hypothesis import given, settings, strategies as st
 
 import hammerstein as hs
 from hammerstein import kernels
-from hammerstein.kernels import (_tail_extension, kernel_matrix, node_tail,
-                                 structured_kernel, tail_row_mass)
+from hammerstein.kernels import (_tail_panels, kernel_matrix, node_tail, structured_kernel,
+                                 tail_row_mass)
 from hammerstein.picard import discretise
 
 from conftest import MIXTURE_ATOMS, SUP_TOL, dense_operator, make_kernel, sup_gap
 
-# "trapezoid" is a one-point (midpoint) Gauss grid, the structured form's
-# p = 1 path, on the panels of the closed trapezoid grid whose test ids it
-# keeps; TAIL_GRIDS names it "gauss-1"
 GRIDS = {
     "gauss-4": hs.build_grid(40.0, 400, hs.GAUSS, 4),      # the acceptance catalog's grid
-    "trapezoid": hs.build_grid(30.0, 300, hs.GAUSS, 1),
+    "gauss-1": hs.build_grid(30.0, 300, hs.GAUSS, 1),      # the structured form's p = 1 path
     "one-node": hs.build_grid(1.0, 1, hs.GAUSS, 1),
 }
 
@@ -43,7 +41,7 @@ def test_structured_kernel_matches_dense_oracle(family, lambda_form, grid_name):
     assert sup_gap(structured_kernel(spec, grid), dense, grid.size) <= SUP_TOL
 
 
-@pytest.mark.parametrize("grid_name", ["gauss-4", "trapezoid"])
+@pytest.mark.parametrize("grid_name", ["gauss-4", "gauss-1"])
 @pytest.mark.parametrize("family", ["A", "B", "C"])
 def test_operator_matches_dense_oracle(family, grid_name):
     grid = GRIDS[grid_name]
@@ -92,14 +90,10 @@ def test_structured_kernel_sweep(family, lambda_form, weight, d_star, n_panels, 
 @pytest.mark.parametrize("shift, panels", [(0, 7), (0, 296), (200, 96), (57, 1)])
 @pytest.mark.parametrize("family", ["A", "B", "C"])
 def test_rectangular_kernel_matches_dense_oracle(family, shift, panels):
-    # h = 1/8, so a grid of shift + panels panels has the same h bit for bit
-    # and its nodes and weights are the columns'
     grid = hs.build_grid(25.0, 200, hs.GAUSS, 4)
-    wide = hs.build_grid(grid.h * (shift + panels), shift + panels, hs.GAUSS, 4)
-    columns = slice(shift * 4, (shift + panels) * 4)
+    nodes, weights = grid.panels(shift, panels)
     spec = make_kernel(family)
-    dense = (hs.eval_kernel(spec, grid.nodes[:, None], wide.nodes[None, columns])
-             * wide.weights[columns])
+    dense = hs.eval_kernel(spec, grid.nodes[:, None], nodes[None, :]) * weights
     kernel = structured_kernel(spec, grid, shift, panels)
     assert sup_gap(kernel, dense, 4 * panels) <= SUP_TOL
 
@@ -177,11 +171,12 @@ TAIL_TOL = 1e-14
 
 TAIL_GRIDS = {
     "gauss-4": GRIDS["gauss-4"],
-    "gauss-1": GRIDS["trapezoid"],
+    "gauss-1": GRIDS["gauss-1"],
     "one-panel": hs.build_grid(3.0, 1, hs.GAUSS, 4),
     "one-node": GRIDS["one-node"],
     "gauss-1-coarse": hs.build_grid(40.0, 20, hs.GAUSS, 1),    # h = 2
-    # h = 10 / 22, where (h k) / k != h at the first continued panel count k = 49
+    # h = 10 / 22: ceil(12 / h) = 49 panels past x_max, where a search for a
+    # continued grid with (h k) / k == h took 50
     "gauss-rounded": hs.build_grid(10.0, 22, hs.GAUSS, 4),
     # near the Gaussian's underflow, K0(26) ~ 1e-294: node_tail drops its
     # image term there, and keeps the mixture's (K0(26) ~ 3e-7)
@@ -209,23 +204,44 @@ def test_tail_image_term_dropped_only_below_its_bound():
     grid = TAIL_GRIDS["gauss-underflow"]
     for base, columns in (("gaussian", 4), ("exp-mixture", 8)):
         spec = make_kernel("B", base=BASES[base])
-        panels = _tail_extension(spec.base, grid).n_panels - grid.n_panels
+        panels = _tail_panels(spec.base, grid)
         tail = structured_kernel(spec, grid, grid.n_panels, panels)
         assert tail.spectra.shape[:2] == (4, columns)
 
 
-@pytest.mark.parametrize("grid_name", sorted(TAIL_GRIDS))
-def test_tail_extension_continues_the_grid(grid_name):
-    grid = TAIL_GRIDS[grid_name]
+@given(x_max=st.floats(min_value=1e-3, max_value=1e3),
+       n_panels=st.integers(min_value=1, max_value=500),
+       points=st.integers(min_value=1, max_value=16),
+       count=st.integers(min_value=1, max_value=64))
+@settings(max_examples=60, deadline=None)
+def test_panels_is_the_one_panel_formula(x_max, n_panels, points, count):
+    grid = hs.HalfLineGrid(x_max, n_panels, points)
+    nodes, weights = grid.panels(0, n_panels)
+    assert nodes.tobytes() == grid.nodes.tobytes()
+    assert weights.tobytes() == grid.weights.tobytes()
+    # a run past x_max: ascending from past it, with the panel weights
+    nodes, weights = grid.panels(n_panels, count)
+    assert nodes[0] > grid.x_max
+    assert (np.diff(nodes) > 0.0).all()
+    assert weights.tobytes() == np.tile(grid.weights[:points], count).tobytes()
     for base in BASES.values():
-        extended, n = _tail_extension(base, grid), grid.size
-        assert extended.points_per_panel == grid.points_per_panel
-        assert extended.x_max / extended.n_panels == grid.x_max / grid.n_panels
-        assert extended.x_max >= grid.x_max + 12.0
-        # the grid's nodes and weights bit for bit, then nodes past x_max only
-        assert np.array_equal(extended.nodes[:n], grid.nodes)
-        assert np.array_equal(extended.weights[:n], grid.weights)
-        assert extended.nodes[n] > grid.x_max
+        # the tail's run covers the pad (to the rounding of h k)
+        assert _tail_panels(base, grid) * grid.h >= base.tail_pad * (1.0 - 2.0 ** -52)
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_discretise_builds_no_grid(family, base, monkeypatch):
+    # the tail's columns are the grid's own panels(), not a continued grid
+    built, post_init = [], hs.HalfLineGrid.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(hs.HalfLineGrid, "__post_init__", counted)
+    discretise(make_kernel(family, base=BASES[base]), TAIL_GRIDS["gauss-4"])
+    assert built == []
 
 
 def test_node_tail_carries_half_the_bump_at_x_max():
