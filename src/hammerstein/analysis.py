@@ -6,8 +6,7 @@ solve path and reports whether the bound holds:
 * excess integral: int (G(f*) - f*) dx is capped by eta times the kernel's
   mass-defect constant;
 * tail integral: int_r^inf (eta - f*) dx is capped by (eta - eps) eta /
-  (G(eps) - eps), formed without cancellation, times the same constant, with r
-  the first node past which the profile stays above eta / 2, eps < eta its minimum there;
+  (G(eps) - eps), formed without cancellation, times the same constant;
 * Jensen margin: Jensen's inequality for the concave nonlinearity under
   the operator's positive weights, row by row at the profile;
 * asymptote: the profile's gap to eta at the last node;
@@ -22,7 +21,8 @@ A certificate whose hypotheses fail reports ``passed: False``; none raises.
 
 The probe tests a theorem: the discrete system has one nonzero solution.
 The solves iterate T(f) = L G(f), L the product ``kernels.OperatorMatrix @``,
-whose entries the FFT applies up to rounding.  They are positive: W > 0
+whose entries the FFT applies up to rounding, the unfloored K0 tables within
+the bound of ``kernels.structured_kernel``.  They are positive: W > 0
 (``kernels`` module docstring), a corrected diagonal that is not positive is
 refused, and row_scale > 0, tail >= 0 (``kernels.discretise``).  As G
 increases with G(sigma u) >= sigma**a G(u), a < 1 (``nonlinearity`` module
@@ -55,6 +55,9 @@ PROBE_SCALE = 0.1
 
 @dataclass(frozen=True)
 class ExcessIntegralCertificate:
+    """``lhs`` = int (G(f*) - f*) dx over the grid, ``rhs`` = eta times the
+    kernel's mass-defect constant; ``passed`` is lhs <= rhs + INTEGRAL_TOL."""
+
     lhs: float
     rhs: float
     passed: bool
@@ -62,11 +65,8 @@ class ExcessIntegralCertificate:
 
 def excess_integral_certificate(fstar, report: ConditionReport, G: NonlinearitySpec,
                                 grid: HalfLineGrid) -> ExcessIntegralCertificate:
-    """Certify int (G(f*) - f*) <= eta * mass-defect constant.
-
-    The bound needs a symmetric kernel, which every catalog kernel is
-    (``kernels`` module docstring).
-    """
+    """Certify int (G(f*) - f*) <= eta * mass-defect constant; the bound needs
+    a symmetric kernel, which every catalog kernel is (``kernels`` docstring)."""
     fstar = np.asarray(fstar, dtype=float)
     lhs = integrate(grid, eval_G(G, fstar) - fstar)
     rhs = G.eta * report.mass_defect_constant
@@ -75,6 +75,12 @@ def excess_integral_certificate(fstar, report: ConditionReport, G: NonlinearityS
 
 @dataclass(frozen=True)
 class TailIntegralCertificate:
+    """``lhs`` = int_r^{x_max} (eta - f*) dx, ``rhs`` = (eta - epsilon) eta /
+    (G(epsilon) - epsilon) times the mass-defect constant, ``r`` the first node
+    from which f* stays >= eta / 2, ``epsilon`` < eta its minimum there; ``passed``
+    is lhs <= rhs + INTEGRAL_TOL.  A profile not strictly positive, never above
+    eta / 2 up to x_max, or at eta all through that tail fails with all four NaN."""
+
     lhs: float
     rhs: float
     r: float
@@ -88,9 +94,7 @@ def tail_integral_certificate(fstar, grid: HalfLineGrid, G: NonlinearitySpec,
 
     With eta = 1, eps - eta is exact (eps >= eta / 2), and G's powers c give
     G(eps) - eps = eps sum_c expm1((c - 1) log1p(eps - eta)) / 2: terms of one sign, so the
-    quotient keeps its precision up to its limit eta / (1 - a) as eps -> eta.  A
-    profile not strictly positive, never above eta / 2 up to x_max, or at eta all
-    through that tail fails with every number NaN."""
+    quotient keeps its precision up to its limit eta / (1 - a) as eps -> eta."""
     fstar = np.asarray(fstar, dtype=float)
     eta = G.eta
     suffix_all = np.logical_and.accumulate((fstar >= 0.5 * eta)[::-1])[::-1]
@@ -131,7 +135,10 @@ def jensen_certificate(A: OperatorMatrix, G: NonlinearitySpec, u) -> float:
 
 @dataclass(frozen=True)
 class AsymptoteCertificate:
-    gap: float                  # eta - f*(x_max)
+    """``gap`` = eta - f*(x_max) against ``bound`` = max(5 eta gamma(x_max),
+    1e-6); ``passed`` is gap <= bound."""
+
+    gap: float
     bound: float
     passed: bool
 

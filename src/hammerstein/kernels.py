@@ -15,19 +15,19 @@ infinity, and are dominated by ``lam_star(t) * kstar(x - t)``, where
 
 Positivity, symmetry and domination hold for every (x, t) in R+ x R+ and
 every spec ``KernelSpec`` accepts, so no run checks them.  K0 is even,
-positive and non-increasing on R+ (a mixture's atoms have c, s > 0), also
-floored at ``POSITIVITY_FLOOR``, and |x - t| <= x + t, so K0(x + t) <= K0(x - t).
+positive and non-increasing on R+ (a mixture's atoms have c, s > 0), 0
+past underflow in floating point, and |x - t| <= x + t, so K0(x + t) <= K0(x - t).
 With gap = 1 - lam in [0, 1 - d_star], mu = 1 - gap(x) gap(t).
 
 * Positivity: 0.5 (lam(x) + lam(t)) >= d_star > 0 for C and
   mu >= 1 - (1 - d_star)**2 > 0 for A and B.  So A is positive, C adds
   epsilon K0(x + t) >= 0 and B has K0(x - t) - delta K0(x + t) >=
   (1 - delta) K0(x - t) > 0.  In floating point fl(delta b) <= b <= a for
-  a = K0(x - t), b = K0(x + t), so every tabulated T - delta H entry is >= 0.
-  It is 0 only where a = b = the floor and delta = 1 - 2**-53, whose product
-  with the floor rounds to it; ``eval_kernel`` floors its values again.  The
-  rounded modulation is positive while 1 - d_star rounds below 1, that is
-  for d_star > 2**-54; below that it rounds to 0 at x = t = 0.
+  a = K0(x - t), b = K0(x + t), so every tabulated T - delta H entry is >= 0,
+  0 where a = b = 0.  ``eval_kernel`` floors its values, so W > 0 holds for
+  the floored operator, from which the unfloored tables differ within the
+  bound of :func:`structured_kernel`.  The rounded modulation is positive
+  while 1 - d_star rounds below 1, that is for d_star > 2**-54, else 0 at x = t = 0.
 * Symmetry: ``eval_kernel(x, t) == eval_kernel(t, x)`` bit for bit, as
   x - t == -(t - x), K0 is even in its argument and lam(x) + lam(t) and
   gap(x) gap(t) commute.  In :func:`structured_kernel`, T_lk[-d] and T_kl[d]
@@ -37,7 +37,7 @@ With gap = 1 - lam in [0, 1 - d_star], mu = 1 - gap(x) gap(t).
   K <= kstar(x - t) <= lam_star(t) kstar(x - t), by
   A: mu K0(x - t) <= K0(x - t); B: mu (K0(x - t) - delta K0(x + t)) <= K0(x - t);
   C: 0.5 (lam(x) + lam(t)) (K0(x - t) + epsilon K0(x + t)) <= (1 + epsilon) K0(x - t).
-  The floors keep this order, and rounding keeps it to a few ulps.
+  The floor keeps it against a floored kstar, and rounding to a few ulps.
 
 Each family is a diagonal scaling of ``K0(x - t)`` and ``K0(x + t)`` (its
 row of the one family table, ``_factors``), so on the equal panels every
@@ -64,10 +64,9 @@ import numpy as np
 from .errors import FieldError, NumericalBreakdownError, SpecRejectedError
 from .quadrature import HalfLineGrid, gauss_legendre, integrate
 
-# Smallest positive normal double.  Base-kernel, kernel, and operator values
-# are floored here so strict-positivity contracts survive tail underflow
-# (a Gaussian underflows past |x| ~ 27); the quadrature perturbation is
-# below 1e-300 per row and therefore invisible at every stated tolerance.
+# Smallest positive normal double: the kernel values this module returns are
+# floored here, positive past K0's underflow (a Gaussian's, past |x| ~ 27);
+# the structured tables hold K0 itself, within structured_kernel's bound.
 POSITIVITY_FLOOR = float(np.finfo(float).tiny)
 
 # Kernel values are evaluated one block of rows at a time, about this many
@@ -129,14 +128,12 @@ class BaseKernel:
             raise FieldError(None, f"mixture half-line mass must be 1/2: sum 2c/s = {mass!r} != 1")
 
     def eval(self, x):
-        """Evaluate the base kernel; even in x, floored to stay positive."""
+        """Evaluate the base kernel K0 itself: even in x, and 0 past underflow."""
         x = np.asarray(x, dtype=float)
         if self.variant == "gaussian":
-            val = np.exp(-x * x) / _SQRT_PI
-        else:
-            ax = np.abs(x)
-            val = sum(c * np.exp(-ax * s) for c, s in self.atoms)
-        return np.maximum(val, POSITIVITY_FLOOR)
+            return np.exp(-x * x) / _SQRT_PI
+        ax = np.abs(x)
+        return sum(c * np.exp(-ax * s) for c, s in self.atoms)
 
     @property
     def has_cusp(self) -> bool:
@@ -273,19 +270,14 @@ def apply_kernel(spec: KernelSpec, x, nodes: np.ndarray, v: np.ndarray) -> np.nd
 
 
 def _fft_size(n: int) -> int:
-    """Smallest 5-smooth integer >= n; pocketfft is fastest on those lengths."""
+    """Smallest 5-smooth integer >= n, pocketfft's fastest lengths: a divisor of 30**64."""
     size = max(n, 1)
-    while True:
-        rest = size
-        for factor in (2, 3, 5):
-            while rest % factor == 0:
-                rest //= factor
-        if rest == 1:
-            return size
+    while 30 ** 64 % size:
         size += 1
+    return size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredKernel:
     """The weighted Nystrom matrix w_j K(x_i, t_j) of an equal-panel grid, in O(N).
 
@@ -357,13 +349,14 @@ def structured_kernel(spec: KernelSpec, grid: HalfLineGrid, shift: int = 0,
     beyond the returned spectra and scalings is a few tables of at most
     max(FFT_BLOCK_ENTRIES, m + n) values.
 
-    The image term is dropped when its bound |image| K0(h shift) n h is at
-    most 2**-53: K0 is non-increasing on R+ and every Hankel argument is at
-    least h shift, the modulation is at most 1 (mu <= 1, 0.5 (lam(x) +
-    lam(t)) <= 1) and the column weights sum to n h, so no row changes by
-    more than the product's own rounding.  Past x_max that table is at or
-    near the floor, and its FFT and contraction would run on subnormals,
-    tens of times slower than on normal values.
+    The image term, half the work, is dropped when its bound |image|
+    K0(h shift) n h is at most 2**-53: K0 is non-increasing on R+ and every
+    Hankel argument is at least h shift, the modulation is at most 1 (mu <=
+    1, 0.5 (lam(x) + lam(t)) <= 1) and the column weights sum to n h, so no
+    row changes by more than the product's own rounding.  The tables hold K0
+    itself, 0 past underflow: flooring a table value or an entry moves it by
+    at most 2**-1022, so no row by more than 2 (1 + |image|) n h 2**-1022
+    (two family terms of size at most 1 each), far below that rounding.
     """
     p, m, h = grid.points_per_panel, grid.n_panels, grid.h
     n = m if panels is None else panels
@@ -524,7 +517,7 @@ def _base_half_line_moments(base: BaseKernel) -> tuple[float, float]:
 MASS_MARGIN = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Closed Nystrom operator L = diag(row_scale) (W + diag(diagonal)) + tail e_N^T,
     applied as ``L @ v``; the iterated map is T(f) = L G(f).
@@ -575,7 +568,7 @@ class OperatorMatrix:
         return self.row_scale * (self.entries @ v + self.diagonal * v) + v[-1] * self.tail_mass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Discretisation:
     """One kernel evaluation on one grid and everything built from it.
 

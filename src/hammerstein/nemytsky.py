@@ -112,7 +112,7 @@ def check_nemytsky_conditions(gamma: np.ndarray) -> bool:
     return bool(0.0 <= gamma.min() and gamma.max() <= 1.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class NemytskyReport:
     """Outcome of the upward iteration, without its envelopes xi * gamma and eta - f_star."""
 

@@ -81,7 +81,7 @@ def apply_hammerstein(A: OperatorMatrix, G: NonlinearitySpec, f) -> np.ndarray:
     return A @ g
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     """Everything the ceiling iteration produced.
 

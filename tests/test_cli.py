@@ -290,6 +290,22 @@ def test_plain_refuses_a_value_no_report_holds():
             hammerstein.cli._plain({"a": value})
 
 
+def test_records_holding_arrays_compare_and_hash_by_identity(readme_run):
+    # a generated == would compare numpy arrays field by field ("truth value
+    # of an array is ambiguous") and a generated hash would hash them
+    config, A, solve = readme_run
+    nem = solve_nemytsky(config.nemytsky, solve.profile, tol=config.tol, operator=A)
+    for record in (A.entries, A, discretise(config.kernel, config.grid), solve, nem):
+        twin = dataclasses.replace(record)
+        assert record == record and record != twin
+        assert hash(record) == hash(record) and len({record, twin}) == 2
+    # the report walks fields, not equality: a twin writes the same tree
+    for record in (solve, nem):
+        plain = hammerstein.cli._plain(record, drop=("profile",))
+        assert plain == hammerstein.cli._plain(dataclasses.replace(record), drop=("profile",))
+        assert plain["sup_diffs"] == record.sup_diffs
+
+
 def test_report_is_the_safe_dumper_bytes(tmp_path):
     out = tmp_path / "out"
     assert main(["solve-nemytsky", "--config", str(write_config(tmp_path)),
@@ -606,9 +622,9 @@ def test_tiny_exponents_exit_0(tmp_path, nonlinearity):
 
 
 def test_delta_next_to_one_exits_0(tmp_path):
-    # delta = 1 - 2**-53 times the floor rounds to the floor, so K0(x - t) -
-    # delta K0(x + t) is exactly 0 at the far node pairs; positivity is
-    # proven (the kernels module docstring), so no scan refuses the run
+    # at the far node pairs K0(x - t) and K0(x + t) both underflow to 0, so
+    # K0(x - t) - delta K0(x + t) is exactly 0 there; positivity is proven
+    # (the kernels module docstring), so no scan refuses the run
     config = yaml.safe_load(readme_config())
     config["kernel"] = {"family": "B", "delta": 1.0 - 2.0 ** -53}
     out = tmp_path / "out"

@@ -33,7 +33,11 @@ def test_gaussian_even():
 
 
 def test_gaussian_positive_despite_underflow():
-    assert BaseKernel().eval(40.0) > 0.0
+    # K0 itself underflows to 0; the kernel's values are floored to stay positive
+    assert BaseKernel().eval(40.0) == 0.0
+    for family in ("A", "B", "C"):
+        value = eval_kernel(make_kernel(family), 40.0, 0.0)
+        assert value > 0.0 and value == POSITIVITY_FLOOR
 
 
 def test_mixture_single_atom():
@@ -248,7 +252,7 @@ def test_catalog_conditions_pass(small_grid, family):
 # --- domination, proven in the kernels module docstring --------------------
 
 def _envelope(spec, x, t):
-    """lam_star(t) * kstar(x - t) from the closed forms, K0 floored as the kernel is."""
+    """lam_star(t) * kstar(x - t) from the closed forms, K0 floored like eval_kernel's values."""
     y = np.abs(x - t)
     if spec.base.variant == "gaussian":
         k0 = np.exp(-y * y) / SQRT_PI
@@ -309,10 +313,11 @@ def test_kernel_positive_and_symmetric_on_every_node_pair(family, mixture, lambd
     dense = kernel_matrix(spec, grid)
     assert (dense > 0.0).all()
     assert np.array_equal(dense, dense.T)
-    # the K0 tables of structured_kernel: positive, with fl(weight b) <= b <= a
+    # the K0 tables of structured_kernel: K0 itself, >= 0 (0 past underflow),
+    # with fl(weight b) <= b <= a
     x, t = grid.nodes[:, None], grid.nodes[None, :]
     a, b = spec.base.eval(x - t), spec.base.eval(x + t)
-    assert (b > 0.0).all() and (b <= a).all() and (a - weight * b >= 0.0).all()
+    assert (b >= 0.0).all() and (b <= a).all() and (a - weight * b >= 0.0).all()
 
 
 def test_constants_closed_forms(small_grid):

@@ -28,6 +28,9 @@ GRIDS = {
     "gauss-4": hs.build_grid(40.0, 400, hs.GAUSS, 4),      # the acceptance catalog's grid
     "gauss-1": hs.build_grid(30.0, 300, hs.GAUSS, 1),      # the structured form's p = 1 path
     "one-node": hs.build_grid(1.0, 1, hs.GAUSS, 1),
+    # a long domain: the Gaussian's K0 underflows to 0 past |x| ~ 27.3, so
+    # all but at most 28 of the 399 values of each K0 table are exact zeros
+    "gauss-4-long": hs.build_grid(400.0, 200, hs.GAUSS, 4),
 }
 
 
@@ -100,12 +103,14 @@ def test_rectangular_kernel_matches_dense_oracle(family, shift, panels):
 
 @pytest.mark.parametrize("family", ["A", "B", "C"])
 def test_positivity_bound_holds_on_the_catalog(family):
-    # the kernels module docstring's floating-point steps, on the K0 tables
-    # structured_kernel builds: every value is > 0, and a = T_kl[P - Q],
-    # b = H_kl[P + Q] at each node pair keep fl(delta b) <= b <= a (the
-    # kernel values themselves are floored again, so they cannot show it)
+    # the kernels module docstring's floating-point steps: every kernel value
+    # is > 0, and on the K0 tables structured_kernel builds, which hold K0
+    # itself (0 past underflow), every value is >= 0 and a = T_kl[P - Q],
+    # b = H_kl[P + Q] at each node pair keep fl(delta b) <= b <= a
     spec = make_kernel(family)
+    underflows = False
     for grid in GRIDS.values():
+        assert (kernel_matrix(spec, grid) > 0.0).all()
         p = grid.points_per_panel
         m = grid.size // p
         h = grid.x_max / grid.n_panels
@@ -113,12 +118,15 @@ def test_positivity_bound_holds_on_the_catalog(family):
         lag, k, l = np.arange(m), np.arange(p)[:, None, None], np.arange(p)[None, :, None]
         toeplitz = spec.base.eval(h * np.arange(1 - m, m) + (offsets[k] - offsets[l]))
         hankel = spec.base.eval(h * np.arange(2 * m - 1) + (offsets[k] + offsets[l]))
-        assert (toeplitz > 0.0).all() and (hankel > 0.0).all()
+        assert (toeplitz >= 0.0).all() and (hankel >= 0.0).all()
         a = toeplitz[..., lag[:, None] - lag[None, :] + m - 1]
         b = hankel[..., lag[:, None] + lag[None, :]]
         assert (b <= a).all()
         if family == "B":
             assert (spec.delta * b <= b).all()
+        underflows |= bool((b == 0.0).any())
+    # the long grid's tables reach b = 0, which the bound must allow
+    assert underflows
 
 
 def test_positivity_check_can_fail():
@@ -181,6 +189,10 @@ TAIL_GRIDS = {
     # near the Gaussian's underflow, K0(26) ~ 1e-294: node_tail drops its
     # image term there, and keeps the mixture's (K0(26) ~ 3e-7)
     "gauss-underflow": hs.build_grid(26.0, 260, hs.GAUSS, 4),
+    # far past it: the tail's K0 tables are 0 but for the last rows.  The
+    # nodes h (P + 1/2) are dyadic, so the oracle's x - t is exact; on
+    # GRIDS["gauss-4-long"] its rounding of x - t near 400 alone reaches 1.2e-14
+    "gauss-1-long": hs.build_grid(400.0, 800, hs.GAUSS, 1),
 }
 
 BASES = {"gaussian": hs.BaseKernel(),
