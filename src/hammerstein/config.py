@@ -8,6 +8,10 @@ tree (defaults filled in) is echoed into reports so a run can be reproduced
 from its own report: it is exactly the set of values the parser read.
 The keys of ``_FIXED`` select nothing, so each is read and echoed at its
 one value, type included.
+
+The loader reads a plain scalar with an exponent as a float, as YAML 1.2's
+core schema does (``1e-10``, ``1E5``, ``-.5e-3``); everything else follows
+PyYAML's safe loader, so a quoted number is a string.
 """
 
 from __future__ import annotations
@@ -26,8 +30,16 @@ from .nemytsky import NemytskySpec
 from .nonlinearity import FAMILIES as G_FAMILIES, NonlinearitySpec
 from .quadrature import GAUSS, HalfLineGrid, build_grid
 
-# libyaml's C parser where PyYAML was built with it, the pure-python one otherwise
-SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class SAFE_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's C parser where PyYAML was built with it, the pure-python one
+    otherwise; a plain number with an exponent is a float, as in YAML 1.2."""
+
+
+# YAML 1.1 floats need a dot and a signed exponent, so PyYAML alone reads 1e-10 as a string
+SAFE_LOADER.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 # the keys that select nothing, by section, each with the one value it takes
 _FIXED = {"grid": {"rule": GAUSS},
           "nemytsky": {"pointwise": "saturating", "integrand": "reflected"},
@@ -48,16 +60,6 @@ def _is_atom(val) -> bool:
     return isinstance(val, (list, tuple)) and len(val) == 2 and all(map(_is_number, val))
 
 
-def _float_spelling(val) -> str | None:
-    """A string float() reads as a finite number, spelt as YAML 1.1 reads a
-    float (1e-10 as 1.0e-10; repr signs the exponent); None for anything else."""
-    try:
-        value = float(val) if isinstance(val, str) else math.nan
-    except ValueError:
-        return None
-    return re.sub(r"^(-?\d+)(?=e|$)", r"\1.0", repr(value)) if math.isfinite(value) else None
-
-
 class _Section:
     """One mapping of the tree, read key by key.
 
@@ -74,10 +76,10 @@ class _Section:
         return f"{self.path}.{key}" if self.path else key
 
     def section(self, key: str, required: bool = False) -> _Section:
+        if required and key not in self.raw:
+            raise ConfigError(self._where(key), "section is missing")
         raw = self.raw.get(key)
-        if raw is None:
-            if required:
-                raise ConfigError(self._where(key), "section is missing")
+        if raw is None and not required:    # an optional section left empty: its defaults
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigError(self._where(key), "must be a mapping")
@@ -102,11 +104,6 @@ class _Section:
         return val
 
     def number(self, key: str, default: float, *checks) -> float:
-        spelling = _float_spelling(self.raw.get(key))   # PyYAML reads 1e-10 as a string
-        if spelling is not None:
-            raise ConfigError(self._where(key), (
-                f"must be a finite number, got the string {self.raw[key]!r}; YAML 1.1 reads "
-                f"a float only unquoted, with a dot and any exponent signed: write {spelling}"))
         return self.read(key, default, (_is_number, "must be a finite number"), *checks,
                          cast=float)
 

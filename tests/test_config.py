@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import hammerstein.config
 from hammerstein.analysis import PROBE_SCALE, PROBE_TRIALS
-from hammerstein.config import RunConfig, load_config, parse_config
+from hammerstein.cli import main
+from hammerstein.config import SAFE_LOADER, RunConfig, load_config, parse_config
 from hammerstein.errors import ConfigError, FieldError
 from hammerstein.kernels import BaseKernel, KernelSpec, ModulationSet
 from hammerstein.nemytsky import NemytskySpec
@@ -226,7 +227,8 @@ ERRORS = [
      "kernel.base.atoms-78"),
     ({**MIXTURE, "kernel.base.atoms": [[0.5, 1.0], [1.0, math.inf]]}, "kernel.base.atoms",
      "kernel.base.atoms-79"),
-    # 1e-10 has no dot, so YAML 1.1 reads it as a string
+    # a string is no number, whatever it spells: the file's loader reads only a
+    # quoted 1e-10 as this
     ({"solver.tol": "1e-10"}, "solver.tol", "solver.tol=1e-10"),
     # every run computes the same certificates: each of these keys takes one
     # value, type included
@@ -341,29 +343,63 @@ def test_parse_config_raises_only_config_errors(overrides):
         pass
 
 
-@pytest.mark.parametrize("text, spelling", [
+@pytest.mark.parametrize("text, dotted", [
     pytest.param("1e-10", "1.0e-10", id="no-dot"),
     pytest.param("1E5", "100000.0", id="capital-e"),
     pytest.param("1.0e10", "10000000000.0", id="unsigned-exponent"),
-    pytest.param("'0.5'", "0.5", id="quoted"),
-    pytest.param('"2"', "2.0", id="quoted-integer"),
+    pytest.param("'0.5'", None, id="quoted"),
+    pytest.param('"2"', None, id="quoted-integer"),
     pytest.param("1e-300", "1.0e-300", id="tiny"),
 ])
-def test_number_read_as_a_string_names_its_spelling(tmp_path, text, spelling):
-    # the value is still rejected; the message names the cause and the fix,
-    # and the fix reads back as the same float
+def test_plain_number_is_a_float_and_a_quoted_one_is_refused(tmp_path, capsys, text, dotted):
+    # a plain number with an exponent is read as YAML 1.2 reads it, the same
+    # run as its YAML 1.1 spelling; a quoted number is a string and exits 2
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(BASE).replace("tol: 1.0e-10", f"tol: {text}"))
+    if dotted is None:
+        assert main(["check", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: solver.tol: must be a finite number, got {yaml.safe_load(text)!r}"]
+        return
+    config = load_config(path)
+    assert type(config.tol) is float and config.tol == float(text)
+    path.write_text(path.read_text().replace(f"tol: {text}", f"tol: {dotted}"))
+    dotted_config = load_config(path)
+    assert (dotted_config.tol, dotted_config.echo) == (config.tol, config.echo)
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_config_loader_reads_every_float_spelling_back(x):
+    for text in (repr(x), f"{x:.17e}", f"{x:.17E}"):
+        assert yaml.load(f"a: {text}", Loader=SAFE_LOADER)["a"] == x, text
+
+
+def test_config_loader_leaves_the_safe_loader_alone():
+    # the exponent rule is the config loader's own: PyYAML still reads YAML 1.1
+    assert yaml.safe_load("a: 1e-10") == {"a": "1e-10"}
+
+
+def test_exponent_beyond_float_range_is_refused(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(BASE).replace("tol: 1.0e-10", "tol: 1e400"))
     with pytest.raises(ConfigError) as info:
         load_config(path)
-    assert info.value.path == "solver.tol"
-    assert str(info.value) == (
-        f"solver.tol: must be a finite number, got the string {yaml.safe_load(text)!r}; "
-        f"YAML 1.1 reads a float only unquoted, with a dot and any exponent signed: "
-        f"write {spelling}")
-    assert yaml.safe_load(spelling) == float(yaml.safe_load(text))
-    path.write_text(path.read_text().replace(f"tol: {text}", f"tol: {spelling}"))
-    assert load_config(path).tol == float(yaml.safe_load(text))
+    assert str(info.value) == "solver.tol: must be a finite number, got inf"
+
+
+@pytest.mark.parametrize("section", ["grid", "kernel", "nonlinearity", "nemytsky"])
+def test_empty_required_section_is_not_a_mapping(section):
+    # `nemytsky:` left empty is there, so it is no missing section
+    tree = copy.deepcopy(README_TREE)
+    tree[section] = None
+    with pytest.raises(ConfigError) as info:
+        parse_config(tree)
+    assert str(info.value) == f"{section}: must be a mapping"
+    if section != "nemytsky":       # which only solve-nemytsky needs
+        del tree[section]
+        with pytest.raises(ConfigError) as info:
+            parse_config(tree)
+        assert str(info.value) == f"{section}: section is missing"
 
 
 @pytest.mark.parametrize("text", ["big", "inf", "nan", "1e999"])
