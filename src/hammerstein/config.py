@@ -32,11 +32,11 @@ from .quadrature import GAUSS, HalfLineGrid, build_grid
 
 
 class SAFE_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """libyaml's C parser where PyYAML was built with it, the pure-python one
-    otherwise; a plain number with an exponent is a float, as in YAML 1.2."""
+    """libyaml's C parser where PyYAML was built with it, the pure-python one otherwise."""
 
 
-# YAML 1.1 floats need a dot and a signed exponent, so PyYAML alone reads 1e-10 as a string
+# a plain number with an exponent is a float, as in YAML 1.2: YAML 1.1 wants a
+# dot and a signed exponent, so PyYAML alone reads 1e-10 as a string
 SAFE_LOADER.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
