@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -286,5 +287,18 @@ def main(argv=None) -> int:
     return run(args.config, args.out_dir, mode=args.command, seed=args.seed)
 
 
+def entry() -> None:
+    """The process entry point, ``hammerstein`` and ``python -m
+    hammerstein.cli``: run :func:`main`, flush stdout and stderr and end the
+    process with its code by ``os._exit``, which skips the collector's passes
+    at interpreter shutdown.  ``atexit`` handlers do not run, so whatever a
+    run writes must be flushed here; :func:`main` returns the code to
+    in-process callers."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import hammerstein as hs
 import hammerstein.picard
 from hammerstein.config import load_config
-from hammerstein.kernels import (apply_kernel, cusp_correction, kernel_matrix,
+from hammerstein.kernels import (_factors, apply_kernel, cusp_correction, kernel_matrix,
                                  tail_row_mass)
 from hammerstein.picard import apply_hammerstein
 
@@ -72,6 +72,33 @@ def probe_vectors(n):
 
 def sup_gap(structured, dense, n):
     return max(float(np.abs(structured @ v - dense @ v).max()) for v in probe_vectors(n))
+
+
+def panel_oracle(spec, grid, shift=0, panels=None):
+    """Dense w_j K(x_i, t_j) over the rows and columns of
+    ``structured_kernel(spec, grid, shift, panels)``, with each K0 argument
+    formed as that builder forms it.
+
+    Row node i = P p + k and column node j = Q p + l: K0 is taken at the
+    Toeplitz argument h (P - Q - shift) + (c_k - c_l) and the Hankel argument
+    h (P + Q + shift) + (c_k + c_l), c the first panel's nodes, never at x - t
+    from nodes of size x_max, whose rounding alone outgrows the tolerances on
+    long domains.  The modulation is ``kernels._factors`` at the row nodes
+    and at ``grid.panels(shift, panels)``; no floor, as the builder's tables
+    hold K0 itself.
+    """
+    p, h = grid.points_per_panel, grid.h
+    n = grid.n_panels if panels is None else panels
+    c = grid.nodes[:p]
+    P, k = np.divmod(np.arange(grid.size), p)
+    Q, l = np.divmod(np.arange(n * p), p)
+    columns, weights = grid.panels(shift, n)
+    image, left = _factors(spec, grid.nodes)[:2]
+    right = _factors(spec, columns)[2]
+    k0 = spec.base.eval(h * (P[:, None] - Q - shift) + (c[k][:, None] - c[l]))
+    if image:
+        k0 += image * spec.base.eval(h * (P[:, None] + Q + shift) + (c[k][:, None] + c[l]))
+    return (left[0][:, None] * right[0] + left[1][:, None] * right[1]) * k0 * weights
 
 
 def open_operator(spec, A):

@@ -1034,9 +1034,10 @@ def test_mixture_kernel_is_evaluated_at_its_cusp_only(tmp_path, monkeypatch):
     assert 0 < sum(entries) <= (3 * grid.points_per_panel + 1) * grid.size
 
 
-def run_child(probe, **env_vars):
-    """Run ``probe`` in a fresh interpreter that imports this package; each
-    keyword sets that environment variable, or unsets it when None."""
+def run_child(*args, **env_vars):
+    """Run a fresh interpreter that imports this package with ``args`` (``"-c",
+    code`` or ``"-m", module, ...``); each keyword sets that environment
+    variable, or unsets it when None."""
     src = str(Path(hammerstein.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -1045,14 +1046,55 @@ def run_child(probe, **env_vars):
             env.pop(name, None)
         else:
             env[name] = value
-    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
 
 
 def test_cli_imports_without_scipy():
-    proc = run_child("import sys, hammerstein.cli; "
-                     "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    proc = run_child("-c", "import sys, hammerstein.cli; "
+                           "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
+
+
+# python -m hammerstein.cli runs cli.entry, which ends the process by
+# os._exit: what it writes must be flushed before, since no shutdown follows
+def test_module_entry_exits_with_mains_code(tmp_path):
+    cfg = write_config(tmp_path, readme_config())
+    proc = run_child("-m", "hammerstein.cli", "check", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "check"))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "check" / "report.yaml").exists()
+    proc = run_child("-m", "hammerstein.cli", "solve", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "seed"), "--seed", "-5")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: certificates.seed: must be at least 0, got -5\n"
+
+
+def test_module_entry_writes_what_run_writes(tmp_path):
+    cfg = write_config(tmp_path, readme_config())
+    child, parent = tmp_path / "child", tmp_path / "parent"
+    proc = run_child("-m", "hammerstein.cli", "solve-nemytsky", "--config", str(cfg),
+                     "--out-dir", str(child))
+    assert proc.returncode == 0, proc.stderr
+    assert run(cfg, parent, mode="solve-nemytsky") == 0
+    for name in ("report.yaml", "profile.csv"):
+        assert (child / name).read_bytes() == (parent / name).read_bytes(), name
+
+
+def test_module_entry_table_delivers_every_line(tmp_path, capsys):
+    # stdout into a pipe is block-buffered (unless PYTHONUNBUFFERED is set):
+    # the table reaches the reader only through entry's flush
+    cfg = write_config(tmp_path, readme_config())
+    assert run(cfg, tmp_path / "out", mode="solve") == 0
+    report = str(tmp_path / "out" / "report.yaml")
+    capsys.readouterr()
+    assert main(["table", "--report", report]) == 0
+    table = capsys.readouterr().out
+    proc = run_child("-m", "hammerstein.cli", "table", "--report", report,
+                     PYTHONUNBUFFERED=None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == table
+    assert len(table.splitlines()) == len(yaml.safe_load(open(report))["solve"]["sup_diffs"])
 
 
 def test_readme_library_quick_start_runs(tmp_path, monkeypatch, capsys):
@@ -1081,7 +1123,7 @@ LIBRARY_RUN = ("import sys, hammerstein as hs; "
 
 
 def test_discretise_and_solve_do_not_import_numpy_ma():
-    proc = run_child(LIBRARY_RUN + "sys.exit('numpy.ma' in sys.modules)")
+    proc = run_child("-c", LIBRARY_RUN + "sys.exit('numpy.ma' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "numpy.ma was imported"
 
 
@@ -1101,8 +1143,8 @@ def child_run(tmp_path, run_kind):
 @pytest.mark.parametrize("run_kind", ["cli", "library"])
 def test_runs_do_not_import_numpy_polynomial(tmp_path, run_kind):
     # the Gauss panels come from quadrature.gauss_legendre, not leggauss
-    proc = run_child(child_run(tmp_path, run_kind)
-                     + "sys.exit(code or ('numpy.polynomial' in sys.modules))")
+    proc = run_child("-c", child_run(tmp_path, run_kind)
+                           + "sys.exit(code or ('numpy.polynomial' in sys.modules))")
     assert proc.returncode == 0, proc.stderr or "numpy.polynomial was imported"
 
 
@@ -1111,9 +1153,9 @@ def test_runs_do_not_import_numpy_random_or_openssl(tmp_path, run_kind):
     # the probe draws its bumps from analysis._uniform_stream; numpy.random
     # would bring secrets, hmac and OpenSSL's _hashlib along
     modules = ("numpy.random", "secrets", "_hashlib")
-    proc = run_child(child_run(tmp_path, run_kind)
-                     + f"sys.exit(code or ' '.join(m for m in {modules!r} if m in sys.modules) "
-                       "or None)")
+    code = (child_run(tmp_path, run_kind)
+            + f"sys.exit(code or ' '.join(m for m in {modules!r} if m in sys.modules) or None)")
+    proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -1142,13 +1184,14 @@ def blas_name():
 def test_import_leaves_no_blas_worker_spinning():
     # no stage calls BLAS; at OpenBLAS's default timeout the idle worker
     # busy-yields for 2**28 cycles after load (8-9 ticks on a 2-vCPU VM)
-    proc = run_child(WORKER_TICKS, OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=None)
+    proc = run_child("-c", WORKER_TICKS, OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=None)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 1
 
 
 def test_import_keeps_a_callers_blas_thread_timeout():
-    proc = run_child("import os, hammerstein; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])",
+    proc = run_child("-c",
+                     "import os, hammerstein; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])",
                      OPENBLAS_THREAD_TIMEOUT="30")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "30"

@@ -7,7 +7,10 @@ every product of the program goes through the structured form, so these
 tests tie it to the definition of the Nystrom matrix.  The tail past x_max
 at the nodes, an N x pad structured product whose columns are the grid's
 panels past x_max (``HalfLineGrid.panels``), has the row-by-row
-``tail_row_mass`` as its oracle.
+``tail_row_mass`` as its oracle.  Both form x - t from nodes of size x_max;
+``panel_oracle`` forms each K0 argument from panel indices and the first
+panel's nodes, as the builder does, and so reaches long domains at the same
+tolerances.
 """
 
 import dataclasses
@@ -22,7 +25,7 @@ from hammerstein.kernels import (_tail_panels, kernel_matrix, node_tail, structu
                                  tail_row_mass)
 from hammerstein.picard import discretise
 
-from conftest import MIXTURE_ATOMS, SUP_TOL, dense_operator, make_kernel, sup_gap
+from conftest import MIXTURE_ATOMS, SUP_TOL, dense_operator, make_kernel, panel_oracle, sup_gap
 
 GRIDS = {
     "gauss-4": hs.build_grid(40.0, 400, hs.GAUSS, 4),      # the acceptance catalog's grid
@@ -32,6 +35,9 @@ GRIDS = {
     # all but at most 28 of the 399 values of each K0 table are exact zeros
     "gauss-4-long": hs.build_grid(400.0, 200, hs.GAUSS, 4),
 }
+# the panel oracle also takes x_max 4000 (h = 10): the ulp of a node near
+# 4000 is 4.5e-13, so kernel_matrix's x - t is no oracle there
+PANEL_GRIDS = {**GRIDS, "gauss-4-4000": hs.build_grid(4000.0, 400, hs.GAUSS, 4)}
 
 
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
@@ -42,6 +48,15 @@ def test_structured_kernel_matches_dense_oracle(family, lambda_form, grid_name):
     spec = make_kernel(family, lambda_form=lambda_form)
     dense = kernel_matrix(spec, grid) * grid.weights
     assert sup_gap(structured_kernel(spec, grid), dense, grid.size) <= SUP_TOL
+
+
+@pytest.mark.parametrize("grid_name", sorted(PANEL_GRIDS))
+@pytest.mark.parametrize("lambda_form", ["exp-gap", "rational-gap"])
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_structured_kernel_matches_panel_oracle(family, lambda_form, grid_name):
+    grid = PANEL_GRIDS[grid_name]
+    spec = make_kernel(family, lambda_form=lambda_form)
+    assert sup_gap(structured_kernel(spec, grid), panel_oracle(spec, grid), grid.size) <= SUP_TOL
 
 
 @pytest.mark.parametrize("grid_name", ["gauss-4", "gauss-1"])
@@ -190,10 +205,16 @@ TAIL_GRIDS = {
     # image term there, and keeps the mixture's (K0(26) ~ 3e-7)
     "gauss-underflow": hs.build_grid(26.0, 260, hs.GAUSS, 4),
     # far past it: the tail's K0 tables are 0 but for the last rows.  The
-    # nodes h (P + 1/2) are dyadic, so the oracle's x - t is exact; on
-    # GRIDS["gauss-4-long"] its rounding of x - t near 400 alone reaches 1.2e-14
+    # nodes h (P + 1/2) are dyadic, so even the row-by-row oracle's x - t is
+    # exact here
     "gauss-1-long": hs.build_grid(400.0, 800, hs.GAUSS, 1),
+    # x_max 400 and 4000 on four-point panels: the row-by-row oracle's
+    # rounding of x - t alone puts it up to 1.2e-14 off, so only the panel
+    # oracle checks these
+    "gauss-4-long": GRIDS["gauss-4-long"],
+    "gauss-4-4000": PANEL_GRIDS["gauss-4-4000"],
 }
+ROW_BY_ROW_GRIDS = sorted(set(TAIL_GRIDS) - {"gauss-4-long", "gauss-4-4000"})
 
 BASES = {"gaussian": hs.BaseKernel(),
          "exp-mixture": hs.BaseKernel(variant="exp-mixture", atoms=MIXTURE_ATOMS)}
@@ -204,11 +225,22 @@ def tail_gap(spec, grid):
     return float(np.abs(tail - tail_row_mass(spec, grid, grid.nodes)).max())
 
 
-@pytest.mark.parametrize("grid_name", sorted(TAIL_GRIDS))
+@pytest.mark.parametrize("grid_name", ROW_BY_ROW_GRIDS)
 @pytest.mark.parametrize("base", sorted(BASES))
 @pytest.mark.parametrize("family", ["A", "B", "C"])
 def test_node_tail_matches_row_by_row_tail(family, base, grid_name):
     assert tail_gap(make_kernel(family, base=BASES[base]), TAIL_GRIDS[grid_name]) <= TAIL_TOL
+
+
+@pytest.mark.parametrize("grid_name", sorted(TAIL_GRIDS))
+@pytest.mark.parametrize("base", sorted(BASES))
+@pytest.mark.parametrize("lambda_form", ["exp-gap", "rational-gap"])
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_node_tail_matches_panel_oracle(family, lambda_form, base, grid_name):
+    grid = TAIL_GRIDS[grid_name]
+    spec = make_kernel(family, lambda_form=lambda_form, base=BASES[base])
+    oracle = panel_oracle(spec, grid, grid.n_panels, _tail_panels(spec.base, grid)).sum(axis=1)
+    assert float(np.abs(node_tail(spec, grid) - oracle).max()) <= TAIL_TOL
 
 
 def test_tail_image_term_dropped_only_below_its_bound():
