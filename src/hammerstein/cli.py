@@ -29,6 +29,7 @@ writes the report; 2, 3 and 5 are the ``exit_code`` of the classes in
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import math
 import os
@@ -293,10 +294,18 @@ def entry() -> None:
     process with its code by ``os._exit``, which skips the collector's passes
     at interpreter shutdown.  ``atexit`` handlers do not run, so whatever a
     run writes must be flushed here; :func:`main` returns the code to
-    in-process callers."""
-    code = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
+    in-process callers.  A stdout the reader has closed is an output that
+    cannot be written: one ``error:`` line, on a stderr that may be closed
+    too, and exit 2."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        code = ConfigError.exit_code
+        with contextlib.suppress(OSError):
+            _error(ConfigError(sys.stdout.name, f"cannot write: {exc.strerror}"))
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
     os._exit(code)
 
 
