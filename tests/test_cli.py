@@ -194,16 +194,42 @@ CONFIG_ERROR_CASES = {
 }
 
 
+def assert_config_error(tmp_path, capsys, case, command=None):
+    """``CONFIG_ERROR_CASES[case]`` run by its command, or by ``command``
+    where given, exits 2 with its one line and makes no output directory."""
+    row_command, text, argv, line = CONFIG_ERROR_CASES[case]
+    cfg = write_config(tmp_path, text) if text is not None else tmp_path / "absent.yaml"
+    out = tmp_path / "o"
+    assert main([command or row_command, "--config", str(cfg), "--out-dir", str(out), *argv]) == 2
+    assert_lines(capsys.readouterr().err.splitlines(), [line.format(config=cfg)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", CONFIG_ERROR_CASES)
 def test_config_errors_print_one_error_line(tmp_path, capsys, case):
     # the same one-line prefix as every other exit-2 error of main; {config}
     # stands for the config's path
-    command, text, argv, line = CONFIG_ERROR_CASES[case]
-    cfg = write_config(tmp_path, text) if text is not None else tmp_path / "absent.yaml"
-    out = tmp_path / "o"
-    assert main([command, "--config", str(cfg), "--out-dir", str(out), *argv]) == 2
-    assert_lines(capsys.readouterr().err.splitlines(), [line.format(config=cfg)])
-    assert not out.exists()
+    assert_config_error(tmp_path, capsys, case)
+
+
+def test_unknown_key_exits_2(tmp_path, capsys):
+    # every command reads the config alike; the row runs solve
+    for command in ("check", "solve-nemytsky"):
+        assert_config_error(tmp_path, capsys, "unknown-key", command)
+
+
+def test_malformed_yaml_exits_2(tmp_path, capsys):
+    # every command reads the config alike; the row runs solve
+    for command in ("check", "solve-nemytsky"):
+        assert_config_error(tmp_path, capsys, "malformed-yaml", command)
+
+
+def test_missing_nemytsky_section_exits_2(tmp_path, capsys):
+    # only the combined solve needs the section: check runs without it
+    assert_config_error(tmp_path, capsys, "no-nemytsky-section")
+    text = CONFIG_ERROR_CASES["no-nemytsky-section"][1]
+    assert main(["check", "--config", str(write_config(tmp_path, text)),
+                 "--out-dir", str(tmp_path / "check")]) == 0
 
 
 # values a report can hold that a YAML emitter might quote or round differently
@@ -410,8 +436,7 @@ class ExitPath:
     inside the run that the program's own code detects; ``report``, a stage's
     result replaced outright (``_force``, ``_breakdown_in``).  The run exits
     ``code`` with the report's ``status`` block and the stderr ``lines``
-    (``assert_lines``), writes ``profile.csv`` if ``profile``, and its report
-    and lines pass ``check`` where given."""
+    (``assert_lines``), and writes ``profile.csv`` if ``profile``."""
     mode: str
     config: str
     code: int
@@ -420,7 +445,6 @@ class ExitPath:
     kind: str = "input"
     breakage: object = None
     profile: bool = False
-    check: object = None
 
 
 README_CONFIG = readme_config()
@@ -459,47 +483,32 @@ def _failed_in(stage, message):
 
 
 # Every way a run ends but exit 2 (CONFIG_ERROR_CASES, IO_ERROR_CASES), and
-# for every verdict a report carries a path that reads it false: the test
-# below checks each row, test_every_verdict_has_a_failing_exit_path that no
-# verdict lacks one.
+# for every verdict a report carries a path that reads it false: each row runs
+# once (exit_run), test_status_of_every_exit_path checks its columns, the tests
+# named for a path what is particular to it, and
+# test_every_verdict_has_a_failing_exit_path that no verdict lacks a row.
 EXIT_PATHS = {
-    "check-passes": ExitPath("check", BASE_CONFIG, 0, {"conditions_passed": True},
-                             check=lambda report, lines: "solve" not in report),
+    "check-passes": ExitPath("check", BASE_CONFIG, 0, {"conditions_passed": True}),
     "passes": ExitPath("solve-nemytsky", BASE_CONFIG, 0, CERTIFICATES_PASS, profile=True),
-    # Accepted exponents far below 2e-14: the nonlinearity's conditions are
-    # proven (the nonlinearity module docstring), so no lattice can read
-    # u**1e-20 as flat at neighbouring points and refuse the run.
+    # accepted exponents far below 2e-14 (test_tiny_exponents_exit_0)
     **{f"{family}-{alphas}": ExitPath(
         "solve-nemytsky", BASE_CONFIG.replace("family: I\n  alpha: 0.5", nonlinearity), 0,
-        CERTIFICATES_PASS, profile=True,
-        check=lambda report, lines: sorted(report["conditions"]) == ["kernel"])
+        CERTIFICATES_PASS, profile=True)
        for family, alphas, nonlinearity in [
            ("I", "1e-20", "family: I\n  alpha: 1.0e-20"),
            ("III", "1e-20-2e-20", "family: III\n  alpha_tilde: 1.0e-20\n  alpha_star: 2.0e-20")]},
-    # at the far node pairs K0(x - t) and K0(x + t) both underflow to 0, so
-    # K0(x - t) - delta K0(x + t) is exactly 0 there; positivity is proven
-    # (the kernels module docstring), so no scan refuses the run
+    # kernels and exponents at the edge of their ranges, each with the test
+    # named for it below
     "delta-next-to-one": ExitPath(
         "solve-nemytsky", yaml.safe_dump({**README_TREE, "kernel": {
-            "family": "B", "delta": 1.0 - 2.0 ** -53}}), 0, CERTIFICATES_PASS, profile=True,
-        check=lambda report, lines: not {"positivity_ok", "symmetry_residual"}
-        & set(report["conditions"]["kernel"])),
-    # d_star = 1 and epsilon = 1 - 1e-7 leave the tail's minimum within 1e-7
-    # of eta, where G(eps) - eps cancels unless it is formed as a sum of expm1
+            "family": "B", "delta": 1.0 - 2.0 ** -53}}), 0, CERTIFICATES_PASS, profile=True),
     "epsilon-next-to-one": ExitPath(
         "solve", yaml.safe_dump({**README_TREE, "kernel": {
             **README_TREE["kernel"], "d_star": 1.0, "epsilon": 0.9999999}}), 0,
-        CERTIFICATES_PASS, profile=True,
-        check=lambda report, lines: 0.0 < 1.0 - report["certificates"]["tail"]["epsilon"] < 1e-6
-        and report["certificates"]["tail"]["passed"] is True
-        and math.isfinite(report["certificates"]["tail"]["rhs"])),
-    # alpha = 0.0002 brings f* within 1e-14 of eta, where Q = G^{-1} has
-    # slope 1 / alpha: the inverse form of the Jensen certificate failed there
-    # by rounding alone, the forward form on G does not
+        CERTIFICATES_PASS, profile=True),
     "small-exponent": ExitPath(
         "solve-nemytsky", Path(__file__).with_name("small_exponent.yaml").read_text(), 0,
-        CERTIFICATES_PASS, profile=True,
-        check=lambda report, lines: report["certificates"]["jensen_passed"] is True),
+        CERTIFICATES_PASS, profile=True),
     # exit 3: the condition checks fail, or the operator is refused
     **{name: ExitPath(mode, README_CONFIG.replace("n_panels: 400", "n_panels: 3"), 3,
                       CONDITIONS_FAIL, (VERDICT + "conditions.kernel.passed",))
@@ -509,15 +518,12 @@ EXIT_PATHS = {
                                        (VERDICT + "conditions.kernel.passed",)),
     "operator-refused": ExitPath(
         "solve", mixture_config(180), 3, CONDITIONS_FAIL,
-        ("error: cusp-corrected operator diagonal ...",), "solver", _refuse_the_operator,
-        check=lambda report, lines: "is not positive" in lines[0] and lines == [
-            f"error: {report['conditions']['kernel']['operator_refused']}"]),
+        ("error: cusp-corrected operator diagonal ...",), "solver", _refuse_the_operator),
     # exit 4: a solve hits its iteration cap; its partial section is written,
     # no profile
     "ceiling-capped-at-3": ExitPath(
         "solve", BASE_CONFIG.replace("max_iter: 300", "max_iter: 3"), 4, NOT_CONVERGED,
-        (UNCONVERGED.format(3, "ceiling"),),
-        check=lambda report, lines: len(report["solve"]["sup_diffs"]) == 3),
+        (UNCONVERGED.format(3, "ceiling"),)),
     **{name: ExitPath("solve-nemytsky", README_CONFIG.replace("max_iter: 500", f"max_iter: {cap}"),
                       4, NOT_CONVERGED, (UNCONVERGED.format(cap, solve),))
        for name, cap, solve in [("ceiling-not-converged", 5, "ceiling"),
@@ -526,11 +532,7 @@ EXIT_PATHS = {
     "combined-capped-at-3": ExitPath(
         "solve-nemytsky", BASE_CONFIG, 4, NOT_CONVERGED, (UNCONVERGED.format(3, "combined"),),
         "solver", _combined_solve(lambda solve, *args, **kwargs: solve(
-            *args, **{**kwargs, "max_iter": 3})),
-        check=lambda report, lines: (
-            report["nemytsky_solve"]["converged"] is False
-            and report["nemytsky_solve"]["iterations"] == 3
-            and max(_list_lengths(report)) < 100 * 4)),     # BASE_CONFIG's nodes
+            *args, **{**kwargs, "max_iter": 3}))),
     # exit 5: the report holds the stages before the failure, plain numbers
     # (no numpy reprs), and the failure naming the stage that was running
     "numerical-failure": ExitPath(
@@ -588,12 +590,10 @@ EXIT_PATHS = {
     # admissible, but x_max = 1 is far too short for the profile to reach eta / 2
     "certificate-fails": ExitPath(
         "solve", Path(__file__).with_name("short_x_max.yaml").read_text(), 1, CERTIFICATE_FAILS,
-        (VERDICT + "certificates.tail.passed",), profile=True,
-        check=lambda report, lines: report["certificates"]["tail"]["lhs"] == "nan"),
+        (VERDICT + "certificates.tail.passed",), profile=True),
     "convex-G": ExitPath(
         "solve-nemytsky", BASE_CONFIG, 1, CERTIFICATE_FAILS,
-        (VERDICT + "certificates.jensen_passed",), "solver", _convex_G_in_jensen, profile=True,
-        check=lambda report, lines: report["certificates"]["jensen_min_margin"] < -1e-12),
+        (VERDICT + "certificates.jensen_passed",), "solver", _convex_G_in_jensen, profile=True),
     # ROADMAP item 18's false failure: the decay law puts eta - f*(x_max) at
     # 3.32e-3, over the verdict's 5 eta gamma(x_max) = 1.56e-3
     "rational-gap-alpha-0.9": ExitPath(
@@ -621,30 +621,57 @@ def assert_exit_follows_status(code, status, lines):
             5: "numerical_error" in status}[code], status
 
 
+@dataclasses.dataclass(frozen=True)
+class ExitRun:
+    """What a run of an exit path left: its exit code, its stderr lines, its
+    output directory (the config beside it), and ``report.yaml`` as text and
+    as a tree."""
+    code: int
+    lines: list
+    out: Path
+    text: str
+    report: dict
+
+
+@pytest.fixture(scope="module")
+def exit_run(tmp_path_factory):
+    """``exit_run(case)`` runs ``EXIT_PATHS[case]`` through ``main`` once in
+    this module, its breakage undone after; every test of the path reads
+    that run."""
+    runs = {}
+
+    def run_case(case):
+        if case not in runs:
+            path, directory, err = EXIT_PATHS[case], tmp_path_factory.mktemp(case), io.StringIO()
+            out = directory / "out"
+            with pytest.MonkeyPatch.context() as monkeypatch, contextlib.redirect_stderr(err):
+                if path.breakage is not None:
+                    path.breakage(monkeypatch)
+                code = main([path.mode, "--config", str(write_config(directory, path.config)),
+                             "--out-dir", str(out)])
+            text = (out / "report.yaml").read_text()
+            runs[case] = ExitRun(code, err.getvalue().splitlines(), out, text,
+                                 yaml.safe_load(text))
+        return runs[case]
+    return run_case
+
+
 @pytest.mark.parametrize("case", EXIT_PATHS)
-def test_status_of_every_exit_path(tmp_path, monkeypatch, capsys, case):
-    path = EXIT_PATHS[case]
-    if path.breakage is not None:
-        path.breakage(monkeypatch)
-    out = tmp_path / "out"
-    code = main([path.mode, "--config", str(write_config(tmp_path, path.config)),
-                 "--out-dir", str(out)])
-    lines = capsys.readouterr().err.splitlines()
-    text = (out / "report.yaml").read_text()
-    report = yaml.safe_load(text)
-    assert yaml.safe_dump(report, sort_keys=True, default_flow_style=False) == text
-    assert (code, report["status"]) == (path.code, path.status)
-    assert_lines(lines, path.lines)
-    assert (out / "profile.csv").exists() is path.profile
-    assert_exit_follows_status(code, report["status"], lines)
+def test_status_of_every_exit_path(capsys, exit_run, case):
+    path, run = EXIT_PATHS[case], exit_run(case)
+    report = run.report
+    assert (run.code, report["status"]) == (path.code, path.status)
+    assert_lines(run.lines, path.lines)
+    assert (run.out / "profile.csv").exists() is path.profile
+    assert_exit_follows_status(run.code, report["status"], run.lines)
     conditions = report.get("conditions")
     assert (conditions and conditions["kernel"]["passed"]) == path.status.get("conditions_passed")
-    for line in lines:
+    for line in run.lines:
         if line.startswith(VERDICT):
             assert functools.reduce(dict.get, line[len(VERDICT):].split("."), report) is False
-    assert path.check is None or path.check(report, lines)
     if "solve" in report:
-        assert main(["table", "--report", str(out / "report.yaml")]) == 0
+        capsys.readouterr()
+        assert main(["table", "--report", str(run.out / "report.yaml")]) == 0
         table = capsys.readouterr().out.splitlines()
         assert table[0] == "n sup_diff envelope ratio"
         assert len(table) == len(report["solve"]["sup_diffs"])
@@ -675,6 +702,156 @@ def test_the_package_has_no_exit_4_exception_and_no_inverse_G():
     # Jensen certificate takes G forward
     assert not hasattr(hammerstein, "NonConvergenceError")
     assert not hasattr(hammerstein, "eval_Q")
+
+
+# The tests named for one exit path: each reads the path's run in EXIT_PATHS.
+
+def test_report_is_the_safe_dumper_bytes(exit_run):
+    # whichever stage ended the run
+    for case in EXIT_PATHS:
+        text = exit_run(case).text
+        assert yaml.safe_dump(yaml.safe_load(text), sort_keys=True,
+                              default_flow_style=False) == text, case
+
+
+def test_check_only(exit_run):
+    assert "solve" not in exit_run("check-passes").report
+
+
+# Accepted exponents far below 2e-14: the nonlinearity's conditions are
+# proven (the nonlinearity module docstring), so no lattice can read
+# u**1e-20 as flat at neighbouring points and refuse the run.
+@pytest.mark.parametrize("case", ["I-1e-20", "III-1e-20-2e-20"])
+def test_tiny_exponents_exit_0(exit_run, case):
+    assert sorted(exit_run(case).report["conditions"]) == ["kernel"]
+
+
+def test_delta_next_to_one_exits_0(exit_run):
+    # at the far node pairs K0(x - t) and K0(x + t) both underflow to 0, so
+    # K0(x - t) - delta K0(x + t) is exactly 0 there; positivity is proven
+    # (the kernels module docstring), so no scan refuses the run
+    kernel = exit_run("delta-next-to-one").report["conditions"]["kernel"]
+    assert not {"positivity_ok", "symmetry_residual"} & set(kernel)
+
+
+def test_epsilon_next_to_one_decides_the_tail_certificate(exit_run):
+    # d_star = 1 and epsilon = 1 - 1e-7 leave the tail's minimum within 1e-7
+    # of eta, where G(eps) - eps cancels unless it is formed as a sum of expm1
+    tail = exit_run("epsilon-next-to-one").report["certificates"]["tail"]
+    assert 0.0 < 1.0 - tail["epsilon"] < 1e-6
+    assert tail["passed"] is True and math.isfinite(tail["rhs"])
+
+
+def test_small_exponent_passes_the_jensen_certificate(exit_run):
+    # alpha = 0.0002 brings f* within 1e-14 of eta, where Q = G^{-1} has
+    # slope 1 / alpha: the inverse form of the certificate failed there by
+    # rounding alone, the forward form on G does not
+    assert exit_run("small-exponent").report["certificates"]["jensen_passed"] is True
+
+
+def test_condition_failure_exits_3_with_report(exit_run):
+    # both halves of the kernel check fail at this resolution: a row mass
+    # above 1 and no positive mass defect
+    kernel = exit_run("near-unit-image-weight").report["conditions"]["kernel"]
+    assert kernel["sup_row_mass"] > 1.0 + hammerstein.kernels.CHECK_TOL
+    assert kernel["gamma_max"] <= hammerstein.kernels.CHECK_TOL
+
+
+def test_refused_operator_exits_3_with_report(exit_run):
+    run = exit_run("operator-refused")
+    refused = run.report["conditions"]["kernel"]["operator_refused"]
+    assert "is not positive" in refused
+    assert run.lines == [f"error: {refused}"]
+
+
+# The README config capped or coarsened: each exit 4 and 3 names its cause on
+# one stderr line, as every other nonzero exit does, check included.
+@pytest.mark.parametrize("case", [
+    pytest.param("ceiling-not-converged", id="max_iter-5"),
+    pytest.param("combined-not-converged", id="max_iter-35"),
+    pytest.param("check-condition-fails", id="n_panels-3"),
+    pytest.param("nemytsky-condition-fails", id="n_panels-3-nemytsky"),
+])
+def test_readme_exits_3_and_4_print_why(exit_run, case):
+    run = exit_run(case)
+    assert run.code in (3, 4) and run.lines == list(EXIT_PATHS[case].lines)
+
+
+def test_non_convergence_exits_4(exit_run):
+    # the partial solve section is written: exit 4 is its converged: false
+    solve = exit_run("ceiling-capped-at-3").report["solve"]
+    assert solve["converged"] is False and len(solve["sup_diffs"]) == 3
+
+
+def test_table_on_non_converged_report(exit_run, capsys):
+    report = exit_run("ceiling-capped-at-3").out / "report.yaml"
+    capsys.readouterr()
+    assert main(["table", "--report", str(report)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n sup_diff envelope ratio" and len(lines) == 3
+
+
+def test_combined_non_convergence_exits_4_without_profiles(exit_run):
+    run = exit_run("combined-capped-at-3")
+    nemytsky = run.report["nemytsky_solve"]
+    assert nemytsky["converged"] is False and nemytsky["iterations"] == 3
+    assert max(_list_lengths(run.report)) < load_config(run.out.parent / "run.yaml").grid.size
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param("numerical-failure", id="breakdown"), "domain", "inconsistent",
+    "combined-breakdown", "probe-breakdown", "probe-out-of-memory",
+])
+def test_numerical_failure_exits_5(exit_run, case):
+    # the report is written all the same: the stages before the failure, and
+    # the failure's message in plain numbers (no numpy reprs)
+    report = exit_run(case).report
+    assert "np.float64" not in report["status"]["numerical_error"]
+    assert report["conditions"]["kernel"]["passed"] is True
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param("discretisation-out-of-memory", id="out-of-memory"), "refused-continuation",
+])
+def test_discretisation_that_cannot_be_built_exits_5(exit_run, case):
+    # one error: line naming the stage and a report, not a traceback and
+    # exit 1; no condition was checked
+    assert "conditions" not in exit_run(case).report
+
+
+@pytest.mark.parametrize("case, section, verdict", [
+    pytest.param(case, *path.split("."), id=path.replace(".", "-")) for case, path in [
+        ("iteration-verdict-fails", "solve.rate_bound_ok"),
+        ("wrong-way-ceiling-step", "solve.monotone_ok"),
+        ("wrong-way-combined-step", "nemytsky_solve.increase_ok"),
+        ("raised-ceiling-1e-11", "nemytsky_solve.envelope_ok"),
+        ("raised-ceiling-5e-10", "nemytsky_solve.sandwich_ok")]
+])
+def test_failed_iteration_verdict_exits_1(exit_run, case, section, verdict):
+    report = exit_run(case).report
+    assert report[section][verdict] is False
+    assert report["status"]["certificates_passed"] is True   # certificates only
+
+
+@pytest.mark.parametrize("verdict, case", [
+    pytest.param(verdict, case, id=verdict) for verdict, case in [
+        ("solve.monotone_ok", "wrong-way-ceiling-step"),
+        ("nemytsky_solve.increase_ok", "wrong-way-combined-step")]
+])
+def test_wrong_way_step_exits_1(exit_run, verdict, case):
+    # one node moved 5e-10 against its solve's direction on one step, inside
+    # the solver: the README run fails that verdict alone
+    assert EXIT_PATHS[case].kind == "solver"
+    assert exit_run(case).lines == [VERDICT + verdict]
+
+
+def test_short_x_max_fails_the_tail_certificate(exit_run):
+    # admissible, but x_max = 1 is far too short for the profile to reach eta / 2
+    assert exit_run("certificate-fails").report["certificates"]["tail"]["lhs"] == "nan"
+
+
+def test_convex_G_fails_the_jensen_certificate(exit_run):
+    assert exit_run("convex-G").report["certificates"]["jensen_min_margin"] < -1e-12
 
 
 OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
